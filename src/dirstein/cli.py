@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -120,7 +121,20 @@ def parse_config_text(text: str) -> dict:
             data[key] = json.loads(val.strip())
         except json.JSONDecodeError as e:
             raise ConfigError(key, f"line {lineno}: invalid JSON value ({e.msg})")
+        if _has_non_finite(data[key]):
+            raise ConfigError(key, f"line {lineno}: numbers must be finite")
     return data
+
+
+def _has_non_finite(v) -> bool:
+    """json.loads reads NaN, Infinity and overflowing literals as floats."""
+    if isinstance(v, float):
+        return not math.isfinite(v)
+    if isinstance(v, list):
+        return any(_has_non_finite(x) for x in v)
+    if isinstance(v, dict):
+        return any(_has_non_finite(x) for x in v.values())
+    return False
 
 
 def load_config(path, overrides: dict | None = None) -> dict:

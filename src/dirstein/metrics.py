@@ -2,12 +2,12 @@
 stationary tables for small chains.
 
 The battery ships closed-form derivative seminorms per function family;
-`make_battery` re-derives them numerically by dense finite-difference
-probing every time it builds a battery, so a stale constant cannot
-survive a refactor.  Distances come in three strengths: smooth-function
-gaps (the quantity the bounds control), a Kolmogorov distance for two
-types, and a convex-set probe for three types that only ever reports a
-lower bound.
+`_validate_battery` re-derives them numerically by dense finite-difference
+probing, and the test suite runs it over every shipped battery, so a
+stale constant cannot survive a refactor.  Distances come in three
+strengths: smooth-function gaps (the quantity the bounds control), a
+Kolmogorov distance for two types, and a convex-set probe for three
+types that only ever reports a lower bound.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as _poly
-from scipy.special import gammaln
 
 from .chains import ChainModel, StationaryRun, check_irreducible
 from .offspring import ENUMERATION_LIMIT, KIND_MORAN, KIND_WRIGHT_FISHER, enumerate_law
@@ -215,8 +214,8 @@ def _validate_battery(fns, K):
 
     Each seminorm must cover the probed maximum (validity) and the probe
     must reach at least 95% of it wherever the certified value is
-    nonzero (tightness); failures raise, so a battery only ever ships
-    checked constants.
+    nonzero (tightness); failures raise.  The constants never change at
+    run time, so the probe runs in the test suite, not in `make_battery`.
 
     The step is small because the bump's third derivative jumps at its
     support edge and a wide stencil would average the jump away.
@@ -261,18 +260,13 @@ def _validate_battery(fns, K):
                 )
 
 
-_BATTERY_CACHE: dict = {}
-
-
 def make_battery(K: int) -> tuple:
-    """The standard test functions for a K-type model, seminorms checked.
+    """The standard test functions for a K-type model.
 
     Monomials up to total degree three, cosine and sine waves at small
     and moderate frequencies, and one compactly supported bump.  Means
     are not attached; callers do that per target law.
     """
-    if K in _BATTERY_CACHE:
-        return _BATTERY_CACHE[K]
     if K == 2:
         fns = [_monomial((c,)) for c in (1, 2, 3)]
         fns += [_trig(kind, (w,)) for kind in ("cos", "sin") for w in (1.0, 3.0)]
@@ -292,10 +286,7 @@ def make_battery(K: int) -> tuple:
         fns.append(_bump((1.0 / 3.0, 1.0 / 3.0), 0.25))
     else:
         raise MetricsError("battery is shipped for K in {2, 3}")
-    _validate_battery(fns, K)
-    out = tuple(fns)
-    _BATTERY_CACHE[K] = out
-    return out
+    return tuple(fns)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +697,6 @@ class StationaryTable:
 
 _MAX_STATES = 50_000
 _DENSE_CAP = 6_000
-_SOLVE_CAP = 2_500
 
 
 def _state_grid(N, K):
@@ -720,8 +710,13 @@ def _state_grid(N, K):
     return np.array(out, dtype=np.int64)
 
 
-def _binom_pmf(m, p, length):
-    """pmf of Bin(m, p) padded to the given length."""
+def _log_factorials(n):
+    """log(k!) for k = 0..n, one table per transition matrix."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def _binom_pmf(m, p, length, lgfact):
+    """pmf of Bin(m, p) padded to the given length; lgfact covers m."""
     y = np.arange(m + 1, dtype=np.float64)
     if p <= 0.0:
         row = np.where(y == 0, 1.0, 0.0)
@@ -729,9 +724,9 @@ def _binom_pmf(m, p, length):
         row = np.where(y == m, 1.0, 0.0)
     else:
         lg = (
-            gammaln(m + 1.0)
-            - gammaln(y + 1.0)
-            - gammaln(m - y + 1.0)
+            lgfact[m]
+            - lgfact[: m + 1]
+            - lgfact[m::-1]
             + y * math.log(p)
             + (m - y) * math.log1p(-p)
         )
@@ -747,8 +742,8 @@ def _wf_matrix(model: ChainModel, states):
     full = np.column_stack([states, N - states.sum(axis=1)]).astype(np.float64)
     q = (full / N) @ Pm
     logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -1e30)
-    lgfact = gammaln(np.arange(N + 2, dtype=np.float64))
-    coef = lgfact[N + 1] - lgfact[full.astype(np.int64) + 1].sum(axis=1)
+    lgfact = _log_factorials(N)
+    coef = lgfact[N] - lgfact[full.astype(np.int64)].sum(axis=1)
     L = logq @ full.T
     L += coef[None, :]
     P = np.exp(L, out=L)
@@ -760,10 +755,12 @@ def _moran_k2_matrix(model: ChainModel):
     N = model.N
     Pm = model.mutation.array()
     P = np.zeros((N + 1, N + 1))
+    lgfact = _log_factorials(N)
 
     def child_row(m1):
         return np.convolve(
-            _binom_pmf(m1, Pm[0, 0], N + 1), _binom_pmf(N - m1, Pm[1, 0], N + 1)
+            _binom_pmf(m1, Pm[0, 0], N + 1, lgfact),
+            _binom_pmf(N - m1, Pm[1, 0], N + 1, lgfact),
         )[: N + 1]
 
     for x in range(N + 1):
@@ -782,7 +779,7 @@ def _distinct_rows(v):
     return np.array(sorted(set(itertools.permutations(v))), dtype=np.int64)
 
 
-def _mutation_conv(mvec, Pm, N, K):
+def _mutation_conv(mvec, Pm, N, K, lgfact):
     """pmf over child free counts after every child of every type group
     mutates independently: the convolution of one multinomial per group."""
     shape = (N + 1,) * (K - 1)
@@ -792,7 +789,7 @@ def _mutation_conv(mvec, Pm, N, K):
         if mt == 0:
             continue
         if K == 2:
-            part = _binom_pmf(int(mt), Pm[t, 0], N + 1)
+            part = _binom_pmf(int(mt), Pm[t, 0], N + 1, lgfact)
             grid = np.convolve(grid, part)[: N + 1]
             continue
         part = np.zeros(shape)
@@ -801,12 +798,7 @@ def _mutation_conv(mvec, Pm, N, K):
         for y1 in range(int(mt) + 1):
             for y2 in range(int(mt) - y1 + 1):
                 y3 = int(mt) - y1 - y2
-                lw = (
-                    math.lgamma(mt + 1)
-                    - math.lgamma(y1 + 1)
-                    - math.lgamma(y2 + 1)
-                    - math.lgamma(y3 + 1)
-                )
+                lw = lgfact[mt] - lgfact[y1] - lgfact[y2] - lgfact[y3]
                 val = math.exp(lw) * p1**y1 * p2**y2 * p3**y3
                 part[y1, y2] = val
         out = np.zeros(shape)
@@ -827,6 +819,7 @@ def _cannings_matrix(model: ChainModel, states):
     S = len(states)
     P = np.zeros((S, S))
     full = np.column_stack([states, N - states.sum(axis=1)])
+    lgfact = _log_factorials(N)
     conv_cache: dict = {}
     for xi in range(S):
         edges = np.concatenate([[0], np.cumsum(full[xi])])
@@ -841,7 +834,7 @@ def _cannings_matrix(model: ChainModel, states):
         row = np.zeros(S)
         for mvec, w in mweights.items():
             if mvec not in conv_cache:
-                grid = _mutation_conv(mvec, Pm, N, K)
+                grid = _mutation_conv(mvec, Pm, N, K, lgfact)
                 conv_cache[mvec] = np.array(
                     [grid[tuple(y)] for y in states]
                 )
@@ -852,24 +845,26 @@ def _cannings_matrix(model: ChainModel, states):
 
 
 def _solve_stationary(P):
+    """Stationary row vector of P by one dense solve of pi (P - I) = 0
+    with the last equation replaced by sum(pi) = 1.
+
+    The system matrix is P.T - I with its last row set to ones, built in
+    P's own storage and undone after the solve, so the peak is P plus
+    LAPACK's working copy.  The residual is taken against the intact P.
+    """
     S = len(P)
-    if S <= _SOLVE_CAP:
-        A = P.T - np.eye(S)
-        A[-1, :] = 1.0
-        b = np.zeros(S)
-        b[-1] = 1.0
+    diag = P.diagonal().copy()
+    last = P[:, -1].copy()
+    A = P.T
+    A[np.diag_indices(S)] -= 1.0
+    A[-1, :] = 1.0
+    b = np.zeros(S)
+    b[-1] = 1.0
+    try:
         pi = np.linalg.solve(A, b)
-    else:
-        pi = np.full(S, 1.0 / S)
-        for _ in range(500_000):
-            nxt = pi @ P
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - pi)) < 1e-15:
-                pi = nxt
-                break
-            pi = nxt
-        else:
-            raise MetricsError("power iteration did not converge")
+    finally:
+        P[:, -1] = last
+        P[np.diag_indices(S)] = diag
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     resid = float(np.max(np.abs(pi @ P - pi)))

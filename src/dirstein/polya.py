@@ -519,8 +519,9 @@ def certify_theorem4(
     """Hold every battery gap after n draws against the urn bound.
 
     Monomial expectations under the urn law have closed forms, so those
-    gaps are exact with zero stderr (a linear h is a martingale, its gap
-    is identically zero).  The rest are estimated from `replicates`
+    gaps are exact with zero stderr, in rational arithmetic even for
+    float weights (a linear h is a martingale, its gap is identically
+    zero).  The rest are estimated from `replicates`
     end-state samples and pass when gap - 4 stderr clears the bound.
     """
     p = _params(a)
@@ -534,12 +535,15 @@ def certify_theorem4(
         if rng is None:
             raise PolyaError("non-polynomial battery functions need an rng")
         sample = sample_final(p, n, rng, replicates)
+    # monomial gaps in Fractions of the weights as given (binary values
+    # for floats), so a gap the bound holds at exactly zero is exactly zero
+    exact = DirichletParams(tuple(Fraction(v) for v in p.a))
     gaps = []
     for h in battery:
         bound = rep.smooth_bound_for(h)
         if h.tag[0] == "monomial":
             c = tuple(h.tag[1]) + (0,)
-            diff = urn_mixed_moment(p, n, c) - dirichlet_mixed_moment(p, c)
+            diff = urn_mixed_moment(exact, n, c) - dirichlet_mixed_moment(exact, c)
             gap = abs(float(diff))
             gaps.append(GapEstimate(h.tag, gap, 0.0, float(bound), gap <= bound))
         else:

@@ -14,13 +14,13 @@ whose rate form ``theta / (3 + theta)`` prices convex-set distance bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 # Membership tolerance: chains feed exact rationals k/N, so this only guards
 # float round-off.
@@ -53,7 +53,8 @@ class SimplexPoint:
             raise SimplexError("simplex dimension K must be >= 2")
         if any(c < 0.0 for c in coords):
             raise SimplexError(f"negative coordinate in {coords}")
-        if sum(coords) > 1.0 + BOUNDARY_TOL:
+        # the quantity `last` returns, so it never falls below -BOUNDARY_TOL
+        if 1.0 - sum(coords) < -BOUNDARY_TOL:
             raise SimplexError(f"coordinates {coords} sum above 1")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dim", dim)
@@ -171,7 +172,7 @@ def dirichlet_density(p: DirichletParams, x: SimplexPoint) -> float:
     on_boundary = bool((xs == 0.0).any())
     if on_boundary and (a < 1.0).any():
         raise SimplexError("density unbounded at the boundary for parameters below 1")
-    lognorm = gammaln(float(p.s)) - gammaln(a).sum()
+    lognorm = math.lgamma(float(p.s)) - sum(math.lgamma(ai) for ai in a)
     val = 0.0
     for ai, xi in zip(a, xs):
         if xi == 0.0:

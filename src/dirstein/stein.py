@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 from .simplex import (
     DirichletParams,
@@ -362,11 +361,30 @@ def characterization_mc(a: DirichletParams, exponents, rng, mc_samples: int):
 # death-process schedule
 
 
+# B_2k / 2k for k = 1..5, the coefficients of digamma's asymptotic series
+_PSI_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
+
+
 def _tail_exact(M: int, s: float) -> float:
-    """sum_{n > M} 2/(n(n-1+s)), by partial fractions / polygamma."""
-    if abs(s - 1.0) < 1e-12:
-        return float(2.0 * polygamma(1, M + 1))
-    return float(2.0 / (s - 1.0) * (digamma(M + s) - digamma(M + 1)))
+    """sum_{n > M} 2/(n(n-1+s)) = 2 (psi(M+s) - psi(M+1)) / (s-1).
+
+    With c = s - 1 the psi difference is divided by c term by term, so
+    nothing cancels near s = 1: the terms 1/(n(n+c)) are summed up to
+    n = 32, then log1p(c/x)/c plus the asymptotic series in u = 1/(x+c)
+    and v = 1/x, where (u^2k - v^2k)/c = -sum_j u^(2k-j) v^(j+1).
+    """
+    c = float(s) - 1.0
+    x = float(M) + 1.0
+    head = 0.0
+    while x < 32.0:
+        head += 1.0 / (x * (x + c))
+        x += 1.0
+    u, v = 1.0 / (x + c), 1.0 / x
+    rest = math.log1p(c * v) / c if c else v
+    rest += 0.5 * u * v
+    for k, coef in enumerate(_PSI_SERIES, 1):
+        rest += coef * sum(u ** (2 * k - j) * v ** (j + 1) for j in range(2 * k))
+    return 2.0 * (head + rest)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +55,9 @@ class TestConfigParsing:
             parse_config_text("a = {broken\n")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("a = 1\na = 2\n")
+        for literal in ("NaN", "Infinity", "-Infinity", "1e999", '{"x": [NaN]}'):
+            with pytest.raises(ConfigError, match="^x: line 2: numbers must be finite"):
+                parse_config_text(f"a = 1\nx = [{literal}, 1]\n")
 
     def test_hash_ignores_delivery_knobs(self):
         base = {"kind": "wf-theorem1", "seed": 1, "model.N": 10}
@@ -60,6 +66,15 @@ class TestConfigParsing:
 
     def test_missing_file(self):
         assert main(["validate", "--config", "/nonexistent/q.cfg"]) == 1
+
+    @pytest.mark.parametrize("body", [WF_CFG, POLYA_CFG], ids=["wf", "polya"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_weights_exit_1(self, tmp_path, capsys, body, literal):
+        text = body.replace("model.a = [1, 1]", f"model.a = [{literal}, 1]")
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.a: ") and "finite" in err
 
 
 class TestValidation:
@@ -233,6 +248,38 @@ class TestDeterminism:
         main(["run", "--config", cfg, "--out", str(a)])
         main(["run", "--config", cfg, "--out", str(b), "--seed", "4"])
         assert (a / "samples.csv").read_text() != (b / "samples.csv").read_text()
+
+
+class TestRuntimeImports:
+    def test_cli_run_leaves_scipy_unimported(self, tmp_path):
+        # scipy is a test-only dependency: neither importing the CLI nor
+        # a run of each certifying kind may pull it in
+        cfgs = {
+            "wf": WF_CFG.replace("[1, 1]", "[1, 1, 1]").replace("2500", "200"),
+            "polya": POLYA_CFG.replace("8000", "200"),
+        }
+        argv = []
+        for name, body in cfgs.items():
+            cfg = write_cfg(tmp_path, f"{name}.cfg", body)
+            argv.append(["run", "--config", cfg, "--out", str(tmp_path / name)])
+        script = (
+            "import sys\n"
+            "import dirstein.cli\n"
+            "if 'scipy' in sys.modules: sys.exit('scipy loaded by the import')\n"
+            f"for argv in {argv!r}:\n"
+            "    if dirstein.cli.main(argv) != 0: sys.exit(f'{argv} failed')\n"
+            "if 'scipy' in sys.modules: sys.exit('scipy loaded by a run')\n"
+        )
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOtherCommands:

@@ -125,8 +125,11 @@ class TestBattery:
         with pytest.raises(MetricsError):
             make_battery(4)
 
-    def test_battery_cached(self):
-        assert make_battery(2) is make_battery(2)
+    def test_shipped_batteries_pass_probe(self):
+        # make_battery ships closed-form constants unprobed; this is where
+        # every one of them is re-derived by finite differences
+        for K in (2, 3):
+            _validate_battery(make_battery(K), K)
 
     def test_values_stay_in_certified_range(self):
         g = as_generator(RngStream(11))
@@ -372,14 +375,24 @@ class TestExactStationary:
         assert tab.probs.min() > 0.0
         assert tab.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_power_iteration_agrees_with_dense(self, monkeypatch):
-        import dirstein.metrics as metrics
+    def test_solve_leaves_matrix_bit_identical(self):
+        from dirstein.metrics import _solve_stationary, _state_grid, _wf_matrix
 
-        pim = pim_for((1, 1), 30)
-        dense = exact_stationary(ChainModel(30, pim))
-        monkeypatch.setattr(metrics, "_SOLVE_CAP", 4)
-        power = exact_stationary(ChainModel(30, pim))
-        assert np.max(np.abs(dense.probs - power.probs)) < 1e-11
+        for N, K in ((30, 2), (12, 3)):
+            P = _wf_matrix(ChainModel(N, pim_for((1,) * K, N)), _state_grid(N, K))
+            before = P.copy()
+            pi, resolution = _solve_stationary(P)
+            assert np.array_equal(P, before)
+            assert np.max(np.abs(pi @ P - pi)) <= resolution
+
+    def test_dense_solve_covers_large_tables(self):
+        # S = 2628: the one dense solve also serves tables near the cap
+        pi = [F(1, 50), F(1, 70), F(1, 90)]
+        tab = exact_stationary(ChainModel(71, MutationMatrix.pim(pi)))
+        assert len(tab.probs) == 2628
+        assert tab.resolution < 1e-8
+        want = np.array([float(p / sum(pi)) for p in pi[:2]])
+        assert np.max(np.abs(tab.probs @ tab.w - want)) < 1e-8
 
     def test_reducible_mutation_rejected(self):
         ident = MutationMatrix(((1, 0), (0, 1)))

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirstein.polya import (
@@ -299,6 +299,22 @@ class TestCertify:
         mono = [h for h in make_battery(2) if h.tag[0] == "monomial"]
         cert = certify_theorem4((1, 1), 50, battery=mono)
         assert cert.passed and all(g.stderr == 0.0 for g in cert.gaps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=3),
+        n=st.integers(1, 500),
+    )
+    @example(a=[1.293, 1.075], n=392)
+    def test_float_weights_certify(self, a, n):
+        # linear gaps are exactly zero against a bound of exactly zero,
+        # whatever the binary value of the float weights
+        mono = [h for h in make_battery(len(a)) if h.tag[0] == "monomial"]
+        cert = certify_theorem4(a, n, battery=mono)
+        assert cert.passed
+        for g in cert.gaps:
+            if sum(g.h_tag[1]) == 1:
+                assert g.gap == 0.0 and g.bound == 0.0
 
     def test_full_battery_needs_rng(self):
         with pytest.raises(PolyaError):

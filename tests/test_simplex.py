@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirstein.simplex import (
@@ -44,6 +44,7 @@ class TestSimplexPoint:
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
+    @example([1.0, 1e-12])
     def test_never_accepts_invalid(self, coords):
         try:
             x = SimplexPoint(coords)

@@ -209,6 +209,25 @@ class TestSchedule:
             brute = float((2.0 / (n * (n - 1.0 + s))).sum())
             assert abs(sch.tail - brute) < 1e-5
 
+    @pytest.mark.parametrize("M", [8, 4000, 40000])
+    @pytest.mark.parametrize("s", [1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-11, 1 + 1e-11])
+    def test_tail_near_s_one(self, M, s):
+        # partial sum to L plus a remainder that lies in [2/(L+1), 2/L]
+        # for |s - 1| <= 1, since n(n-1) <= n(n-1+s) <= n(n+1)
+        L = M + 200_000
+        n = np.arange(M + 1, L + 1, dtype=np.float64)
+        head = math.fsum(2.0 / (n * (n + (s - 1.0))))
+        lo, hi = head + 2.0 / (L + 1), head + 2.0 / L
+        tail = st._tail_exact(M, s)
+        assert lo * (1 - 1e-14) <= tail <= hi * (1 + 1e-14)
+
+    def test_tail_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        for s in (0.01, 0.5, 2.0, 3.7, 50.0, 300.0):
+            for M in (0, 8, 31, 100, 4000):
+                want = 2.0 / (s - 1.0) * (special.digamma(M + s) - special.digamma(M + 1))
+                assert st._tail_exact(M, s) == pytest.approx(want, rel=1e-10)
+
     def test_total_mass_bound(self):
         # the full series sums below 2(s+1)/s
         for s in (0.3, 0.5, 1.0, 2.0, 5.0):
