@@ -23,6 +23,9 @@ and estimates the generic exchangeable-pair error terms A1, A2, A3.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -542,80 +545,107 @@ class LevelSums:
         return self.f_combo({p: 1.0, q: -1.0}, ai, hi)
 
 
-def _battery_values_block(Zs, tag_widths, out_cols):
-    """Evaluate tagged families on coordinate blocks Zs (one float32 array
-    per free coordinate), each tag only out to its own column width.
+def _battery_sums(Zs, specs, ey, out):
+    """Add the weighted level sums of a column block to out.
 
-    Trig intermediates are shared at the widest trig width: cos/sin of the
-    unit frequency feed the triple-angle identities, halving the trig work
-    of a battery holding both."""
-    cache = {}
-    rows = Zs[0].shape[0]
-
-    def coord(k, w):
-        Z = Zs[k]
-        return Z if w == Z.shape[1] else Z[:, :w]
-
-    def lin(w_vec, w):
+    Zs holds one float32 (rows, cols) block per free coordinate and ey the
+    float32 weights E Y_n of its columns; specs lists (column of out, tag,
+    width) and each tag is evaluated only out to its own width.  Powers
+    and trig phases are built once at the widest width that uses them, and
+    constant factors are applied to the (rows,) sums, not to the block."""
+    powers, phases = {}, {}
+    for _, tag, w in specs:
+        if tag[0] == "monomial":
+            for k, ci in enumerate(tag[1]):
+                for e in range(1, ci + 1):
+                    powers[k, e] = max(powers.get((k, e), 0), w)
+        elif tag[0] in ("cos", "sin"):
+            phases[tag[1]] = max(phases.get(tag[1], 0), w)
+    for (k, e), w in sorted(powers.items()):
+        z = Zs[k][:, :w]
+        powers[k, e] = z if e == 1 else powers[k, e - 1][:, :w] * z
+    for w_vec, w in phases.items():
         y = None
         for k, wv in enumerate(w_vec):
-            if wv == 0:
-                continue
-            t = coord(k, w)
-            t = t if wv == 1 else np.float32(wv) * t
-            y = t if y is None else y + t
-        return np.zeros((rows, w), np.float32) if y is None else y
-
-    def trig_eval(kind, w_vec, w):
-        key = (kind,) + tuple(w_vec)
-        hit = cache.get(key)
-        if hit is not None and hit.shape[1] >= w:
-            return hit
-        scaled = tuple(v / 3 for v in w_vec)
-        base = None
-        if all(float(v).is_integer() for v in scaled):
-            base = cache.get((kind,) + tuple(int(v) for v in scaled))
-        if base is not None and base.shape[1] >= w:
-            # triple-angle identities need only the same-kind unit value,
-            # and only pay off when it was already built wide enough
-            b = base[:, :w]
-            arr = (
-                b * (4.0 * b * b - 3.0)
-                if kind == "cos"
-                else b * (3.0 - 4.0 * b * b)
-            )
-        else:
-            y = lin(w_vec, w)
-            arr = np.cos(y) if kind == "cos" else np.sin(y)
-        cache[key] = arr
-        return arr
-
-    for tag, w in tag_widths:
-        kind = tag[0]
+            if wv:
+                t = Zs[k][:, :w] * np.float32(wv) if wv != 1 else Zs[k][:, :w]
+                y = t if y is None else y + t
+        phases[w_vec] = np.zeros((Zs[0].shape[0], w), np.float32) if y is None else y
+    for col, tag, w in specs:
+        kind, scale = tag[0], 1.0
         if kind == "monomial":
             v = None
             for k, ci in enumerate(tag[1]):
-                zk = coord(k, w)
-                for _ in range(ci):
-                    v = zk if v is None else v * zk
-            out_cols[tag] = np.ones((rows, w), np.float32) if v is None else v
+                if ci:
+                    pk = powers[k, ci][:, :w]
+                    v = pk if v is None else v * pk
+            if v is None:
+                out[:, col] += float(ey[:w].sum())
+                continue
         elif kind in ("cos", "sin"):
-            arr = trig_eval(kind, tag[1], w)
-            out_cols[tag] = arr if arr.shape[1] == w else np.ascontiguousarray(
-                arr[:, :w]
-            )
+            ufunc = np.cos if kind == "cos" else np.sin
+            v = ufunc(phases[tag[1]][:, :w])
         elif kind == "bump":
+            # (1 - ((z - c)/rho)^2)_+^3 = (rho^2 - (z - c)^2)_+^3 / rho^6
             center, rho = tag[1], tag[2]
+            r2 = np.float32(rho * rho)
             v = None
             for k, ctr in enumerate(center):
-                uu = (coord(k, w) - np.float32(ctr)) / np.float32(rho)
-                t = np.maximum(np.float32(1.0) - uu * uu, np.float32(0.0))
-                b = t * t * t
+                d = Zs[k][:, :w] - np.float32(ctr)
+                np.multiply(d, d, out=d)
+                np.subtract(r2, d, out=d)
+                np.maximum(d, np.float32(0.0), out=d)
+                b = d * d
+                b *= d
                 v = b if v is None else v * b
-            out_cols[tag] = v
+            scale = float(rho) ** (-6 * len(center))
         else:
             raise SteinError(f"batch engine cannot evaluate family {kind}")
-    return out_cols
+        s = np.einsum("ij,j->i", v, ey[:w])
+        out[:, col] += s if scale == 1.0 else scale * s
+    return out
+
+
+def _point_block_sums(E, masks, carries, gam32, inv_denom, specs, ey_by_a, c0, H):
+    """(rows, A, H) weighted level sums of one column block at one point.
+
+    masks[k] marks the trials that fall in category k, carries[k] is that
+    category's mass before the block; per params, Z = (gamma head +
+    category mass) / total mass and the battery is summed over it.  The
+    block is walked in column tiles of about 1 MB of float64 so that the
+    intermediates stay in cache."""
+    rows, cols = E.shape
+    tile = max(256, (1 << 17) // rows)
+    carries = list(carries)
+    out = np.zeros((rows, len(specs), H))
+    for t0 in range(0, cols, tile):
+        t1 = min(t0 + tile, cols)
+        cum_bs = []
+        for k, ind in enumerate(masks):
+            cum = np.multiply(E[:, t0:t1], ind[:, t0:t1])
+            cum[:, 0] += carries[k]
+            np.cumsum(cum, axis=1, out=cum)
+            carries[k] = cum[:, -1]
+            cum_bs.append(cum.astype(np.float32))
+        for ai, (gam, inv, spec) in enumerate(zip(gam32, inv_denom, specs)):
+            spec = [(hi, tag, min(w, t1) - t0) for hi, tag, w in spec if w > t0]
+            if not spec:
+                continue
+            w = max(s[2] for s in spec)
+            Zs = []
+            for k, cum in enumerate(cum_bs):
+                z = np.add(cum[:, :w], gam[:, k, None])
+                z *= inv[:, t0 : t0 + w]
+                Zs.append(z)
+            _battery_sums(Zs, spec, ey_by_a[ai][c0 + t0 : c0 + t0 + w], out[:, ai])
+    return out
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def stein_level_sums(
@@ -684,75 +714,86 @@ def stein_level_sums(
             ey_sums[ai, hi] = ey[:m].sum()
             tails[ai, hi] = _tail_exact(int(m), s)
 
-    cums = [np.cumsum([0.0] + list(c)) for c in pts]  # category boundaries
+    # category boundaries of each point, as float32 thresholds on u
+    bounds = [
+        [np.float32(b) for b in np.cumsum([0.0] + list(c))] for c in pts
+    ]
     heads = [a.floats() for a in params_list]
     S = np.zeros((R, P, A, H), dtype=np.float64)
     g = as_generator(rng)
+    # the stream is drawn and the carried masses are advanced in order
+    # here; each (block, point) is then independent and goes to a thread
+    # pool, one block ahead.  Results are added to S in submission order,
+    # so S does not depend on the number of threads.
+    threads = min(P, _cpu_count())
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    pending = deque()
 
-    done = 0
-    while done < R:
-        r = min(row_chunk, R - done)
-        rows = slice(done, done + r)
-        # gamma heads, one per (replicate, params); fixed draw order
-        gam = [g.standard_gamma(heads[ai], size=(r, K)) for ai in range(A)]
-        gam32 = [gm.astype(np.float32) for gm in gam]
-        gamt32 = [gm.sum(axis=1).astype(np.float32) for gm in gam]
-        carry_t = np.zeros(r)
-        carry_b = np.zeros((P, K - 1, r))
-        c0 = 0
-        while c0 < M_max:
-            cb = min(col_block, M_max - c0)
-            u = g.random((r, cb), dtype=np.float32)
-            E = g.standard_exponential((r, cb), dtype=np.float32)
-            cum_t = np.cumsum(E, axis=1, dtype=np.float64) + carry_t[:, None]
-            cum_t32 = cum_t.astype(np.float32)
-            inv_denom = [None] * A  # reciprocal per params, shared across points
-            for p in range(P):
-                cum_bs = []
-                for k in range(K - 1):
-                    if K == 2:
-                        ind = u < np.float32(pts[p][0])
-                    else:
-                        ind = (u >= np.float32(cums[p][k])) & (
-                            u < np.float32(cums[p][k + 1])
-                        )
-                    cum_bs.append(
-                        np.cumsum(
-                            np.where(ind, E, np.float32(0.0)), axis=1, dtype=np.float64
-                        )
-                        + carry_b[p, k][:, None]
-                    )
-                cum_bs32 = [cb_k.astype(np.float32) for cb_k in cum_bs]
+    def settle(keep):
+        while len(pending) > keep:
+            view, fut = pending.popleft()
+            view += fut.result()
+
+    try:
+        done = 0
+        while done < R:
+            r = min(row_chunk, R - done)
+            # gamma heads, one per (replicate, params); fixed draw order
+            gam = [g.standard_gamma(heads[ai], size=(r, K)) for ai in range(A)]
+            gam32 = [gm.astype(np.float32) for gm in gam]
+            gamt = [gm.sum(axis=1, keepdims=True) for gm in gam]
+            carry_t = np.zeros(r)
+            carry_b = np.zeros((P, K - 1, r))
+            c0 = 0
+            while c0 < M_max:
+                cb = min(col_block, M_max - c0)
+                u = g.random((r, cb), dtype=np.float32)
+                E = g.standard_exponential((r, cb), dtype=np.float32).astype(
+                    np.float64
+                )
+                cum_t = np.cumsum(E, axis=1)
+                cum_t += carry_t[:, None]
+                carry_t = cum_t[:, -1].copy()
+                # per params: live tags with their widths in this block and
+                # the reciprocal total mass, shared across points
+                specs, inv_denom = [], []
                 for ai in range(A):
-                    live = [hi for hi in range(H) if levels[ai, hi] > c0]
-                    if not live:
-                        continue
-                    widths = {
-                        hi: int(min(levels[ai, hi], c0 + cb) - c0) for hi in live
-                    }
-                    cmax = max(widths.values())
-                    if inv_denom[ai] is None or inv_denom[ai].shape[1] < cmax:
-                        inv_denom[ai] = np.float32(1.0) / (
-                            gamt32[ai][:, None] + cum_t32[:, :cmax]
-                        )
-                    Zblocks = [
-                        (gam32[ai][:, k, None] + cum_bs32[k][:, :cmax])
-                        * inv_denom[ai][:, :cmax]
-                        for k in range(K - 1)
+                    spec = [
+                        (hi, tags[hi], int(min(levels[ai, hi] - c0, cb)))
+                        for hi in range(H)
+                        if levels[ai, hi] > c0
                     ]
-                    cols = _battery_values_block(
-                        Zblocks, [(tags[hi], widths[hi]) for hi in live], {}
+                    specs.append(spec)
+                    inv = None
+                    if spec:
+                        w = max(s[2] for s in spec)
+                        inv = np.add(cum_t[:, :w], gamt[ai], dtype=np.float32)
+                        np.reciprocal(inv, out=inv)
+                    inv_denom.append(inv)
+                del cum_t
+                for p in range(P):
+                    masks = []
+                    for k in range(K - 1):
+                        lo, up = bounds[p][k], bounds[p][k + 1]
+                        masks.append(u < up if lo == 0 else (u >= lo) & (u < up))
+                    args = (
+                        E, masks, carry_b[p].copy(), gam32, inv_denom, specs,
+                        ey_by_a, c0, H,
                     )
-                    for hi in live:
-                        hcols = widths[hi]
-                        S[rows, p, ai, hi] += cols[tags[hi]] @ ey_by_a[ai][
-                            c0 : c0 + hcols
-                        ]
-                for k in range(K - 1):
-                    carry_b[p, k] = cum_bs[k][:, -1]
-            carry_t = cum_t[:, -1]
-            c0 += cb
-        done += r
+                    for k, ind in enumerate(masks):
+                        carry_b[p, k] += np.einsum("ij,ij->i", E, ind)
+                    view = S[done : done + r, p]
+                    if pool is None:
+                        view += _point_block_sums(*args)
+                    else:
+                        pending.append((view, pool.submit(_point_block_sums, *args)))
+                settle(P)
+                c0 += cb
+            done += r
+        settle(0)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     battery = tuple(tuple(bat) for bat in battery_list)
     return LevelSums(

@@ -426,6 +426,46 @@ class TestLevelSums:
         )
         assert np.array_equal(self.res.S, res2.S)
 
+    def test_blocks_tiles_and_threads(self, monkeypatch):
+        # several row chunks, column blocks and cache tiles per block; the
+        # sums must not depend on how many threads share the points
+        runs = []
+        for n in (1, 3):
+            monkeypatch.setattr(st, "_cpu_count", lambda n=n: n)
+            runs.append(
+                st.stein_level_sums(
+                    self.a_list, self.bats, self.points, 1500, RngStream(78),
+                    tol=1e-3, row_chunk=256, col_block=700,
+                )
+            )
+        assert np.array_equal(runs[0].S, runs[1].S)
+        res = runs[1]
+        assert res.levels.max() > 2 * 700
+        for ai, a in enumerate(self.a_list):
+            for hi, c in enumerate([1, 2, 3]):
+                for p, x in enumerate(self.points):
+                    est, se, _ = res.f_hat(p, ai, hi)
+                    exact = solution_partial_monomial(
+                        c, a, x, int(res.levels[ai, hi])
+                    )
+                    assert abs(est - exact) < 4.5 * se
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_battery_sums_match_functions(self, K):
+        from dirstein.metrics import make_battery
+
+        bat = make_battery(K)
+        g = np.random.default_rng(5)
+        Z = g.dirichlet(np.ones(K), size=(64, 300))[..., :-1].astype(np.float32)
+        Zs = [np.ascontiguousarray(Z[..., k]) for k in range(K - 1)]
+        ey = g.random(300).astype(np.float32)
+        widths = [300 - 11 * i for i in range(len(bat))]
+        specs = [(i, h.tag, w) for i, (h, w) in enumerate(zip(bat, widths))]
+        out = st._battery_sums(Zs, specs, ey, np.zeros((64, len(bat))))
+        for i, (h, w) in enumerate(zip(bat, widths)):
+            ref = h.fn(Z[:, :w].astype(np.float64)) @ ey[:w].astype(np.float64)
+            np.testing.assert_allclose(out[:, i], ref, rtol=1e-5, atol=1e-5)
+
     def test_k3_matches_pointwise(self):
         a = DirichletParams((1, 1, 1))
         h = st.attach_mean(mono((1, 1)), a)
