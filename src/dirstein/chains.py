@@ -179,9 +179,10 @@ def _batch_step_cannings(g, counts, model, P, N):
 
 
 def _batch_step(g, counts, model: ChainModel, P):
-    if model.offspring is None:
+    # one kernel per chain type, explicit Wright-Fisher offspring included
+    if model.kind == KIND_WRIGHT_FISHER:
         return _batch_step_wf(g, counts, P, model.N)
-    if model.offspring.kind == KIND_MORAN:
+    if model.kind == KIND_MORAN:
         return _batch_step_moran(g, counts, P, model.N)
     return _batch_step_cannings(g, counts, model.offspring, P, model.N)
 

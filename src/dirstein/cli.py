@@ -4,9 +4,9 @@ reproducible artifacts.
 Configs are flat text files with dotted keys and JSON values, one
 `key = value` per line.  Every experiment writes its artifacts under the
 output directory stamped with the config hash and package version, and a
-rerun with the same config is byte-identical no matter how many workers
-carried the sampling (the work is cut into a fixed number of chunks with
-their own child streams and merged in chunk order).
+rerun with the same config is byte-identical.  Each chain experiment draws
+its samples in one stationary run from the config seed; `--workers` and
+DIRSTEIN_WORKERS are validated but change nothing.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .chains import (
 )
 from .metrics import (
     MetricsError,
+    _monomial,
     attach_exact_means,
     gap_table_csv,
     make_battery,
@@ -72,9 +72,6 @@ KINDS = (
     "moments-verify",
 )
 WORKERS_ENV = "DIRSTEIN_WORKERS"
-# sampling work is always cut into this many chunks, so the artifact
-# bytes depend on the config alone and never on the worker count
-SAMPLE_CHUNKS = 8
 
 _PKG_ERRORS = (
     SimplexError,
@@ -178,21 +175,29 @@ def _get(data, key, types, required=False, default=None):
     return val
 
 
-def _get_int(data, key, required=False, default=None, minimum=None):
+# by default, no integer beyond the floats' exact range: bounds and moments
+# take them through float arithmetic
+def _get_int(data, key, required=False, default=None, minimum=None, maximum=2**53):
     val = _get(data, key, int, required, default)
     if val is not None and minimum is not None and val < minimum:
         raise ConfigError(key, f"must be >= {minimum}")
+    if val is not None and maximum is not None and val > maximum:
+        raise ConfigError(key, f"must be <= {maximum}")
     return val
 
 
 def _get_numbers(data, key, required=False):
     val = _get(data, key, list, required)
-    if val is None:
-        return None
-    if not val or not all(
+    return None if val is None else _numbers(key, val)
+
+
+def _numbers(key, val):
+    if not isinstance(val, list) or not val or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
     ):
         raise ConfigError(key, "expected a non-empty list of numbers")
+    if sum(abs(Fraction(v)) for v in val) > sys.float_info.max:
+        raise ConfigError(key, "numbers too large: their sum overflows a float")
     return [int(v) if isinstance(v, float) and v.is_integer() else v for v in val]
 
 
@@ -208,7 +213,8 @@ def _positive_params(key, values) -> DirichletParams:
 def _mc_budget(data) -> dict:
     mc = {
         "samples": _get_int(data, "mc.samples", default=100_000, minimum=1),
-        "replicates": _get_int(data, "mc.replicates", default=512, minimum=1),
+        # the gap stderr is taken across independent replicates
+        "replicates": _get_int(data, "mc.replicates", default=512, minimum=2),
         "burn_in": _get_int(data, "mc.burn_in", minimum=0),
         "thin": _get_int(data, "mc.thin", minimum=1),
     }
@@ -217,16 +223,13 @@ def _mc_budget(data) -> dict:
 
 def _seed(data) -> int:
     # mandatory: runs must not pick up wall-clock entropy
-    val = _get_int(data, "seed", required=True, minimum=0)
-    if val >= 2**64:
-        raise ConfigError("seed", "must fit in 64 bits")
-    return val
+    return _get_int(data, "seed", required=True, minimum=0, maximum=2**64 - 1)
 
 
-def _workers(data) -> int:
-    val = _get_int(data, "workers", minimum=1)
-    if val is not None:
-        return val
+def _check_workers(data):
+    # validated only: every run samples in one thread, so no count matters
+    if _get_int(data, "workers", minimum=1) is not None:
+        return
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
@@ -235,8 +238,6 @@ def _workers(data) -> int:
             raise ConfigError(WORKERS_ENV, f"not an integer: {env!r}")
         if val < 1:
             raise ConfigError(WORKERS_ENV, "must be >= 1")
-        return val
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +251,13 @@ def _mutation_from_config(data, K=None) -> MutationMatrix:
     pi = _get_numbers(data, "model.pi")
     if rows is not None:
         try:
-            mat = MutationMatrix([[_as_exact(v, "model.mutation") for v in r] for r in rows])
+            mat = MutationMatrix(
+                [[_as_exact(v, "model.mutation") for v in _numbers("model.mutation", r)] for r in rows]
+            )
         except (MutationError, TypeError, ValueError) as e:
             raise ConfigError("model.mutation", str(e))
         _reject_zero_columns(mat)
+        _check_battery_k("model.mutation", mat.K)
         return mat
     if pi is None:
         raise ConfigError("model.pi", "required (or give model.mutation rows)")
@@ -263,6 +267,7 @@ def _mutation_from_config(data, K=None) -> MutationMatrix:
         raise ConfigError("model.pi", "rates must sum to at most 1")
     if K is not None and len(pi) != K:
         raise ConfigError("model.pi", f"expected {K} rates")
+    _check_battery_k("model.pi", len(pi))
     try:
         return MutationMatrix.pim([_as_exact(v, "model.pi") for v in pi])
     except MutationError as e:
@@ -321,13 +326,17 @@ class _Experiment:
     def _build_wf_theorem1(self, data):
         self.N = _get_int(data, "model.N", required=True, minimum=2)
         avec = _get_numbers(data, "model.a")
+        key = "model.mutation" if "model.mutation" in data else "model.pi"
         if avec is not None:
             self.a = _positive_params("model.a", avec)
+            _check_battery_k("model.a", self.a.dim)
             rates = [_exact_div(v, 2 * self.N) for v in self.a.a]
-            self.mutation = MutationMatrix.pim(rates)
+            try:
+                self.mutation = MutationMatrix.pim(rates)
+            except MutationError as e:
+                raise ConfigError("model.a", f"matched rates a_j / (2N): {e}")
             self.notes.append("mutation = matched PIM a_j / (2N)")
         else:
-            key = "model.mutation" if "model.mutation" in data else "model.pi"
             self.mutation = _mutation_from_config(data)
             try:
                 self.a = fit_dirichlet_params(self.mutation, self.N)
@@ -337,10 +346,7 @@ class _Experiment:
         self.K = self.a.dim
         if self.mutation.K != self.K:
             raise ConfigError("model.pi", f"expected {self.K} rates")
-        _check_chain(
-            self.mutation,
-            "model.mutation" if "model.mutation" in data else "model.pi",
-        )
+        _check_chain(self.mutation, key)
         self.model = ChainModel(N=self.N, mutation=self.mutation)
         self.summary = summarize(self.mutation, self.a, self.N)
         self.report = theorem1_bound(self.summary, self.a, self.N, self.K)
@@ -364,7 +370,7 @@ class _Experiment:
         self.offspring_moments = mom
         pi_exact = [_as_exact(v, "model.pi") for v in pi]
         avec = tuple(
-            _exact_mul(2 * (self.N - 1), p) / mom.alpha
+            Fraction(2 * (self.N - 1)) * Fraction(p) / mom.alpha
             if isinstance(p, (int, Fraction)) and isinstance(mom.alpha, (int, Fraction))
             else 2 * (self.N - 1) * float(p) / float(mom.alpha)
             for p in pi_exact
@@ -390,6 +396,7 @@ class _Experiment:
             "model.a", _get_numbers(data, "model.a", required=True)
         )
         self.K = self.a.dim
+        _check_battery_k("model.a", self.K)
         self.report = theorem4_bound(self.a, self.n)
         self.notes += [
             f"theta = {_fmt(self.a.theta)}",
@@ -415,8 +422,10 @@ def _exact_div(v, d):
     return Fraction(v, d) if isinstance(v, int) else Fraction(v) / d
 
 
-def _exact_mul(k, v):
-    return Fraction(k) * Fraction(v)
+def _check_battery_k(key, K):
+    # the certifying kinds hold gaps of the shipped test-function battery
+    if K not in (2, 3):
+        raise ConfigError(key, f"{K} types; certification needs K in {{2, 3}}")
 
 
 def _check_chain(mutation: MutationMatrix, key: str = "model.pi"):
@@ -424,42 +433,6 @@ def _check_chain(mutation: MutationMatrix, key: str = "model.pi"):
         check_irreducible(mutation)
     except ChainError as e:
         raise ConfigError(key, f"chain not irreducible: {e}")
-
-
-# ---------------------------------------------------------------------------
-# deterministic parallel sampling
-
-
-def _chunk_sizes(total: int, chunks: int):
-    base, extra = divmod(total, chunks)
-    return [base + (i < extra) for i in range(chunks) if base + (i < extra) > 0]
-
-
-def _stationary_samples(exp: _Experiment, workers: int) -> np.ndarray:
-    """Stationary W samples, cut into SAMPLE_CHUNKS jobs with child
-    streams and merged in chunk order regardless of pool size."""
-    rng = RngStream(exp.seed)
-    sizes = _chunk_sizes(exp.mc["samples"], SAMPLE_CHUNKS)
-    jobs = [(i, size, rng.child(i)) for i, size in enumerate(sizes)]
-
-    def one(job):
-        i, size, stream = job
-        run = run_to_stationarity(
-            exp.model,
-            size,
-            stream,
-            burn_in=exp.mc["burn_in"],
-            thin=exp.mc["thin"],
-            replicates=exp.mc["replicates"],
-        )
-        return i, run.samples
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = dict(pool.map(one, jobs))
-    else:
-        parts = dict(map(one, jobs))
-    return np.concatenate([parts[i] for i, _, _ in jobs], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +483,7 @@ def _out_dir(data) -> Path:
 # experiment bodies
 
 
-def _run_certification(exp: _Experiment, out: Path, workers: int) -> int:
+def _run_certification(exp: _Experiment, out: Path) -> int:
     if exp.kind == "polya-theorem4":
         rng = RngStream(exp.seed)
         cert = certify_theorem4(
@@ -520,13 +493,30 @@ def _run_certification(exp: _Experiment, out: Path, workers: int) -> int:
         samples = sample_final(
             exp.a, exp.n, rng.child(1), min(exp.mc["samples"], 10_000)
         )
+        diagnostics = []
     else:
-        samples = _stationary_samples(exp, workers)
+        run = run_to_stationarity(
+            exp.model,
+            exp.mc["samples"],
+            RngStream(exp.seed),
+            burn_in=exp.mc["burn_in"],
+            thin=exp.mc["thin"],
+            replicates=exp.mc["replicates"],
+        )
+        samples, R = run.samples, run.meta["replicates"]
         battery = attach_exact_means(make_battery(exp.K), exp.a)
         gaps = tuple(
-            smooth_gap(samples, exp.a, h, exp.report.smooth_bound_for(h))
+            smooth_gap(samples, exp.a, h, exp.report.smooth_bound_for(h), R)
             for h in battery
         )
+        # deterministic provenance; drift_z compares early and late rounds
+        diagnostics = [
+            f"burn_in = {run.burn_in}",
+            f"thin = {run.thin}",
+            f"replicates = {R}",
+            f"generations = {R * (run.burn_in + run.thin * -(-run.n // R))}",
+            "drift_z = (%s)" % ", ".join(_fmt(z) for z in run.drift_z),
+        ]
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
     _write(out / "samples.csv", _samples_csv(exp, samples))
@@ -543,7 +533,8 @@ def _run_certification(exp: _Experiment, out: Path, workers: int) -> int:
             [
                 f"functions = {len(gaps)}",
                 "worst_gap_over_bound = " + _fmt(worst),
-            ],
+            ]
+            + diagnostics,
         ),
     )
     return 0 if passed else 2
@@ -637,9 +628,9 @@ def _identity_ok(row) -> bool:
 def cmd_run(data: dict) -> int:
     exp = _Experiment(data)
     out = _out_dir(data)
-    workers = _workers(data)
-    if exp.kind in ("wf-theorem1", "cannings-theorem2", "polya-theorem4"):
-        return _run_certification(exp, out, workers)
+    _check_workers(data)
+    if exp.kind in KINDS[:3]:  # the certifying kinds
+        return _run_certification(exp, out)
     if exp.kind == "stein-verify":
         return _run_stein_verify(exp, out)
     return _run_moments_verify(exp, out)
@@ -697,7 +688,7 @@ def cmd_stein_f(data: dict) -> int:
     except SimplexError as e:
         raise ConfigError("stein.x", str(e))
     exponents = tuple(int(v) for v in c)
-    h = attach_mean(_monomial_h(exponents), exp.a)
+    h = attach_mean(_monomial(exponents), exp.a)
     schedule = DeathProcessSchedule.for_tolerance(
         float(exp.a.s), h.sup_tilde, tol=1e-4
     )
@@ -711,12 +702,6 @@ def cmd_stein_f(data: dict) -> int:
     print(f"truncation = {_fmt(trunc)}")
     print(f"levels = {schedule.M}")
     return 0
-
-
-def _monomial_h(exponents):
-    from .metrics import _monomial
-
-    return _monomial(exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +721,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--workers", type=int, help="worker pool size")
+        p.add_argument("--workers", type=int, help="accepted; has no effect")
         p.add_argument("--mc-budget", type=int, help="override mc.samples")
     return parser
 

@@ -305,12 +305,17 @@ class GapEstimate:
     passed: bool
 
 
-def smooth_gap(sample, a: DirichletParams, h: TestFunction, bound) -> GapEstimate:
+def smooth_gap(
+    sample, a: DirichletParams, h: TestFunction, bound, replicates=None
+) -> GapEstimate:
     """Estimate |E h(W) - E h(Z)| from a stationary sample or exact table.
 
     The sample may be a StationaryRun, a raw (n, K-1) array, or a
     StationaryTable; a table contributes no sampling noise, so the
-    stderr is then just the one attached to E h(Z).
+    stderr is then just the one attached to E h(Z).  Sample rows are
+    independent unless `replicates` says that row i is a round of chain
+    i % replicates: rounds of one chain are correlated, so the stderr is
+    then taken over the chains' batch means.
     """
     if h.mean is None:
         raise SteinError(f"{h.tag}: attach_mean before taking gaps")
@@ -330,8 +335,15 @@ def smooth_gap(sample, a: DirichletParams, h: TestFunction, bound) -> GapEstimat
         if rows.ndim != 2 or rows.shape[1] != a.dim - 1:
             raise MetricsError("sample must be (n, K-1) for the law's K")
         vals = np.asarray(h.fn(rows), dtype=np.float64)
-        est = float(vals.mean())
-        se = math.hypot(float(vals.std(ddof=1)) / math.sqrt(len(vals)), h.mean_se)
+        est, n = float(vals.mean()), len(vals)
+        if replicates is None or replicates >= n:
+            se = float(vals.std(ddof=1)) / math.sqrt(n)
+        elif replicates < 2:
+            raise MetricsError("correlated rounds need at least two replicates")
+        else:
+            dev = np.bincount(np.arange(n) % replicates, weights=vals - est)
+            se = math.sqrt(replicates / (replicates - 1) * float(dev @ dev)) / n
+        se = math.hypot(se, h.mean_se)
     gap = abs(est - h.mean)
     bound = float(bound)
     return GapEstimate(h.tag, gap, se, bound, gap - 4.0 * se <= bound)
@@ -813,9 +825,16 @@ def _mutation_conv(mvec, Pm, N, K, lgfact):
 def _cannings_matrix(model: ChainModel, states):
     N, K = model.N, model.K
     Pm = model.mutation.array()
-    arrangements = [
-        (_distinct_rows(v), float(p)) for v, p in enumerate_law(model.offspring)
-    ]
+    # every distinct slot arrangement with its weight, as cumulative sums
+    cums, weights = [], []
+    for v, p in enumerate_law(model.offspring):
+        arr = _distinct_rows(v)
+        cums.append(np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)]))
+        weights.append(np.full(len(arr), float(p) / len(arr)))
+    cum = np.concatenate(cums)
+    weight = np.concatenate(weights)
+    # group-count rows are keyed as mixed-radix integers in base N + 1
+    radix = (N + 1) ** np.arange(K, dtype=np.int64)
     S = len(states)
     P = np.zeros((S, S))
     full = np.column_stack([states, N - states.sum(axis=1)])
@@ -823,22 +842,16 @@ def _cannings_matrix(model: ChainModel, states):
     conv_cache: dict = {}
     for xi in range(S):
         edges = np.concatenate([[0], np.cumsum(full[xi])])
-        mweights: dict = {}
-        for arr, pv in arrangements:
-            cum = np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)])
-            m = cum[:, edges[1:]] - cum[:, edges[:-1]]
-            w = pv / len(arr)
-            for row in m:
-                key = tuple(int(v) for v in row)
-                mweights[key] = mweights.get(key, 0.0) + w
+        m = cum[:, edges[1:]] - cum[:, edges[:-1]]
+        codes, inverse = np.unique(m @ radix, return_inverse=True)
+        mweights = np.bincount(inverse.ravel(), weights=weight)
         row = np.zeros(S)
-        for mvec, w in mweights.items():
-            if mvec not in conv_cache:
+        for code, w in zip(codes.tolist(), mweights):
+            if code not in conv_cache:
+                mvec = [code // (N + 1) ** t % (N + 1) for t in range(K)]
                 grid = _mutation_conv(mvec, Pm, N, K, lgfact)
-                conv_cache[mvec] = np.array(
-                    [grid[tuple(y)] for y in states]
-                )
-            row += w * conv_cache[mvec]
+                conv_cache[code] = grid[tuple(states.T)]
+            row += w * conv_cache[code]
         P[xi] = row
     P /= P.sum(axis=1, keepdims=True)
     return P

@@ -159,9 +159,6 @@ class OffspringMoments:
     gamma: Fraction
     delta: Fraction
 
-    def as_floats(self):
-        return (float(self.alpha), float(self.beta), float(self.gamma), float(self.delta))
-
 
 def enumerate_law(m: OffspringModel):
     """Yield (sorted counts multiset, exact probability) pairs.

@@ -20,6 +20,7 @@ from dirstein.chains import (
     ChainModel,
     ChainState,
     _batch_step,
+    _batch_step_cannings,
     _batch_step_wf,
     run_to_stationarity,
     step_cannings,
@@ -353,7 +354,9 @@ def test_criterion_8(capsys):
         x2 = int(picks.integers(0, N + 1 - x1))
         counts = np.tile(np.array([x1, x2], dtype=np.int64), (R, 1))
         ya = _batch_step_wf(as_generator(RngStream(810 + t)), counts, P, N)
-        yb = _batch_step(as_generator(RngStream(830 + t)), counts, model, P)
+        yb = _batch_step_cannings(
+            as_generator(RngStream(830 + t)), counts, model.offspring, P, N
+        )
         fa = ya.astype(np.float64)
         fb = yb.astype(np.float64)
         probes = [

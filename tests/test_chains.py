@@ -127,6 +127,21 @@ class TestStepCannings:
                 se = np.sqrt(da.var(axis=0) / R + db.var(axis=0) / R)
                 assert (np.abs(da.mean(axis=0) - db.mean(axis=0)) < 4 * se + 1e-9).all()
 
+    def test_wf_offspring_takes_the_multinomial_kernel(self):
+        # one kernel per chain type: the same stream gives the same states
+        N = 12
+        mut = MutationMatrix.pim([0.04, 0.08, 0.02])
+        wf = OffspringModel.wright_fisher(N)
+        for seed, sx in enumerate([(4, 4), (0, 0), (12, 0), (1, 7), (5, 2)]):
+            x = ChainState(sx, N)
+            a = step_cannings(x, wf, mut, RngStream(seed))
+            b = step_wright_fisher(x, mut, RngStream(seed))
+            assert a == b
+        model = ChainModel(N, mut, wf)
+        run = run_to_stationarity(model, 64, RngStream(5), burn_in=20, thin=2)
+        ref = run_to_stationarity(ChainModel(N, mut), 64, RngStream(5), burn_in=20, thin=2)
+        assert (run.samples == ref.samples).all()
+
     def test_explicit_table_conservation(self):
         table = OffspringModel.explicit(
             4, {(0, 0, 1, 3): F(1, 2), (0, 1, 1, 2): F(1, 2)}

@@ -1,17 +1,25 @@
 """Config parsing, experiment orchestration, artifact determinism."""
 
+import contextlib
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirstein import cli
+from dirstein.chains import run_to_stationarity
 from dirstein.cli import ConfigError, config_hash, main, parse_config_text
+from dirstein.metrics import exact_stationary
+from dirstein.simplex import RngStream
 
 
 def write_cfg(tmp_path, name, text):
@@ -136,6 +144,41 @@ class TestValidation:
         assert "tau = 0" in out and "theta = 1" in out
         assert "config_sha256 = " in out and "toolkit_version = " in out
 
+    @pytest.mark.parametrize(
+        "kind, key, body",
+        [
+            ("wf-theorem1", "model.a", "model.N = 10\nmodel.a = [1, 1, 1, 1]\n"),
+            ("wf-theorem1", "model.pi", "model.N = 10\nmodel.pi = [0.1, 0.1, 0.1, 0.1]\n"),
+            (
+                "wf-theorem1",
+                "model.mutation",
+                "model.N = 10\nmodel.mutation = [[0.9, 0.1, 0, 0], [0, 0.9, 0.1, 0], "
+                "[0, 0, 0.9, 0.1], [0.1, 0, 0, 0.9]]\n",
+            ),
+            ("cannings-theorem2", "model.pi", "model.N = 10\nmodel.pi = [0.01, 0.01, 0.01, 0.01]\n"),
+            ("polya-theorem4", "model.a", "model.n = 10\nmodel.a = [1, 1, 1, 1]\n"),
+        ],
+    )
+    def test_certifying_kinds_need_two_or_three_types(self, tmp_path, capsys, kind, key, body):
+        # the shipped battery covers K in {2, 3}; refuse before any sampling
+        cfg = write_cfg(tmp_path, "c.cfg", f'kind = "{kind}"\nseed = 1\n' + body)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {key}: 4 types")
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_whole_number_weights(self, tmp_path, capsys):
+        text = 'kind = "polya-theorem4"\nmodel.n = 10\nmodel.a = [1e308, 1e308]\nseed = 1\n'
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: model.a: numbers too large")
+
+    def test_one_replicate_refused(self, tmp_path, capsys):
+        # the gap stderr is taken across independent replicates
+        cfg = write_cfg(tmp_path, "c.cfg", WF_CFG.replace("256", "1"))
+        assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: mc.replicates: must be >= 2")
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
@@ -250,6 +293,84 @@ class TestDeterminism:
         assert (a / "samples.csv").read_text() != (b / "samples.csv").read_text()
 
 
+class TestOneStationaryRun:
+    CANNINGS_CFG = (
+        'kind = "cannings-theorem2"\nmodel.N = 8\nmodel.offspring = "dirichlet-multinomial"\n'
+        "model.phi = 1\nmodel.pi = [0.03, 0.05, 0.04]\nmc.samples = 600\n"
+        "mc.replicates = 64\nseed = 4\n"
+    )
+
+    @pytest.mark.parametrize("body", [WF_CFG, CANNINGS_CFG], ids=["wf", "cannings"])
+    def test_one_sampling_call_per_run(self, tmp_path, monkeypatch, body):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_to_stationarity(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_to_stationarity", counted)
+        cfg = write_cfg(tmp_path, "c.cfg", body)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "3"]) == 0
+        assert len(calls) == 1
+
+    def test_summary_reports_the_run(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.cfg", WF_CFG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        exp = cli._Experiment(parse_config_text(WF_CFG))
+        run = run_to_stationarity(exp.model, 2500, RngStream(7), replicates=256)
+        samples = np.loadtxt(tmp_path / "o" / "samples.csv", delimiter=",", skiprows=2)
+        assert (samples == run.samples[:, 0]).all()
+        summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        rounds = 10  # ceil(2500 / 256)
+        assert f"burn_in = {run.burn_in}" in summary
+        assert "thin = 40" in summary and "replicates = 256" in summary
+        assert f"generations = {256 * (run.burn_in + 40 * rounds)}" in summary
+        drift = [line for line in summary if line.startswith("drift_z = (")]
+        assert drift == ["drift_z = (%.17g, %.17g)" % run.drift_z]
+
+
+# Stationary moments of one-run CLI samples against exact stationary tables.
+# Rows of samples.csv are rounds of `mc.replicates` independent chains, row i
+# from chain i % R, so each chain's mean over its rounds is one batch mean and
+# the batch means are independent: the z-score below counts the correlation
+# between the rounds of one chain.  Each |z| < 4 check has a false-alarm rate
+# of 6.3e-5 (normal; the t correction at R = 256 is negligible), so the nine
+# checks together stay below 6e-4.
+_EXACT_CASES = {
+    "wf-k2-n20": 'kind = "wf-theorem1"\nmodel.N = 20\nmodel.a = [1.5, 2.5]\n',
+    "moran-k2-n20": (
+        'kind = "cannings-theorem2"\nmodel.N = 20\nmodel.offspring = "moran"\n'
+        "model.pi = [0.004, 0.006]\n"
+    ),
+    "dm-k3-n8": (
+        'kind = "cannings-theorem2"\nmodel.N = 8\nmodel.offspring = "dirichlet-multinomial"\n'
+        "model.phi = 1\nmodel.pi = [0.03, 0.05, 0.04]\n"
+    ),
+}
+
+
+class TestStationaryAgainstExact:
+    R, ROUNDS = 256, 32
+
+    @pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+    def test_first_and_second_moments(self, tmp_path, name):
+        text = _EXACT_CASES[name] + (
+            f"mc.samples = {self.R * self.ROUNDS}\nmc.replicates = {self.R}\nseed = 31\n"
+        )
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        w = np.loadtxt(tmp_path / "o" / "samples.csv", delimiter=",", skiprows=2, ndmin=2)
+        table = exact_stationary(cli._Experiment(parse_config_text(text)).model)
+        k = w.shape[1]
+        pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        for f in [lambda v, i=i: v[:, i] for i in range(k)] + [
+            lambda v, i=i, j=j: v[:, i] * v[:, j] for i, j in pairs
+        ]:
+            batch = f(w).reshape(self.ROUNDS, self.R).mean(axis=0)
+            z = (batch.mean() - table.expect(f)) / (batch.std(ddof=1) / np.sqrt(self.R))
+            assert abs(z) < 4.0, (name, z)
+
+
 class TestRuntimeImports:
     def test_cli_run_leaves_scipy_unimported(self, tmp_path):
         # scipy is a test-only dependency: neither importing the CLI nor
@@ -340,3 +461,73 @@ class TestOtherCommands:
             "stein.x = [0.3]\nseed = 1\n",
         )
         assert main(["stein-f", "--config", cfg]) == 1
+
+
+# every key the certifying and verifying kinds read, plus the delivery knobs
+_FUZZ_KEYS = (
+    "kind", "seed", "model.N", "model.n", "model.a", "model.pi",
+    "model.mutation", "model.offspring", "model.phi", "model.table",
+    "model.degree", "mc.samples", "mc.replicates", "mc.burn_in", "mc.thin",
+    "workers",
+)
+_EXTREMES = (0, 1, -1, 2**53 + 1, 10**400, 1e308, -1e308, 1e-320, 5e-324, 0.5)
+_scalars = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.integers(-10, 60),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(cli.KINDS + ("moran", "wright-fisher", "dirichlet-multinomial", "explicit", "")),
+)
+_numbers = st.one_of(
+    st.sampled_from(_EXTREMES), st.integers(1, 5), st.floats(1e-3, 2.0)
+)
+_values = st.one_of(
+    _scalars,
+    st.lists(_numbers, max_size=5),
+    st.lists(st.lists(_numbers, max_size=4), max_size=4),
+    st.lists(_scalars, max_size=4),
+)
+# a valid config per kind, so that one bad key at a time reaches the
+# model builders; overrides and dropped keys then break it
+_BASES = {
+    "wf-theorem1": {"model.N": 20, "model.a": [1, 2]},
+    "cannings-theorem2": {"model.N": 20, "model.pi": [0.01, 0.02], "model.phi": 1},
+    "polya-theorem4": {"model.n": 10, "model.a": [1, 2, 1]},
+    "stein-verify": {"model.a": [1, 1]},
+    "moments-verify": {"model.N": 6},
+}
+_configs = st.builds(
+    lambda kind, overrides, drop: {
+        k: v
+        for k, v in {"kind": kind, "seed": 1, **_BASES[kind], **overrides}.items()
+        if k not in drop
+    },
+    st.sampled_from(cli.KINDS),
+    st.dictionaries(st.sampled_from(_FUZZ_KEYS), _values, max_size=3),
+    st.sets(st.sampled_from(_FUZZ_KEYS), max_size=2),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=_configs, command=st.sampled_from(["validate", "bound"]))
+    @example(
+        data={"kind": "polya-theorem4", "seed": 1, "model.n": 10, "model.a": [1e308, 1e308]},
+        command="validate",
+    )
+    @example(
+        data={"kind": "wf-theorem1", "seed": 1, "model.N": 10, "model.a": [1, 1, 1, 1]},
+        command="validate",
+    )
+    def test_exit_code_and_keyed_message(self, data, command):
+        text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
+        with tempfile.TemporaryDirectory() as d:
+            cfg = write_cfg(Path(d), "c.cfg", text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([command, "--config", cfg])
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            key = err.getvalue().removeprefix("error: ").split(": ")[0]
+            assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())

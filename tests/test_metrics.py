@@ -238,6 +238,24 @@ class TestSmoothGap:
         # degenerate sample at the exact mean: zero gap, zero stderr
         assert ge.gap == 0.0 and ge.stderr == 0.0 and ge.passed
 
+    def test_stderr_over_replicates(self):
+        # 8 chains frozen for 50 rounds: only the 8 chain values carry
+        # information, so the stderr is theirs, not that of 400 rows
+        a = DirichletParams((1, 1))
+        h = attach_exact_means([_monomial((1,))], a)[0]
+        chains = dirichlet_sample(a, as_generator(RngStream(3)), size=8)[:, 0]
+        rows = np.tile(chains, 50)[:, None]
+        ge = smooth_gap(rows, a, h, bound=0.0, replicates=8)
+        assert ge.stderr == pytest.approx(chains.std(ddof=1) / np.sqrt(8), rel=1e-12)
+        iid = smooth_gap(rows, a, h, bound=0.0)
+        assert iid.stderr == pytest.approx(rows.std(ddof=1) / np.sqrt(400), rel=1e-12)
+        # one row per chain is the independent-rows case
+        assert smooth_gap(rows[:8], a, h, bound=0.0, replicates=8).stderr == (
+            smooth_gap(rows[:8], a, h, bound=0.0).stderr
+        )
+        with pytest.raises(MetricsError, match="two replicates"):
+            smooth_gap(rows, a, h, bound=0.0, replicates=1)
+
     def test_requires_mean(self):
         with pytest.raises(SteinError):
             smooth_gap(
@@ -368,6 +386,23 @@ class TestExactStationary:
         fast = exact_stationary(model)
         pi, _ = _solve_stationary(_cannings_matrix(model, _state_grid(6, 2)))
         assert np.max(np.abs(fast.probs - pi)) < 1e-12
+
+    @pytest.mark.parametrize("K, N", [(2, 6), (3, 5)])
+    def test_enumerated_rows_match_multinomial_rows(self, K, N):
+        from dirstein.metrics import _cannings_matrix, _state_grid, _wf_matrix
+
+        pim = MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15)][:K])
+        states = _state_grid(N, K)
+        enum = _cannings_matrix(ChainModel(N, pim, OffspringModel.wright_fisher(N)), states)
+        direct = _wf_matrix(ChainModel(N, pim), states)
+        assert np.max(np.abs(enum - direct)) < 1e-12
+
+    def test_enumerated_rows_match_moran_rows(self):
+        from dirstein.metrics import _cannings_matrix, _moran_k2_matrix, _state_grid
+
+        model = ChainModel(7, MutationMatrix.pim([F(1, 10), F(1, 20)]), OffspringModel.moran(7))
+        enum = _cannings_matrix(model, _state_grid(7, 2))
+        assert np.max(np.abs(enum - _moran_k2_matrix(model))) < 1e-12
 
     def test_k3_table_is_proper(self):
         tab = exact_stationary(ChainModel(8, pim_for((1, 1, 1), 8)))
