@@ -11,14 +11,23 @@ by independent per-child mutation:
   uniformly permuted parent labeling, and every child mutates independently
   given its parent's type.
 
-Chains are simulated in replicate blocks (vectorized across independent
-chains) so near-stationary sampling stays cheap even for slowly mixing
-models.  The module also checks the one-step conditional moment formulas
-that the approximation bounds are built on.
+Stationary samples come from one of two samplers, picked by the mutation
+matrix.  Under parent-independent mutation with rates pi summing to at most
+1, a child mutates with probability |pi| to a type drawn from pi/|pi|,
+whatever its parent's type.  Tracing the N present individuals backwards
+then gives an exact stationary draw: each generation every lineage is killed
+with probability |pi| and hands its block of descendants a type from
+pi/|pi|, and the survivors find parents and merge, until none is left.
+Draws are independent and need no burn-in.  Every other mutation matrix
+steps replicate blocks of forward chains (vectorized across independent
+chains) through a burn-in and then records every thin-th generation.  The
+module also checks the one-step conditional moment formulas that the
+approximation bounds are built on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -35,6 +44,10 @@ from .offspring import (
 from .simplex import RngStream, SimplexPoint, as_generator
 
 BURN_IN_CAP = 10**7
+# lineages the genealogy sampler holds at once: its draws go in blocks of
+# max(1, GENEALOGY_LINEAGES // N), so memory stays bounded at any N and a
+# seed gives the same samples on every machine
+GENEALOGY_LINEAGES = 2**18
 
 
 class ChainError(ValueError):
@@ -212,6 +225,101 @@ def step_cannings(
 
 
 # ---------------------------------------------------------------------------
+# backward steps of the genealogy; lineages are flat arrays sorted by draw:
+# `draw` (the draw a lineage belongs to) and `size` (its block of present
+# individuals).  Each step returns the surviving lineages' parent labels.
+
+
+def _runs(draw):
+    """Start and length of each draw's run of lineages, and every
+    lineage's rank within its run."""
+    first = np.flatnonzero(np.concatenate(([True], draw[1:] != draw[:-1])))
+    k = np.diff(np.append(first, draw.size))
+    return first, k, np.arange(draw.size) - np.repeat(first, k)
+
+
+def _back_moran(g, draw, N):
+    # the offspring vector has one 2 and one 0, so lineages on k distinct
+    # child slots merge only when both children of the reproducer are among
+    # them, with probability C(k,2)/C(N,2), and then as a uniform pair
+    first, k, parent = _runs(draw)
+    hit = np.flatnonzero(g.random(len(first)) * (N * (N - 1)) < k * (k - 1))
+    i = g.integers(0, k[hit])
+    j = g.integers(0, k[hit] - 1)
+    j += j >= i
+    parent[first[hit] + j] = i
+    return parent
+
+
+def _back_cannings(g, draw, m: OffspringModel):
+    # the k lineages of a draw take k distinct child slots: the first k
+    # places of a uniformly shuffled list holding parent j's label V_j times
+    first, k, rank = _runs(draw)
+    D, N = len(first), m.N
+    V = sample_offspring(m, g, size=D)
+    labels = np.repeat(np.tile(np.arange(N), D), V.ravel()).reshape(D, N)
+    g.permuted(labels, axis=1, out=labels)
+    return labels[np.repeat(np.arange(D), k), rank]
+
+
+def _backward_step(g, draw, v, model: ChainModel):
+    # one step per chain type, as in _batch_step
+    if model.kind == KIND_WRIGHT_FISHER:
+        # a uniform parent each, read off the lineage's survival uniform v
+        return np.minimum((v * model.N).astype(np.int64), model.N - 1)
+    if model.kind == KIND_MORAN:
+        return _back_moran(g, draw, model.N)
+    return _back_cannings(g, draw, model.offspring)
+
+
+def _merge(draw, parent, size, N):
+    """Lineages of one draw with one parent become one lineage."""
+    lo = draw[0]
+    span = (draw[-1] - lo + 1) * N
+    if span < 4 * draw.size:
+        # while lineages are dense in (draw, parent), a bincount is cheaper
+        # than a sort: 16% of a Wright-Fisher N=200 block
+        dense = np.bincount((draw - lo) * N + parent, weights=size, minlength=span)
+        key = np.flatnonzero(dense)
+        return key // N + lo, dense[key]
+    key = draw * N + parent
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return key[first] // N, np.add.reduceat(size[order], first)
+
+
+def _genealogy_block(g, model: ChainModel, B: int, cum):
+    """Type counts (B, K) of B exact stationary draws, and the backward
+    generations stepped.  cum is the cumulative sum of the rates pi."""
+    N, K = model.N, model.K
+    kill = cum[-1]
+    counts = np.zeros(B * K)
+    draw = np.repeat(np.arange(B), N)
+    size = np.ones(B * N)
+    generations = 0
+    while draw.size:
+        generations += 1
+        u = g.random(draw.size)
+        # a lineage alone in its draw can no longer merge, so only the type
+        # it is killed with matters: draw that type now
+        alone = np.ones(draw.size, dtype=bool)
+        same = draw[1:] == draw[:-1]
+        alone[1:] &= ~same
+        alone[:-1] &= ~same
+        u[alone] *= kill
+        dead = u < kill
+        types = np.searchsorted(cum, u[dead], side="right")
+        counts += np.bincount(draw[dead] * K + types, weights=size[dead], minlength=B * K)
+        live = ~dead
+        draw, size = draw[live], size[live]
+        if draw.size:
+            v = (u[live] - kill) / (1 - kill)
+            draw, size = _merge(draw, _backward_step(g, draw, v, model), size, N)
+    return counts.reshape(B, K), generations
+
+
+# ---------------------------------------------------------------------------
 # stationary sampling
 
 
@@ -245,6 +353,38 @@ def default_burn_in(model: ChainModel) -> int:
     return int(min(20 * model.N * max(1.0, 1.0 / (model.N * pmin)), BURN_IN_CAP))
 
 
+def uses_genealogy(model: ChainModel) -> bool:
+    """True when run_to_stationarity draws the model's samples exactly from
+    its genealogy: mutation is parent independent with rates pi summing to
+    at most 1.  Every K=2 matrix is parent independent, but one with
+    p12 + p21 > 1 has no kill form and takes the forward kernel."""
+    rates = model.mutation.pim_rates
+    return rates is not None and sum(rates) <= 1
+
+
+def check_genealogy(model: ChainModel, n_samples: int):
+    """Refuse a genealogy that would run away: a lineage lives about
+    1/|pi| generations, so n draws of N lineages take about ln(nN)/|pi|."""
+    kill = sum(model.mutation.pim_rates)
+    if math.log(n_samples * model.N) > BURN_IN_CAP * kill:
+        raise ChainError(
+            f"mutation rates sum to {float(kill):.3g}: {n_samples} draws of "
+            f"N={model.N} lineages would take about ln(nN)/|pi| generations, "
+            f"more than {BURN_IN_CAP}"
+        )
+
+
+def _genealogy_samples(g, model: ChainModel, n_samples: int):
+    cum = np.cumsum([float(r) for r in model.mutation.pim_rates])
+    per_block = max(1, GENEALOGY_LINEAGES // model.N)
+    rows, generations = [], 0
+    for start in range(0, n_samples, per_block):
+        counts, gens = _genealogy_block(g, model, min(per_block, n_samples - start), cum)
+        rows.append(counts[:, :-1] / model.N)
+        generations += gens
+    return np.concatenate(rows, axis=0), generations
+
+
 def _initial_counts(N, K):
     base, rem = divmod(N, K)
     full = [base + (1 if i < rem else 0) for i in range(K)]
@@ -253,11 +393,12 @@ def _initial_counts(N, K):
 
 @dataclass(frozen=True)
 class StationaryRun:
-    """Near-stationary frequency samples with their provenance.
+    """Stationary frequency samples with their provenance.
 
-    samples rows are W = X/N (first K-1 coordinates).  drift_z is the
-    between-halves drift of first and second moments in crude combined
-    stderr units; large values flag under-burning."""
+    samples rows are W = X/N (first K-1 coordinates); row i comes from
+    chain i % meta["replicates"], and a genealogy run has one chain per
+    row.  drift_z is the between-halves drift of first and second moments
+    in crude combined stderr units; large values flag under-burning."""
 
     samples: np.ndarray
     burn_in: int
@@ -318,35 +459,52 @@ def run_to_stationarity(
     thin: int | None = None,
     replicates: int = 512,
 ) -> StationaryRun:
-    """Burn in, then record every thin-th generation as W = X/N.
+    """Stationary samples W = X/N of the chain.
 
-    The quota is spread over `replicates` independent chains stepped in one
-    vectorized block, so wall time scales with burn_in + thin * n/replicates
-    generations rather than with the total sample count.
+    When uses_genealogy(model), every sample is an exact, independent draw
+    traced back through the genealogy: the run has burn_in 0, thin 1 and
+    n replicates, an explicit burn_in or thin raises ChainError, and
+    `replicates` is not used.  Otherwise `replicates` independent chains are
+    stepped in one vectorized block: they burn in, then record every
+    thin-th generation, so wall time scales with burn_in + thin *
+    n/replicates generations rather than with the total sample count.
+    meta["generations"] counts the backward generations stepped, or the
+    forward chain-generations.
     """
     check_irreducible(model.mutation)
     if n_samples < 1:
         raise ChainError("need at least one sample")
-    if burn_in is None:
-        burn_in = default_burn_in(model)
-    if thin is None:
-        thin = model.N
-    if thin < 1 or burn_in < 0:
-        raise ChainError("burn_in must be >= 0 and thin >= 1")
     g = as_generator(rng)
     N, K = model.N, model.K
-    R = max(1, min(int(replicates), n_samples))
-    P = model.mutation.array()
-    counts = np.tile(_initial_counts(N, K), (R, 1)).astype(np.int64)
-    for _ in range(burn_in):
-        counts = _batch_step(g, counts, model, P)
-    rounds = -(-n_samples // R)
-    rows = []
-    for _ in range(rounds):
-        for _ in range(thin):
+    if uses_genealogy(model):
+        if burn_in is not None or thin is not None:
+            raise ChainError(
+                "burn_in and thin apply to forward chains; this model's "
+                "samples are exact draws from its genealogy"
+            )
+        check_genealogy(model, n_samples)
+        samples, generations = _genealogy_samples(g, model, n_samples)
+        sampler, burn_in, thin, R = "genealogy", 0, 1, n_samples
+    else:
+        if burn_in is None:
+            burn_in = default_burn_in(model)
+        if thin is None:
+            thin = model.N
+        if thin < 1 or burn_in < 0:
+            raise ChainError("burn_in must be >= 0 and thin >= 1")
+        R = max(1, min(int(replicates), n_samples))
+        P = model.mutation.array()
+        counts = np.tile(_initial_counts(N, K), (R, 1)).astype(np.int64)
+        for _ in range(burn_in):
             counts = _batch_step(g, counts, model, P)
-        rows.append(counts / N)
-    samples = np.concatenate(rows, axis=0)[:n_samples]
+        rounds = -(-n_samples // R)
+        rows = []
+        for _ in range(rounds):
+            for _ in range(thin):
+                counts = _batch_step(g, counts, model, P)
+            rows.append(counts / N)
+        samples = np.concatenate(rows, axis=0)[:n_samples]
+        sampler, generations = "forward", R * (burn_in + thin * rounds)
     half = n_samples // 2
     drift = (float("nan"), float("nan"))
     if half >= 2:
@@ -369,6 +527,8 @@ def run_to_stationarity(
             "kind": model.kind,
             "n_samples": n_samples,
             "replicates": R,
+            "sampler": sampler,
+            "generations": generations,
         },
         drift_z=drift,
     )

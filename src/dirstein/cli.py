@@ -6,7 +6,11 @@ Configs are flat text files with dotted keys and JSON values, one
 output directory stamped with the config hash and package version, and a
 rerun with the same config is byte-identical.  Each chain experiment draws
 its samples in one stationary run from the config seed; `--workers` and
-DIRSTEIN_WORKERS are validated but change nothing.
+DIRSTEIN_WORKERS are validated but change nothing.  Under parent-independent
+mutation the run draws exact samples from the genealogy, which takes no
+mc.burn_in, mc.thin or mc.replicates: such keys are accepted and listed as
+`unused` in the validate output and in summary.txt.  A genealogy that would
+run away (tiny mutation rates) is refused when the config is read.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -30,8 +34,10 @@ from .bounds import BoundError, theorem1_bound, theorem2_bound, theorem4_bound
 from .chains import (
     ChainError,
     ChainModel,
+    check_genealogy,
     check_irreducible,
     run_to_stationarity,
+    uses_genealogy,
 )
 from .metrics import (
     MetricsError,
@@ -72,6 +78,8 @@ KINDS = (
     "moments-verify",
 )
 WORKERS_ENV = "DIRSTEIN_WORKERS"
+# the mc.* keys that only the forward chains read
+FORWARD_KEYS = ("burn_in", "thin", "replicates")
 
 _PKG_ERRORS = (
     SimplexError,
@@ -328,6 +336,7 @@ class _Experiment:
         avec = _get_numbers(data, "model.a")
         key = "model.mutation" if "model.mutation" in data else "model.pi"
         if avec is not None:
+            key = "model.a"
             self.a = _positive_params("model.a", avec)
             _check_battery_k("model.a", self.a.dim)
             rates = [_exact_div(v, 2 * self.N) for v in self.a.a]
@@ -348,6 +357,7 @@ class _Experiment:
             raise ConfigError("model.pi", f"expected {self.K} rates")
         _check_chain(self.mutation, key)
         self.model = ChainModel(N=self.N, mutation=self.mutation)
+        self._plan_sampling(data, key)
         self.summary = summarize(self.mutation, self.a, self.N)
         self.report = theorem1_bound(self.summary, self.a, self.N, self.K)
         self.notes += [
@@ -379,6 +389,9 @@ class _Experiment:
         self.model = ChainModel(
             N=self.N, mutation=self.mutation, offspring=self.offspring
         )
+        self._plan_sampling(
+            data, "model.mutation" if "model.mutation" in data else "model.pi"
+        )
         self.report = theorem2_bound(mom, pi_exact, self.N, self.K)
         kingman = mohle_diagnostics(self.offspring)
         self.notes += [
@@ -389,6 +402,23 @@ class _Experiment:
             f"theta = {_fmt(self.a.theta)}",
             "mohle = (%s, %s, %s)" % tuple(_fmt(v) for v in kingman),
         ]
+
+    def _plan_sampling(self, data, key):
+        """Pick the stationary sampler.  The genealogy reads no forward key
+        and lists the ones the config sets as unused."""
+        if not uses_genealogy(self.model):
+            self.run_args = {k: self.mc[k] for k in FORWARD_KEYS}
+            self.notes.append("sampler = forward")
+            return
+        try:
+            check_genealogy(self.model, self.mc["samples"])
+        except ChainError as e:
+            raise ConfigError(key, str(e))
+        self.run_args = {}
+        self.notes.append("sampler = genealogy")
+        unused = [f"mc.{k}" for k in FORWARD_KEYS if f"mc.{k}" in data]
+        if unused:
+            self.notes.append(f"unused = {', '.join(unused)}")
 
     def _build_polya_theorem4(self, data):
         self.n = _get_int(data, "model.n", required=True, minimum=1)
@@ -496,25 +526,20 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         diagnostics = []
     else:
         run = run_to_stationarity(
-            exp.model,
-            exp.mc["samples"],
-            RngStream(exp.seed),
-            burn_in=exp.mc["burn_in"],
-            thin=exp.mc["thin"],
-            replicates=exp.mc["replicates"],
+            exp.model, exp.mc["samples"], RngStream(exp.seed), **exp.run_args
         )
-        samples, R = run.samples, run.meta["replicates"]
+        samples = run.samples
         battery = attach_exact_means(make_battery(exp.K), exp.a)
         gaps = tuple(
-            smooth_gap(samples, exp.a, h, exp.report.smooth_bound_for(h), R)
+            smooth_gap(run, exp.a, h, exp.report.smooth_bound_for(h))
             for h in battery
         )
         # deterministic provenance; drift_z compares early and late rounds
         diagnostics = [
             f"burn_in = {run.burn_in}",
             f"thin = {run.thin}",
-            f"replicates = {R}",
-            f"generations = {R * (run.burn_in + run.thin * -(-run.n // R))}",
+            f"replicates = {run.meta['replicates']}",
+            f"generations = {run.meta['generations']}",
             "drift_z = (%s)" % ", ".join(_fmt(z) for z in run.drift_z),
         ]
     passed = all(g.passed for g in gaps)
@@ -640,8 +665,9 @@ def cmd_validate(data: dict) -> int:
     exp = _Experiment(data)
     print(f"kind = {exp.kind}")
     print(f"seed = {exp.seed}")
-    for key in ("samples", "replicates"):
-        print(f"mc.{key} = {exp.mc[key]}")
+    print(f"mc.samples = {exp.mc['samples']}")
+    if "replicates" in getattr(exp, "run_args", {}):
+        print(f"mc.replicates = {exp.mc['replicates']}")
     for note in exp.notes:
         print(note)
     for line in _stamp_keys(exp):

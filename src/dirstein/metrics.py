@@ -315,7 +315,8 @@ def smooth_gap(
     stderr is then just the one attached to E h(Z).  Sample rows are
     independent unless `replicates` says that row i is a round of chain
     i % replicates: rounds of one chain are correlated, so the stderr is
-    then taken over the chains' batch means.
+    then taken over the chains' batch means.  A StationaryRun supplies
+    its own meta["replicates"] when `replicates` is None.
     """
     if h.mean is None:
         raise SteinError(f"{h.tag}: attach_mean before taking gaps")
@@ -330,7 +331,12 @@ def smooth_gap(
         if abs(est - h.mean) <= sample.resolution * max(1.0, h.sup_norm):
             est = h.mean
     else:
-        rows = sample.samples if isinstance(sample, StationaryRun) else sample
+        rows = sample
+        if isinstance(sample, StationaryRun):
+            rows = sample.samples
+            if replicates is None:
+                # loaded runs carry their meta values as strings
+                replicates = int(sample.meta["replicates"])
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != a.dim - 1:
             raise MetricsError("sample must be (n, K-1) for the law's K")

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
+from dirstein import chains
 from dirstein.chains import (
     BURN_IN_CAP,
     ChainError,
@@ -15,13 +17,16 @@ from dirstein.chains import (
     StationaryRun,
     _batch_step_cannings,
     _batch_step_moran,
+    check_genealogy,
     check_irreducible,
     default_burn_in,
     run_to_stationarity,
     step_cannings,
     step_wright_fisher,
+    uses_genealogy,
     verify_conditional_moments_wf,
 )
+from dirstein.metrics import exact_stationary
 from dirstein.mutation import MutationMatrix
 from dirstein.offspring import OffspringModel
 from dirstein.simplex import RngStream
@@ -30,6 +35,14 @@ F = Fraction
 
 IDENTITY2 = MutationMatrix([[1, 0], [0, 1]])
 SYM2 = MutationMatrix.pim([F(1, 200), F(1, 200)])
+# parent-dependent, so its runs take the forward kernel
+CYCLIC3 = MutationMatrix(
+    [
+        [F(9, 10), F(3, 50), F(1, 25)],
+        [F(1, 50), F(9, 10), F(2, 25)],
+        [F(1, 20), F(3, 100), F(23, 25)],
+    ]
+)
 
 
 class TestChainState:
@@ -106,29 +119,9 @@ class TestStepCannings:
             se = np.sqrt(freq * (1 - freq) / len(vals))
             assert abs(freq - 1 / 3) < 4 * se + 1e-9
 
-    def test_wf_kind_matches_dedicated_step(self):
-        # same one-step mean and second moment through both code paths
-        N = 12
-        mut = MutationMatrix.pim([0.04, 0.08, 0.02])
-        wf = OffspringModel.wright_fisher(N)
-        g = RngStream(31).gen
-        states = [(4, 4), (0, 0), (12, 0), (1, 7), (5, 2)]
-        for sx in states:
-            x = ChainState(sx, N)
-            R = 4000
-            a = np.array(
-                [step_cannings(x, wf, mut, g).counts for _ in range(R)], dtype=float
-            )
-            b = np.array(
-                [step_wright_fisher(x, mut, g).counts for _ in range(R)], dtype=float
-            )
-            for arr_fn in (lambda v: v, lambda v: v**2):
-                da, db = arr_fn(a), arr_fn(b)
-                se = np.sqrt(da.var(axis=0) / R + db.var(axis=0) / R)
-                assert (np.abs(da.mean(axis=0) - db.mean(axis=0)) < 4 * se + 1e-9).all()
-
     def test_wf_offspring_takes_the_multinomial_kernel(self):
-        # one kernel per chain type: the same stream gives the same states
+        # one kernel per chain type: the same stream gives the same states;
+        # the runs need parent-dependent mutation to take the forward kernel
         N = 12
         mut = MutationMatrix.pim([0.04, 0.08, 0.02])
         wf = OffspringModel.wright_fisher(N)
@@ -137,9 +130,10 @@ class TestStepCannings:
             a = step_cannings(x, wf, mut, RngStream(seed))
             b = step_wright_fisher(x, mut, RngStream(seed))
             assert a == b
-        model = ChainModel(N, mut, wf)
+        model = ChainModel(N, CYCLIC3, wf)
         run = run_to_stationarity(model, 64, RngStream(5), burn_in=20, thin=2)
-        ref = run_to_stationarity(ChainModel(N, mut), 64, RngStream(5), burn_in=20, thin=2)
+        ref = run_to_stationarity(ChainModel(N, CYCLIC3), 64, RngStream(5), burn_in=20, thin=2)
+        assert run.meta["sampler"] == "forward"
         assert (run.samples == ref.samples).all()
 
     def test_explicit_table_conservation(self):
@@ -210,7 +204,8 @@ class TestRunToStationarity:
         model = ChainModel(100, SYM2)
         run = run_to_stationarity(model, 2048, RngStream(2024))
         assert run.n == 2048
-        assert run.thin == 100
+        # parent-independent mutation: exact draws, no burn-in or thinning
+        assert (run.burn_in, run.thin, run.meta["replicates"]) == (0, 1, 2048)
         assert abs(run.samples[:, 0].mean() - 0.5) < 0.02
 
     def test_asymmetric_mean_near_dirichlet(self):
@@ -250,7 +245,7 @@ class TestRunToStationarity:
         assert r1.seed == "9/4"
 
     def test_save_load_roundtrip(self, tmp_path):
-        model = ChainModel(12, MutationMatrix.pim([0.1, 0.1, 0.1]))
+        model = ChainModel(12, CYCLIC3)
         run = run_to_stationarity(model, 64, RngStream(3), burn_in=50, thin=3)
         path = tmp_path / "run.csv"
         run.save(path)
@@ -261,12 +256,112 @@ class TestRunToStationarity:
         assert back.burn_in == 50
         assert back.thin == 3
         assert back.meta["kind"] == "wright-fisher"
+        assert back.meta["sampler"] == "forward"
 
     def test_k3_means_near_dirichlet(self):
         # symmetric three-type rates: stationary mean 1/3 per coordinate
         model = ChainModel(60, MutationMatrix.pim([F(1, 60)] * 3))
         run = run_to_stationarity(model, 2048, RngStream(404))
         assert np.abs(run.samples.mean(axis=0) - 1 / 3).max() < 0.025
+
+
+def _chi2_pvalue(run, table):
+    """Pearson chi-square of the run's state counts against the exact
+    stationary table; the least likely states are pooled into one cell
+    that expects at least 5 draws."""
+    index = {tuple(int(c) for c in row): i for i, row in enumerate(table.counts)}
+    observed = np.zeros(len(table.probs))
+    for row in np.rint(run.samples * table.N).astype(np.int64):
+        observed[index[tuple(row)]] += 1
+    expected = table.probs * run.n
+    order = np.argsort(expected)
+    cut = int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1
+    pooled, rest = order[:cut], order[cut:]
+    o = np.append(observed[rest], observed[pooled].sum())
+    e = np.append(expected[rest], expected[pooled].sum())
+    stat = float(((o - e) ** 2 / e).sum())
+    return scipy_stats.chi2.sf(stat, len(o) - 1)
+
+
+# (chain, draws): draw counts keep each case near a second of sampling
+_GENEALOGY_CASES = {
+    "wf-k2-n20": (ChainModel(20, MutationMatrix.pim([F(3, 80), F(5, 80)])), 40_000),
+    "wf-k3-n12": (ChainModel(12, MutationMatrix.pim([F(1, 24), F(1, 12), F(1, 16)])), 40_000),
+    "moran-k2-n20": (
+        ChainModel(20, MutationMatrix.pim([F(1, 100), F(1, 50)]), OffspringModel.moran(20)),
+        20_000,
+    ),
+    "dm-k3-n8": (
+        ChainModel(
+            8,
+            MutationMatrix.pim([F(3, 100), F(1, 20), F(1, 25)]),
+            OffspringModel.dirichlet_multinomial(8, 1),
+        ),
+        40_000,
+    ),
+}
+
+
+class TestGenealogy:
+    @pytest.mark.parametrize("name", sorted(_GENEALOGY_CASES))
+    def test_draws_follow_the_exact_table(self, name):
+        # the draws are independent, so Pearson's statistic is chi-square
+        # distributed; p < 1e-4 fails, a false-alarm rate of 1e-4 per case
+        # and 4e-4 over the four
+        model, n = _GENEALOGY_CASES[name]
+        run = run_to_stationarity(model, n, RngStream(61))
+        assert run.meta["sampler"] == "genealogy"
+        assert _chi2_pvalue(run, exact_stationary(model)) > 1e-4
+
+    def test_provenance(self):
+        model = ChainModel(20, MutationMatrix.pim([F(1, 40), F(1, 40)]))
+        run = run_to_stationarity(model, 300, RngStream(4), replicates=7)
+        assert (run.burn_in, run.thin) == (0, 1)
+        assert run.meta["replicates"] == 300  # every draw is its own chain
+        assert run.meta["sampler"] == "genealogy"
+        assert 0 < run.meta["generations"] < BURN_IN_CAP
+        assert ((run.samples * 20) == np.rint(run.samples * 20)).all()
+
+    def test_wf_offspring_and_none_draw_alike(self):
+        mut = MutationMatrix.pim([F(1, 30), F(1, 20), F(1, 40)])
+        a = run_to_stationarity(
+            ChainModel(15, mut, OffspringModel.wright_fisher(15)), 500, RngStream(8)
+        )
+        b = run_to_stationarity(ChainModel(15, mut), 500, RngStream(8))
+        assert a.meta["sampler"] == b.meta["sampler"] == "genealogy"
+        assert (a.samples == b.samples).all()
+
+    def test_blocks_do_not_depend_on_the_sample_count(self, monkeypatch):
+        # two draws per block at N=20: a 5-draw run takes three blocks, and
+        # its first block consumes the stream as a 2-draw run does
+        monkeypatch.setattr(chains, "GENEALOGY_LINEAGES", 40)
+        model = ChainModel(20, MutationMatrix.pim([F(1, 40), F(1, 40)]))
+        five = run_to_stationarity(model, 5, RngStream(12))
+        two = run_to_stationarity(model, 2, RngStream(12))
+        assert five.n == 5
+        assert (five.samples[:2] == two.samples).all()
+
+    def test_rates_above_one_take_the_forward_kernel(self):
+        # every K=2 matrix is parent independent, but p12 + p21 > 1 has no
+        # kill form: the forward kernel samples it
+        flip = MutationMatrix([[F(2, 5), F(3, 5)], [F(7, 10), F(3, 10)]])
+        assert flip.is_pim and not uses_genealogy(ChainModel(10, flip))
+        run = run_to_stationarity(ChainModel(10, flip), 64, RngStream(2), burn_in=30, thin=2)
+        assert run.meta["sampler"] == "forward"
+        assert (run.burn_in, run.thin) == (30, 2)
+
+    def test_forward_knobs_refused(self):
+        model = ChainModel(10, MutationMatrix.pim([F(1, 20), F(1, 20)]))
+        for kwargs in ({"burn_in": 10}, {"thin": 2}, {"burn_in": 0, "thin": 1}):
+            with pytest.raises(ChainError, match="forward chains"):
+                run_to_stationarity(model, 10, RngStream(0), **kwargs)
+
+    def test_runaway_refused(self):
+        # ln(n N)/|pi| generations: 1e-9 rates would take about 1e10
+        tiny = ChainModel(30, MutationMatrix.pim([F(1, 10**9), F(1, 10**9)]))
+        with pytest.raises(ChainError, match="more than 10000000"):
+            run_to_stationarity(tiny, 64, RngStream(0))
+        check_genealogy(ChainModel(30, MutationMatrix.pim([F(1, 10**5)] * 2)), 64)
 
 
 class TestConditionalMoments:

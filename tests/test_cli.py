@@ -179,6 +179,33 @@ class TestValidation:
         assert main(["validate", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("error: mc.replicates: must be >= 2")
 
+    @pytest.mark.parametrize(
+        "key, body",
+        [
+            ("model.a", 'kind = "wf-theorem1"\nmodel.N = 20\nmodel.a = [1e-6, 1e-6]\n'),
+            ("model.pi", 'kind = "wf-theorem1"\nmodel.N = 20\nmodel.pi = [1e-9, 1e-9]\n'),
+            (
+                "model.mutation",
+                'kind = "wf-theorem1"\nmodel.N = 20\n'
+                "model.mutation = [[0.999999999, 1e-9], [1e-9, 0.999999999]]\n",
+            ),
+            (
+                "model.pi",
+                'kind = "cannings-theorem2"\nmodel.N = 20\nmodel.offspring = "moran"\n'
+                "model.pi = [1e-9, 1e-9]\n",
+            ),
+        ],
+    )
+    def test_runaway_genealogy_refused(self, tmp_path, capsys, key, body):
+        # a lineage lives about 1/|pi| generations: ln(n N)/|pi| > 1e7 is
+        # refused before any sampling
+        cfg = write_cfg(tmp_path, "c.cfg", body + "mc.samples = 64\nseed = 1\n")
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key}: mutation rates sum to"), err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
@@ -314,19 +341,75 @@ class TestOneStationaryRun:
         assert len(calls) == 1
 
     def test_summary_reports_the_run(self, tmp_path):
+        # matched PIM: exact genealogy draws, so mc.replicates goes unused
         cfg = write_cfg(tmp_path, "c.cfg", WF_CFG)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         exp = cli._Experiment(parse_config_text(WF_CFG))
-        run = run_to_stationarity(exp.model, 2500, RngStream(7), replicates=256)
+        run = run_to_stationarity(exp.model, 2500, RngStream(7))
         samples = np.loadtxt(tmp_path / "o" / "samples.csv", delimiter=",", skiprows=2)
         assert (samples == run.samples[:, 0]).all()
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
-        rounds = 10  # ceil(2500 / 256)
-        assert f"burn_in = {run.burn_in}" in summary
-        assert "thin = 40" in summary and "replicates = 256" in summary
-        assert f"generations = {256 * (run.burn_in + 40 * rounds)}" in summary
+        assert "sampler = genealogy" in summary
+        assert "burn_in = 0" in summary and "thin = 1" in summary
+        assert "replicates = 2500" in summary
+        assert f"generations = {run.meta['generations']}" in summary
+        assert "unused = mc.replicates" in summary
         drift = [line for line in summary if line.startswith("drift_z = (")]
         assert drift == ["drift_z = (%.17g, %.17g)" % run.drift_z]
+
+    def test_summary_reports_a_forward_run(self, tmp_path):
+        text = (
+            'kind = "wf-theorem1"\nmodel.N = 12\nmodel.mutation = [[0.9, 0.06, 0.04], '
+            "[0.02, 0.9, 0.08], [0.05, 0.03, 0.92]]\nmc.samples = 200\n"
+            "mc.replicates = 20\nmc.burn_in = 60\nmc.thin = 4\nseed = 3\n"
+        )
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 2)
+        run = run_to_stationarity(
+            cli._Experiment(parse_config_text(text)).model, 200, RngStream(3),
+            burn_in=60, thin=4, replicates=20,
+        )
+        samples = np.loadtxt(tmp_path / "o" / "samples.csv", delimiter=",", skiprows=2)
+        assert (samples == run.samples).all()
+        summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert "sampler = forward" in summary
+        assert "burn_in = 60" in summary and "thin = 4" in summary
+        assert "replicates = 20" in summary
+        assert f"generations = {20 * (60 + 4 * 10)}" in summary
+        assert not any(line.startswith("unused") for line in summary)
+
+
+# The exact shape of a perfbench mc-certify job: matched PIM through model.a,
+# with the forward keys mc.burn_in and mc.replicates that a genealogy run
+# accepts and does not use.
+_CERTIFY_JOBS = {2: (77, [2.713, 3.402]), 3: (131, [3.9, 2.25, 2.6])}
+
+
+class TestCertifyJob:
+    @pytest.mark.parametrize("K", sorted(_CERTIFY_JOBS))
+    def test_passes_and_lists_the_unused_keys(self, tmp_path, capsys, K):
+        N, a = _CERTIFY_JOBS[K]
+        text = (
+            f'kind = "wf-theorem1"\nmodel.N = {N}\nmodel.a = {a}\nmc.samples = 1024\n'
+            f"mc.replicates = 128\nmc.burn_in = {5 * N}\nseed = 3141592653\n"
+        )
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "sampler = genealogy" in out
+        assert "unused = mc.burn_in, mc.replicates" in out
+        dirs = []
+        for workers in (1, 3):
+            d = tmp_path / f"w{workers}"
+            assert main(["run", "--config", cfg, "--out", str(d), "--workers", str(workers)]) == 0
+            dirs.append(d)
+        summary = (dirs[0] / "summary.txt").read_text().splitlines()
+        assert "passed = true" in summary
+        assert "unused = mc.burn_in, mc.replicates" in summary
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == sorted(p.name for p in dirs[1].iterdir())
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.
@@ -509,6 +592,42 @@ _configs = st.builds(
 )
 
 
+# wrong types and out-of-range numbers for the run fuzzer's keys
+_odd = st.sampled_from([0.5, 1e308, -1e308, 5e-324, "20", None, True, [20], -1])
+_RUN_BASES = {
+    "wf-theorem1": {"model.N": 20, "model.a": [1, 2], "mc.samples": 48},
+    "cannings-theorem2": {
+        "model.N": 20, "model.pi": [0.01, 0.02], "model.phi": 1, "mc.samples": 48,
+    },
+}
+_RUN_VALUES = {
+    "model.N": st.one_of(st.integers(-1, 30), _odd),
+    "mc.samples": st.one_of(st.integers(-1, 64), _odd),
+    "model.a": st.one_of(st.lists(_numbers, max_size=4), _odd),
+    "model.pi": st.one_of(st.lists(_numbers, max_size=4), _odd),
+    "model.phi": st.one_of(_numbers, _odd),
+    "model.offspring": st.sampled_from(
+        ("moran", "wright-fisher", "dirichlet-multinomial", "explicit", "", 3)
+    ),
+    "mc.replicates": st.one_of(st.integers(2, 10**6), _scalars),
+    "mc.burn_in": st.one_of(st.integers(0, 10**9), _scalars),
+    "mc.thin": st.one_of(st.integers(1, 10**9), _scalars),
+    "seed": st.one_of(st.integers(0, 2**64 - 1), _odd),
+}
+_run_configs = st.builds(
+    lambda kind, overrides, drop: {
+        k: v
+        for k, v in {"kind": kind, "seed": 1, **_RUN_BASES[kind], **overrides}.items()
+        if k not in drop
+    },
+    st.sampled_from(sorted(_RUN_BASES)),
+    st.sets(st.sampled_from(sorted(_RUN_VALUES)), max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _RUN_VALUES[k] for k in keys})
+    ),
+    st.sets(st.sampled_from(("model.N", "model.a", "model.pi", "model.phi")), max_size=2),
+)
+
+
 class TestConfigFuzz:
     @settings(max_examples=400, deadline=None)
     @given(data=_configs, command=st.sampled_from(["validate", "bound"]))
@@ -527,6 +646,25 @@ class TestConfigFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main([command, "--config", cfg])
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            key = err.getvalue().removeprefix("error: ").split(": ")[0]
+            assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())
+
+    # run on tiny parent-independent configs: every base and override keeps
+    # N <= 30 and mc.samples <= 64 and leaves model.mutation out, so each run
+    # that starts is a genealogy run and ends in well under a second
+    @settings(max_examples=150, deadline=None)
+    @given(data=_run_configs)
+    @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1e-300, 1]})
+    @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.pi": [1e-9, 1e-9]})
+    def test_run_exit_code_and_keyed_message(self, data):
+        text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
+        with tempfile.TemporaryDirectory() as d:
+            cfg = write_cfg(Path(d), "c.cfg", text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["run", "--config", cfg, "--out", str(Path(d) / "o")])
         assert rc in (0, 1, 2)
         if rc == 1:
             key = err.getvalue().removeprefix("error: ").split(": ")[0]

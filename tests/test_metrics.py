@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc
 
 from dirstein.bounds import theorem1_bound
-from dirstein.chains import ChainError, ChainModel, run_to_stationarity
+from dirstein.chains import ChainError, ChainModel, StationaryRun, run_to_stationarity
 from dirstein.metrics import (
     GapEstimate,
     K2Distance,
@@ -256,6 +256,23 @@ class TestSmoothGap:
         with pytest.raises(MetricsError, match="two replicates"):
             smooth_gap(rows, a, h, bound=0.0, replicates=1)
 
+    def test_run_supplies_its_replicates(self, tmp_path):
+        # a forward run's rows are rounds of its chains: the stderr is over
+        # the chains' batch means, also when the run is saved and reloaded;
+        # p12 + p21 > 1 keeps this K=2 chain on the forward kernel
+        mut = MutationMatrix([[F(2, 5), F(3, 5)], [F(7, 10), F(3, 10)]])
+        run = run_to_stationarity(ChainModel(12, mut), 240, RngStream(6), replicates=16)
+        assert run.meta["sampler"] == "forward"
+        run.save(tmp_path / "run.csv")
+        back = StationaryRun.load(tmp_path / "run.csv")
+        a = DirichletParams((1, 1))
+        for h in attach_exact_means(make_battery(2), a):
+            ge = smooth_gap(run, a, h, bound=0.1)
+            assert smooth_gap(back, a, h, bound=0.1) == ge
+            assert smooth_gap(run.samples, a, h, bound=0.1, replicates=16) == ge
+        iid = smooth_gap(run.samples, a, h, bound=0.1)
+        assert iid.stderr != ge.stderr
+
     def test_requires_mean(self):
         with pytest.raises(SteinError):
             smooth_gap(
@@ -373,10 +390,15 @@ class TestExactStationary:
         assert ge.passed
 
     def test_wf_direct_equals_enumerated(self):
+        # exact_stationary sends WF offspring to the multinomial rows, so
+        # solve the enumerated rows of _cannings_matrix by hand
+        from dirstein.metrics import _cannings_matrix, _solve_stationary, _state_grid
+
         pim = pim_for((1, 1), 6)
         direct = exact_stationary(ChainModel(6, pim))
-        enum = exact_stationary(ChainModel(6, pim, OffspringModel.wright_fisher(6)))
-        assert np.max(np.abs(direct.probs - enum.probs)) < 1e-12
+        model = ChainModel(6, pim, OffspringModel.wright_fisher(6))
+        enum, _ = _solve_stationary(_cannings_matrix(model, _state_grid(6, 2)))
+        assert np.max(np.abs(direct.probs - enum)) < 1e-12
 
     def test_moran_fast_equals_enumerated(self):
         from dirstein.metrics import _cannings_matrix, _solve_stationary, _state_grid
