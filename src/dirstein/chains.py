@@ -238,19 +238,6 @@ def _runs(draw):
     return first, k, np.arange(draw.size) - np.repeat(first, k)
 
 
-def _back_moran(g, draw, N):
-    # the offspring vector has one 2 and one 0, so lineages on k distinct
-    # child slots merge only when both children of the reproducer are among
-    # them, with probability C(k,2)/C(N,2), and then as a uniform pair
-    first, k, parent = _runs(draw)
-    hit = np.flatnonzero(g.random(len(first)) * (N * (N - 1)) < k * (k - 1))
-    i = g.integers(0, k[hit])
-    j = g.integers(0, k[hit] - 1)
-    j += j >= i
-    parent[first[hit] + j] = i
-    return parent
-
-
 def _back_cannings(g, draw, m: OffspringModel):
     # the k lineages of a draw take k distinct child slots: the first k
     # places of a uniformly shuffled list holding parent j's label V_j times
@@ -263,25 +250,16 @@ def _back_cannings(g, draw, m: OffspringModel):
 
 
 def _backward_step(g, draw, v, model: ChainModel):
-    # one step per chain type, as in _batch_step
+    # Wright-Fisher draws no offspring vector; Moran and every other
+    # exchangeable law share the child-slot step
     if model.kind == KIND_WRIGHT_FISHER:
         # a uniform parent each, read off the lineage's survival uniform v
         return np.minimum((v * model.N).astype(np.int64), model.N - 1)
-    if model.kind == KIND_MORAN:
-        return _back_moran(g, draw, model.N)
     return _back_cannings(g, draw, model.offspring)
 
 
 def _merge(draw, parent, size, N):
     """Lineages of one draw with one parent become one lineage."""
-    lo = draw[0]
-    span = (draw[-1] - lo + 1) * N
-    if span < 4 * draw.size:
-        # while lineages are dense in (draw, parent), one bincount beats a
-        # sort: it takes 16% off a Wright-Fisher N=200 block
-        dense = np.bincount((draw - lo) * N + parent, weights=size, minlength=span)
-        key = np.flatnonzero(dense)
-        return key // N + lo, dense[key]
     key = draw * N + parent
     order = np.argsort(key)
     key = key[order]

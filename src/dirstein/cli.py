@@ -328,6 +328,7 @@ class _Experiment:
         self.mc = _mc_budget(data)
         self.sha = config_hash(data)
         self.notes = []  # derived quantities for validate output
+        self.run_args = {}  # forward keys passed on to run_to_stationarity
         build = getattr(self, "_build_" + self.kind.replace("-", "_"))
         build(data)
 
@@ -414,7 +415,6 @@ class _Experiment:
             check_genealogy(self.model, self.mc["samples"])
         except ChainError as e:
             raise ConfigError(key, str(e))
-        self.run_args = {}
         self.notes.append("sampler = genealogy")
         unused = [f"mc.{k}" for k in FORWARD_KEYS if f"mc.{k}" in data]
         if unused:
@@ -666,7 +666,7 @@ def cmd_validate(data: dict) -> int:
     print(f"kind = {exp.kind}")
     print(f"seed = {exp.seed}")
     print(f"mc.samples = {exp.mc['samples']}")
-    if "replicates" in getattr(exp, "run_args", {}):
+    if "replicates" in exp.run_args:
         print(f"mc.replicates = {exp.mc['replicates']}")
     for note in exp.notes:
         print(note)

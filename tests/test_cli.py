@@ -413,12 +413,15 @@ class TestCertifyJob:
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.
-# Rows of samples.csv are rounds of `mc.replicates` independent chains, row i
-# from chain i % R, so each chain's mean over its rounds is one batch mean and
-# the batch means are independent: the z-score below counts the correlation
-# between the rounds of one chain.  Each |z| < 4 check has a false-alarm rate
-# of 6.3e-5 (normal; the t correction at R = 256 is negligible), so the nine
-# checks together stay below 6e-4.
+# The parent-dependent case runs forward chains: rows of samples.csv are
+# rounds of `mc.replicates` independent chains, row i from chain i % R, so
+# each chain's mean over its rounds is one batch mean and the batch means are
+# independent, and the z-score below counts the correlation between the
+# rounds of one chain.  The parent-independent cases draw every row
+# independently from the genealogy, so the same batch means are independent
+# there too.  Each |z| < 4 check has a false-alarm rate of 6.3e-5 (normal;
+# the t correction at R = 256 is negligible), so the fourteen checks together
+# stay below 9e-4.
 _EXACT_CASES = {
     "wf-k2-n20": 'kind = "wf-theorem1"\nmodel.N = 20\nmodel.a = [1.5, 2.5]\n',
     "moran-k2-n20": (
@@ -428,6 +431,10 @@ _EXACT_CASES = {
     "dm-k3-n8": (
         'kind = "cannings-theorem2"\nmodel.N = 8\nmodel.offspring = "dirichlet-multinomial"\n'
         "model.phi = 1\nmodel.pi = [0.03, 0.05, 0.04]\n"
+    ),
+    "wf-cyclic-k3-n12": (
+        'kind = "wf-theorem1"\nmodel.N = 12\nmodel.mutation = [[0.9, 0.06, 0.04], '
+        "[0.02, 0.9, 0.08], [0.05, 0.03, 0.92]]\n"
     ),
 }
 
