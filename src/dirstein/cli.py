@@ -220,7 +220,8 @@ def _positive_params(key, values) -> DirichletParams:
 
 def _mc_budget(data) -> dict:
     mc = {
-        "samples": _get_int(data, "mc.samples", default=100_000, minimum=1),
+        # every stderr is taken across at least two samples
+        "samples": _get_int(data, "mc.samples", default=100_000, minimum=2),
         # the gap stderr is taken across independent replicates
         "replicates": _get_int(data, "mc.replicates", default=512, minimum=2),
         "burn_in": _get_int(data, "mc.burn_in", minimum=0),

@@ -713,7 +713,6 @@ class StationaryTable:
         return float(self.probs @ np.asarray(fn(self.w), dtype=np.float64))
 
 
-_MAX_STATES = 50_000
 _DENSE_CAP = 6_000
 
 
@@ -896,14 +895,12 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     Wright-Fisher rows are multinomial at any size that fits in memory;
     the one-swap kernel with two types gets exact rows at any N; other
     kernels go through full offspring-law enumeration and are gated at
-    N <= 8.  State counts beyond 5e4 (or 6e3 for the dense matrix) are
-    refused rather than approximated.
+    N <= 8.  State counts beyond the dense-matrix cap of 6e3 are refused
+    rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
     S = math.comb(N + K - 1, K - 1)
-    if S > _MAX_STATES:
-        raise MetricsError(f"{S} states exceeds the exact-solver precondition")
     if S > _DENSE_CAP:
         raise MetricsError(f"{S} states exceeds the dense-matrix cap")
     states = _state_grid(N, K)

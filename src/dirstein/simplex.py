@@ -65,11 +65,6 @@ class SimplexPoint:
         within the construction tolerance."""
         return 1.0 - sum(self.coords)
 
-    @property
-    def full(self) -> np.ndarray:
-        """All K coordinates, implicit last included, clipped at zero."""
-        return np.array(self.coords + (max(self.last, 0.0),))
-
     def interior(self) -> bool:
         return all(c > 0.0 for c in self.coords) and self.last > 0.0
 

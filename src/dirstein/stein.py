@@ -14,10 +14,12 @@ solution
 where Y_n is the holding time of a pure-death process at level n, with
 E Y_n = 2/(n(n-1+s)), and the level-n state is composed as
 N ~ MN_K(n; x), Z | N ~ Dir(a + N).  This module evaluates the operator,
-checks the characterization on monomials, estimates f pointwise by levelwise
-Monte Carlo (with a coupled batch engine so that differences of f between
-nearby points have tiny variance), verifies the solution's seminorm bounds,
-and estimates the generic exchangeable-pair error terms A1, A2, A3.
+checks the characterization on monomials, estimates f with one coupled
+Monte Carlo engine (shared noise across levels, points and parameter
+vectors, so that differences of f between nearby points have tiny
+variance; the pointwise solver is its one-point call), verifies the
+solution's seminorm bounds, and estimates the generic exchangeable-pair
+error terms A1, A2, A3.
 """
 
 from __future__ import annotations
@@ -443,38 +445,18 @@ def solve_stein_f(
     mc_per_level: int,
     rng,
 ):
-    """Estimate f(x) by levelwise Monte Carlo.
+    """Estimate f(x) with the coupled engine at the single point x.
 
-    Returns (estimate, stderr, truncation bound).  Each level n draws
-    mc_per_level states N ~ MN_K(n; x), Z ~ Dir(a + N) and averages h;
-    the level sums are weighted by E Y_n and centered by E h(Z).
+    Returns (estimate, stderr, truncation bound).  Each of the mc_per_level
+    replicates sums h over one level-n state per n <= schedule.M, weighted
+    by E Y_n; the sums are centered by E h(Z).  The engine checks the mean,
+    the dimension and the replicate count.
     """
     schedule.check_params(a)
-    if h.mean is None:
-        raise SteinError("attach_mean must run before solving")
-    if x.dim != a.dim:
-        raise SteinError("dimension mismatch")
-    g = as_generator(rng)
-    R = int(mc_per_level)
-    if R < 2:
-        raise SteinError("need at least 2 replicates per level")
-    p = x.full
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    af = a.floats()
-    S = np.zeros(R)
-    for n in range(1, schedule.M + 1):
-        counts = g.multinomial(n, p, size=R)
-        G = g.standard_gamma(af + counts)
-        Z = G[:, :-1] / G.sum(axis=1, keepdims=True)
-        S += np.asarray(h.fn(Z), dtype=np.float64) * schedule.ey[n - 1]
-    C = schedule.total
-    vals = -(S - h.mean * C) / 2.0
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(R))
-    se = math.hypot(se, h.mean_se * C / 2.0)
-    trunc = h.sup_tilde * schedule.tail
-    return est, se, trunc
+    sums = stein_level_sums(
+        [a], [[h]], [x], mc_per_level, rng, levels_override=schedule.M
+    )
+    return sums.f_hat(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +496,7 @@ class LevelSums:
 
     def f_hat(self, p: int, ai: int, hi: int):
         """(estimate, stderr, truncation bound) of f at grid point p."""
-        mean, mean_se, sup_t = self._meta(ai, hi)
-        vals = -(self.S[:, p, ai, hi] - mean * self.ey_sums[ai, hi]) / 2.0
-        R = len(vals)
-        se = float(vals.std(ddof=1) / math.sqrt(R))
-        se = math.hypot(se, mean_se * self.ey_sums[ai, hi] / 2.0)
-        return float(vals.mean()), se, float(sup_t * self.tails[ai, hi])
+        return self.f_combo({p: 1.0}, ai, hi)
 
     def f_combo(self, weights: dict, ai: int, hi: int):
         """Linear combination sum w_p f(x_p) with coupled stderr.
@@ -664,7 +641,8 @@ def stein_level_sums(
     All points and parameter vectors ride on one stream of marked
     exponentials per replicate, so contrasts between grid points (slopes,
     second differences, operator stencils) come out with strongly reduced
-    variance.  Truncation levels are per (params, h): 2 sup|h~| / tol.
+    variance.  Truncation levels are per (params, h), from
+    DeathProcessSchedule.for_tolerance (or levels_override for all).
     """
     A = len(params_list)
     if len(battery_list) != A:
@@ -692,27 +670,26 @@ def stein_level_sums(
         pts.append(coords)
     P = len(pts)
     R = int(replicates)
+    if R < 2:
+        raise SteinError("need at least 2 replicates")
 
-    levels = np.zeros((A, H), dtype=np.int64)
-    for ai, bat in enumerate(battery_list):
-        for hi, h in enumerate(bat):
-            if levels_override is not None:
-                levels[ai, hi] = int(levels_override)
-            else:
-                levels[ai, hi] = max(int(math.ceil(2.0 * h.sup_tilde / tol)), 8)
+    scheds = [
+        [
+            DeathProcessSchedule.with_levels(a.s, levels_override)
+            if levels_override is not None
+            else DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol)
+            for h in bat
+        ]
+        for a, bat in zip(params_list, battery_list)
+    ]
+    levels = np.array([[sc.M for sc in row] for row in scheds], dtype=np.int64)
+    ey_sums = np.array([[sc.total for sc in row] for row in scheds])
+    tails = np.array([[sc.tail for sc in row] for row in scheds])
     M_max = int(levels.max())
-    ey_by_a = []
-    ey_sums = np.zeros((A, H))
-    tails = np.zeros((A, H))
-    for ai, a in enumerate(params_list):
-        s = float(a.s)
-        n = np.arange(1, M_max + 1, dtype=np.float64)
-        ey = 2.0 / (n * (n - 1.0 + s))
-        ey_by_a.append(ey.astype(np.float32))
-        for hi in range(H):
-            m = levels[ai, hi]
-            ey_sums[ai, hi] = ey[:m].sum()
-            tails[ai, hi] = _tail_exact(int(m), s)
+    ey_by_a = [
+        DeathProcessSchedule.with_levels(a.s, M_max).ey.astype(np.float32)
+        for a in params_list
+    ]
 
     # category boundaries of each point, as float32 thresholds on u
     bounds = [

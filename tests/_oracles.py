@@ -5,6 +5,9 @@ level means of monomials come from a rising-to-falling factorial basis
 change, so agreement with the sampling engines is a real cross-check.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -55,6 +58,60 @@ def solution_partial_monomial(c, a, x, M):
     m = rising(a1, c) / rising(s, c)
     g = level_mean_monomial(c, a1, s, n, x)
     return -0.5 * float(((g - m) * ey).sum())
+
+
+def solution_partial_cos(w, a, x, M):
+    """The level sum for h(x) = cos(w x) from its Taylor series: the terms
+    (-1)^k w^2k x^2k / (2k)! over solution_partial_monomial, summed until
+    the coefficient drops below 1e-17 (the constant term sums to zero)."""
+    total = 0.0
+    for k in itertools.count(1):
+        coef = (-w * w) ** k / math.factorial(2 * k)
+        if abs(coef) <= 1e-17:
+            return total
+        total += coef * solution_partial_monomial(2 * k, a, x, M)
+
+
+def solution_partial_pair(a, x, M):
+    """The level sum for h(x) = x1 x2 with three types: given the counts
+    N ~ MN(n; x), E[Z1 Z2 | N] = (a1 + N1)(a2 + N2)/((s + n)(s + n + 1)),
+    and E[(a1 + N1)(a2 + N2)] = a1 a2 + n (a1 x2 + a2 x1) + n(n-1) x1 x2."""
+    a1, a2, s = float(a.a[0]), float(a.a[1]), float(a.s)
+    x1, x2 = x
+    n = np.arange(1, M + 1, dtype=float)
+    ey = 2.0 / (n * (n - 1.0 + s))
+    num = a1 * a2 + n * (a1 * x2 + a2 * x1) + n * (n - 1.0) * x1 * x2
+    g = num / ((s + n) * (s + n + 1.0))
+    m = a1 * a2 / (s * (s + 1.0))
+    return -0.5 * float(((g - m) * ey).sum())
+
+
+def solution_partial_quadrature(fn, support, a, x, M, nodes=64):
+    """The level sum for a two-type h that vanishes off the interval
+    `support` and is a polynomial on it.  A level mean is the binomial
+    mixture over j of the Beta(a1 + j, a2 + n - j) integrals of h, each by
+    Gauss-Legendre quadrature on the support: exact up to rounding for
+    integer a while the degree stays below 2 nodes.  The stationary mean
+    E h(Z) is the n = 0 case."""
+    a1, a2, s = float(a.a[0]), float(a.a[1]), float(a.s)
+    lo, hi = support
+    t, wq = np.polynomial.legendre.leggauss(nodes)
+    z = lo + (hi - lo) * (t + 1.0) / 2.0
+    wh = wq * (hi - lo) / 2.0 * np.asarray(fn(z[:, None]), dtype=float)
+
+    def level_mean(n):
+        total = 0.0
+        for j in range(n + 1):
+            p, q = a1 + j, a2 + n - j
+            logc = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q)
+            dens = np.exp(logc + (p - 1.0) * np.log(z) + (q - 1.0) * np.log1p(-z))
+            total += math.comb(n, j) * x**j * (1.0 - x) ** (n - j) * float(dens @ wh)
+        return total
+
+    n = np.arange(1, M + 1, dtype=float)
+    ey = 2.0 / (n * (n - 1.0 + s))
+    g = np.array([level_mean(k) for k in range(1, M + 1)])
+    return -0.5 * float(((g - level_mean(0)) * ey).sum())
 
 
 def solution_partial_linear(a, x, M):

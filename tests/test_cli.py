@@ -179,6 +179,16 @@ class TestValidation:
         assert main(["validate", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("error: mc.replicates: must be >= 2")
 
+    @pytest.mark.parametrize("kind", cli.KINDS)
+    def test_one_sample_refused(self, tmp_path, capsys, kind):
+        # one sample has no stderr, so every kind refuses it up front
+        body = {**_BASES[kind], "kind": kind, "seed": 1, "mc.samples": 1}
+        text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in body.items())
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: mc.samples: must be >= 2")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "key, body",
         [
@@ -665,6 +675,7 @@ class TestConfigFuzz:
     @given(data=_run_configs)
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1e-300, 1]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.pi": [1e-9, 1e-9]})
+    @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1, 2], "mc.samples": 1})
     def test_run_exit_code_and_keyed_message(self, data):
         text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
         with tempfile.TemporaryDirectory() as d:

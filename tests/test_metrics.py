@@ -457,7 +457,7 @@ class TestExactStationary:
             exact_stationary(ChainModel(5, ident))
 
     def test_state_space_caps(self):
-        with pytest.raises(MetricsError, match="precondition"):
+        with pytest.raises(MetricsError, match="cap"):
             exact_stationary(ChainModel(400, pim_for((1, 1, 1), 400)))
         with pytest.raises(MetricsError, match="cap"):
             exact_stationary(ChainModel(120, pim_for((1, 1, 1), 120)))

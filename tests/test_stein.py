@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st_
 from dirstein.simplex import DirichletParams, RngStream, SimplexPoint
 from dirstein import stein as st
 from _oracles import (
+    solution_partial_cos,
     solution_partial_linear,
     solution_partial_monomial,
+    solution_partial_pair,
+    solution_partial_quadrature,
 )
 
 F = Fraction
@@ -336,6 +339,18 @@ class TestPointSolver:
         with pytest.raises(st.SteinError):
             st.solve_stein_f(a, mono(1), SimplexPoint((0.5,)), sch, 64, RngStream(1))
 
+    def test_is_the_one_point_engine_call(self):
+        a = DirichletParams((2, 3))
+        h = st.attach_mean(mono(2), a)
+        x = SimplexPoint((0.3,))
+        sch = st.DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol=1e-3)
+        got = st.solve_stein_f(a, h, x, sch, 256, RngStream(6).child(0))
+        sums = st.stein_level_sums(
+            [a], [[h]], [x], 256, RngStream(6).child(0), levels_override=sch.M
+        )
+        assert got == sums.f_hat(0, 0, 0)
+        assert int(sums.levels[0, 0]) == sch.M
+
     def test_schedule_mismatch(self):
         a = DirichletParams((2, 3))
         h = st.attach_mean(mono(1), a)
@@ -388,37 +403,24 @@ class TestLevelSums:
         se_ind = math.hypot(self.res.f_hat(0, 1, 0)[1], self.res.f_hat(2, 1, 0)[1])
         assert se < se_ind
 
-    def test_trig_cross_path(self):
+    def test_trig_matches_taylor_oracle(self):
         ai, hi = 0, 4  # cos(3x) under (1,1)
-        sch = st.DeathProcessSchedule.with_levels(
-            float(self.a_list[ai].s), int(self.res.levels[ai, hi])
-        )
-        pw, pwse, _ = st.solve_stein_f(
-            self.a_list[ai],
-            self.bats[ai][hi],
-            SimplexPoint((0.5,)),
-            sch,
-            1500,
-            RngStream(31).child(9),
-        )
+        M = int(self.res.levels[ai, hi])
+        exact = solution_partial_cos(3.0, self.a_list[ai], 0.5, M)
         en, ense, _ = self.res.f_hat(1, ai, hi)
-        assert abs(en - pw) < 5 * math.hypot(ense, pwse)
+        assert abs(en - exact) < 5 * ense
 
-    def test_bump_cross_path(self):
+    def test_bump_matches_quadrature(self):
+        # 64 levels keep the Beta-mixture quadrature exact and quick; the
+        # bump's Monte Carlo mean enters the engine's stderr
         ai, hi = 1, 5
-        sch = st.DeathProcessSchedule.with_levels(
-            float(self.a_list[ai].s), int(self.res.levels[ai, hi])
+        a, h = self.a_list[ai], self.bats[ai][hi]
+        res = st.stein_level_sums(
+            [a], [[h]], [0.2], 3000, RngStream(31).child(11), levels_override=64
         )
-        pw, pwse, _ = st.solve_stein_f(
-            self.a_list[ai],
-            self.bats[ai][hi],
-            SimplexPoint((0.2,)),
-            sch,
-            1500,
-            RngStream(31).child(11),
-        )
-        en, ense, _ = self.res.f_hat(0, ai, hi)
-        assert abs(en - pw) < 5 * math.hypot(ense, pwse)
+        exact = solution_partial_quadrature(h.fn, (0.25, 0.75), a, 0.2, 64)
+        en, ense, _ = res.f_hat(0, 0, 0)
+        assert abs(en - exact) < 5 * ense
 
     def test_deterministic(self):
         res2 = st.stein_level_sums(
@@ -466,18 +468,25 @@ class TestLevelSums:
             ref = h.fn(Z[:, :w].astype(np.float64)) @ ey[:w].astype(np.float64)
             np.testing.assert_allclose(out[:, i], ref, rtol=1e-5, atol=1e-5)
 
-    def test_k3_matches_pointwise(self):
+    def test_k3_matches_closed_form(self):
         a = DirichletParams((1, 1, 1))
         h = st.attach_mean(mono((1, 1)), a)
         res = st.stein_level_sums(
             [a], [[h]], [(0.3, 0.4)], 2000, RngStream(13), tol=1e-2
         )
-        sch = st.DeathProcessSchedule.with_levels(3.0, int(res.levels[0, 0]))
-        pw, pwse, _ = st.solve_stein_f(
-            a, h, SimplexPoint((0.3, 0.4)), sch, 2000, RngStream(14)
-        )
+        exact = solution_partial_pair(a, (0.3, 0.4), int(res.levels[0, 0]))
         en, ense, _ = res.f_hat(0, 0, 0)
-        assert abs(en - pw) < 5 * math.hypot(ense, pwse)
+        assert abs(en - exact) < 5 * ense
+
+    @pytest.mark.parametrize(
+        "tol, replicates, match",
+        [(0.0, 100, "tolerance"), (-1e-3, 100, "tolerance"), (1e-3, 1, "2 replicates")],
+    )
+    def test_bad_budget_raises(self, tol, replicates, match):
+        a = DirichletParams((1, 1))
+        h = st.attach_mean(mono(1), a)
+        with pytest.raises(st.SteinError, match=match):
+            st.stein_level_sums([a], [[h]], [0.5], replicates, RngStream(1), tol=tol)
 
     def test_duplicate_tags_raise(self):
         a = DirichletParams((1, 1))
