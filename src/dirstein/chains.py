@@ -7,9 +7,11 @@ by independent per-child mutation:
 
 * Wright-Fisher: X' is multinomial with success probabilities
   q_j(X) = sum_k p_kj X_k / N;
-* general: an exchangeable offspring vector V is drawn, assigned to a
-  uniformly permuted parent labeling, and every child mutates independently
-  given its parent's type.
+* general: an exchangeable offspring vector V is drawn and every child
+  mutates independently given its parent's type.  Only the offspring
+  totals of the type groups matter, and by exchangeability the total of
+  any fixed block of x parents has the law of the total of a uniformly
+  chosen x-subset, so the parents of each type take consecutive slots of V.
 
 Stationary samples come from one of two samplers, picked by the mutation
 matrix.  Under parent-independent mutation with rates pi summing to at most
@@ -35,12 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .mutation import MutationMatrix, transition_probs
-from .offspring import (
-    KIND_MORAN,
-    KIND_WRIGHT_FISHER,
-    OffspringModel,
-    sample_offspring,
-)
+from .offspring import KIND_WRIGHT_FISHER, OffspringModel, sample_offspring
 from .simplex import RngStream, SimplexPoint, as_generator
 
 BURN_IN_CAP = 10**7
@@ -140,63 +137,28 @@ def _batch_step_wf(g, counts, P, N):
     return _batch_multinomial(g, np.full(len(counts), N), q)[:, :-1]
 
 
-def _categorical(g, probs):
-    """One draw per row of probs (R, K)."""
-    u = g.random(len(probs))
-    cum = np.cumsum(probs, axis=1)
-    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
-
-
-def _batch_step_moran(g, counts, P, N):
-    # parent multiplicities reduce to counts + reproducer - dier; every one
-    # of the N children still mutates, so finish with per-type multinomials
+def _batch_step_cannings(g, counts, model, P, N):
+    # V is exchangeable, so type r's parents take the consecutive slots
+    # edges[r]..edges[r+1] and their offspring total is read off cumsum(V)
     R, Km1 = counts.shape
     K = Km1 + 1
+    csum = np.zeros((R, N + 1), dtype=np.int64)
+    np.cumsum(sample_offspring(model, g, size=R), axis=1, out=csum[:, 1:])
     full = np.column_stack([counts, N - counts.sum(axis=1)])
-    rep = _categorical(g, full / N)
-    minus = full.copy()
-    minus[np.arange(R), rep] -= 1  # dier drawn among the N-1 others
-    die = _categorical(g, minus / (N - 1))
-    n = full.copy()
-    n[np.arange(R), rep] += 1
-    n[np.arange(R), die] -= 1
+    edges = np.zeros((R, K + 1), dtype=np.int64)
+    np.cumsum(full, axis=1, out=edges[:, 1:])
+    n = np.diff(np.take_along_axis(csum, edges, axis=1), axis=1)
     child = np.zeros((R, K), dtype=np.int64)
     for r in range(K):
         child += _batch_multinomial(g, n[:, r], np.broadcast_to(P[r], (R, K)))
     return child[:, :-1]
 
 
-def _batch_step_cannings(g, counts, model, P, N):
-    R, Km1 = counts.shape
-    K = Km1 + 1
-    V = sample_offspring(model, g, size=R)
-    # uniform slot assignment: shuffle each row of V, then slice by counts
-    order = np.argsort(g.random((R, N)), axis=1)
-    Vs = np.take_along_axis(V, order, axis=1)
-    csum = np.cumsum(Vs, axis=1)
-    full = np.column_stack([counts, N - counts.sum(axis=1)])
-    edges = np.cumsum(full, axis=1)
-    child = np.zeros((R, K), dtype=np.int64)
-    prev = np.zeros(R, dtype=np.int64)
-    for r in range(K):
-        e = edges[:, r]
-        cur = np.where(
-            e > 0,
-            np.take_along_axis(csum, np.maximum(e - 1, 0)[:, None], axis=1)[:, 0],
-            0,
-        )
-        n_r = cur - prev
-        prev = cur
-        child += _batch_multinomial(g, n_r, np.broadcast_to(P[r], (R, K)))
-    return child[:, :-1]
-
-
 def _batch_step(g, counts, model: ChainModel, P):
-    # one kernel per chain type, explicit Wright-Fisher offspring included
+    # Wright-Fisher draws no offspring vector; Moran and every other
+    # exchangeable law share the group-total step
     if model.kind == KIND_WRIGHT_FISHER:
         return _batch_step_wf(g, counts, P, model.N)
-    if model.kind == KIND_MORAN:
-        return _batch_step_moran(g, counts, P, model.N)
     return _batch_step_cannings(g, counts, model.offspring, P, model.N)
 
 
@@ -212,7 +174,7 @@ def step_wright_fisher(x: ChainState, p: MutationMatrix, rng) -> ChainState:
 def step_cannings(
     x: ChainState, m: OffspringModel, p: MutationMatrix, rng
 ) -> ChainState:
-    """One general generation: offspring vector, permuted parent slots,
+    """One general generation: offspring vector, type-group totals,
     per-child mutation."""
     if p.K != x.K:
         raise ChainError("dimension mismatch")

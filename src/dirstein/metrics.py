@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .chains import ChainModel, StationaryRun, check_irreducible
 from .offspring import ENUMERATION_LIMIT, KIND_MORAN, KIND_WRIGHT_FISHER, enumerate_law
-from .simplex import DirichletParams, _rising, as_generator, dirichlet_sample
+from .simplex import DirichletParams, _falling, _rising, as_generator, dirichlet_sample
 from .stein import SteinError, TestFunction, attach_mean
 
 
@@ -41,13 +41,6 @@ def _mono_sup(c):
     if t == 0:
         return 1.0
     return float(np.prod([(ci / t) ** ci for ci in c if ci]))
-
-
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def _mono_seminorms(c):
@@ -768,28 +761,6 @@ def _wf_matrix(model: ChainModel, states):
     return P
 
 
-def _moran_k2_matrix(model: ChainModel):
-    N = model.N
-    Pm = model.mutation.array()
-    P = np.zeros((N + 1, N + 1))
-    lgfact = _log_factorials(N)
-
-    def child_row(m1):
-        return np.convolve(
-            _binom_pmf(m1, Pm[0, 0], N + 1, lgfact),
-            _binom_pmf(N - m1, Pm[1, 0], N + 1, lgfact),
-        )[: N + 1]
-
-    for x in range(N + 1):
-        swap = x * (N - x) / (N * (N - 1))
-        row = (1.0 - 2.0 * swap) * child_row(x)
-        if swap > 0.0:
-            row = row + swap * (child_row(x + 1) + child_row(x - 1))
-        P[x] = row
-    P /= P.sum(axis=1, keepdims=True)
-    return P
-
-
 def _distinct_rows(v):
     """Distinct arrangements of the multiset v, all equally likely under
     a uniform permutation."""
@@ -827,17 +798,47 @@ def _mutation_conv(mvec, Pm, N, K, lgfact):
     return grid
 
 
-def _cannings_matrix(model: ChainModel, states):
-    N, K = model.N, model.K
-    Pm = model.mutation.array()
-    # every distinct slot arrangement with its weight, as cumulative sums
+def _moran_groups(x):
+    """Group totals of one Moran generation from the type counts x: a
+    uniform ordered pair of distinct parents (reproducer of type a, dier
+    of type b) gives M = x + e_a - e_b with probability
+    x_a (x_b - [a = b]) / (N (N - 1)), so M = x whenever a = b."""
+    N, K = int(x.sum()), len(x)
+    step = np.eye(K, dtype=np.int64)
+    m = x + (step[:, None, :] - step[None, :, :]).reshape(K * K, K)
+    w = (np.outer(x, x) - np.diag(x)).ravel() / (N * (N - 1))
+    live = w > 0.0
+    return m[live], w[live]
+
+
+def _enumerated_groups(offspring):
+    """Group totals by enumeration: every distinct slot arrangement of
+    every offspring multiset, with its weight, read off at the group
+    edges of x."""
     cums, weights = [], []
-    for v, p in enumerate_law(model.offspring):
+    for v, p in enumerate_law(offspring):
         arr = _distinct_rows(v)
         cums.append(np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)]))
         weights.append(np.full(len(arr), float(p) / len(arr)))
     cum = np.concatenate(cums)
     weight = np.concatenate(weights)
+
+    def groups(x):
+        edges = np.concatenate([[0], np.cumsum(x)])
+        return cum[:, edges[1:]] - cum[:, edges[:-1]], weight
+
+    return groups
+
+
+def _cannings_matrix(model: ChainModel, states):
+    """Rows of a Cannings chain: the law of the type-group offspring totals
+    M given x, then per-child mutation of each group (P = A B)."""
+    N, K = model.N, model.K
+    Pm = model.mutation.array()
+    if model.kind == KIND_MORAN:
+        groups = _moran_groups
+    else:
+        groups = _enumerated_groups(model.offspring)
     # group-count rows are keyed as mixed-radix integers in base N + 1
     radix = (N + 1) ** np.arange(K, dtype=np.int64)
     S = len(states)
@@ -846,8 +847,7 @@ def _cannings_matrix(model: ChainModel, states):
     lgfact = _log_factorials(N)
     conv_cache: dict = {}
     for xi in range(S):
-        edges = np.concatenate([[0], np.cumsum(full[xi])])
-        m = cum[:, edges[1:]] - cum[:, edges[:-1]]
+        m, weight = groups(full[xi])
         codes, inverse = np.unique(m @ radix, return_inverse=True)
         mweights = np.bincount(inverse.ravel(), weights=weight)
         row = np.zeros(S)
@@ -892,11 +892,13 @@ def _solve_stationary(P):
 def exact_stationary(model: ChainModel) -> StationaryTable:
     """Exact stationary law by dense linear algebra on the state grid.
 
-    Wright-Fisher rows are multinomial at any size that fits in memory;
-    the one-swap kernel with two types gets exact rows at any N; other
-    kernels go through full offspring-law enumeration and are gated at
-    N <= 8.  State counts beyond the dense-matrix cap of 6e3 are refused
-    rather than approximated.
+    Wright-Fisher rows are multinomial at any size that fits in memory.
+    Every other kernel's rows mix the mutation of the type-group offspring
+    totals over their law, which is closed form for Moran (one reproducer
+    and one dier) and comes from full offspring-law enumeration otherwise.
+    Moran with two types is served at any N; every other case is gated at
+    N <= 8.  State counts beyond the dense-matrix cap of 6e3 are
+    refused rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
@@ -906,9 +908,7 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     states = _state_grid(N, K)
     if model.kind == KIND_WRIGHT_FISHER:
         P = _wf_matrix(model, states)
-    elif model.kind == KIND_MORAN and K == 2:
-        P = _moran_k2_matrix(model)
-    elif N <= ENUMERATION_LIMIT:
+    elif N <= ENUMERATION_LIMIT or (model.kind == KIND_MORAN and K == 2):
         P = _cannings_matrix(model, states)
     else:
         raise MetricsError(

@@ -25,6 +25,7 @@ rational arithmetic for every family.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simplex import as_generator
+from .simplex import _falling, _rising, as_generator
 
 KIND_WRIGHT_FISHER = "wright-fisher"
 KIND_MORAN = "moran"
@@ -44,20 +45,6 @@ ENUMERATION_LIMIT = 8  # exact enumeration over multisets up to this N
 
 class OffspringError(ValueError):
     pass
-
-
-def _rising(v, k):
-    out = Fraction(1)
-    for t in range(k):
-        out *= v + t
-    return out
-
-
-def _falling(v, k):
-    out = Fraction(1)
-    for t in range(k):
-        out *= v - t
-    return out
 
 
 @dataclass(frozen=True)
@@ -212,6 +199,38 @@ def _orderings(counts) -> int:
     return factorial(n) // denom
 
 
+def _distinct_sum(left, terms, t=0):
+    """Sum over ordered tuples of distinct coordinates, from position t on,
+    of prod_t terms[t][j] for the count class j of each coordinate.  left[j]
+    coordinates of class j are still free, so picking class j can be done
+    in left[j] ways."""
+    if t == len(terms):
+        return 1
+    s = 0
+    for j, c in enumerate(left):
+        if c and terms[t][j]:
+            left[j] = c - 1
+            s += c * terms[t][j] * _distinct_sum(left, terms, t + 1)
+            left[j] = c
+    return s
+
+
+def _distinct_moment(m: OffspringModel, fn, orders) -> Fraction:
+    """Exact E[prod_t fn(V_t, k_t)] over r = len(orders) distinct
+    coordinates, symmetrized over position assignments.
+
+    Coordinates with equal counts give equal terms, so each multiset is
+    summed over its c classes of equal counts, not over its coordinates:
+    at most c^r terms instead of N!/(N-r)!."""
+    total = Fraction(0)
+    norm = _falling(Fraction(m.N), len(orders))
+    for counts, prob in enumerate_law(m):
+        mult = Counter(counts)
+        terms = [[fn(v, k) for v in mult] for k in orders]
+        total += prob * Fraction(_distinct_sum(list(mult.values()), terms)) / norm
+    return total
+
+
 def ordered_moment(m: OffspringModel, powers: Sequence[int]) -> Fraction:
     """Exact E[V_1^{p_1} ... V_r^{p_r}] over r distinct coordinates.
 
@@ -219,20 +238,9 @@ def ordered_moment(m: OffspringModel, powers: Sequence[int]) -> Fraction:
     any exchangeable law given per multiset.
     """
     powers = tuple(int(p) for p in powers)
-    r = len(powers)
-    if r > m.N:
-        raise OffspringError(f"{r} distinct coordinates exceed N={m.N}")
-    total = Fraction(0)
-    norm = _falling(Fraction(m.N), r)
-    for counts, prob in enumerate_law(m):
-        s = 0
-        for idx in itertools.permutations(range(m.N), r):
-            term = 1
-            for t, i in enumerate(idx):
-                term *= counts[i] ** powers[t]
-            s += term
-        total += prob * Fraction(s) / norm
-    return total
+    if len(powers) > m.N:
+        raise OffspringError(f"{len(powers)} distinct coordinates exceed N={m.N}")
+    return _distinct_moment(m, pow, powers)
 
 
 def mc_ordered_moment(m: OffspringModel, powers: Sequence[int], rng, samples: int):
@@ -276,31 +284,15 @@ def moments(m: OffspringModel) -> OffspringMoments:
         gamma = _falling(Fraction(N), 4) * _rising(phi, 2) ** 2 / _rising(Np, 4)
         delta = _falling(Fraction(N), 4) * _rising(phi, 4) / _rising(Np, 4)
     elif m.kind == KIND_EXPLICIT:
-        alpha = _table_factorial(m, (2,))
-        beta = _table_factorial(m, (3,))
-        gamma = _table_factorial(m, (2, 2)) if N >= 2 else Fraction(0)
-        delta = _table_factorial(m, (4,))
+        alpha, beta, gamma, delta = (
+            _distinct_moment(m, _falling, orders)
+            for orders in ((2,), (3,), (2, 2), (4,))
+        )
     else:
         raise OffspringError(f"unknown kind {m.kind}")
     if alpha == 0:
         raise OffspringError("degenerate law: alpha = 0, no pair mergers ever")
     return OffspringMoments(alpha, beta, gamma, delta)
-
-
-def _table_factorial(m: OffspringModel, orders) -> Fraction:
-    """E[prod (V_t)_{(k_t) falling}] over distinct coordinates for a table law."""
-    r = len(orders)
-    total = Fraction(0)
-    norm = _falling(Fraction(m.N), r)
-    for counts, prob in enumerate_law(m):
-        s = Fraction(0)
-        for idx in itertools.permutations(range(m.N), r):
-            term = 1
-            for t, i in enumerate(idx):
-                term *= int(_falling(Fraction(counts[i]), orders[t]))
-            s += term
-        total += prob * s / norm
-    return total
 
 
 # The ten product-moment identities expressible through (alpha, beta, gamma,
@@ -399,7 +391,11 @@ def verify_moment_identities(
 
 
 def sample_offspring(m: OffspringModel, rng, size: int | None = None):
-    """Draw offspring vectors; shape (N,) or (size, N)."""
+    """Draw offspring vectors; shape (N,) or (size, N).
+
+    Each vector is exchangeable, with every ordering of its multiset
+    equally likely: the forward chain step gives each type's parents
+    consecutive coordinates of V and relies on this."""
     g = as_generator(rng)
     one = size is None
     S = 1 if one else int(size)

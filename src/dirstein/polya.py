@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import BoundReport, theorem4_bound
-from .chains import _batch_multinomial, _categorical
+from .chains import _batch_multinomial
 from .metrics import (
     GapEstimate,
     attach_exact_means,
@@ -29,7 +29,7 @@ from .metrics import (
     make_battery,
     smooth_gap,
 )
-from .simplex import DirichletParams, as_generator, dirichlet_mixed_moment
+from .simplex import DirichletParams, _falling, _rising, as_generator, dirichlet_mixed_moment
 
 # exact pair verification enumerates reachable count vectors; beyond this
 # the K^n draw tree stops being worth collapsing and MC takes over
@@ -39,6 +39,13 @@ EXACT_COLORS_LIMIT = 3
 
 class PolyaError(ValueError):
     pass
+
+
+def _categorical(g, probs):
+    """One draw per row of probs (R, K)."""
+    u = g.random(len(probs))
+    cum = np.cumsum(probs, axis=1)
+    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
 
 
 def _params(a) -> DirichletParams:
@@ -180,13 +187,6 @@ def resample_pair(state: UrnState, rng):
 # exact moments of the urn law
 
 
-def _falling(n, r: int):
-    out = Fraction(1) if isinstance(n, Fraction) else 1.0
-    for t in range(r):
-        out *= n - t
-    return out
-
-
 def _stirling2_row(c: int):
     """S(c, r) for r = 0..c (partitions of c items into r blocks)."""
     row = [1] + [0] * c
@@ -214,22 +214,21 @@ def urn_mixed_moment(a, n: int, exponents):
         raise PolyaError("exponents must be non-negative")
     if n < 1:
         raise PolyaError("n must be >= 1")
-    exact = all(isinstance(v, (int, Fraction)) for v in p.a)
-    one = Fraction(1) if exact else 1.0
+    num = Fraction if all(isinstance(v, (int, Fraction)) for v in p.a) else float
     rows = [_stirling2_row(ci) for ci in c]
-    total = 0 * one
+    total = num(0)
     for rvec in _exponent_grid(c):
-        coef = one
+        coef = num(1)
         for ci_row, r in zip(rows, rvec):
             coef *= ci_row[r]
         if coef == 0:
             continue
         R = sum(rvec)
-        term = coef * _falling(Fraction(n) if exact else float(n), R)
+        term = coef * _falling(num(n), R)
         for ai, r in zip(p.a, rvec):
-            term *= _rising_any(ai, r, exact)
-        total += term / _rising_any(p.s, R, exact)
-    return total / (Fraction(n) if exact else float(n)) ** sum(c)
+            term *= _rising(num(ai), r)
+        total += term / _rising(num(p.s), R)
+    return total / num(n) ** sum(c)
 
 
 def _exponent_grid(c):
@@ -239,14 +238,6 @@ def _exponent_grid(c):
     for head in range(c[0] + 1):
         for rest in _exponent_grid(c[1:]):
             yield (head,) + rest
-
-
-def _rising_any(v, k: int, exact: bool):
-    out = Fraction(1) if exact else 1.0
-    v = v if exact else float(v)
-    for t in range(k):
-        out *= v + t
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,19 @@ def dirichlet_sample(p: DirichletParams, rng, size: int | None = None):
 
 
 def _rising(v, k: int):
+    """v (v+1) ... (v+k-1) in v's own arithmetic: a Fraction stays exact
+    and a float stays a float (the empty product is the int 1)."""
     out = 1
     for t in range(k):
         out = out * (v + t)
+    return out
+
+
+def _falling(v, k: int):
+    """v (v-1) ... (v-k+1), typed as _rising."""
+    out = 1
+    for t in range(k):
+        out = out * (v - t)
     return out
 
 

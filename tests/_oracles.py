@@ -2,7 +2,8 @@
 
 Everything here is derived by a different route than the library uses:
 level means of monomials come from a rising-to-falling factorial basis
-change, so agreement with the sampling engines is a real cross-check.
+change, so agreement with the sampling engines is a real cross-check, and
+offspring moments come from a loop over every tuple of coordinates.
 """
 
 import itertools
@@ -48,6 +49,26 @@ def level_mean_monomial(c, a1, s, n_arr, x):
     for t in range(c):
         den *= s + n_arr + t
     return num / den
+
+
+def distinct_moment_bruteforce(law, N, fn, orders):
+    """E[prod_t fn(V_{i_t}, k_t)] over r = len(orders) distinct coordinates
+    of an exchangeable law given as (count multiset, probability) pairs, by
+    the plain loop over all N!/(N-r)! ordered coordinate tuples."""
+    from fractions import Fraction
+
+    r = len(orders)
+    total = Fraction(0)
+    norm = math.perm(N, r)
+    for counts, prob in law:
+        s = 0
+        for idx in itertools.permutations(range(N), r):
+            term = 1
+            for i, k in zip(idx, orders):
+                term *= fn(counts[i], k)
+            s += term
+        total += prob * Fraction(s, norm)
+    return total
 
 
 def solution_partial_monomial(c, a, x, M):

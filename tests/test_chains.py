@@ -15,8 +15,7 @@ from dirstein.chains import (
     ChainModel,
     ChainState,
     StationaryRun,
-    _batch_step_cannings,
-    _batch_step_moran,
+    _batch_step,
     check_genealogy,
     check_irreducible,
     default_burn_in,
@@ -26,7 +25,7 @@ from dirstein.chains import (
     uses_genealogy,
     verify_conditional_moments_wf,
 )
-from dirstein.metrics import exact_stationary
+from dirstein.metrics import _cannings_matrix, _state_grid, exact_stationary
 from dirstein.mutation import MutationMatrix
 from dirstein.offspring import OffspringModel
 from dirstein.simplex import RngStream
@@ -99,6 +98,40 @@ class TestStepWrightFisher:
             step_wright_fisher(ChainState([1, 1], 5), IDENTITY2, RngStream(0))
 
 
+def _chi2_pvalue(rows, states, probs):
+    """Pearson chi-square of the count rows drawn against the law probs on
+    the state grid; the least likely states are pooled into one cell that
+    expects at least 5 draws."""
+    index = {tuple(int(c) for c in row): i for i, row in enumerate(states)}
+    observed = np.zeros(len(probs))
+    uniq, hits = np.unique(rows, axis=0, return_counts=True)
+    for row, h in zip(uniq, hits):
+        observed[index[tuple(int(c) for c in row)]] += h
+    expected = probs * len(rows)
+    order = np.argsort(expected)
+    cut = int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1
+    pooled, rest = order[:cut], order[cut:]
+    o = np.append(observed[rest], observed[pooled].sum())
+    e = np.append(expected[rest], expected[pooled].sum())
+    stat = float(((o - e) ** 2 / e).sum())
+    return scipy_stats.chi2.sf(stat, len(o) - 1)
+
+
+# (chain, start counts) for one forward step against its exact row
+_ONE_STEP_CASES = {
+    "dm-k3-n6": (ChainModel(6, CYCLIC3, OffspringModel.dirichlet_multinomial(6, F(1, 2))), (2, 3)),
+    "explicit-k2-n4": (
+        ChainModel(
+            4,
+            MutationMatrix.pim([F(1, 10), F(1, 5)]),
+            OffspringModel.explicit(4, {(0, 0, 1, 3): F(1, 2), (0, 1, 1, 2): F(1, 2)}),
+        ),
+        (1,),
+    ),
+    "moran-k3-n6": (ChainModel(6, CYCLIC3, OffspringModel.moran(6)), (1, 2)),
+}
+
+
 class TestStepCannings:
     def test_moran_absorbing(self):
         x = ChainState([6], 6)
@@ -146,21 +179,19 @@ class TestStepCannings:
             nxt = step_cannings(x, table, mut, RngStream(trial, (5,)))
             assert sum(nxt.full) == 4
 
-    def test_moran_fast_path_matches_generic(self):
-        # the dedicated moran kernel against the permutation-based generic one
-        N = 10
-        mut = MutationMatrix.pim([F(1, 10), F(1, 5)])
-        m = OffspringModel.moran(N)
-        P = mut.array()
-        counts = np.tile([4], (6000, 1)).astype(np.int64)
-        ga = RngStream(71).gen
-        gb = RngStream(72).gen
-        fast = _batch_step_moran(ga, counts, P, N)
-        slow = _batch_step_cannings(gb, counts, m, P, N)
-        for arr_fn in (lambda v: v, lambda v: v**2):
-            da, db = arr_fn(fast.astype(float)), arr_fn(slow.astype(float))
-            se = np.sqrt(da.var(axis=0) / len(da) + db.var(axis=0) / len(db))
-            assert (np.abs(da.mean(axis=0) - db.mean(axis=0)) < 4 * se + 1e-9).all()
+    @pytest.mark.parametrize("name", sorted(_ONE_STEP_CASES))
+    def test_one_step_follows_the_exact_rows(self, name):
+        """One forward step from x against its exact row.  The step gives
+        each type's parents consecutive slots of V, which has the row's law
+        only because sample_offspring draws exchangeable vectors: every
+        ordering of a drawn multiset equally likely.  This guards that
+        invariant; p < 1e-4 fails."""
+        model, x = _ONE_STEP_CASES[name]
+        states = _state_grid(model.N, model.K)
+        row = _cannings_matrix(model, states)[np.flatnonzero((states == x).all(axis=1))[0]]
+        counts = np.tile(x, (200_000, 1)).astype(np.int64)
+        nxt = _batch_step(RngStream(91).gen, counts, model, model.mutation.array())
+        assert _chi2_pvalue(nxt, states, row) > 1e-4
 
 
 class TestIrreducibility:
@@ -265,24 +296,6 @@ class TestRunToStationarity:
         assert np.abs(run.samples.mean(axis=0) - 1 / 3).max() < 0.025
 
 
-def _chi2_pvalue(run, table):
-    """Pearson chi-square of the run's state counts against the exact
-    stationary table; the least likely states are pooled into one cell
-    that expects at least 5 draws."""
-    index = {tuple(int(c) for c in row): i for i, row in enumerate(table.counts)}
-    observed = np.zeros(len(table.probs))
-    for row in np.rint(run.samples * table.N).astype(np.int64):
-        observed[index[tuple(row)]] += 1
-    expected = table.probs * run.n
-    order = np.argsort(expected)
-    cut = int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1
-    pooled, rest = order[:cut], order[cut:]
-    o = np.append(observed[rest], observed[pooled].sum())
-    e = np.append(expected[rest], expected[pooled].sum())
-    stat = float(((o - e) ** 2 / e).sum())
-    return scipy_stats.chi2.sf(stat, len(o) - 1)
-
-
 # (chain, draws): draw counts keep each case near a second of sampling
 _GENEALOGY_CASES = {
     "wf-k2-n20": (ChainModel(20, MutationMatrix.pim([F(3, 80), F(5, 80)])), 40_000),
@@ -311,7 +324,9 @@ class TestGenealogy:
         model, n = _GENEALOGY_CASES[name]
         run = run_to_stationarity(model, n, RngStream(61))
         assert run.meta["sampler"] == "genealogy"
-        assert _chi2_pvalue(run, exact_stationary(model)) > 1e-4
+        table = exact_stationary(model)
+        draws = np.rint(run.samples * table.N).astype(np.int64)
+        assert _chi2_pvalue(draws, table.counts, table.probs) > 1e-4
 
     def test_provenance(self):
         model = ChainModel(20, MutationMatrix.pim([F(1, 40), F(1, 40)]))

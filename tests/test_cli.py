@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +525,20 @@ class TestOtherCommands:
             'kind = "moments-verify"\nmodel.N = 6\nmodel.offspring = "moran"\nseed = 1\n',
         )
         assert main(["moments", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[exact]") == 10 and "passed = true" in out
+
+    def test_moments_large_moran_is_quick(self, tmp_path, capsys):
+        # exact identities sum over the three count values of the Moran
+        # multiset, not over the N^4 coordinate tuples
+        cfg = write_cfg(
+            tmp_path,
+            "c.cfg",
+            'kind = "moments-verify"\nmodel.N = 1000\nmodel.offspring = "moran"\nseed = 1\n',
+        )
+        t0 = time.perf_counter()
+        assert main(["moments", "--config", cfg]) == 0
+        assert time.perf_counter() - t0 < 5.0
         out = capsys.readouterr().out
         assert out.count("[exact]") == 10 and "passed = true" in out
 

@@ -368,6 +368,28 @@ class TestConvexProbe:
 # ---------------------------------------------------------------------------
 
 
+def _moran_and_table():
+    """Moran chains at K=2 N=7 and K=3 N=5, 8, each with the same chain
+    driven by an explicit table that holds the Moran multiset."""
+    cyclic = MutationMatrix(
+        [
+            [F(9, 10), F(3, 50), F(1, 25)],
+            [F(1, 50), F(9, 10), F(2, 25)],
+            [F(1, 20), F(3, 100), F(23, 25)],
+        ]
+    )
+    out = []
+    for mut, N in ((MutationMatrix.pim([F(1, 10), F(1, 20)]), 7), (cyclic, 5), (cyclic, 8)):
+        multiset = (0, 2) + (1,) * (N - 2)
+        out.append(
+            (
+                ChainModel(N, mut, OffspringModel.moran(N)),
+                ChainModel(N, mut, OffspringModel.explicit(N, {multiset: 1})),
+            )
+        )
+    return out
+
+
 class TestExactStationary:
     def test_single_individual_symmetric(self):
         tab = exact_stationary(ChainModel(1, MutationMatrix.pim([F(1, 2), F(1, 2)])))
@@ -401,13 +423,12 @@ class TestExactStationary:
         assert np.max(np.abs(direct.probs - enum)) < 1e-12
 
     def test_moran_fast_equals_enumerated(self):
-        from dirstein.metrics import _cannings_matrix, _solve_stationary, _state_grid
-
-        pim = pim_for((1, 1), 6)
-        model = ChainModel(6, pim, OffspringModel.moran(6))
-        fast = exact_stationary(model)
-        pi, _ = _solve_stationary(_cannings_matrix(model, _state_grid(6, 2)))
-        assert np.max(np.abs(fast.probs - pi)) < 1e-12
+        # the Moran closed form against an explicit table holding the Moran
+        # multiset, which goes through enumeration
+        for model, table in _moran_and_table():
+            fast = exact_stationary(model)
+            enum = exact_stationary(table)
+            assert np.max(np.abs(fast.probs - enum.probs)) < 1e-12
 
     @pytest.mark.parametrize("K, N", [(2, 6), (3, 5)])
     def test_enumerated_rows_match_multinomial_rows(self, K, N):
@@ -420,11 +441,13 @@ class TestExactStationary:
         assert np.max(np.abs(enum - direct)) < 1e-12
 
     def test_enumerated_rows_match_moran_rows(self):
-        from dirstein.metrics import _cannings_matrix, _moran_k2_matrix, _state_grid
+        from dirstein.metrics import _cannings_matrix, _state_grid
 
-        model = ChainModel(7, MutationMatrix.pim([F(1, 10), F(1, 20)]), OffspringModel.moran(7))
-        enum = _cannings_matrix(model, _state_grid(7, 2))
-        assert np.max(np.abs(enum - _moran_k2_matrix(model))) < 1e-12
+        for model, table in _moran_and_table():
+            states = _state_grid(model.N, model.K)
+            fast = _cannings_matrix(model, states)
+            enum = _cannings_matrix(table, states)
+            assert np.max(np.abs(fast - enum)) < 1e-12
 
     def test_k3_table_is_proper(self):
         tab = exact_stationary(ChainModel(8, pim_for((1, 1, 1), 8)))

@@ -13,6 +13,7 @@ from dirstein.offspring import (
     IdentityCheck,
     OffspringError,
     OffspringModel,
+    _identity_rows,
     aggregate_moments,
     enumerate_law,
     mc_ordered_moment,
@@ -22,7 +23,8 @@ from dirstein.offspring import (
     sample_offspring,
     verify_moment_identities,
 )
-from dirstein.simplex import RngStream
+from dirstein.simplex import RngStream, _falling
+from _oracles import distinct_moment_bruteforce
 
 # Hand-computed values, frozen.
 WF4_ALPHA = Fraction(3, 4)
@@ -236,6 +238,34 @@ class TestIdentities:
         moran4 = OffspringModel.moran(4)
         assert ordered_moment(moran4, (1, 1)) == MORAN4_EV1V2
         assert ordered_moment(moran4, (2,)) == MORAN4_EV1SQ
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            OffspringModel.dirichlet_multinomial(8, Fraction(1, 3)),
+            OffspringModel.wright_fisher(7),
+            OffspringModel.moran(12),
+            OffspringModel.explicit(4, {(0, 0, 1, 3): Fraction(1, 2), (0, 1, 1, 2): Fraction(1, 2)}),
+            OffspringModel.explicit(
+                6, {(0, 0, 0, 2, 2, 2): Fraction(1, 3), (0, 0, 1, 1, 1, 3): Fraction(2, 3)}
+            ),
+        ],
+        ids=["dm8", "wf7", "moran12", "table4", "table6"],
+    )
+    def test_value_classes_match_permutation_loop(self, m):
+        # every identity's powers, and the falling orders behind alpha..delta
+        law = list(enumerate_law(m))
+        for _, powers, _ in _identity_rows(m.N, moments(m)):
+            assert ordered_moment(m, powers) == distinct_moment_bruteforce(
+                law, m.N, pow, powers
+            ), powers
+        mom = moments(m)
+        if m.kind == "explicit-table":
+            fall = [
+                distinct_moment_bruteforce(law, m.N, _falling, orders)
+                for orders in ((2,), (3,), (2, 2), (4,))
+            ]
+            assert [mom.alpha, mom.beta, mom.gamma, mom.delta] == fall
 
     def test_small_population_skips_flagged(self):
         checks = verify_moment_identities(OffspringModel.wright_fisher(2))
