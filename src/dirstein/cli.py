@@ -381,6 +381,11 @@ class _Experiment:
         mom = moments(self.offspring)
         self.offspring_moments = mom
         pi_exact = [_as_exact(v, "model.pi") for v in pi]
+        # the bound's a comes from model.pi, the chain from the matrix
+        if "model.mutation" in data and self.mutation.pim_rates != tuple(pi_exact):
+            raise ConfigError(
+                "model.mutation", "must be the parent-independent matrix of model.pi"
+            )
         avec = tuple(
             Fraction(2 * (self.N - 1)) * Fraction(p) / mom.alpha
             if isinstance(p, (int, Fraction)) and isinstance(mom.alpha, (int, Fraction))
@@ -716,9 +721,7 @@ def cmd_stein_f(data: dict) -> int:
         raise ConfigError("stein.x", str(e))
     exponents = tuple(int(v) for v in c)
     h = attach_mean(_monomial(exponents), exp.a)
-    schedule = DeathProcessSchedule.for_tolerance(
-        float(exp.a.s), h.sup_tilde, tol=1e-4
-    )
+    schedule = DeathProcessSchedule.for_tolerance(exp.a, h, tol=1e-4)
     rng = RngStream(exp.seed)
     per_level = max(exp.mc["samples"] // schedule.M, 100)
     est, se, trunc = solve_stein_f(exp.a, h, x, schedule, per_level, rng.child(0))

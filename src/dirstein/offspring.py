@@ -413,13 +413,12 @@ def sample_offspring(m: OffspringModel, rng, size: int | None = None):
         w /= w.sum(axis=1, keepdims=True)
         V = g.multinomial(N, w)
     elif m.kind == KIND_EXPLICIT:
-        keys = [np.array(k) for k, _ in m.table]
+        keys = np.array([k for k, _ in m.table], dtype=np.int64)
         probs = np.array([float(p) for _, p in m.table])
         probs = probs / probs.sum()
         idx = g.choice(len(keys), size=S, p=probs)
-        V = np.empty((S, N), dtype=np.int64)
-        for r in range(S):
-            V[r] = g.permutation(keys[idx[r]])
+        # one independent shuffle per row keeps every ordering equally likely
+        V = g.permuted(keys[idx], axis=1)
     else:
         raise OffspringError(f"unknown kind {m.kind}")
     return V[0] if one else V

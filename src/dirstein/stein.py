@@ -13,7 +13,17 @@ solution
 
 where Y_n is the holding time of a pure-death process at level n, with
 E Y_n = 2/(n(n-1+s)), and the level-n state is composed as
-N ~ MN_K(n; x), Z | N ~ Dir(a + N).  This module evaluates the operator,
+N ~ MN_K(n; x), Z | N ~ Dir(a + N).
+
+The sum is truncated at a level M.  The level-n state concentrates at x
+(E Z_n = (a + n x)/(s + n)), so the tail past M is h~(x) tail(M) plus a
+remainder, with tail(M) = sum_{n > M} E Y_n in closed form.  That leading
+term is added exactly.  A second-order Taylor expansion at x bounds
+|E h(Z_n) - h(x)| by C/(s+n) for every n > M and every x, so the
+remainder of f is at most C tail(M)/(2(s+M+1)) = O(1/M^2), and M grows
+like tol^(-1/2); the crude bound sup|h~| tail(M) caps it.
+
+This module evaluates the operator,
 checks the characterization on monomials, estimates f with one coupled
 Monte Carlo engine (shared noise across levels, points and parameter
 vectors, so that differences of f between nearby points have tiny
@@ -74,7 +84,7 @@ class TestFunction:
     mean: float | None = None
     mean_se: float = 0.0
     # certified range of h over the simplex, when known; tightens the
-    # centered sup bound and with it the truncation levels
+    # centered sup bound, which only caps the truncation remainder
     value_range: tuple | None = None
 
     @property
@@ -392,6 +402,32 @@ def _tail_exact(M: int, s: float) -> float:
     return 2.0 * (head + rest)
 
 
+def remainder_rate(a: DirichletParams, h: TestFunction, M: int) -> float:
+    """C with |E h(Z_n) - h(x)| <= C/(s+n) for every level n > M and x.
+
+    Taylor at x over the free coordinates, T = s + n: the linear term is at
+    most |h|_1 |a - s x|_1 / T, the quadratic one (|h|_2/2) E|Z_n - x|_1^2
+    <= (|h|_2/2)(K-1) sum_i E(Z_n,i - x_i)^2, and each term of that sum is
+    at most 1/(4(T+1)) + 1/(4T) + (a_i - s x_i)^2/T^2 (the Beta variance
+    given the counts, the multinomial spread, the drift).  Both sums over
+    i are convex in x, so they are taken at their worst vertex.
+    """
+    s = float(a.s)
+    af = a.floats()[:-1]
+    d = len(af)
+    dev = af - s * np.vstack([np.zeros(d), np.eye(d)])
+    d1 = float(np.abs(dev).sum(axis=1).max())
+    d2 = float((dev * dev).sum(axis=1).max())
+    return h.h1 * d1 + 0.5 * h.h2 * d * (0.5 * d + d2 / (s + M + 1.0))
+
+
+def _tail_remainder(a: DirichletParams, h: TestFunction, M: int, tail: float) -> float:
+    """Bound on |f - (level sums to M) - leading term| at any x: half of
+    sum_{n > M} C/(s+n) E Y_n, capped by the crude sup|h~| tail(M)."""
+    C = remainder_rate(a, h, M)
+    return tail * min(C / (2.0 * (float(a.s) + M + 1.0)), h.sup_tilde)
+
+
 @dataclass(frozen=True)
 class DeathProcessSchedule:
     """Holding-time means E Y_n = 2/(n(n-1+s)) up to level M with the exact
@@ -404,17 +440,29 @@ class DeathProcessSchedule:
 
     @classmethod
     def for_tolerance(
-        cls, s, sup_h_tilde: float, tol: float = DEFAULT_TRUNCATION_TOL
+        cls, a: DirichletParams, h: TestFunction, tol: float = DEFAULT_TRUNCATION_TOL
     ) -> "DeathProcessSchedule":
-        """Choose M so that sup|h~| x tail(M) <= tol (tail(M) <= 2/M)."""
-        s = float(s)
-        if s <= 0:
-            raise SteinError("s must be positive")
-        if tol <= 0:
+        """The smallest M >= 8 whose certified remainder for h under Dir(a)
+        is at most tol.  The remainder falls with M, so M is bisected."""
+        if not tol > 0:
             raise SteinError("tolerance must be positive")
-        sup = max(float(sup_h_tilde), 0.0)
-        M = max(int(math.ceil(2.0 * sup / tol)), 8)
-        return cls.with_levels(s, M)
+        s = float(a.s)
+
+        def charge(M):
+            return _tail_remainder(a, h, M, _tail_exact(M, s))
+
+        if not math.isfinite(charge(8)):
+            raise SteinError(f"{h.tag}: no finite truncation bound")
+        lo = hi = 8
+        while charge(hi) > tol:
+            lo, hi = hi + 1, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if charge(mid) <= tol:
+                hi = mid
+            else:
+                lo = mid + 1
+        return cls.with_levels(s, hi)
 
     @classmethod
     def with_levels(cls, s, M: int) -> "DeathProcessSchedule":
@@ -425,6 +473,11 @@ class DeathProcessSchedule:
     @property
     def total(self) -> float:
         return float(self.ey.sum())
+
+    def remainder(self, a: DirichletParams, h: TestFunction) -> float:
+        """Certified bound on the error of f truncated at M plus its
+        leading tail term, at every point."""
+        return _tail_remainder(a, h, self.M, self.tail)
 
     def check_params(self, a: DirichletParams):
         if abs(self.s - float(a.s)) > 1e-9:
@@ -476,7 +529,9 @@ def solve_stein_f(
 @dataclass(frozen=True)
 class LevelSums:
     """Per-replicate weighted level sums for a grid of points, parameter
-    vectors, and test functions, ready for coupled estimates."""
+    vectors, and test functions, ready for coupled estimates.  Each f
+    estimate adds the exact leading tail term and is charged only the
+    certified remainder."""
 
     points: tuple
     params: tuple
@@ -485,6 +540,8 @@ class LevelSums:
     levels: np.ndarray  # (A, H) truncation level per (params, h)
     ey_sums: np.ndarray  # (A, H) sum of E Y_n up to the level
     tails: np.ndarray  # (A, H) exact tail mass past the level
+    lead: np.ndarray  # (P, A, H) leading tail term h~(x_p) tail
+    rem: np.ndarray  # (A, H) certified remainder of each f value
 
     @property
     def replicates(self) -> int:
@@ -492,7 +549,7 @@ class LevelSums:
 
     def _meta(self, ai, hi):
         h = self.battery[ai][hi]
-        return h.mean, h.mean_se, h.sup_tilde
+        return h.mean, h.mean_se
 
     def f_hat(self, p: int, ai: int, hi: int):
         """(estimate, stderr, truncation bound) of f at grid point p."""
@@ -503,18 +560,18 @@ class LevelSums:
 
         weights: {point index: coefficient}.  Centering uses the exact
         coefficient sum, so it cancels for contrasts."""
-        mean, mean_se, sup_t = self._meta(ai, hi)
+        mean, mean_se = self._meta(ai, hi)
         acc = np.zeros(self.replicates)
-        wsum = 0.0
+        wsum = lead = 0.0
         for p, wp in weights.items():
             acc += wp * self.S[:, p, ai, hi]
+            lead += wp * self.lead[p, ai, hi]
             wsum += wp
-        vals = -(acc - wsum * mean * self.ey_sums[ai, hi]) / 2.0
+        vals = -(acc + lead - wsum * mean * self.ey_sums[ai, hi]) / 2.0
         se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-        se = math.hypot(se, abs(wsum) * mean_se * self.ey_sums[ai, hi] / 2.0)
-        trunc = sum(abs(wp) for wp in weights.values()) * sup_t * float(
-            self.tails[ai, hi]
-        )
+        mass = self.ey_sums[ai, hi] + self.tails[ai, hi]
+        se = math.hypot(se, abs(wsum) * mean_se * mass / 2.0)
+        trunc = sum(abs(wp) for wp in weights.values()) * float(self.rem[ai, hi])
         return float(vals.mean()), se, trunc
 
     def f_diff(self, p: int, q: int, ai: int, hi: int):
@@ -642,7 +699,8 @@ def stein_level_sums(
     exponentials per replicate, so contrasts between grid points (slopes,
     second differences, operator stencils) come out with strongly reduced
     variance.  Truncation levels are per (params, h), from
-    DeathProcessSchedule.for_tolerance (or levels_override for all).
+    DeathProcessSchedule.for_tolerance (or levels_override for all), and
+    each carries its leading tail term and certified remainder.
     """
     A = len(params_list)
     if len(battery_list) != A:
@@ -677,7 +735,7 @@ def stein_level_sums(
         [
             DeathProcessSchedule.with_levels(a.s, levels_override)
             if levels_override is not None
-            else DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol)
+            else DeathProcessSchedule.for_tolerance(a, h, tol)
             for h in bat
         ]
         for a, bat in zip(params_list, battery_list)
@@ -685,6 +743,17 @@ def stein_level_sums(
     levels = np.array([[sc.M for sc in row] for row in scheds], dtype=np.int64)
     ey_sums = np.array([[sc.total for sc in row] for row in scheds])
     tails = np.array([[sc.tail for sc in row] for row in scheds])
+    rem = np.array(
+        [
+            [sc.remainder(a, h) for sc, h in zip(row, bat)]
+            for row, a, bat in zip(scheds, params_list, battery_list)
+        ]
+    )
+    xs = np.array(pts, dtype=np.float64)
+    h_tilde = np.array(
+        [[np.asarray(h.fn(xs), dtype=np.float64) - h.mean for h in bat] for bat in battery_list]
+    )
+    lead = h_tilde.transpose(2, 0, 1) * tails
     M_max = int(levels.max())
     ey_by_a = [
         DeathProcessSchedule.with_levels(a.s, M_max).ey.astype(np.float32)
@@ -781,6 +850,8 @@ def stein_level_sums(
         levels=levels,
         ey_sums=ey_sums,
         tails=tails,
+        lead=lead,
+        rem=rem,
     )
 
 

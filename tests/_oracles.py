@@ -71,6 +71,57 @@ def distinct_moment_bruteforce(law, N, fn, orders):
     return total
 
 
+def level_mean_trig(kind, w, a1, s, n_arr, x):
+    """E[cos(w Z)] or E[sin(w Z)] at level n for two types, from the
+    Taylor series over level_mean_monomial, summed until the coefficient
+    drops below 1e-17."""
+    total = np.full(np.shape(n_arr), 1.0 if kind == "cos" else 0.0)
+    for c in itertools.count(1 if kind == "sin" else 2, 2):
+        coef = (-1) ** (c // 2) * w**c / math.factorial(c)
+        if abs(coef) <= 1e-17:
+            return total
+        total = total + coef * level_mean_monomial(c, a1, s, n_arr, x)
+
+
+def level_mean_piecewise(coeffs, support, a, x, n):
+    """E h(Z) at level n for two types with integer a, where h is the
+    polynomial sum_k coeffs[k] z^k on the interval `support` and 0 off it.
+
+    Given N = j, Z ~ Beta(p, q) with p = a1 + j, q = a2 + n - j, and
+    E[Z^k; Z <= t] = (p)_k/(p+q)_k P(Beta(p+k, q) <= t).  For integers
+    P(Beta(p, q) <= t) = P(Bin(p+q-1, t) >= p), and p + q does not depend
+    on j, so one binomial law per (k, t) serves every j."""
+    a1, a2 = int(a.a[0]), int(a.a[1])
+    s = a1 + a2
+    top = s + n + len(coeffs)
+    lg = np.array([math.lgamma(v + 1.0) for v in range(top + 1)])
+
+    def binom_pmf(N, t):
+        i = np.arange(N + 1)
+        return np.exp(lg[N] - lg[i] - lg[N - i] + i * math.log(t) + (N - i) * math.log1p(-t))
+
+    j = np.arange(n + 1)
+    wj = binom_pmf(n, x)
+    total = 0.0
+    for k, ck in enumerate(coeffs):
+        ratio = np.ones(n + 1)
+        for u in range(k):
+            ratio *= (a1 + j + u) / (s + n + u)
+        mass = 0.0
+        for t, sign in zip(support, (-1.0, 1.0)):
+            upper = np.cumsum(binom_pmf(s + n + k - 1, t)[::-1])[::-1]
+            mass = mass + sign * upper[a1 + k + j]
+        total += ck * float(wj @ (ratio * mass))
+    return total
+
+
+def holding_tail(s, M, L=10**6):
+    """sum_{n > M} 2/(n(n-1+s)): summed to L, then 2/(L + 1/2 + (s-1)/2),
+    the midpoint integral past L, which is off by O(L^-3)."""
+    n = np.arange(M + 1, L + 1, dtype=float)
+    return float((2.0 / (n * (n - 1.0 + s))).sum()) + 2.0 / (L + 0.5 + (s - 1.0) / 2.0)
+
+
 def solution_partial_monomial(c, a, x, M):
     """The level sum -(1/2) sum_{n<=M} (E[Z^c | n] - E Z^c) E Y_n, exactly."""
     a1, s = float(a.a[0]), float(a.s)

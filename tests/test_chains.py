@@ -312,6 +312,21 @@ _GENEALOGY_CASES = {
         ),
         40_000,
     ),
+    "explicit-k3-n6": (
+        ChainModel(
+            6,
+            MutationMatrix.pim([F(1, 20), F(1, 25), F(3, 100)]),
+            OffspringModel.explicit(
+                6,
+                {
+                    (0, 0, 1, 1, 2, 2): F(1, 2),
+                    (0, 1, 1, 1, 1, 2): F(1, 4),
+                    (0, 0, 0, 1, 2, 3): F(1, 4),
+                },
+            ),
+        ),
+        40_000,
+    ),
 }
 
 
@@ -320,7 +335,7 @@ class TestGenealogy:
     def test_draws_follow_the_exact_table(self, name):
         # the draws are independent, so Pearson's statistic is chi-square
         # distributed; p < 1e-4 fails, a false-alarm rate of 1e-4 per case
-        # and 4e-4 over the four
+        # and 5e-4 over the five
         model, n = _GENEALOGY_CASES[name]
         run = run_to_stationarity(model, n, RngStream(61))
         assert run.meta["sampler"] == "genealogy"

@@ -86,6 +86,10 @@ class TestConfigParsing:
         assert err.startswith("error: model.a: ") and "finite" in err
 
 
+_PIM_DYADIC = "[[0.625, 0.125, 0.25], [0.125, 0.625, 0.25], [0.125, 0.125, 0.75]]"
+_CYCLIC = "[[0.9, 0.06, 0.04], [0.02, 0.9, 0.08], [0.05, 0.03, 0.92]]"
+
+
 class TestValidation:
     def test_seed_mandatory(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -103,6 +107,32 @@ class TestValidation:
         )
         assert main(["validate", "--config", cfg]) == 1
         assert "N >= 4 required by Theorem 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pi, rows, rc",
+        [
+            # exact binary fractions: the matrix is pim(pi) entry for entry
+            ("[0.125, 0.125, 0.25]", _PIM_DYADIC, 0),
+            # parent dependent: its stationary mean is not pi/|pi|
+            ("[0.02, 0.02, 0.03]", _CYCLIC, 1),
+            # parent independent, but of other rates
+            ("[0.125, 0.125, 0.125]", _PIM_DYADIC, 1),
+        ],
+    )
+    def test_theorem2_matrix_must_match_pi(self, tmp_path, capsys, pi, rows, rc):
+        # the bound takes a from model.pi and the chain runs on model.mutation
+        cfg = write_cfg(
+            tmp_path,
+            "c.cfg",
+            'kind = "cannings-theorem2"\nmodel.N = 12\nmodel.offspring = "moran"\n'
+            f"model.pi = {pi}\nmodel.mutation = {rows}\nmc.samples = 64\nseed = 1\n",
+        )
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("error: model.mutation: must be the parent-independent")
+            assert not (tmp_path / "o").exists()
 
     def test_pi_must_be_subprobability(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -669,6 +699,14 @@ class TestConfigFuzz:
     )
     @example(
         data={"kind": "wf-theorem1", "seed": 1, "model.N": 10, "model.a": [1, 1, 1, 1]},
+        command="validate",
+    )
+    @example(
+        data={
+            "kind": "cannings-theorem2", "seed": 1, "model.N": 12, "model.offspring": "moran",
+            "model.pi": [0.02, 0.02, 0.03],
+            "model.mutation": [[0.9, 0.06, 0.04], [0.02, 0.9, 0.08], [0.05, 0.03, 0.92]],
+        },
         command="validate",
     )
     def test_exit_code_and_keyed_message(self, data, command):

@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st_
 from dirstein.simplex import DirichletParams, RngStream, SimplexPoint
 from dirstein import stein as st
 from _oracles import (
+    holding_tail,
+    level_mean_monomial,
+    level_mean_piecewise,
+    level_mean_trig,
     solution_partial_cos,
     solution_partial_linear,
     solution_partial_monomial,
@@ -55,6 +59,12 @@ def trig(kind, w):
         h21=wsum**3,
         value_range=vr,
     )
+
+
+def lead(h, a, x, M):
+    """The exact leading tail term of f at x: -(h(x) - E h(Z)) tail(M)/2."""
+    hx = float(h.fn(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    return -0.5 * (hx - h.mean) * holding_tail(float(a.s), M)
 
 
 def bump():
@@ -238,9 +248,14 @@ class TestSchedule:
             assert sch.total + sch.tail <= 2.0 * (s + 1.0) / s + 1e-12
 
     def test_tolerance_selection(self):
-        sch = st.DeathProcessSchedule.for_tolerance(2.0, 1.04, tol=1e-4)
-        assert 1.04 * sch.tail <= 1e-4
-        assert sch.M >= 2 * 1.04 / 1e-4 - 1
+        a = DirichletParams((1, 1))
+        h = st.attach_mean(trig("cos", 3), a)
+        sch = st.DeathProcessSchedule.for_tolerance(a, h, tol=1e-4)
+        assert sch.remainder(a, h) <= 1e-4
+        below = st.DeathProcessSchedule.with_levels(a.s, sch.M - 1)
+        assert below.remainder(a, h) > 1e-4
+        # the Taylor remainder, not the crude sup|h~| tail(M), sets M
+        assert sch.remainder(a, h) < h.sup_tilde * sch.tail / 10
 
     def test_param_mismatch_raises(self):
         sch = st.DeathProcessSchedule.with_levels(2.0, 50)
@@ -248,10 +263,93 @@ class TestSchedule:
             sch.check_params(DirichletParams((2, 3)))
 
     def test_bad_inputs(self):
-        with pytest.raises(st.SteinError):
-            st.DeathProcessSchedule.for_tolerance(0.0, 1.0)
-        with pytest.raises(st.SteinError):
-            st.DeathProcessSchedule.for_tolerance(2.0, 1.0, tol=0.0)
+        a = DirichletParams((1, 1))
+        h = st.attach_mean(mono(1), a)
+        with pytest.raises(st.SteinError, match="mean"):
+            st.DeathProcessSchedule.for_tolerance(a, mono(1))
+        for tol in (0.0, -1e-3, float("nan")):
+            with pytest.raises(st.SteinError, match="tolerance"):
+                st.DeathProcessSchedule.for_tolerance(a, h, tol=tol)
+        wild = dataclasses.replace(h, h1=math.inf, value_range=None, sup_norm=math.inf)
+        with pytest.raises(st.SteinError, match="finite"):
+            st.DeathProcessSchedule.for_tolerance(a, wild)
+
+
+class TestTailRemainder:
+    """The certified tail against exact level means, with no Monte Carlo:
+    |E h(Z_n) - h(x)| <= C/(s+n) per level, the summed remainder past M
+    within its charge, and the level rule built on both."""
+
+    LAWS = [(1, 1), (2, 3), (F(1, 2), 3)]
+    XS = (0.005, 0.3, 0.8, 0.995)
+
+    @staticmethod
+    def _level_means(h, a, x, n):
+        a1, s = float(a.a[0]), float(a.s)
+        kind = h.tag[0]
+        if kind == "monomial":
+            return level_mean_monomial(h.tag[1][0], a1, s, n, x)
+        if kind in ("cos", "sin"):
+            return level_mean_trig(kind, h.tag[1][0], a1, s, n, x)
+        (c,), rho = h.tag[1], h.tag[2]
+        poly = (1.0 - (np.polynomial.Polynomial([-c, 1.0]) / rho) ** 2) ** 3
+        z = np.linspace(c - rho, c + rho, 9)
+        np.testing.assert_allclose(poly(z), h.fn(z[:, None]), atol=1e-12)
+        support = (c - rho, c + rho)
+        return np.array([level_mean_piecewise(poly.coef, support, a, x, int(v)) for v in n])
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_per_level_rate(self, law):
+        from dirstein.metrics import make_battery
+
+        a = DirichletParams(law)
+        s = float(a.s)
+        n = np.array([1, 2, 3, 5, 10, 30, 100, 1000, 10**4, 10**5])
+        # the bump's level means need integer a (binomial tails)
+        integer = all(isinstance(v, int) for v in a.a)
+        bat = [h for h in make_battery(2) if integer or h.tag[0] != "bump"]
+        assert len(bat) == (8 if integer else 7)
+        for h in bat:
+            C = np.array([st.remainder_rate(a, h, int(v) - 1) for v in n])
+            for x in self.XS:
+                hx = float(h.fn(np.array([[x]]))[0])
+                gap = np.abs(self._level_means(h, a, x, n) - hx)
+                assert np.all(gap <= C / (s + n)), (h.tag, x)
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    def test_summed_remainder(self, law):
+        # f's tail past M minus its leading term, summed exactly to L;
+        # past L it is at most C tail(L)/(2(s+L+1)) <= C/(L(s+L+1))
+        from dirstein.metrics import attach_exact_means, make_battery
+
+        a = DirichletParams(law)
+        a1, s = float(a.a[0]), float(a.s)
+        L = 10**6
+        n = np.arange(1, L + 1, dtype=float)
+        ey = 2.0 / (n * (n - 1.0 + s))
+        for h in attach_exact_means(make_battery(2)[:3], a):
+            c = h.tag[1][0]
+            beyond = st.remainder_rate(a, h, L) / (L * (s + L + 1.0))
+            for x in self.XS:
+                terms = (level_mean_monomial(c, a1, s, n, x) - x**c) * ey
+                past = np.cumsum(terms[::-1])[::-1]  # past[M] sums n > M
+                for M in (8, 64, 512):
+                    charge = st.DeathProcessSchedule.with_levels(s, M).remainder(a, h)
+                    assert abs(0.5 * past[M]) <= charge + beyond, (h.tag, x, M)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4])
+    @pytest.mark.parametrize("law", [(1, 1), (2, 3), (1, 1, 1)], ids=str)
+    def test_smallest_certified_level(self, law, tol):
+        from dirstein.metrics import attach_exact_means, make_battery
+
+        a = DirichletParams(law)
+        for h in attach_exact_means(make_battery(a.dim), a):
+            sch = st.DeathProcessSchedule.for_tolerance(a, h, tol)
+            assert sch.remainder(a, h) <= tol
+            below = st.DeathProcessSchedule.with_levels(a.s, sch.M - 1)
+            assert sch.M == 8 or below.remainder(a, h) > tol
+            # never more levels than the crude rule sup|h~| tail(M) <= tol
+            assert sch.M <= max(8, math.ceil(2 * h.sup_tilde / tol))
 
 
 class TestAttachMean:
@@ -314,24 +412,25 @@ class TestPointSolver:
     def test_linear_matches_telescoped_sum(self):
         a = DirichletParams((2, 3))
         h = st.attach_mean(mono(1), a)
-        sch = st.DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol=1e-3)
+        sch = st.DeathProcessSchedule.for_tolerance(a, h, tol=1e-3)
         est, se, trunc = st.solve_stein_f(
             a, h, SimplexPoint((0.8,)), sch, 512, RngStream(3).child(0)
         )
-        exact = solution_partial_linear(a, 0.8, sch.M)
+        exact = solution_partial_linear(a, 0.8, sch.M) + lead(h, a, 0.8, sch.M)
         assert abs(est - exact) < 4 * se
-        # the dropped tail is really inside the reported bound
+        # the remainder past the leading term is really inside the bound
         full = solution_partial_linear(a, 0.8, 10**9)
-        assert abs(full - exact) <= trunc
+        assert abs(full - exact) <= trunc <= 1e-3
 
     def test_monomial_matches_oracle(self):
         a = DirichletParams((1, 1))
         h = st.attach_mean(mono(2), a)
-        sch = st.DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol=1e-3)
+        sch = st.DeathProcessSchedule.for_tolerance(a, h, tol=1e-3)
         est, se, _ = st.solve_stein_f(
             a, h, SimplexPoint((0.3,)), sch, 512, RngStream(4).child(0)
         )
-        assert abs(est - solution_partial_monomial(2, a, 0.3, sch.M)) < 4 * se
+        exact = solution_partial_monomial(2, a, 0.3, sch.M) + lead(h, a, 0.3, sch.M)
+        assert abs(est - exact) < 4 * se
 
     def test_requires_mean(self):
         a = DirichletParams((1, 1))
@@ -343,7 +442,7 @@ class TestPointSolver:
         a = DirichletParams((2, 3))
         h = st.attach_mean(mono(2), a)
         x = SimplexPoint((0.3,))
-        sch = st.DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol=1e-3)
+        sch = st.DeathProcessSchedule.for_tolerance(a, h, tol=1e-3)
         got = st.solve_stein_f(a, h, x, sch, 256, RngStream(6).child(0))
         sums = st.stein_level_sums(
             [a], [[h]], [x], 256, RngStream(6).child(0), levels_override=sch.M
@@ -385,20 +484,22 @@ class TestLevelSums:
     def test_monomials_match_oracle(self):
         for ai, a in enumerate(self.a_list):
             for hi, c in enumerate([1, 2, 3]):
+                M = int(self.res.levels[ai, hi])
+                h = self.bats[ai][hi]
                 for p, x in enumerate(self.points):
                     est, se, _ = self.res.f_hat(p, ai, hi)
-                    exact = solution_partial_monomial(
-                        c, a, x, int(self.res.levels[ai, hi])
-                    )
+                    exact = solution_partial_monomial(c, a, x, M) + lead(h, a, x, M)
                     assert abs(est - exact) < 4.5 * se
 
     def test_coupled_difference(self):
         est, se, _ = self.res.f_diff(0, 2, 1, 0)
         a = self.a_list[1]
         M = int(self.res.levels[1, 0])
+        h = self.bats[1][0]
         exact = solution_partial_linear(a, 0.2, M) - solution_partial_linear(
             a, 0.8, M
         )
+        exact += lead(h, a, 0.2, M) - lead(h, a, 0.8, M)
         assert abs(est - exact) < 4 * se
         se_ind = math.hypot(self.res.f_hat(0, 1, 0)[1], self.res.f_hat(2, 1, 0)[1])
         assert se < se_ind
@@ -410,7 +511,9 @@ class TestLevelSums:
     def test_trig_matches_taylor_oracle(self):
         ai, hi = 0, 4  # cos(3x) under (1,1), f(0.2) - f(0.8)
         a, M = self.a_list[ai], int(self.res.levels[ai, hi])
+        h = self.bats[ai][hi]
         exact = solution_partial_cos(3.0, a, 0.2, M) - solution_partial_cos(3.0, a, 0.8, M)
+        exact += lead(h, a, 0.2, M) - lead(h, a, 0.8, M)
         en, ense, _ = self.res.f_diff(0, 2, ai, hi)
         assert abs(en - exact) < 5 * ense
 
@@ -425,8 +528,24 @@ class TestLevelSums:
         exact = solution_partial_quadrature(
             h.fn, (0.25, 0.75), a, 0.02, 64
         ) - solution_partial_quadrature(h.fn, (0.25, 0.75), a, 0.5, 64)
+        exact += lead(h, a, 0.02, 64) - lead(h, a, 0.5, 64)
         en, ense, _ = res.f_diff(0, 1, 0, 0)
         assert abs(en - exact) < 5 * ense
+
+    def test_leading_term_is_exact(self):
+        # f = -(level sums - E h(Z) sum E Y_n)/2 plus the leading term,
+        # charged the schedule's remainder at the given level
+        res = st.stein_level_sums(
+            self.a_list, self.bats, self.points, 8, RngStream(79), levels_override=40
+        )
+        for ai, a in enumerate(self.a_list):
+            sch = st.DeathProcessSchedule.with_levels(a.s, 40)
+            for hi, h in enumerate(self.bats[ai]):
+                for p, x in enumerate(self.points):
+                    est, _, trunc = res.f_hat(p, ai, hi)
+                    sums = -(res.S[:, p, ai, hi].mean() - h.mean * sch.total) / 2.0
+                    assert est == pytest.approx(sums + lead(h, a, x, 40), abs=1e-12)
+                    assert trunc == sch.remainder(a, h)
 
     def test_deterministic(self):
         res2 = st.stein_level_sums(
@@ -435,27 +554,28 @@ class TestLevelSums:
         assert np.array_equal(self.res.S, res2.S)
 
     def test_blocks_tiles_and_threads(self, monkeypatch):
-        # several row chunks, column blocks and cache tiles per block; the
-        # sums must not depend on how many threads share the points
+        # several row chunks, column blocks and cache tiles per block (a
+        # tile is at least 256 columns, so tol 1e-4 for levels past 600);
+        # the sums must not depend on how many threads share the points
         runs = []
         for n in (1, 3):
             monkeypatch.setattr(st, "_cpu_count", lambda n=n: n)
             runs.append(
                 st.stein_level_sums(
                     self.a_list, self.bats, self.points, 1500, RngStream(78),
-                    tol=1e-3, row_chunk=256, col_block=700,
+                    tol=1e-4, row_chunk=512, col_block=300,
                 )
             )
         assert np.array_equal(runs[0].S, runs[1].S)
         res = runs[1]
-        assert res.levels.max() > 2 * 700
+        assert res.levels.max() > 2 * 300
         for ai, a in enumerate(self.a_list):
             for hi, c in enumerate([1, 2, 3]):
+                M = int(res.levels[ai, hi])
+                h = self.bats[ai][hi]
                 for p, x in enumerate(self.points):
                     est, se, _ = res.f_hat(p, ai, hi)
-                    exact = solution_partial_monomial(
-                        c, a, x, int(res.levels[ai, hi])
-                    )
+                    exact = solution_partial_monomial(c, a, x, M) + lead(h, a, x, M)
                     assert abs(est - exact) < 4.5 * se
 
     @pytest.mark.parametrize("K", [2, 3])
@@ -481,6 +601,7 @@ class TestLevelSums:
         res = st.stein_level_sums([a], [[h]], pts, 2000, RngStream(13), tol=1e-2)
         M = int(res.levels[0, 0])
         exact = solution_partial_pair(a, pts[0], M) - solution_partial_pair(a, pts[1], M)
+        exact += lead(h, a, pts[0], M) - lead(h, a, pts[1], M)
         en, ense, _ = res.f_diff(0, 1, 0, 0)
         assert abs(en - exact) < 5 * ense
 
@@ -521,7 +642,7 @@ class TestVerifyBounds:
     def test_linear_saturates_gradient_budget(self):
         a = DirichletParams((1, 1))
         h = st.attach_mean(mono(1), a)
-        sch = st.DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol=1e-3)
+        sch = st.DeathProcessSchedule.for_tolerance(a, h, tol=1e-3)
         rep = st.verify_solution_bounds(
             a, h, [0.1, 0.3, 0.5, 0.7, 0.9], sch, RngStream(41), replicates=4096
         )
@@ -530,20 +651,29 @@ class TestVerifyBounds:
         # distance counts the compensating move of the last coordinate,
         # so the divided difference comes out at 1/(2s)
         assert rep.fd1_budget == pytest.approx(0.5)
-        assert rep.fd1_estimate == pytest.approx(0.25, abs=0.02 + rep.fd1_slack)
+        f = [solution_partial_linear(a, x, sch.M) + lead(h, a, x, sch.M) for x in (0.1, 0.9)]
+        want = abs(f[1] - f[0]) / (2 * 0.8)
+        assert want == pytest.approx(0.25, abs=1e-3)
+        assert rep.fd1_estimate == pytest.approx(want, abs=rep.fd1_slack)
 
     def test_quadratic_curvature_at_budget(self):
         a = DirichletParams((1, 1))
         h = st.attach_mean(mono(2), a)
         h = dataclasses.replace(h, h1=2.0, h2=2.0, h21=0.0)
-        sch = st.DeathProcessSchedule.for_tolerance(a.s, h.sup_tilde, tol=1e-3)
+        sch = st.DeathProcessSchedule.for_tolerance(a, h, tol=1e-3)
         rep = st.verify_solution_bounds(
             a, h, [0.1, 0.3, 0.5, 0.7, 0.9], sch, RngStream(42), replicates=4096
         )
         assert rep.checks_pass
         # f is exactly quadratic: |f''| = 1/(s+1) meets the budget h2/(2(s+1))
         assert rep.fd2_budget == pytest.approx(1 / 3)
-        assert rep.fd2_estimate == pytest.approx(1 / 3, abs=0.05 + rep.fd2_slack)
+        f = [
+            solution_partial_monomial(2, a, x, sch.M) + lead(h, a, x, sch.M)
+            for x in (0.1, 0.3, 0.5)
+        ]
+        want = abs(f[0] - 2 * f[1] + f[2]) / 0.2**2
+        assert want == pytest.approx(1 / 3, abs=1e-2)
+        assert rep.fd2_estimate == pytest.approx(want, abs=rep.fd2_slack)
 
 
 class TestEndToEndResidual:
@@ -559,7 +689,9 @@ class TestEndToEndResidual:
         weights = {0: w2 - w1, 1: -2 * w2, 2: w2 + w1}
         est, se, _ = res.f_combo(weights, 0, 0)
         target = float(h.fn(np.array([[x0]]))[0]) - h.mean
-        tail = float(res.tails[0, 0])
+        # the truncation scale: the tail mass that the certified remainder
+        # is worth at sup|h~| per unit mass
+        tail = float(res.rem[0, 0]) / h.sup_tilde
         return est - target, se, tail
 
     def test_wide_stencil_tight(self):
