@@ -187,23 +187,33 @@ def step_cannings(
 
 
 # ---------------------------------------------------------------------------
-# backward steps of the genealogy; lineages are flat arrays sorted by draw:
-# `draw` (the draw a lineage belongs to) and `size` (its block of present
-# individuals).  Each step returns the surviving lineages' parent labels.
+# backward steps of the genealogy.  A lineage is one integer
+# (draw << (PB + SB)) | (parent << SB) | size: the draw it belongs to, its
+# parent label in the generation just stepped, and its block of present
+# individuals, with SB = bit_length(N) and PB = bit_length(N - 1).  Sorting
+# the packed lineages orders them by (draw, parent), so one sort per
+# generation finds the lineages that merge.
 
 
-def _runs(draw):
-    """Start and length of each draw's run of lineages, and every
-    lineage's rank within its run."""
-    first = np.flatnonzero(np.concatenate(([True], draw[1:] != draw[:-1])))
-    k = np.diff(np.append(first, draw.size))
-    return first, k, np.arange(draw.size) - np.repeat(first, k)
+def _lineage_layout(N: int, B: int):
+    """Integer dtype and shifts (parent, draw) of B draws' packed lineages:
+    int32 when the fields fit in 31 bits, int64 when they fit in 63."""
+    SB, PB = N.bit_length(), (N - 1).bit_length()
+    bits = (B - 1).bit_length() + PB + SB
+    if bits > 63:
+        raise ChainError(
+            f"{B} genealogy draws of N={N} lineages need {bits} bits per lineage, more than 63"
+        )
+    return (np.int32 if bits <= 31 else np.int64), SB, PB + SB
 
 
 def _back_cannings(g, draw, m: OffspringModel):
-    # the k lineages of a draw take k distinct child slots: the first k
-    # places of a uniformly shuffled list holding parent j's label V_j times
-    first, k, rank = _runs(draw)
+    """Parent labels of lineages sorted by draw.  The k lineages of a draw
+    take k distinct child slots: the first k places of a uniformly shuffled
+    list holding parent j's label V_j times."""
+    first = np.flatnonzero(np.concatenate(([True], draw[1:] != draw[:-1])))
+    k = np.diff(np.append(first, draw.size))
+    rank = np.arange(draw.size) - np.repeat(first, k)
     D, N = len(first), m.N
     V = sample_offspring(m, g, size=D)
     labels = np.repeat(np.tile(np.arange(N), D), V.ravel()).reshape(D, N)
@@ -211,51 +221,62 @@ def _back_cannings(g, draw, m: OffspringModel):
     return labels[np.repeat(np.arange(D), k), rank]
 
 
-def _backward_step(g, draw, v, model: ChainModel):
-    # Wright-Fisher draws no offspring vector; Moran and every other
-    # exchangeable law share the child-slot step
-    if model.kind == KIND_WRIGHT_FISHER:
-        # a uniform parent each, read off the lineage's survival uniform v
-        return np.minimum((v * model.N).astype(np.int64), model.N - 1)
-    return _back_cannings(g, draw, model.offspring)
-
-
-def _merge(draw, parent, size, N):
-    """Lineages of one draw with one parent become one lineage."""
-    key = draw * N + parent
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return key[first] // N, np.add.reduceat(size[order], first)
-
-
 def _genealogy_block(g, model: ChainModel, B: int, cum):
     """Type counts (B, K) of B exact stationary draws, and the backward
     generations stepped.  cum is the cumulative sum of the rates pi."""
     N, K = model.N, model.K
+    dtype, PS, DS = _lineage_layout(N, B)
+    size_mask = (1 << PS) - 1
+    parent_mask = ((1 << DS) - 1) ^ size_mask
     kill = cum[-1]
-    counts = np.zeros(B * K)
-    draw = np.repeat(np.arange(B), N)
-    size = np.ones(B * N)
+    lin = (np.arange(B, dtype=dtype) << DS).repeat(N) | 1
+    cells, sizes = [], []  # (draw, type) cell and size of every killed lineage
     generations = 0
-    while draw.size:
+    while lin.size:
         generations += 1
-        u = g.random(draw.size)
+        u = g.random(lin.size)
+        draw = lin >> DS
         # a lineage alone in its draw can no longer merge, so only the type
         # it is killed with matters: draw that type now
-        alone = np.ones(draw.size, dtype=bool)
-        same = draw[1:] == draw[:-1]
-        alone[1:] &= ~same
-        alone[:-1] &= ~same
-        u[alone] *= kill
+        split = draw[1:] != draw[:-1]
+        alone = np.ones(lin.size, dtype=bool)
+        alone[1:] = split
+        alone[:-1] &= split
+        np.multiply(u, kill, out=u, where=alone)
         dead = u < kill
-        types = np.searchsorted(cum, u[dead], side="right")
-        counts += np.bincount(draw[dead] * K + types, weights=size[dead], minlength=B * K)
+        killed = np.flatnonzero(dead)
+        types = np.searchsorted(cum, u.take(killed), side="right")
+        cells.append(draw.take(killed) * np.intp(K) + types)
+        sizes.append(lin.take(killed) & size_mask)
         live = ~dead
-        draw, size = draw[live], size[live]
-        if draw.size:
+        lin = lin[live]
+        if not lin.size:
+            break
+        if model.kind == KIND_WRIGHT_FISHER:
+            # a uniform parent each, read off the survival uniform
             v = (u[live] - kill) / (1 - kill)
-            draw, size = _merge(draw, _backward_step(g, draw, v, model), size, N)
+            parent = np.minimum((v * N).astype(dtype), N - 1)
+        else:
+            parent = _back_cannings(g, draw[live], model.offspring).astype(dtype)
+        # lineages of one draw with one parent become one lineage
+        lin &= ~parent_mask
+        lin |= parent << PS
+        lin.sort()
+        key = lin >> PS
+        end = np.empty(lin.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=end[:-1])
+        end[-1] = True
+        if not end.all():
+            # a boolean gather at this density mispredicts; gather by index
+            ends = np.flatnonzero(end)
+            total = np.cumsum(lin & size_mask, dtype=dtype).take(ends)
+            total[1:] -= total[:-1].copy()
+            lin = lin.take(ends)
+            lin &= ~size_mask
+            lin |= total
+    counts = np.bincount(
+        np.concatenate(cells), weights=np.concatenate(sizes), minlength=B * K
+    )
     return counts.reshape(B, K), generations
 
 
@@ -280,9 +301,9 @@ def check_irreducible(p: MutationMatrix):
         )
 
 
-def default_burn_in(model: ChainModel) -> int:
-    """20 N max(1, 1/(N p_min)) generations, capped; p_min is the smallest
-    positive off-diagonal mutation probability."""
+def _burn_in_need(model: ChainModel) -> float:
+    """20 N max(1, 1/(N p_min)) generations; p_min is the smallest positive
+    off-diagonal mutation probability."""
     off = [
         float(v)
         for i, row in enumerate(model.mutation.p)
@@ -290,7 +311,14 @@ def default_burn_in(model: ChainModel) -> int:
         if i != j and float(v) > 0
     ]
     pmin = min(off)
-    return int(min(20 * model.N * max(1.0, 1.0 / (model.N * pmin)), BURN_IN_CAP))
+    return 20 * model.N * max(1.0, 1.0 / (model.N * pmin))
+
+
+def default_burn_in(model: ChainModel) -> int:
+    """20 N max(1, 1/(N p_min)) generations, capped at BURN_IN_CAP; p_min is
+    the smallest positive off-diagonal mutation probability.  check_forward
+    refuses a run that the cap would cut short."""
+    return int(min(_burn_in_need(model), BURN_IN_CAP))
 
 
 def uses_genealogy(model: ChainModel) -> bool:
@@ -302,16 +330,64 @@ def uses_genealogy(model: ChainModel) -> bool:
     return rates is not None and sum(rates) <= 1
 
 
+class RunawayError(ChainError):
+    """A run that would step more than BURN_IN_CAP generations.  `part`
+    names what makes it long: "mutation" (the rates), "burn_in" or "thin"."""
+
+    def __init__(self, part: str, message: str):
+        super().__init__(message)
+        self.part = part
+
+
 def check_genealogy(model: ChainModel, n_samples: int):
     """Refuse a genealogy that would run away: a lineage lives about
     1/|pi| generations, so n draws of N lineages take about ln(nN)/|pi|."""
     kill = sum(model.mutation.pim_rates)
     if math.log(n_samples * model.N) > BURN_IN_CAP * kill:
-        raise ChainError(
+        raise RunawayError(
+            "mutation",
             f"mutation rates sum to {float(kill):.3g}: {n_samples} draws of "
             f"N={model.N} lineages would take about ln(nN)/|pi| generations, "
-            f"more than {BURN_IN_CAP}"
+            f"more than {BURN_IN_CAP}",
         )
+
+
+def check_forward(
+    model: ChainModel,
+    n_samples: int,
+    burn_in: int | None = None,
+    thin: int | None = None,
+    replicates: int = 512,
+):
+    """The (burn_in, thin, chains, rounds) of a forward run of n_samples.
+
+    burn_in defaults to default_burn_in and thin to N.  A run is refused
+    with RunawayError when its default burn-in exceeds BURN_IN_CAP before
+    capping, or when burn_in + thin * rounds does, where rounds =
+    ceil(n / chains) and chains = min(replicates, n)."""
+    if burn_in is None:
+        need = _burn_in_need(model)
+        if need > BURN_IN_CAP:
+            raise RunawayError(
+                "mutation",
+                f"the default burn-in 20 N max(1, 1/(N p_min)) is {need:.3g} "
+                f"generations, more than {BURN_IN_CAP}; p_min, the smallest "
+                "mutation probability, is too small",
+            )
+        burn_in = int(need)
+    if thin is None:
+        thin = model.N
+    if thin < 1 or burn_in < 0:
+        raise ChainError("burn_in must be >= 0 and thin >= 1")
+    R = max(1, min(int(replicates), n_samples))
+    rounds = -(-n_samples // R)
+    if burn_in + thin * rounds > BURN_IN_CAP:
+        raise RunawayError(
+            "burn_in" if burn_in >= thin * rounds else "thin",
+            f"burn_in {burn_in} + thin {thin} x {rounds} rounds of {R} chains "
+            f"is {burn_in + thin * rounds} generations, more than {BURN_IN_CAP}",
+        )
+    return burn_in, thin, R, rounds
 
 
 def _genealogy_samples(g, model: ChainModel, n_samples: int):
@@ -407,7 +483,8 @@ def run_to_stationarity(
     `replicates` is not used.  Otherwise `replicates` independent chains are
     stepped in one vectorized block: they burn in, then record every
     thin-th generation, so wall time scales with burn_in + thin *
-    n/replicates generations rather than with the total sample count.
+    n/replicates generations rather than with the total sample count;
+    check_forward refuses a run of more than BURN_IN_CAP generations.
     meta["generations"] counts the backward generations stepped, or the
     forward chain-generations.
     """
@@ -426,18 +503,11 @@ def run_to_stationarity(
         samples, generations = _genealogy_samples(g, model, n_samples)
         sampler, burn_in, thin, R = "genealogy", 0, 1, n_samples
     else:
-        if burn_in is None:
-            burn_in = default_burn_in(model)
-        if thin is None:
-            thin = model.N
-        if thin < 1 or burn_in < 0:
-            raise ChainError("burn_in must be >= 0 and thin >= 1")
-        R = max(1, min(int(replicates), n_samples))
+        burn_in, thin, R, rounds = check_forward(model, n_samples, burn_in, thin, replicates)
         P = model.mutation.array()
         counts = np.tile(_initial_counts(N, K), (R, 1)).astype(np.int64)
         for _ in range(burn_in):
             counts = _batch_step(g, counts, model, P)
-        rounds = -(-n_samples // R)
         rows = []
         for _ in range(rounds):
             for _ in range(thin):

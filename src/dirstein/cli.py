@@ -34,6 +34,8 @@ from .bounds import BoundError, theorem1_bound, theorem2_bound, theorem4_bound
 from .chains import (
     ChainError,
     ChainModel,
+    RunawayError,
+    check_forward,
     check_genealogy,
     check_irreducible,
     run_to_stationarity,
@@ -411,16 +413,19 @@ class _Experiment:
         ]
 
     def _plan_sampling(self, data, key):
-        """Pick the stationary sampler.  The genealogy reads no forward key
+        """Pick the stationary sampler and refuse a run that would run away;
+        `key` names the mutation rates.  The genealogy reads no forward key
         and lists the ones the config sets as unused."""
-        if not uses_genealogy(self.model):
-            self.run_args = {k: self.mc[k] for k in FORWARD_KEYS}
-            self.notes.append("sampler = forward")
-            return
         try:
-            check_genealogy(self.model, self.mc["samples"])
-        except ChainError as e:
-            raise ConfigError(key, str(e))
+            if uses_genealogy(self.model):
+                check_genealogy(self.model, self.mc["samples"])
+            else:
+                self.run_args = {k: self.mc[k] for k in FORWARD_KEYS}
+                check_forward(self.model, self.mc["samples"], **self.run_args)
+                self.notes.append("sampler = forward")
+                return
+        except RunawayError as e:
+            raise ConfigError(key if e.part == "mutation" else f"mc.{e.part}", str(e))
         self.notes.append("sampler = genealogy")
         unused = [f"mc.{k}" for k in FORWARD_KEYS if f"mc.{k}" in data]
         if unused:

@@ -383,18 +383,20 @@ def _bump_coeffs(center, rho):
 
 
 def _trunc_beta_moments(a1, a2, lo, hi, kmax):
-    """E[x^k; lo <= x <= hi] under Beta(a1, a2) for k = 0..kmax,
-    vectorized over lo/hi arrays."""
+    """E[x^k; lo <= x <= hi] under Beta(a1, a2) for k = 0..kmax, shape
+    (kmax + 1,) + lo.shape.  The last axis of lo/hi holds the lanes of one
+    incomplete-beta evaluation and any leading axes index separate ones;
+    all of them go through one _reg_inc_betas call."""
     lo = np.clip(np.asarray(lo, dtype=np.float64), 0.0, 1.0)
     hi = np.clip(np.asarray(hi, dtype=np.float64), 0.0, 1.0)
     hi = np.maximum(hi, lo)
-    out = []
-    for k in range(kmax + 1):
-        scale = float(_rising(a1, k)) / float(_rising(a1 + a2, k))
-        out.append(
-            scale * (_reg_inc_beta(hi, a1 + k, a2) - _reg_inc_beta(lo, a1 + k, a2))
-        )
-    return np.array(out)
+    ends = np.stack([hi, lo]).reshape(2, -1, lo.shape[-1] if lo.ndim else 1)
+    rows = np.broadcast_to(ends, (kmax + 1,) + ends.shape).reshape(-1, ends.shape[-1])
+    ak = np.repeat(a1 + np.arange(kmax + 1), ends.shape[0] * ends.shape[1])
+    cdf = _reg_inc_betas(rows, ak, np.full(len(ak), a2)).reshape((kmax + 1,) + ends.shape)
+    scale = [float(_rising(a1, k)) / float(_rising(a1 + a2, k)) for k in range(kmax + 1)]
+    out = np.array(scale)[:, None, None] * (cdf[:, 0] - cdf[:, 1])
+    return out.reshape((kmax + 1,) + lo.shape)
 
 
 def _bump_mean_k2(a: DirichletParams, center, rho) -> float:
@@ -423,16 +425,24 @@ def _bump_mean_k3(a: DirichletParams, centers, rho) -> float:
     )
     lbeta = math.lgamma(a1) + math.lgamma(a2 + a3) - math.lgamma(a1 + a2 + a3)
     nodes, weights = np.polynomial.legendre.leggauss(120)
-    total = 0.0
+    segs = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         x1 = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        w = 0.5 * (hi - lo) * weights
-        rest = 1.0 - x1
+        segs.append((x1, 0.5 * (hi - lo) * weights, 1.0 - x1))
+    # every segment's truncated moments in one batch: (k, segment, node)
+    m = _trunc_beta_moments(
+        a2,
+        a3,
+        np.array([lo2 / rest for _, _, rest in segs]),
+        np.array([hi2 / rest for _, _, rest in segs]),
+        len(co2) - 1,
+    )
+    total = 0.0
+    for i, (x1, w, rest) in enumerate(segs):
         dens = np.exp((a1 - 1.0) * np.log(x1) + (a2 + a3 - 1.0) * np.log(rest) - lbeta)
-        m = _trunc_beta_moments(a2, a3, lo2 / rest, hi2 / rest, len(co2) - 1)
         inner = np.zeros_like(x1)
         for k, ck in enumerate(co2):
-            inner += ck * rest**k * m[k]
+            inner += ck * rest**k * m[k, i]
         b1 = _poly.polyval(x1, co1)
         total += float(np.sum(w * b1 * dens * inner))
     return total
@@ -472,9 +482,13 @@ def attach_exact_means(fns, a: DirichletParams) -> tuple:
 def _betacf(a, b, x, iterations=400):
     """Continued fraction for the incomplete beta, modified Lentz scheme.
 
-    Vectorized over x; stops once every lane's step factor is within
-    1e-15 of one, checked in blocks of eight iterations."""
+    x is (G, L): G separate evaluations of L lanes each, with parameters
+    a[g], b[g].  Every eight iterations each row whose lanes' step factors
+    are all within 1e-15 of one stops and keeps its value, so a row ends
+    as it would alone."""
     x = np.asarray(x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)[:, None]
+    b = np.asarray(b, dtype=np.float64)[:, None]
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = np.ones_like(x)
@@ -482,6 +496,8 @@ def _betacf(a, b, x, iterations=400):
     d = np.where(np.abs(d) < tiny, tiny, d)
     d = 1.0 / d
     h = d.copy()
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
     for m in range(1, iterations + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -499,34 +515,59 @@ def _betacf(a, b, x, iterations=400):
         d = 1.0 / d
         step = d * c
         h = h * step
-        if m % 8 == 0 and float(np.max(np.abs(step - 1.0))) < 1e-15:
-            break
-    return h
+        if m % 8 == 0:
+            done = np.abs(step - 1.0).max(axis=1) < 1e-15
+            if done.any():
+                out[rows[done]] = h[done]
+                keep = ~done
+                rows = rows[keep]
+                if not rows.size:
+                    return out
+                a, b, qab, qap, qam, x, c, d, h = (
+                    v[keep] for v in (a, b, qab, qap, qam, x, c, d, h)
+                )
+    out[rows] = h
+    return out
 
 
-def _reg_inc_beta(x, a, b):
-    """I_x(a, b) for scalar a, b > 0 and array x in [0, 1]."""
-    a, b = float(a), float(b)
-    if a <= 0 or b <= 0:
+def _reg_inc_betas(x, a, b):
+    """I_x(a[g], b[g]) for each row g of x (G, L) in [0, 1], a, b > 0,
+    through one _betacf call."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if np.any(a <= 0) or np.any(b <= 0):
         raise MetricsError("beta parameters must be positive")
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0) or np.any(x > 1):
         raise MetricsError("beta argument outside [0, 1]")
-    lead = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    lead = np.array(
+        [math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) for p, q in zip(a, b)]
+    )[:, None]
+    # rows 0..G-1 of the continued fraction serve x below the switch, the
+    # rest 1 - x with the parameters swapped
+    G, cf_a, cf_b = len(x), np.concatenate([a, b]), np.concatenate([b, a])
+    a, b = a[:, None], b[:, None]
     switch = (a + 1.0) / (a + b + 2.0)
     direct = x < switch
     xs = np.where(direct, x, switch / 2)
+    xr = np.where(direct, 1.0 - switch / 2, 1.0 - x)
+    cf = _betacf(cf_a, cf_b, np.concatenate([xs, xr]))
     with np.errstate(divide="ignore"):
         bt = np.exp(lead + a * np.log(xs) + b * np.log1p(-xs))
-    lo = np.where(xs > 0, bt * _betacf(a, b, xs) / a, 0.0)
-    xr = np.where(direct, 1.0 - switch / 2, 1.0 - x)
+    lo = np.where(xs > 0, bt * cf[:G] / a, 0.0)
     with np.errstate(divide="ignore"):
         bt = np.exp(lead + b * np.log(xr) + a * np.log1p(-xr))
-    hi = np.where(xr > 0, 1.0 - bt * _betacf(b, a, xr) / b, 1.0)
+    hi = np.where(xr > 0, 1.0 - bt * cf[G:] / b, 1.0)
     out = np.where(direct, lo, hi)
     out = np.where(x == 0.0, 0.0, out)
     out = np.where(x == 1.0, 1.0, out)
     return out
+
+
+def _reg_inc_beta(x, a, b):
+    """I_x(a, b) for scalar a, b > 0 and array x in [0, 1]."""
+    x = np.asarray(x, dtype=np.float64)
+    return _reg_inc_betas(x.reshape(1, -1), [float(a)], [float(b)]).reshape(x.shape)
 
 
 def reg_inc_beta(x, a, b) -> float:

@@ -117,6 +117,16 @@ class DirichletParams:
     def floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.a])
 
+    @cached_property
+    def vertex_drift(self) -> tuple:
+        """(max |a - s v|_1, max |a - s v|_2^2) over the vertices v of the
+        simplex, in the first K-1 coordinates: the Stein drift a - s x at
+        its worst corner."""
+        af = self.floats()[:-1]
+        d = len(af)
+        dev = af - float(self.s) * np.vstack([np.zeros(d), np.eye(d)])
+        return float(np.abs(dev).sum(axis=1).max()), float((dev * dev).sum(axis=1).max())
+
 
 @dataclass(frozen=True)
 class RngStream:

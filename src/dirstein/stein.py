@@ -410,15 +410,12 @@ def remainder_rate(a: DirichletParams, h: TestFunction, M: int) -> float:
     <= (|h|_2/2)(K-1) sum_i E(Z_n,i - x_i)^2, and each term of that sum is
     at most 1/(4(T+1)) + 1/(4T) + (a_i - s x_i)^2/T^2 (the Beta variance
     given the counts, the multinomial spread, the drift).  Both sums over
-    i are convex in x, so they are taken at their worst vertex.
+    i are convex in x, so they are taken at their worst vertex
+    (a.vertex_drift, computed once per law).
     """
-    s = float(a.s)
-    af = a.floats()[:-1]
-    d = len(af)
-    dev = af - s * np.vstack([np.zeros(d), np.eye(d)])
-    d1 = float(np.abs(dev).sum(axis=1).max())
-    d2 = float((dev * dev).sum(axis=1).max())
-    return h.h1 * d1 + 0.5 * h.h2 * d * (0.5 * d + d2 / (s + M + 1.0))
+    d1, d2 = a.vertex_drift
+    d = a.dim - 1
+    return h.h1 * d1 + 0.5 * h.h2 * d * (0.5 * d + d2 / (float(a.s) + M + 1.0))
 
 
 def _tail_remainder(a: DirichletParams, h: TestFunction, M: int, tail: float) -> float:

@@ -1,9 +1,13 @@
-"""Independent closed-form targets for the equation solver tests.
+"""Independent closed-form targets for the equation solver tests, and
+reference copies of code paths the library has made faster.
 
-Everything here is derived by a different route than the library uses:
-level means of monomials come from a rising-to-falling factorial basis
-change, so agreement with the sampling engines is a real cross-check, and
-offspring moments come from a loop over every tuple of coordinates.
+Everything in the first part is derived by a different route than the
+library uses: level means of monomials come from a rising-to-falling
+factorial basis change, so agreement with the sampling engines is a real
+cross-check, and offspring moments come from a loop over every tuple of
+coordinates.  The reference copies (the two-array genealogy block, the
+per-call bump means, the level rule) do the library's arithmetic in its
+earlier, plainer form; the fast paths must match them bit for bit.
 """
 
 import itertools
@@ -229,3 +233,223 @@ def second_bound_exact(alpha, beta, gamma, pi, N, K):
         ** 2
     )
     return {"eta": eta, "A2": A2, "radical": radical, "quart": quart, "A3": A3}
+
+
+# ---------------------------------------------------------------------------
+# reference genealogy block: lineages as a (draw, size) array pair, merged
+# by an argsort of draw * N + parent.  The packed sampler in dirstein.chains
+# must give the same counts and generations from the same stream.
+
+
+def _runs(draw):
+    first = np.flatnonzero(np.concatenate(([True], draw[1:] != draw[:-1])))
+    k = np.diff(np.append(first, draw.size))
+    return first, k, np.arange(draw.size) - np.repeat(first, k)
+
+
+def _back_cannings(g, draw, m):
+    from dirstein.offspring import sample_offspring
+
+    first, k, rank = _runs(draw)
+    D, N = len(first), m.N
+    V = sample_offspring(m, g, size=D)
+    labels = np.repeat(np.tile(np.arange(N), D), V.ravel()).reshape(D, N)
+    g.permuted(labels, axis=1, out=labels)
+    return labels[np.repeat(np.arange(D), k), rank]
+
+
+def _merge(draw, parent, size, N):
+    key = draw * N + parent
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return key[first] // N, np.add.reduceat(size[order], first)
+
+
+def genealogy_block(g, model, B, cum):
+    """Type counts (B, K) of B stationary draws and the generations stepped."""
+    N, K = model.N, model.K
+    kill = cum[-1]
+    counts = np.zeros(B * K)
+    draw = np.repeat(np.arange(B), N)
+    size = np.ones(B * N)
+    generations = 0
+    while draw.size:
+        generations += 1
+        u = g.random(draw.size)
+        alone = np.ones(draw.size, dtype=bool)
+        same = draw[1:] == draw[:-1]
+        alone[1:] &= ~same
+        alone[:-1] &= ~same
+        u[alone] *= kill
+        dead = u < kill
+        types = np.searchsorted(cum, u[dead], side="right")
+        counts += np.bincount(draw[dead] * K + types, weights=size[dead], minlength=B * K)
+        live = ~dead
+        draw, size = draw[live], size[live]
+        if draw.size:
+            v = (u[live] - kill) / (1 - kill)
+            if model.offspring is None or model.offspring.kind == "wright-fisher":
+                parent = np.minimum((v * N).astype(np.int64), N - 1)
+            else:
+                parent = _back_cannings(g, draw, model.offspring)
+            draw, size = _merge(draw, parent, size, N)
+    return counts.reshape(B, K), generations
+
+
+def genealogy_samples(g, model, n_samples, lineages):
+    """Frequencies of n_samples draws in blocks of max(1, lineages // N)."""
+    cum = np.cumsum([float(r) for r in model.mutation.pim_rates])
+    per_block = max(1, lineages // model.N)
+    rows, generations = [], 0
+    for start in range(0, n_samples, per_block):
+        counts, gens = genealogy_block(g, model, min(per_block, n_samples - start), cum)
+        rows.append(counts[:, :-1] / model.N)
+        generations += gens
+    return np.concatenate(rows, axis=0), generations
+
+
+# ---------------------------------------------------------------------------
+# reference exact bump means: one continued fraction per incomplete beta
+# call, each with its own stop
+
+
+def _betacf(a, b, x, iterations=400):
+    x = np.asarray(x, dtype=np.float64)
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 - qab * x / qap
+    d = np.where(np.abs(d) < tiny, tiny, d)
+    d = 1.0 / d
+    h = d.copy()
+    for m in range(1, iterations + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        h = h * d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = 1.0 + aa / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
+        step = d * c
+        h = h * step
+        if m % 8 == 0 and float(np.max(np.abs(step - 1.0))) < 1e-15:
+            break
+    return h
+
+
+def reg_inc_beta(x, a, b):
+    a, b = float(a), float(b)
+    x = np.asarray(x, dtype=np.float64)
+    lead = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    switch = (a + 1.0) / (a + b + 2.0)
+    direct = x < switch
+    xs = np.where(direct, x, switch / 2)
+    with np.errstate(divide="ignore"):
+        bt = np.exp(lead + a * np.log(xs) + b * np.log1p(-xs))
+    lo = np.where(xs > 0, bt * _betacf(a, b, xs) / a, 0.0)
+    xr = np.where(direct, 1.0 - switch / 2, 1.0 - x)
+    with np.errstate(divide="ignore"):
+        bt = np.exp(lead + b * np.log(xr) + a * np.log1p(-xr))
+    hi = np.where(xr > 0, 1.0 - bt * _betacf(b, a, xr) / b, 1.0)
+    out = np.where(direct, lo, hi)
+    out = np.where(x == 0.0, 0.0, out)
+    out = np.where(x == 1.0, 1.0, out)
+    return out
+
+
+def _trunc_beta_moments(a1, a2, lo, hi, kmax):
+    lo = np.clip(np.asarray(lo, dtype=np.float64), 0.0, 1.0)
+    hi = np.clip(np.asarray(hi, dtype=np.float64), 0.0, 1.0)
+    hi = np.maximum(hi, lo)
+    out = []
+    for k in range(kmax + 1):
+        scale = rising(a1, k) / rising(a1 + a2, k)
+        out.append(scale * (reg_inc_beta(hi, a1 + k, a2) - reg_inc_beta(lo, a1 + k, a2)))
+    return np.array(out)
+
+
+def _bump_coeffs(center, rho):
+    from numpy.polynomial import polynomial as P
+
+    u = np.array([-center / rho, 1.0 / rho])
+    q = P.polysub(np.array([1.0]), P.polymul(u, u))
+    return P.polymul(P.polymul(q, q), q)
+
+
+def bump_mean_k2(a, center, rho):
+    c = _bump_coeffs(center, rho)
+    m = _trunc_beta_moments(float(a.a[0]), float(a.a[1]), center - rho, center + rho, len(c) - 1)
+    return float(c @ m)
+
+
+def bump_mean_k3(a, centers, rho):
+    from numpy.polynomial import polynomial as P
+
+    a1, a2, a3 = (float(v) for v in a.a)
+    c1, c2 = centers
+    co1 = _bump_coeffs(c1, rho)
+    co2 = _bump_coeffs(c2, rho)
+    lo1, hi1 = max(c1 - rho, 0.0), min(c1 + rho, 1.0)
+    lo2, hi2 = c2 - rho, c2 + rho
+    cuts = sorted({lo1, hi1} | {v for v in (1.0 - hi2, 1.0 - lo2) if lo1 < v < hi1})
+    lbeta = math.lgamma(a1) + math.lgamma(a2 + a3) - math.lgamma(a1 + a2 + a3)
+    nodes, weights = np.polynomial.legendre.leggauss(120)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x1 = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
+        w = 0.5 * (hi - lo) * weights
+        rest = 1.0 - x1
+        dens = np.exp((a1 - 1.0) * np.log(x1) + (a2 + a3 - 1.0) * np.log(rest) - lbeta)
+        m = _trunc_beta_moments(a2, a3, lo2 / rest, hi2 / rest, len(co2) - 1)
+        inner = np.zeros_like(x1)
+        for k, ck in enumerate(co2):
+            inner += ck * rest**k * m[k]
+        b1 = P.polyval(x1, co1)
+        total += float(np.sum(w * b1 * dens * inner))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# reference level rule: the remainder rate's vertex terms rebuilt at every
+# bisection step
+
+
+def remainder_rate_rebuilt(a, h, M):
+    s = float(a.s)
+    af = a.floats()[:-1]
+    d = len(af)
+    dev = af - s * np.vstack([np.zeros(d), np.eye(d)])
+    d1 = float(np.abs(dev).sum(axis=1).max())
+    d2 = float((dev * dev).sum(axis=1).max())
+    return h.h1 * d1 + 0.5 * h.h2 * d * (0.5 * d + d2 / (s + M + 1.0))
+
+
+def level_for_tolerance(a, h, tol):
+    """(M, certified remainder) of the smallest M >= 8 whose remainder is at
+    most tol, by the same bisection as DeathProcessSchedule.for_tolerance."""
+    from dirstein.stein import _tail_exact
+
+    s = float(a.s)
+
+    def charge(M):
+        rate = remainder_rate_rebuilt(a, h, M)
+        return _tail_exact(M, s) * min(rate / (2.0 * (s + M + 1.0)), h.sup_tilde)
+
+    lo = hi = 8
+    while charge(hi) > tol:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if charge(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi, charge(hi)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
+import _oracles as oracles
 from dirstein import chains
 from dirstein.chains import (
     BURN_IN_CAP,
@@ -28,7 +29,7 @@ from dirstein.chains import (
 from dirstein.metrics import _cannings_matrix, _state_grid, exact_stationary
 from dirstein.mutation import MutationMatrix
 from dirstein.offspring import OffspringModel
-from dirstein.simplex import RngStream
+from dirstein.simplex import RngStream, as_generator
 
 F = Fraction
 
@@ -392,6 +393,106 @@ class TestGenealogy:
         with pytest.raises(ChainError, match="more than 10000000"):
             run_to_stationarity(tiny, 64, RngStream(0))
         check_genealogy(ChainModel(30, MutationMatrix.pim([F(1, 10**5)] * 2)), 64)
+
+
+def _pim_model(N, rates, offspring=None):
+    return ChainModel(N, MutationMatrix.pim(rates), offspring)
+
+
+# (chain, draws per block): N at and one below a power of two puts the size
+# and parent fields at their bit-width edges; N = 2^16 and 2^16 - 1 take
+# the int64 layout even for two draws
+_PACKED_CASES = {
+    "wf-k2-n16": (_pim_model(16, [F(1, 40), F(1, 20)]), 300),
+    "wf-k2-n15": (_pim_model(15, [F(1, 40), F(1, 20)]), 300),
+    "wf-k3-n64": (_pim_model(64, [F(1, 128)] * 3), 200),
+    "wf-k3-n63": (_pim_model(63, [F(1, 128), F(1, 64), F(1, 100)]), 200),
+    "wf-k2-n65536": (_pim_model(2**16, [F(1, 20), F(1, 20)]), 2),
+    "wf-k2-n65535": (_pim_model(2**16 - 1, [F(1, 20), F(1, 30)]), 2),
+    "moran-k2-n20": (_pim_model(20, [F(1, 100), F(1, 50)], OffspringModel.moran(20)), 100),
+    "dm-k3-n8": (
+        _pim_model(8, [F(3, 100), F(1, 20), F(1, 25)], OffspringModel.dirichlet_multinomial(8, 1)),
+        300,
+    ),
+    "explicit-k3-n6": (_GENEALOGY_CASES["explicit-k3-n6"][0], 300),
+}
+
+
+class TestPackedGenealogy:
+    @pytest.mark.parametrize("name", sorted(_PACKED_CASES))
+    def test_block_matches_two_array_reference(self, name):
+        model, B = _PACKED_CASES[name]
+        cum = np.cumsum([float(r) for r in model.mutation.pim_rates])
+        got = chains._genealogy_block(np.random.default_rng(5), model, B, cum)
+        ref = oracles.genealogy_block(np.random.default_rng(5), model, B, cum)
+        assert (got[0] == ref[0]).all() and got[1] == ref[1]
+        wide = model.N.bit_length() + (model.N - 1).bit_length() + (B - 1).bit_length() > 31
+        assert chains._lineage_layout(model.N, B)[0] == (np.int64 if wide else np.int32)
+
+    @pytest.mark.parametrize("name", ["wf-k2-n15", "moran-k2-n20"])
+    def test_runs_across_blocks_match_reference(self, name, monkeypatch):
+        # seven draws per block: a 30-draw run takes five blocks
+        model = _PACKED_CASES[name][0]
+        monkeypatch.setattr(chains, "GENEALOGY_LINEAGES", 7 * model.N)
+        run = run_to_stationarity(model, 30, RngStream(21))
+        samples, gens = oracles.genealogy_samples(as_generator(RngStream(21)), model, 30, 7 * model.N)
+        assert (run.samples == samples).all() and run.meta["generations"] == gens
+
+    def test_layout_widths(self):
+        # N = 2^k - 1 takes k bits for the parent and k for the size
+        assert chains._lineage_layout(1023, 2048)[0] == np.int32  # 11 + 10 + 10 = 31
+        assert chains._lineage_layout(1023, 2049)[0] == np.int64  # 32 bits
+        assert chains._lineage_layout(2**26 - 1, 2048)[0] == np.int64  # 63 bits
+        with pytest.raises(ChainError, match="64 bits per lineage, more than 63"):
+            chains._lineage_layout(2**26 - 1, 2049)
+        # the largest draw, parent and size round-trip at both widths
+        for N, B in ((1023, 2048), (2**26 - 1, 2048), (2**16, 1), (16, 300)):
+            dtype, PS, DS = chains._lineage_layout(N, B)
+            lin = np.array([((B - 1) << DS) | ((N - 1) << PS) | N], dtype=dtype)
+            assert lin[0] >= 0
+            assert (int(lin[0] >> DS), int(lin[0] >> PS) & ((1 << (DS - PS)) - 1)) == (B - 1, N - 1)
+            assert int(lin[0]) & ((1 << PS) - 1) == N
+
+    def test_too_wide_refused_before_sampling(self):
+        # one draw of N = 2^40 lineages needs 40 + 41 bits: refused, not wrapped
+        huge = _pim_model(2**40, [F(1, 10), F(1, 10)])
+        with pytest.raises(ChainError, match="more than 63"):
+            run_to_stationarity(huge, 1, RngStream(0))
+
+
+class TestForwardRunaway:
+    # parent dependent, so forward; the smallest rate is 1e-9
+    SLOW = MutationMatrix(
+        [
+            [1 - F(3, 10**9), F(1, 10**9), F(2, 10**9)],
+            [F(2, 10**9), 1 - F(3, 10**9), F(1, 10**9)],
+            [F(1, 10**9), F(2, 10**9), 1 - F(3, 10**9)],
+        ]
+    )
+
+    def test_default_burn_in_past_the_cap_refused(self):
+        model = ChainModel(30, self.SLOW)
+        assert not uses_genealogy(model)
+        assert default_burn_in(model) == BURN_IN_CAP  # the cap is unchanged
+        with pytest.raises(ChainError, match="default burn-in"):
+            run_to_stationarity(model, 64, RngStream(0))
+
+    def test_explicit_lengths_past_the_cap_refused(self):
+        model = ChainModel(10, CYCLIC3)
+        for kwargs, part in (
+            ({"burn_in": BURN_IN_CAP, "thin": 1}, "burn_in"),
+            ({"burn_in": 0, "thin": BURN_IN_CAP}, "thin"),
+            ({"burn_in": 10, "thin": BURN_IN_CAP // 4}, "thin"),  # 8 rounds
+        ):
+            with pytest.raises(chains.RunawayError, match="more than 10000000") as err:
+                run_to_stationarity(model, 64, RngStream(0), replicates=8, **kwargs)
+            assert err.value.part == part
+
+    def test_plan_at_the_cap_accepted(self):
+        model = ChainModel(10, CYCLIC3)
+        plan = chains.check_forward(model, 64, BURN_IN_CAP - 80, 10, replicates=8)
+        assert plan == (BURN_IN_CAP - 80, 10, 8, 8)
+        assert chains.check_forward(model, 64) == (default_burn_in(model), 10, 64, 1)
 
 
 class TestConditionalMoments:

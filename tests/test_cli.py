@@ -247,6 +247,37 @@ class TestValidation:
             assert err.startswith(f"error: {key}: mutation rates sum to"), err
         assert not (tmp_path / "o").exists()
 
+    _FORWARD = (
+        'kind = "wf-theorem1"\nmodel.N = 30\nmc.samples = 64\nseed = 1\n'
+        "model.mutation = [[0.9, 0.06, 0.04], [0.02, 0.9, 0.08], [0.05, 0.03, 0.92]]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "key, body, message",
+        [
+            ("mc.burn_in", _FORWARD + "mc.burn_in = 10000000\n", "burn_in 10000000 + thin 30"),
+            ("mc.thin", _FORWARD + "mc.thin = 10000000\n", "burn_in 1000 + thin 10000000"),
+            (
+                "model.mutation",
+                'kind = "wf-theorem1"\nmodel.N = 30\nmc.samples = 64\nseed = 1\n'
+                "model.mutation = [[0.999999997, 1e-9, 2e-9], [2e-9, 0.999999997, 1e-9], "
+                "[1e-9, 2e-9, 0.999999997]]\n",
+                "the default burn-in",
+            ),
+        ],
+        ids=["burn_in", "thin", "mutation"],
+    )
+    def test_runaway_forward_refused(self, tmp_path, capsys, key, body, message):
+        # a forward run longer than 1e7 generations, or one whose default
+        # burn-in the cap would cut short, is refused before any sampling
+        cfg = write_cfg(tmp_path, "c.cfg", body)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key}: {message}"), err
+            assert "more than 10000000" in err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_is_exit_1(self, capsys):
         assert main(["no-such-command"]) == 1
         assert main([]) == 1
@@ -709,6 +740,13 @@ class TestConfigFuzz:
         },
         command="validate",
     )
+    @example(
+        data={
+            "kind": "wf-theorem1", "seed": 1, "model.N": 10, "mc.burn_in": 10**9,
+            "model.mutation": [[0.9, 0.06, 0.04], [0.02, 0.9, 0.08], [0.05, 0.03, 0.92]],
+        },
+        command="validate",
+    )
     def test_exit_code_and_keyed_message(self, data, command):
         text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
         with tempfile.TemporaryDirectory() as d:
@@ -723,12 +761,19 @@ class TestConfigFuzz:
 
     # run on tiny parent-independent configs: every base and override keeps
     # N <= 30 and mc.samples <= 64 and leaves model.mutation out, so each run
-    # that starts is a genealogy run and ends in well under a second
+    # that starts is a genealogy run and ends in well under a second; the
+    # forward example is refused before it steps
     @settings(max_examples=150, deadline=None)
     @given(data=_run_configs)
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1e-300, 1]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.pi": [1e-9, 1e-9]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1, 2], "mc.samples": 1})
+    @example(
+        data={
+            "kind": "wf-theorem1", "seed": 1, "model.N": 20, "mc.samples": 48, "mc.thin": 10**9,
+            "model.mutation": [[0.9, 0.06, 0.04], [0.02, 0.9, 0.08], [0.05, 0.03, 0.92]],
+        }
+    )
     def test_run_exit_code_and_keyed_message(self, data):
         text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
         with tempfile.TemporaryDirectory() as d:

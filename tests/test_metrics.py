@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
+import _oracles as oracles
 from dirstein.bounds import theorem1_bound
 from dirstein.chains import ChainError, ChainModel, StationaryRun, run_to_stationarity
 from dirstein.metrics import (
@@ -189,6 +190,36 @@ class TestExactMeans:
             )
             exact = _bump_mean_k3(a, (1.0 / 3.0, 1.0 / 3.0), 0.25)
             assert abs(exact - h.mean) < 4.0 * h.mean_se
+
+    # the batched continued fraction stops each evaluation's lanes where
+    # the per-call loop did, so the means agree to the last bit
+    @pytest.mark.parametrize("law", [(1, 1), (2, 3), (0.5, 0.5), (F(1, 3), 7), (10, 0.2)], ids=str)
+    def test_bump_k2_equals_per_call_reference(self, law):
+        a = DirichletParams(law)
+        for c in (0.5, 0.2, 0.9, 0.05):
+            assert _bump_mean_k2(a, c, 0.25) == oracles.bump_mean_k2(a, c, 0.25)
+
+    @pytest.mark.parametrize("law", [(1, 1, 1), (0.5, 2, 1.5), (2, 3, 4), (F(1, 3), 1, 5)], ids=str)
+    def test_bump_k3_equals_per_call_reference(self, law):
+        a = DirichletParams(law)
+        for centers in ((1.0 / 3.0, 1.0 / 3.0), (0.2, 0.6), (0.7, 0.1)):
+            assert _bump_mean_k3(a, centers, 0.25) == oracles.bump_mean_k3(a, centers, 0.25)
+
+    @pytest.mark.parametrize("law", [(1, 1), (2, 3), (1.5, 4), (3, 1.25), (0.5, 0.5)], ids=str)
+    def test_bump_k2_matches_quadrature(self, law):
+        from scipy import integrate, stats
+
+        # the shipped K=2 bump, integrated against the Beta density
+        bump = make_battery(2)[-1]
+        (c,), rho = bump.tag[1], bump.tag[2]
+        ref, _ = integrate.quad(
+            lambda x: bump.fn(np.array([[x]]))[0] * stats.beta.pdf(x, *law),
+            c - rho,
+            c + rho,
+            epsabs=1e-14,
+            epsrel=1e-13,
+        )
+        assert abs(_bump_mean_k2(DirichletParams(law), c, rho) - ref) < 1e-11
 
     def test_unknown_tag_rejected(self):
         h = replace(make_battery(2)[0], tag=("mystery",))

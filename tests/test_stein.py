@@ -10,6 +10,7 @@ from dirstein.simplex import DirichletParams, RngStream, SimplexPoint
 from dirstein import stein as st
 from _oracles import (
     holding_tail,
+    level_for_tolerance,
     level_mean_monomial,
     level_mean_piecewise,
     level_mean_trig,
@@ -350,6 +351,9 @@ class TestTailRemainder:
             assert sch.M == 8 or below.remainder(a, h) > tol
             # never more levels than the crude rule sup|h~| tail(M) <= tol
             assert sch.M <= max(8, math.ceil(2 * h.sup_tilde / tol))
+            # the same level and remainder as the rule that rebuilt the
+            # vertex terms at every bisection step
+            assert (sch.M, sch.remainder(a, h)) == level_for_tolerance(a, h, tol)
 
 
 class TestAttachMean:
