@@ -14,10 +14,11 @@ whose rate form ``theta / (3 + theta)`` prices convex-set distance bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -243,6 +244,124 @@ def dirichlet_mixed_moment(p: DirichletParams, exponents: Sequence[int]):
     if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
         return Fraction(num) / Fraction(den)
     return num / den
+
+
+# Gauss nodes per piece of every exact Dirichlet mean: the rule is exact for
+# polynomials of degree 63 in each stick-breaking coordinate
+_GAUSS_NODES = 32
+# ratio of a graded piece's far end to its near end, measured from the 0 or
+# 1 that a window end lies close to
+_GRADING = 4.0
+
+
+@lru_cache(maxsize=64)
+def _beta_rule(p: float, q: float):
+    """Nodes and probability weights of the Gauss rule for Beta(p, q) on
+    [0, 1]: the eigenpairs of the Jacobi matrix of the monic orthogonal
+    polynomials (Golub and Welsch, Math. Comp. 23, 1969)."""
+    n = _GAUSS_NODES
+    m = p + q
+    k = np.arange(1, n, dtype=np.float64)
+    t = 2.0 * k + m - 2.0
+    # the Jacobi-polynomial recurrence mapped from [-1, 1] to [0, 1]
+    diag = np.concatenate([[p / m], 0.5 + 0.5 * (p - q) * (m - 2.0) / (t * (t + 2.0))])
+    k, t = k[1:], t[1:]
+    off2 = k * (k + p - 1.0) * (k + q - 1.0) * (k + m - 2.0) / (t * t * (t + 1.0) * (t - 1.0))
+    # the first term, the variance, has a removable 0/0 at p + q = 1
+    off2 = np.concatenate([[p * q / (m * m * (m + 1.0))], off2])
+    J = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+    nodes, vecs = np.linalg.eigh(J)
+    weights = vecs[0] ** 2
+    # cached and shared: callers must not write into them
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _window_rule(p, q, lo, hi, cuts):
+    """Row index, node and weight of every Gauss point for the integral of
+    g(y) against the Beta(p, q) density over the window [lo[i], hi[i]] of
+    each row i.
+
+    Each window is split at the cuts inside it, and every piece with an
+    end near 0 or 1 is graded geometrically towards it.  A piece that ends
+    at 0 or 1 takes the density's factor there into its Gauss weight, so
+    the rule stays exact at that end for any p, q > 0."""
+    lo = np.clip(lo, 0.0, 1.0)
+    hi = np.clip(hi, lo, 1.0)
+    cuts = np.clip(np.asarray(cuts, dtype=np.float64)[None, :], lo[:, None], hi[:, None])
+    base = np.sort(np.column_stack([lo, hi, cuts]), axis=1)
+    u, v = base[:, :-1].ravel(), base[:, 1:].ravel()
+    mid = 0.5 * (u + v)
+    # enough levels that every graded piece is at most (_GRADING - 1) times
+    # as long as its distance to the 0 or 1 beyond it
+    gap = np.concatenate([u, 1.0 - v])
+    half = np.concatenate([mid - u, mid - u])
+    close = (gap > 0.0) & (gap < half)
+    levels = 0
+    if close.any():
+        levels = int(np.ceil(np.log(np.max(half[close] / gap[close])) / np.log(_GRADING)))
+    g = _GRADING ** np.arange(1, levels + 1)
+    left = np.clip(u[:, None] * g, u[:, None], mid[:, None])
+    right = np.clip(1.0 - (1.0 - v[:, None]) * g, mid[:, None], v[:, None])
+    br = np.sort(np.column_stack([u, left, mid, right, v]), axis=1).reshape(len(lo), -1)
+    u, v = br[:, :-1].ravel(), br[:, 1:].ravel()
+    row = np.repeat(np.arange(len(lo)), br.shape[1] - 1)
+    keep = v > u
+    row, u, v = row[keep], u[keep], v[keep]
+    x = np.empty((len(u), _GAUSS_NODES))
+    w = np.empty_like(x)
+    at0, at1 = u == 0.0, v == 1.0
+    lbeta = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    # a piece takes the Gauss rule of weight (y - u)^(P-1) (v - y)^(Q-1),
+    # with P = p at 0 and Q = q at 1 and 1 elsewhere, times the rest of
+    # the density
+    for e0, e1 in itertools.product((False, True), repeat=2):
+        sel = (at0 == e0) & (at1 == e1)
+        P, Q = (p if e0 else 1.0), (q if e1 else 1.0)
+        y, wy = _beta_rule(P, Q)
+        du = (v - u)[sel, None]
+        x[sel] = u[sel, None] + du * y
+        w[sel] = wy * np.exp(
+            (P + Q - 1.0) * np.log(du)
+            + (p - P) * np.log(x[sel])
+            + (q - Q) * np.log1p(-x[sel])
+            + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
+            - lbeta
+        )
+    return np.repeat(row, _GAUSS_NODES), x.ravel(), w.ravel()
+
+
+def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
+    """E fn(Z) under Dir(a) by nested Gauss rules, or for K <= 3 the
+    windowed E[fn(Z); lo_i <= Z_i <= hi_i] with window a (lo_i, hi_i) pair
+    per free coordinate.  fn takes an (n, K-1) array of free coordinates.
+
+    In stick-breaking coordinates Z_j = (1 - Z_1 - ... - Z_(j-1)) Y_j with
+    independent Y_j ~ Beta(a_j, a_(j+1) + ... + a_K), so the mean is a
+    tensor product of one-dimensional Beta rules.  For K = 3 the rule of
+    Z_1 is split where an end e of Z_2's window meets the mass 1 - Z_1
+    left to it, since the inner integral has an algebraic kink there."""
+    af = a.floats()
+    K = len(af)
+    rest = np.cumsum(af[::-1])[::-1]
+    z = np.zeros((1, 0))
+    left = np.ones(1)
+    wt = np.ones(1)
+    for j in range(K - 1):
+        p, q = af[j], rest[j + 1]
+        if window is None:
+            y, wy = _beta_rule(p, q)
+            row = np.repeat(np.arange(len(wt)), len(y))
+            y, wy = np.tile(y, len(wt)), np.tile(wy, len(wt))
+        else:
+            lo, hi = window[j]
+            cuts = [1.0 - e for e in window[1]] if j == 0 and K == 3 else []
+            row, y, wy = _window_rule(p, q, lo / left, hi / left, cuts)
+        zj = left[row] * y
+        z = np.column_stack([z[row], zj])
+        left = left[row] - zj
+        wt = wt[row] * wy
+    return float(wt @ np.asarray(fn(z), dtype=np.float64))
 
 
 def theta_exponent(p: DirichletParams):

@@ -47,6 +47,7 @@ import numpy as np
 from .simplex import (
     DirichletParams,
     SimplexPoint,
+    _dirichlet_expect,
     as_generator,
     dirichlet_mixed_moment,
     dirichlet_sample,
@@ -101,53 +102,15 @@ class TestFunction:
         return self.fn(np.asarray(x))
 
 
-def _moment_series_mean(a: DirichletParams, w, kind: str) -> float:
-    """E cos(w.x) or E sin(w.x) under Dir(a) via the moment series.
-
-    Terms are bounded by (max w)^k / k!, so the series is summed until the
-    bound drops below 1e-17; exact mixed moments make this deterministic.
-    """
-    w = tuple(float(v) for v in w)
-    wmax = max(abs(v) for v in w) if w else 0.0
-    total = 0.0
-    k = 0 if kind == "cos" else 1
-    sign = 1.0
-    while wmax**k / math.factorial(k) > 1e-17 or k < 2:
-        mk = 0.0
-        for expo in _compositions(k, len(w)):
-            coef = math.factorial(k)
-            for e in expo:
-                coef //= math.factorial(e)
-            wterm = 1.0
-            for wv, e in zip(w, expo):
-                wterm *= wv**e
-            if wterm != 0.0:
-                mk += coef * wterm * float(
-                    dirichlet_mixed_moment(a, expo + (0,))
-                )
-        total += sign * mk / math.factorial(k)
-        sign = -sign
-        k += 2
-    return total
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def attach_mean(
     h: TestFunction, a: DirichletParams, rng=None, mc_samples: int = 10**7
 ) -> TestFunction:
     """Return h with E h(Z) filled in for the law Dir(a).
 
-    Monomials use exact mixed moments, cosines/sines the moment series;
-    anything else falls back to Monte Carlo with the stderr recorded (and
-    propagated by the solvers).
+    Monomials use exact mixed moments; cosines, sines and, for K <= 3,
+    bumps (on the box of the bump's support) the nested Gauss rule of
+    `_dirichlet_expect`.  Anything else falls back to Monte Carlo with
+    the stderr recorded (and propagated by the solvers).
     """
     kind = h.tag[0]
     if kind == "monomial":
@@ -157,7 +120,11 @@ def attach_mean(
             mean_se=0.0,
         )
     if kind in ("cos", "sin"):
-        return replace(h, mean=_moment_series_mean(a, h.tag[1], kind), mean_se=0.0)
+        return replace(h, mean=_dirichlet_expect(a, h.fn), mean_se=0.0)
+    if kind == "bump" and a.dim <= 3:
+        centers, rho = h.tag[1], h.tag[2]
+        window = [(c - rho, c + rho) for c in centers]
+        return replace(h, mean=_dirichlet_expect(a, h.fn, window), mean_se=0.0)
     if rng is None:
         raise SteinError(f"{h.tag}: Monte-Carlo mean needs an rng")
     g = as_generator(rng)

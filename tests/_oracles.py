@@ -5,10 +5,12 @@ Everything in the first part is derived by a different route than the
 library uses: level means of monomials come from a rising-to-falling
 factorial basis change, so agreement with the sampling engines is a real
 cross-check, and offspring moments come from a loop over every tuple of
-coordinates.  The reference copies (the two-array genealogy block, the
-per-call bump means, the level rule) do the library's arithmetic in its
-earlier, plainer form; the fast paths must match them bit for bit.
-"""
+coordinates.  Dirichlet means of the battery's waves come from their
+moment series and windowed (bump) means from nested adaptive quadrature,
+neither of which shares the library's Gauss nodes.  The reference copies
+(the two-array genealogy block, the level rule) do the library's
+arithmetic in its earlier, plainer form; the fast paths must match them
+bit for bit."""
 
 import itertools
 import math
@@ -310,111 +312,101 @@ def genealogy_samples(g, model, n_samples, lineages):
 
 
 # ---------------------------------------------------------------------------
-# reference exact bump means: one continued fraction per incomplete beta
-# call, each with its own stop
+# Dirichlet means by other routes than the library's nested Gauss rule: the
+# moment series for waves and adaptive quadrature for windowed means
 
 
-def _betacf(a, b, x, iterations=400):
-    x = np.asarray(x, dtype=np.float64)
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < tiny, tiny, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, iterations + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        h = h * d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        step = d * c
-        h = h * step
-        if m % 8 == 0 and float(np.max(np.abs(step - 1.0))) < 1e-15:
-            break
-    return h
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
-def reg_inc_beta(x, a, b):
-    a, b = float(a), float(b)
-    x = np.asarray(x, dtype=np.float64)
-    lead = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    switch = (a + 1.0) / (a + b + 2.0)
-    direct = x < switch
-    xs = np.where(direct, x, switch / 2)
-    with np.errstate(divide="ignore"):
-        bt = np.exp(lead + a * np.log(xs) + b * np.log1p(-xs))
-    lo = np.where(xs > 0, bt * _betacf(a, b, xs) / a, 0.0)
-    xr = np.where(direct, 1.0 - switch / 2, 1.0 - x)
-    with np.errstate(divide="ignore"):
-        bt = np.exp(lead + b * np.log(xr) + a * np.log1p(-xr))
-    hi = np.where(xr > 0, 1.0 - bt * _betacf(b, a, xr) / b, 1.0)
-    out = np.where(direct, lo, hi)
-    out = np.where(x == 0.0, 0.0, out)
-    out = np.where(x == 1.0, 1.0, out)
-    return out
+def trig_mean_series(a, w, kind):
+    """E cos(w.x) or E sin(w.x) under Dir(a) from the Taylor series over
+    exact mixed moments, summed until the bound (max w)^k / k! on the
+    terms drops below 1e-17."""
+    from dirstein.simplex import dirichlet_mixed_moment
 
-
-def _trunc_beta_moments(a1, a2, lo, hi, kmax):
-    lo = np.clip(np.asarray(lo, dtype=np.float64), 0.0, 1.0)
-    hi = np.clip(np.asarray(hi, dtype=np.float64), 0.0, 1.0)
-    hi = np.maximum(hi, lo)
-    out = []
-    for k in range(kmax + 1):
-        scale = rising(a1, k) / rising(a1 + a2, k)
-        out.append(scale * (reg_inc_beta(hi, a1 + k, a2) - reg_inc_beta(lo, a1 + k, a2)))
-    return np.array(out)
-
-
-def _bump_coeffs(center, rho):
-    from numpy.polynomial import polynomial as P
-
-    u = np.array([-center / rho, 1.0 / rho])
-    q = P.polysub(np.array([1.0]), P.polymul(u, u))
-    return P.polymul(P.polymul(q, q), q)
-
-
-def bump_mean_k2(a, center, rho):
-    c = _bump_coeffs(center, rho)
-    m = _trunc_beta_moments(float(a.a[0]), float(a.a[1]), center - rho, center + rho, len(c) - 1)
-    return float(c @ m)
-
-
-def bump_mean_k3(a, centers, rho):
-    from numpy.polynomial import polynomial as P
-
-    a1, a2, a3 = (float(v) for v in a.a)
-    c1, c2 = centers
-    co1 = _bump_coeffs(c1, rho)
-    co2 = _bump_coeffs(c2, rho)
-    lo1, hi1 = max(c1 - rho, 0.0), min(c1 + rho, 1.0)
-    lo2, hi2 = c2 - rho, c2 + rho
-    cuts = sorted({lo1, hi1} | {v for v in (1.0 - hi2, 1.0 - lo2) if lo1 < v < hi1})
-    lbeta = math.lgamma(a1) + math.lgamma(a2 + a3) - math.lgamma(a1 + a2 + a3)
-    nodes, weights = np.polynomial.legendre.leggauss(120)
+    w = tuple(float(v) for v in w)
+    wmax = max(abs(v) for v in w)
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        x1 = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-        w = 0.5 * (hi - lo) * weights
-        rest = 1.0 - x1
-        dens = np.exp((a1 - 1.0) * np.log(x1) + (a2 + a3 - 1.0) * np.log(rest) - lbeta)
-        m = _trunc_beta_moments(a2, a3, lo2 / rest, hi2 / rest, len(co2) - 1)
-        inner = np.zeros_like(x1)
-        for k, ck in enumerate(co2):
-            inner += ck * rest**k * m[k]
-        b1 = P.polyval(x1, co1)
-        total += float(np.sum(w * b1 * dens * inner))
+    sign = 1.0
+    k = 0 if kind == "cos" else 1
+    while wmax**k / math.factorial(k) > 1e-17 or k < 2:
+        mk = 0.0
+        for expo in _compositions(k, len(w)):
+            coef = math.factorial(k)
+            for e in expo:
+                coef //= math.factorial(e)
+            wterm = 1.0
+            for wv, e in zip(w, expo):
+                wterm *= wv**e
+            if wterm != 0.0:
+                expo = expo + (0,) * (a.dim - len(w))
+                mk += coef * wterm * float(dirichlet_mixed_moment(a, expo))
+        total += sign * mk / math.factorial(k)
+        sign = -sign
+        k += 2
     return total
+
+
+def beta_window_mean(g, p, q, lo, hi):
+    """Integral of g against the Beta(p, q) density over [lo, hi] within
+    [0, 1] by scipy's adaptive quadrature.  At an end clipped to 0 or 1
+    the density's factor there is quad's algebraic weight (weight='alg'),
+    so the singularity of a parameter below one is integrated exactly."""
+    from scipy import integrate
+
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    if hi <= lo:
+        return 0.0
+    # the density's factor at a clipped end becomes quad's weight
+    e0 = p - 1.0 if lo == 0.0 else 0.0
+    e1 = q - 1.0 if hi == 1.0 else 0.0
+
+    def f(x):
+        return g(x) * x ** (p - 1.0 - e0) * (1.0 - x) ** (q - 1.0 - e1)
+
+    kw = dict(epsabs=1e-15, epsrel=1e-13, limit=400)
+    if e0 or e1:
+        v = integrate.quad(f, lo, hi, weight="alg", wvar=(e0, e1), **kw)[0]
+    else:
+        v = integrate.quad(f, lo, hi, **kw)[0]
+    return v / math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
+
+
+def _bump1(x, c, rho):
+    u = (x - c) / rho
+    return max(1.0 - u * u, 0.0) ** 3
+
+
+def bump_mean_quad(a, centers, rho):
+    """E of the separable bump prod_i (1 - ((Z_i - c_i)/rho)^2)_+^3 under
+    Dir(a) for two or three types, nested in stick-breaking coordinates:
+    Z_1 ~ Beta(a_1, a_2 + a_3) and Z_2 = (1 - Z_1) Y, Y ~ Beta(a_2, a_3).
+    The outer integral is split where the inner window [(c_2 -+ rho) /
+    (1 - Z_1)] crosses 1, where the inner mean has an algebraic kink."""
+    af = [float(v) for v in a.a]
+    if len(af) == 2:
+        (c,) = centers
+        return beta_window_mean(lambda x: _bump1(x, c, rho), af[0], af[1], c - rho, c + rho)
+    a1, a2, a3 = af
+    c1, c2 = centers
+
+    def outer(x1):
+        r = 1.0 - x1
+        inner = beta_window_mean(
+            lambda y: _bump1(r * y, c2, rho), a2, a3, (c2 - rho) / r, (c2 + rho) / r
+        )
+        return _bump1(x1, c1, rho) * inner
+
+    lo1, hi1 = max(c1 - rho, 0.0), min(c1 + rho, 1.0)
+    cuts = sorted({lo1, hi1} | {v for v in (1.0 - c2 - rho, 1.0 - c2 + rho) if lo1 < v < hi1})
+    return sum(beta_window_mean(outer, a1, a2 + a3, u, v) for u, v in zip(cuts[:-1], cuts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -535,8 +535,9 @@ class TestStationaryAgainstExact:
 
 class TestRuntimeImports:
     def test_cli_run_leaves_scipy_unimported(self, tmp_path):
-        # scipy is a test-only dependency: neither importing the CLI nor
-        # a run of each certifying kind may pull it in
+        # scipy is a test-only dependency: neither importing the CLI, nor
+        # a run of each certifying kind, nor an exact battery mean of any
+        # family (the Gauss rules are numpy's) may pull it in
         cfgs = {
             "wf": WF_CFG.replace("[1, 1]", "[1, 1, 1]").replace("2500", "200"),
             "polya": POLYA_CFG.replace("8000", "200"),
@@ -552,6 +553,13 @@ class TestRuntimeImports:
             f"for argv in {argv!r}:\n"
             "    if dirstein.cli.main(argv) != 0: sys.exit(f'{argv} failed')\n"
             "if 'scipy' in sys.modules: sys.exit('scipy loaded by a run')\n"
+            "from dirstein.metrics import _trig, attach_exact_means, make_battery\n"
+            "from dirstein.simplex import DirichletParams\n"
+            "from dirstein.stein import attach_mean\n"
+            "attach_exact_means(make_battery(2), DirichletParams((1, 2)))\n"
+            "attach_exact_means(make_battery(3), DirichletParams((0.3, 0.4, 0.5)))\n"
+            "attach_mean(_trig('cos', (1, 2, 3)), DirichletParams((1, 1, 1, 1)))\n"
+            "if 'scipy' in sys.modules: sys.exit('scipy loaded by a mean')\n"
         )
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -721,6 +729,38 @@ _run_configs = st.builds(
 )
 
 
+def _percent_row(cuts):
+    c1, c2 = sorted(cuts)
+    return [c1 / 100, (c2 - c1) / 100, (100 - c2) / 100]
+
+
+def _parent_dependent(rows):
+    # a PIM matrix repeats each column's off-diagonal entry in every row
+    return any(
+        len({rows[i][j] for i in range(3) if i != j}) > 1 for j in range(3)
+    )
+
+
+# forward runs: three-type mutation rows in whole percent that no PIM matrix
+# has, and explicit sizes that keep a run to at most 200 + 4 * 16 generations
+_forward_configs = st.fixed_dictionaries(
+    {
+        "kind": st.just("wf-theorem1"),
+        "seed": st.integers(0, 2**32),
+        "model.N": st.integers(2, 12),
+        "model.mutation": st.lists(
+            st.lists(st.integers(1, 99), min_size=2, max_size=2, unique=True).map(_percent_row),
+            min_size=3,
+            max_size=3,
+        ).filter(_parent_dependent),
+        "mc.samples": st.integers(2, 32),
+        "mc.burn_in": st.integers(0, 200),
+        "mc.thin": st.integers(1, 4),
+        "mc.replicates": st.integers(2, 8),
+    }
+)
+
+
 class TestConfigFuzz:
     @settings(max_examples=400, deadline=None)
     @given(data=_configs, command=st.sampled_from(["validate", "bound"]))
@@ -785,3 +825,28 @@ class TestConfigFuzz:
         if rc == 1:
             key = err.getvalue().removeprefix("error: ").split(": ")[0]
             assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())
+
+    # runs that step the forward kernel; at the largest sizes one run takes
+    # about 0.2 s, set-up included
+    @settings(max_examples=20, deadline=None)
+    @given(data=_forward_configs)
+    @example(
+        data={
+            "kind": "wf-theorem1", "seed": 3, "model.N": 12, "mc.samples": 32,
+            "model.mutation": [[0.37, 0.2, 0.43], [0.1, 0.85, 0.05], [0.33, 0.33, 0.34]],
+            "mc.burn_in": 200, "mc.thin": 4, "mc.replicates": 2,
+        }
+    )
+    def test_forward_run_exit_code_and_keyed_message(self, data):
+        text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
+        with tempfile.TemporaryDirectory() as d:
+            cfg = write_cfg(Path(d), "c.cfg", text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["run", "--config", cfg, "--out", str(Path(d) / "o")])
+            assert rc in (0, 1, 2)
+            if rc == 1:
+                key = err.getvalue().removeprefix("error: ").split(": ")[0]
+                assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())
+            else:
+                assert "sampler = forward" in (Path(d) / "o" / "summary.txt").read_text()

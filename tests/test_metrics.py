@@ -19,8 +19,7 @@ from dirstein.metrics import (
     MetricsError,
     ProbeEstimate,
     StationaryTable,
-    _bump_mean_k2,
-    _bump_mean_k3,
+    _bump,
     _monomial,
     _reg_inc_beta,
     _validate_battery,
@@ -173,53 +172,47 @@ class TestExactMeans:
     def test_bump_k2_uniform_closed_form(self):
         # integral of (1-u^2)^3 over the support window
         a = DirichletParams((1, 1))
-        assert _bump_mean_k2(a, 0.5, 0.25) == pytest.approx(
-            0.25 * 32.0 / 35.0, abs=1e-9
+        assert attach_exact_means(make_battery(2), a)[-1].mean == pytest.approx(
+            0.25 * 32.0 / 35.0, abs=1e-15
         )
 
     def test_bump_k2_vs_mc(self):
         a = DirichletParams((2, 3))
-        h = attach_mean(make_battery(2)[-1], a, rng=RngStream(3), mc_samples=4 * 10**5)
-        exact = _bump_mean_k2(a, 0.5, 0.25)
-        assert abs(exact - h.mean) < 4.0 * h.mean_se
+        h = attach_exact_means(make_battery(2), a)[-1]
+        vals = h.fn(dirichlet_sample(a, as_generator(RngStream(3)), size=4 * 10**5))
+        assert abs(h.mean - vals.mean()) < 4.0 * vals.std() / math.sqrt(len(vals))
 
     def test_bump_k3_vs_mc(self):
         for a in (DirichletParams((1, 1, 1)), DirichletParams((0.5, 2, 1.5))):
-            h = attach_mean(
-                make_battery(3)[-1], a, rng=RngStream(4), mc_samples=4 * 10**5
-            )
-            exact = _bump_mean_k3(a, (1.0 / 3.0, 1.0 / 3.0), 0.25)
-            assert abs(exact - h.mean) < 4.0 * h.mean_se
+            h = attach_exact_means(make_battery(3), a)[-1]
+            vals = h.fn(dirichlet_sample(a, as_generator(RngStream(4)), size=4 * 10**5))
+            assert abs(h.mean - vals.mean()) < 4.0 * vals.std() / math.sqrt(len(vals))
 
-    # the batched continued fraction stops each evaluation's lanes where
-    # the per-call loop did, so the means agree to the last bit
-    @pytest.mark.parametrize("law", [(1, 1), (2, 3), (0.5, 0.5), (F(1, 3), 7), (10, 0.2)], ids=str)
-    def test_bump_k2_equals_per_call_reference(self, law):
+    # laws with parameters below one put the density's singularity at a
+    # window end clipped to 0 or 1, or just outside an unclipped one
+    @pytest.mark.parametrize(
+        "law",
+        [(1, 1), (2, 3), (1.5, 4), (3, 1.25), (0.5, 0.5), (F(1, 3), 7), (10, 0.2), (1e-3, 2)],
+        ids=str,
+    )
+    def test_bump_k2_matches_quadrature(self, law):
         a = DirichletParams(law)
-        for c in (0.5, 0.2, 0.9, 0.05):
-            assert _bump_mean_k2(a, c, 0.25) == oracles.bump_mean_k2(a, c, 0.25)
+        for c in (0.5, 0.2, 0.9, 0.05, 0.251, 0.749):
+            h = attach_mean(_bump((c,), 0.25), a)
+            ref = oracles.bump_mean_quad(a, (c,), 0.25)
+            assert abs(h.mean - ref) < 1e-13, c
 
-    @pytest.mark.parametrize("law", [(1, 1, 1), (0.5, 2, 1.5), (2, 3, 4), (F(1, 3), 1, 5)], ids=str)
-    def test_bump_k3_equals_per_call_reference(self, law):
+    # centers (0.2, 0.6) and (0.7, 0.1) clip a window end to 0, where the
+    # density is singular for a parameter below one
+    @pytest.mark.parametrize(
+        "law", [(1, 1, 1), (0.5, 2, 1.5), (2, 3, 4), (F(1, 3), 1, 5), (0.3, 0.4, 0.5)], ids=str
+    )
+    def test_bump_k3_matches_nested_quadrature(self, law):
         a = DirichletParams(law)
         for centers in ((1.0 / 3.0, 1.0 / 3.0), (0.2, 0.6), (0.7, 0.1)):
-            assert _bump_mean_k3(a, centers, 0.25) == oracles.bump_mean_k3(a, centers, 0.25)
-
-    @pytest.mark.parametrize("law", [(1, 1), (2, 3), (1.5, 4), (3, 1.25), (0.5, 0.5)], ids=str)
-    def test_bump_k2_matches_quadrature(self, law):
-        from scipy import integrate, stats
-
-        # the shipped K=2 bump, integrated against the Beta density
-        bump = make_battery(2)[-1]
-        (c,), rho = bump.tag[1], bump.tag[2]
-        ref, _ = integrate.quad(
-            lambda x: bump.fn(np.array([[x]]))[0] * stats.beta.pdf(x, *law),
-            c - rho,
-            c + rho,
-            epsabs=1e-14,
-            epsrel=1e-13,
-        )
-        assert abs(_bump_mean_k2(DirichletParams(law), c, rho) - ref) < 1e-11
+            h = attach_mean(_bump(centers, 0.25), a)
+            ref = oracles.bump_mean_quad(a, centers, 0.25)
+            assert abs(h.mean - ref) < 1e-13, centers
 
     def test_unknown_tag_rejected(self):
         h = replace(make_battery(2)[0], tag=("mystery",))

@@ -19,6 +19,7 @@ from _oracles import (
     solution_partial_monomial,
     solution_partial_pair,
     solution_partial_quadrature,
+    trig_mean_series,
 )
 
 F = Fraction
@@ -397,14 +398,42 @@ class TestAttachMean:
         vals = np.cos(Z[:, :2] @ np.array([2.0, 1.0]))
         assert abs(h.mean - vals.mean()) < 5 * vals.std() / math.sqrt(len(vals))
 
+    @pytest.mark.parametrize(
+        "law",
+        [(1, 1), (2, 3), (0.5, 0.5), (1e-3, 1e-3), (1e-3, 2), (10, 0.2), (1, 1, 1),
+         (0.3, 0.4, 0.5), (F(1, 3), 1, 5), (1e-3, 1e-3, 1e-3), (1, 1, 1, 1), (0.5, 1, 2, 3)],
+        ids=str,
+    )
+    def test_trig_matches_moment_series(self, law):
+        a = DirichletParams(law)
+        d = a.dim - 1
+        for kind in ("cos", "sin"):
+            for w in ((1.0,) * d, (3.0,) + (0.0,) * (d - 1), tuple(range(1, d + 1))):
+                h = st.attach_mean(trig(kind, w), a)
+                assert h.mean_se == 0.0
+                assert abs(h.mean - trig_mean_series(a, w, kind)) < 1e-13, (kind, w)
+
+    def test_bump_equals_attach_exact_means(self):
+        from dirstein.metrics import attach_exact_means, make_battery
+
+        for a in (DirichletParams((2, 3)), DirichletParams((0.3, 0.4, 0.5))):
+            h = make_battery(a.dim)[-1]
+            assert h.tag[0] == "bump"
+            got = st.attach_mean(h, a)
+            assert got.mean_se == 0.0
+            assert got == attach_exact_means([h], a)[0]
+
+    # the bump's function under a tag attach_mean does not know, which
+    # only the Monte Carlo fallback serves
     def test_bump_needs_rng(self):
-        with pytest.raises(st.SteinError):
-            st.attach_mean(bump(), DirichletParams((1, 1)))
+        h = dataclasses.replace(bump(), tag=("plateau", (0.5,), 0.25))
+        with pytest.raises(st.SteinError, match="rng"):
+            st.attach_mean(h, DirichletParams((1, 1)))
 
     def test_bump_reports_stderr(self):
         h = st.attach_mean(
-            bump(), DirichletParams((1, 1)), rng=RngStream(7).child(0),
-            mc_samples=10**5,
+            dataclasses.replace(bump(), tag=("plateau", (0.5,), 0.25)),
+            DirichletParams((1, 1)), rng=RngStream(7).child(0), mc_samples=10**5,
         )
         assert h.mean_se > 0
         # uniform law: E h = integral of (1-u^2)^3 over |u|<=1 scaled, 8/35*2*0.25
@@ -462,24 +491,15 @@ class TestPointSolver:
             st.solve_stein_f(a, h, SimplexPoint((0.5,)), sch, 64, RngStream(1))
 
 
-def _battery_for(a, rng):
+def _battery_for(a):
     fns = [mono(1), mono(2), mono(3), trig("cos", 1), trig("cos", 3), bump()]
-    out = []
-    for h in fns:
-        if h.tag[0] == "bump":
-            out.append(st.attach_mean(h, a, rng=rng, mc_samples=2 * 10**5))
-        else:
-            out.append(st.attach_mean(h, a))
-    return out
+    return [st.attach_mean(h, a) for h in fns]
 
 
 class TestLevelSums:
     def setup_method(self):
         self.a_list = [DirichletParams((1, 1)), DirichletParams((2, 3))]
-        self.bats = [
-            _battery_for(a, RngStream(5).child(i))
-            for i, a in enumerate(self.a_list)
-        ]
+        self.bats = [_battery_for(a) for a in self.a_list]
         self.points = [0.2, 0.5, 0.8]
         self.res = st.stein_level_sums(
             self.a_list, self.bats, self.points, 3000, RngStream(77), tol=1e-3
