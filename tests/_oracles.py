@@ -6,8 +6,9 @@ library uses: level means of monomials come from a rising-to-falling
 factorial basis change, so agreement with the sampling engines is a real
 cross-check, and offspring moments come from a loop over every tuple of
 coordinates.  Dirichlet means of the battery's waves come from their
-moment series and windowed (bump) means from nested adaptive quadrature,
-neither of which shares the library's Gauss nodes.  The reference copies
+moment series and windowed (bump) means from nested adaptive quadrature
+and, for two types, from a power expansion over truncated Beta moments;
+none of these shares the library's Gauss nodes.  The reference copies
 (the two-array genealogy block, the level rule) do the library's
 arithmetic in its earlier, plainer form; the fast paths must match them
 bit for bit."""
@@ -407,6 +408,29 @@ def bump_mean_quad(a, centers, rho):
     lo1, hi1 = max(c1 - rho, 0.0), min(c1 + rho, 1.0)
     cuts = sorted({lo1, hi1} | {v for v in (1.0 - c2 - rho, 1.0 - c2 + rho) if lo1 < v < hi1})
     return sum(beta_window_mean(outer, a1, a2 + a3, u, v) for u, v in zip(cuts[:-1], cuts[1:]))
+
+
+def bump_mean_k2(a, c, rho):
+    """E (1 - ((Z_1 - c)/rho)^2)_+^3 under Dir(a_1, a_2) in closed form:
+    the bump is a degree-six polynomial on its window, so its mean is a
+    sum of truncated Beta moments B(p+k, q)/B(p, q) (I_hi - I_lo)(p+k, q)
+    with scipy's incomplete beta.  A center above 1/2 is mirrored through
+    Z_1 -> 1 - Z_1, which keeps the power coefficients, and so the
+    cancellation among them, at most about 10^4."""
+    from numpy.polynomial import polynomial as P
+    from scipy.special import betainc
+
+    p, q = (float(v) for v in a.a)
+    if c > 0.5:
+        p, q, c = q, p, 1.0 - c
+    u = np.array([-c / rho, 1.0 / rho])
+    coeffs = P.polypow(P.polysub([1.0], P.polymul(u, u)), 3)
+    lo, hi = max(c - rho, 0.0), min(c + rho, 1.0)
+    total, scale = 0.0, 1.0
+    for k, ck in enumerate(coeffs):
+        total += ck * scale * (betainc(p + k, q, hi) - betainc(p + k, q, lo))
+        scale *= (p + k) / (p + q + k)
+    return total
 
 
 # ---------------------------------------------------------------------------

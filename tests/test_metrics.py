@@ -202,6 +202,16 @@ class TestExactMeans:
             ref = oracles.bump_mean_quad(a, (c,), 0.25)
             assert abs(h.mean - ref) < 1e-13, c
 
+    # the power expansion over truncated Beta moments shares nothing with
+    # the Gauss-Jacobi rule; its coefficients reach about 10^4, which
+    # bounds its own rounding near 1e-12
+    @pytest.mark.parametrize("law", [(1, 1), (2, 3), (0.5, 0.5), (F(1, 3), 7), (10, 0.2)], ids=str)
+    def test_bump_k2_equals_per_call_reference(self, law):
+        a = DirichletParams(law)
+        for c in (0.5, 0.2, 0.9, 0.05):
+            ref = oracles.bump_mean_k2(a, c, 0.25)
+            assert abs(attach_mean(_bump((c,), 0.25), a).mean - ref) < 1e-12, c
+
     # centers (0.2, 0.6) and (0.7, 0.1) clip a window end to 0, where the
     # density is singular for a parameter below one
     @pytest.mark.parametrize(
