@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ChainModel, StationaryRun, check_irreducible
-from .offspring import ENUMERATION_LIMIT, KIND_MORAN, KIND_WRIGHT_FISHER, enumerate_law
+from .offspring import (
+    KIND_DIRICHLET_MULTINOMIAL,
+    KIND_MORAN,
+    KIND_WRIGHT_FISHER,
+    enumerate_law,
+)
 from .simplex import DirichletParams, _falling, as_generator, dirichlet_sample
 from .stein import SteinError, TestFunction, attach_mean
 
@@ -516,26 +521,16 @@ class ProbeEstimate:
     lower_bound: bool = True
 
 
-_REFERENCE_CACHE: dict = {}
-
-
 def dirichlet_reference(a: DirichletParams, rng, size: int = 10**7) -> np.ndarray:
-    """A large cached cloud of Dir(a) free coordinates, float32.
-
-    Keyed by the parameters and size; the first build for a key wins,
-    so pass the same stream when reproducibility across runs matters.
-    """
-    key = (a.a, size)
-    if key not in _REFERENCE_CACHE:
-        g = as_generator(rng)
-        out = np.empty((size, a.dim - 1), dtype=np.float32)
-        done = 0
-        while done < size:
-            b = min(10**6, size - done)
-            out[done : done + b] = dirichlet_sample(a, g, size=b)
-            done += b
-        _REFERENCE_CACHE[key] = out
-    return _REFERENCE_CACHE[key]
+    """A large cloud of Dir(a) free coordinates, float32, drawn from rng."""
+    g = as_generator(rng)
+    out = np.empty((size, a.dim - 1), dtype=np.float32)
+    done = 0
+    while done < size:
+        b = min(10**6, size - done)
+        out[done : done + b] = dirichlet_sample(a, g, size=b)
+        done += b
+    return out
 
 
 def convex_probe_k3(
@@ -546,7 +541,7 @@ def convex_probe_k3(
     reference_size: int = 10**7,
 ) -> ProbeEstimate:
     """Probe random half-planes and axis boxes for the largest
-    probability discrepancy against a cached reference cloud.
+    probability discrepancy against a reference cloud drawn from rng.
 
     The first probes are the fixed mean half-planes x_i <= a_i/s; the
     rest alternate random cuts through reference mass with random
@@ -633,6 +628,10 @@ class StationaryTable:
 
 
 _DENSE_CAP = 6_000
+# Cannings rows beyond Moran and Dirichlet-multinomial with two types stop
+# here: the three-type mutation convolution loops in Python over every
+# group total, and explicit tables enumerate every slot arrangement
+_SMALL_N = 8
 
 
 def _state_grid(N, K):
@@ -737,10 +736,26 @@ def _moran_groups(x):
     return m[live], w[live]
 
 
+def _dm_group_weights(full, phi, lgfact):
+    """W[i, j] = P(M = full[j] | x = full[i]) over the composition grid
+    full: the group totals of a DM(N; phi, ..., phi) offspring vector are
+    DM(N; phi x_1, ..., phi x_K), and a type with no parents has no
+    children."""
+    N = int(full[0].sum())
+    n = np.arange(N + 1)
+    # lr[x, m] = log of the rising factorial (phi x)^(m)
+    lg = np.array([[math.lgamma(phi * x + m) for m in range(N + 1)] for x in range(1, N + 1)])
+    lr = np.vstack([np.where(n == 0, 0.0, -np.inf), lg - lg[:, :1]])
+    logw = lgfact[N] - lgfact[full].sum(axis=1) - lr[N, N]
+    for col in full.T:
+        logw = logw + lr[col[:, None], col[None, :]]
+    return np.exp(logw)
+
+
 def _enumerated_groups(offspring):
-    """Group totals by enumeration: every distinct slot arrangement of
-    every offspring multiset, with its weight, read off at the group
-    edges of x."""
+    """Group totals of an explicit table by enumeration: every distinct
+    slot arrangement of every offspring multiset, with its weight, read
+    off at the group edges of x."""
     cums, weights = [], []
     for v, p in enumerate_law(offspring):
         arr = _distinct_rows(v)
@@ -761,29 +776,31 @@ def _cannings_matrix(model: ChainModel, states):
     M given x, then per-child mutation of each group (P = A B)."""
     N, K = model.N, model.K
     Pm = model.mutation.array()
-    if model.kind == KIND_MORAN:
-        groups = _moran_groups
-    else:
-        groups = _enumerated_groups(model.offspring)
-    # group-count rows are keyed as mixed-radix integers in base N + 1
-    radix = (N + 1) ** np.arange(K, dtype=np.int64)
     S = len(states)
-    P = np.zeros((S, S))
     full = np.column_stack([states, N - states.sum(axis=1)])
     lgfact = _log_factorials(N)
-    conv_cache: dict = {}
-    for xi in range(S):
-        m, weight = groups(full[xi])
-        codes, inverse = np.unique(m @ radix, return_inverse=True)
-        mweights = np.bincount(inverse.ravel(), weights=weight)
-        row = np.zeros(S)
-        for code, w in zip(codes.tolist(), mweights):
-            if code not in conv_cache:
-                mvec = [code // (N + 1) ** t % (N + 1) for t in range(K)]
-                grid = _mutation_conv(mvec, Pm, N, K, lgfact)
-                conv_cache[code] = grid[tuple(states.T)]
-            row += w * conv_cache[code]
-        P[xi] = row
+    if model.kind == KIND_DIRICHLET_MULTINOMIAL:
+        # every composition of N is a group total of some row
+        B = [_mutation_conv(m, Pm, N, K, lgfact)[tuple(states.T)] for m in full.tolist()]
+        P = _dm_group_weights(full, float(model.offspring.phi), lgfact) @ np.array(B)
+    else:
+        groups = _moran_groups if model.kind == KIND_MORAN else _enumerated_groups(model.offspring)
+        # group-count rows are keyed as mixed-radix integers in base N + 1
+        radix = (N + 1) ** np.arange(K, dtype=np.int64)
+        P = np.zeros((S, S))
+        conv_cache: dict = {}
+        for xi in range(S):
+            m, weight = groups(full[xi])
+            codes, inverse = np.unique(m @ radix, return_inverse=True)
+            mweights = np.bincount(inverse.ravel(), weights=weight)
+            row = np.zeros(S)
+            for code, w in zip(codes.tolist(), mweights):
+                if code not in conv_cache:
+                    mvec = [code // (N + 1) ** t % (N + 1) for t in range(K)]
+                    grid = _mutation_conv(mvec, Pm, N, K, lgfact)
+                    conv_cache[code] = grid[tuple(states.T)]
+                row += w * conv_cache[code]
+            P[xi] = row
     P /= P.sum(axis=1, keepdims=True)
     return P
 
@@ -820,11 +837,13 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 
     Wright-Fisher rows are multinomial at any size that fits in memory.
     Every other kernel's rows mix the mutation of the type-group offspring
-    totals over their law, which is closed form for Moran (one reproducer
-    and one dier) and comes from full offspring-law enumeration otherwise.
-    Moran with two types is served at any N; every other case is gated at
-    N <= 8.  State counts beyond the dense-matrix cap of 6e3 are
-    refused rather than approximated.
+    totals over their law.  That law is closed form for Moran (one
+    reproducer and one dier) and Dirichlet-multinomial (M | x is
+    DM(N; phi x)), and comes from enumerating the multisets of an explicit
+    table.  Moran and Dirichlet-multinomial with two types are served at
+    any N; three types and explicit tables are gated at N <= 8, where the
+    three-type mutation convolution stays cheap.  State counts beyond the
+    dense-matrix cap of 6e3 are refused rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
@@ -834,12 +853,11 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     states = _state_grid(N, K)
     if model.kind == KIND_WRIGHT_FISHER:
         P = _wf_matrix(model, states)
-    elif N <= ENUMERATION_LIMIT or (model.kind == KIND_MORAN and K == 2):
+    elif N <= _SMALL_N or (K == 2 and model.kind in (KIND_MORAN, KIND_DIRICHLET_MULTINOMIAL)):
         P = _cannings_matrix(model, states)
     else:
         raise MetricsError(
-            f"exact law for kind {model.kind!r} with K={K} needs N <= "
-            f"{ENUMERATION_LIMIT}"
+            f"exact law for kind {model.kind!r} with K={K} needs N <= {_SMALL_N}"
         )
     pi, resolution = _solve_stationary(P)
     return StationaryTable(states, pi, N, model.kind, resolution)

@@ -18,29 +18,30 @@ The factorial moments
 
 drive every approximation bound downstream: alpha sets the pair-merger
 timescale and beta/(alpha N) -> 0 is the classical condition for convergence
-of the genealogy to the Kingman coalescent.  All four are computed in exact
-rational arithmetic for every family.
+of the genealogy to the Kingman coalescent.  Each family states its mixed
+falling moments E prod_t (V_t)_(k_t) over distinct coordinates once, in
+`falling_moment`: closed forms for wright-fisher and dirichlet-multinomial
+at every N, a sum over the multisets of moran and explicit tables.  The four
+moments above, every ordered power moment (through the Stirling expansion
+x^p = sum_k S(p, k) (x)_k) and the ten identity checks follow from it in
+exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 import numpy as np
 
-from .simplex import _falling, _rising, as_generator
+from .simplex import _falling, _power_moment, _rising, as_generator
 
 KIND_WRIGHT_FISHER = "wright-fisher"
 KIND_MORAN = "moran"
 KIND_DIRICHLET_MULTINOMIAL = "dirichlet-multinomial"
 KIND_EXPLICIT = "explicit-table"
-
-ENUMERATION_LIMIT = 8  # exact enumeration over multisets up to this N
 
 
 class OffspringError(ValueError):
@@ -147,56 +148,24 @@ class OffspringMoments:
     delta: Fraction
 
 
-def enumerate_law(m: OffspringModel):
-    """Yield (sorted counts multiset, exact probability) pairs.
-
-    Only feasible for N <= ENUMERATION_LIMIT except for the moran and
-    explicit kinds, which are always small.
-    """
-    N = m.N
+def _value_classes(m: OffspringModel):
+    """Yield ({count: coordinates with that count}, exact probability) per
+    offspring multiset of the laws given per multiset: moran (one multiset,
+    stated without its N coordinates) and explicit tables."""
     if m.kind == KIND_MORAN:
-        counts = tuple(sorted([2, 0] + [1] * (N - 2)))
-        yield counts, Fraction(1)
-        return
-    if m.kind == KIND_EXPLICIT:
-        yield from m.table
-        return
-    if N > ENUMERATION_LIMIT:
-        raise OffspringError(f"enumeration infeasible for N={N} > {ENUMERATION_LIMIT}")
-    for part in _partitions_into(N, N):
-        counts = tuple(sorted(part + [0] * (N - len(part))))
-        orderings = _orderings(counts)
-        if m.kind == KIND_WRIGHT_FISHER:
-            per = Fraction(factorial(N), int(np.prod([factorial(c) for c in counts], dtype=object)))
-            per = per * Fraction(1, N**N)
-        elif m.kind == KIND_DIRICHLET_MULTINOMIAL:
-            per = Fraction(factorial(N), int(np.prod([factorial(c) for c in counts], dtype=object)))
-            num = Fraction(1)
-            for c in counts:
-                num *= _rising(m.phi, c)
-            per = per * num / _rising(N * m.phi, N)
-        else:
-            raise OffspringError(f"unknown kind {m.kind}")
-        yield counts, per * orderings
+        yield {0: 1, 1: m.N - 2, 2: 1}, Fraction(1)
+    elif m.kind == KIND_EXPLICIT:
+        for counts, prob in m.table:
+            yield Counter(counts), prob
+    else:
+        raise OffspringError(f"kind {m.kind!r} is not given per multiset")
 
 
-def _partitions_into(n, maxpart):
-    """Partitions of n with parts <= maxpart (list of parts, descending)."""
-    if n == 0:
-        yield []
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions_into(n - first, first):
-            yield [first] + rest
-
-
-def _orderings(counts) -> int:
-    """Number of distinct orderings of a count multiset."""
-    n = len(counts)
-    denom = 1
-    for _, grp in itertools.groupby(sorted(counts)):
-        denom *= factorial(len(list(grp)))
-    return factorial(n) // denom
+def enumerate_law(m: OffspringModel):
+    """Yield (sorted counts multiset, exact probability) pairs of the laws
+    given per multiset: moran and explicit tables."""
+    for classes, prob in _value_classes(m):
+        yield tuple(sorted(Counter(classes).elements())), prob
 
 
 def _distinct_sum(left, terms, t=0):
@@ -215,24 +184,34 @@ def _distinct_sum(left, terms, t=0):
     return s
 
 
-def _distinct_moment(m: OffspringModel, fn, orders) -> Fraction:
-    """Exact E[prod_t fn(V_t, k_t)] over r = len(orders) distinct
-    coordinates, symmetrized over position assignments.
+def falling_moment(m: OffspringModel, orders: Sequence[int]) -> Fraction:
+    """Exact E[prod_t (V_t)_(k_t)] over r = len(orders) distinct
+    coordinates, (v)_k being the falling factorial v (v-1) ... (v-k+1).
 
-    Coordinates with equal counts give equal terms, so each multiset is
-    summed over its c classes of equal counts, not over its coordinates:
-    at most c^r terms instead of N!/(N-r)!."""
+    With K = sum k_t this is (N)_K / N^K for wright-fisher and
+    (N)_K prod_t (phi)^(k_t) / (N phi)^(K) for dirichlet-multinomial,
+    (x)^(k) the rising factorial.  Laws given per multiset are summed
+    over each multiset's c classes of equal counts, symmetrized over
+    position assignments: at most c^r terms instead of N!/(N-r)!."""
+    N, K = m.N, sum(orders)
+    if m.kind == KIND_WRIGHT_FISHER:
+        return Fraction(_falling(N, K), N**K)
+    if m.kind == KIND_DIRICHLET_MULTINOMIAL:
+        num = Fraction(_falling(N, K))
+        for k in orders:
+            num *= _rising(m.phi, k)
+        return num / _rising(N * m.phi, K)
     total = Fraction(0)
-    norm = _falling(Fraction(m.N), len(orders))
-    for counts, prob in enumerate_law(m):
-        mult = Counter(counts)
-        terms = [[fn(v, k) for v in mult] for k in orders]
-        total += prob * Fraction(_distinct_sum(list(mult.values()), terms)) / norm
+    norm = _falling(N, len(orders))
+    for classes, prob in _value_classes(m):
+        terms = [[_falling(v, k) for v in classes] for k in orders]
+        total += prob * Fraction(_distinct_sum(list(classes.values()), terms), norm)
     return total
 
 
 def ordered_moment(m: OffspringModel, powers: Sequence[int]) -> Fraction:
-    """Exact E[V_1^{p_1} ... V_r^{p_r}] over r distinct coordinates.
+    """Exact E[V_1^{p_1} ... V_r^{p_r}] over r distinct coordinates, from
+    the falling moments.
 
     Symmetrized over position assignments, so the result is well defined for
     any exchangeable law given per multiset.
@@ -240,56 +219,14 @@ def ordered_moment(m: OffspringModel, powers: Sequence[int]) -> Fraction:
     powers = tuple(int(p) for p in powers)
     if len(powers) > m.N:
         raise OffspringError(f"{len(powers)} distinct coordinates exceed N={m.N}")
-    return _distinct_moment(m, pow, powers)
-
-
-def mc_ordered_moment(m: OffspringModel, powers: Sequence[int], rng, samples: int):
-    """Monte-Carlo estimate and stderr of the same ordered moment.
-
-    Exchangeability makes the first r coordinates an unbiased choice."""
-    g = as_generator(rng)
-    powers = tuple(int(p) for p in powers)
-    r = len(powers)
-    if r > m.N:
-        raise OffspringError(f"{r} distinct coordinates exceed N={m.N}")
-    block = 100_000
-    out = np.empty(samples)
-    done = 0
-    while done < samples:
-        b = min(block, samples - done)
-        V = sample_offspring(m, g, size=b).astype(np.float64)
-        vals = np.ones(b)
-        for t in range(r):
-            vals *= V[:, t] ** powers[t]
-        out[done : done + b] = vals
-        done += b
-    return out.mean(), out.std(ddof=1) / np.sqrt(samples)
+    return _power_moment(powers, lambda k: falling_moment(m, k))
 
 
 def moments(m: OffspringModel) -> OffspringMoments:
     """Exact factorial moments alpha, beta, gamma, delta of the law."""
-    N = m.N
-    if m.kind == KIND_WRIGHT_FISHER:
-        alpha = Fraction(N - 1, N)
-        beta = Fraction((N - 1) * (N - 2), N**2)
-        gamma = Fraction((N - 1) * (N - 2) * (N - 3), N**3)
-        delta = gamma
-    elif m.kind == KIND_MORAN:
-        alpha = Fraction(2, N)
-        beta = gamma = delta = Fraction(0)
-    elif m.kind == KIND_DIRICHLET_MULTINOMIAL:
-        phi, Np = m.phi, N * m.phi
-        alpha = _falling(Fraction(N), 2) * _rising(phi, 2) / _rising(Np, 2)
-        beta = _falling(Fraction(N), 3) * _rising(phi, 3) / _rising(Np, 3)
-        gamma = _falling(Fraction(N), 4) * _rising(phi, 2) ** 2 / _rising(Np, 4)
-        delta = _falling(Fraction(N), 4) * _rising(phi, 4) / _rising(Np, 4)
-    elif m.kind == KIND_EXPLICIT:
-        alpha, beta, gamma, delta = (
-            _distinct_moment(m, _falling, orders)
-            for orders in ((2,), (3,), (2, 2), (4,))
-        )
-    else:
-        raise OffspringError(f"unknown kind {m.kind}")
+    alpha, beta, gamma, delta = (
+        falling_moment(m, orders) for orders in ((2,), (3,), (2, 2), (4,))
+    )
     if alpha == 0:
         raise OffspringError("degenerate law: alpha = 0, no pair mergers ever")
     return OffspringMoments(alpha, beta, gamma, delta)
@@ -349,44 +286,25 @@ class IdentityCheck:
     lhs: object
     rhs: object
     residual: float
-    mode: str  # "exact" or "mc"
-    stderr: float = 0.0
+    mode: str  # "exact" or "skipped"
     skipped: bool = False
 
 
-def verify_moment_identities(
-    m: OffspringModel, rng=None, mc_samples: int = 1_000_000
-) -> list:
+def verify_moment_identities(m: OffspringModel) -> list:
     """Check the ten mixed-moment identities of the offspring law.
 
     The left side is an ordered product moment over distinct coordinates,
-    the right side its closed form in (alpha, beta, gamma, delta, N).
-    Enumeration gives exact rational residuals for small N (or the moran and
-    explicit kinds at any N); beyond that a Monte-Carlo left side is used and
-    the stderr is reported.  Identities needing more distinct coordinates
-    than N are flagged as skipped.
+    the right side its closed form in (alpha, beta, gamma, delta, N); both
+    are exact rationals for every kind and N.  Identities needing more
+    distinct coordinates than N are flagged as skipped.
     """
-    mom = moments(m)
-    exact = (
-        m.kind in (KIND_MORAN, KIND_EXPLICIT) or m.N <= ENUMERATION_LIMIT
-    )
     out = []
-    for name, powers, rhs in _identity_rows(m.N, mom):
+    for name, powers, rhs in _identity_rows(m.N, moments(m)):
         if len(powers) > m.N or rhs is None:
             out.append(IdentityCheck(name, None, None, float("nan"), "skipped", skipped=True))
             continue
-        if exact:
-            lhs = ordered_moment(m, powers)
-            out.append(
-                IdentityCheck(name, lhs, rhs, abs(float(lhs - rhs)), "exact")
-            )
-        else:
-            if rng is None:
-                raise OffspringError("MC identity check needs an rng")
-            est, se = mc_ordered_moment(m, powers, rng, mc_samples)
-            out.append(
-                IdentityCheck(name, est, rhs, abs(est - float(rhs)), "mc", stderr=se)
-            )
+        lhs = ordered_moment(m, powers)
+        out.append(IdentityCheck(name, lhs, rhs, abs(float(lhs - rhs)), "exact"))
     return out
 
 

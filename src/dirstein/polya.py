@@ -16,7 +16,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +28,14 @@ from .metrics import (
     make_battery,
     smooth_gap,
 )
-from .simplex import DirichletParams, _falling, _rising, as_generator, dirichlet_mixed_moment
+from .simplex import (
+    DirichletParams,
+    _falling,
+    _power_moment,
+    _rising,
+    as_generator,
+    dirichlet_mixed_moment,
+)
 
 # exact pair verification enumerates reachable count vectors; beyond this
 # the K^n draw tree stops being worth collapsing and MC takes over
@@ -187,17 +193,6 @@ def resample_pair(state: UrnState, rng):
 # exact moments of the urn law
 
 
-def _stirling2_row(c: int):
-    """S(c, r) for r = 0..c (partitions of c items into r blocks)."""
-    row = [1] + [0] * c
-    for m in range(1, c + 1):
-        nxt = [0] * (c + 1)
-        for r in range(1, m + 1):
-            nxt[r] = r * row[r] + row[r - 1]
-        row = nxt
-    return row
-
-
 def urn_mixed_moment(a, n: int, exponents):
     """Exact E[prod W_i(n)^(c_i)] over all K coordinates.
 
@@ -215,44 +210,28 @@ def urn_mixed_moment(a, n: int, exponents):
     if n < 1:
         raise PolyaError("n must be >= 1")
     num = Fraction if all(isinstance(v, (int, Fraction)) for v in p.a) else float
-    rows = [_stirling2_row(ci) for ci in c]
-    total = num(0)
-    for rvec in _exponent_grid(c):
-        coef = num(1)
-        for ci_row, r in zip(rows, rvec):
-            coef *= ci_row[r]
-        if coef == 0:
-            continue
-        R = sum(rvec)
-        term = coef * _falling(num(n), R)
-        for ai, r in zip(p.a, rvec):
-            term *= _rising(num(ai), r)
-        total += term / _rising(num(p.s), R)
-    return total / num(n) ** sum(c)
 
+    def falling(r):
+        R = sum(r)
+        out = num(_falling(n, R))
+        for ai, ri in zip(p.a, r):
+            out *= _rising(num(ai), ri)
+        return out / _rising(num(p.s), R)
 
-def _exponent_grid(c):
-    if not c:
-        yield ()
-        return
-    for head in range(c[0] + 1):
-        for rest in _exponent_grid(c[1:]):
-            yield (head,) + rest
+    return _power_moment(c, falling) / num(n) ** sum(c)
 
 
 # ---------------------------------------------------------------------------
 # conditional-moment identities of the redraw pair
 
 
-@lru_cache(maxsize=64)
-def _count_law(a_key, n: int):
+def _count_law(a, n: int):
     """Exact law of the full count vector after n draws, {tuple: Fraction}.
 
     Forward recursion over count states; the per-step color law only
     depends on the current counts, so this collapses the K^n draw tree
     without losing exactness.
     """
-    a = a_key
     law = {(0,) * len(a): Fraction(1)}
     s = sum(a)
     for j in range(n):

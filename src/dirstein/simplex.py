@@ -223,6 +223,32 @@ def _falling(v, k: int):
     return out
 
 
+def _stirling2_row(p: int):
+    """S(p, k) for k = 0..p (partitions of p items into k blocks)."""
+    row = [1] + [0] * p
+    for _ in range(p):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, p + 1)]
+    return row
+
+
+def _power_moment(powers: Sequence[int], falling_moment):
+    """E prod_t X_t^(p_t) from the falling moments E prod_t (X_t)_(k_t).
+
+    Each power expands as x^p = sum_k S(p, k) (x)_k over the Stirling
+    numbers of the second kind, so falling_moment(k) is called for every
+    k with k_t <= p_t and a non-zero coefficient, and the sum keeps its
+    arithmetic (exact for Fractions)."""
+    rows = [_stirling2_row(p) for p in powers]
+    total = 0
+    for k in itertools.product(*(range(p + 1) for p in powers)):
+        coef = 1
+        for row, kt in zip(rows, k):
+            coef *= row[kt]
+        if coef:
+            total += coef * falling_moment(k)
+    return total
+
+
 def dirichlet_mixed_moment(p: DirichletParams, exponents: Sequence[int]):
     """Exact mixed moment E[prod Z_i^(c_i)] = prod (a_i)^(c_i) / (s)^(|c|).
 

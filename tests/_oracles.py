@@ -78,6 +78,45 @@ def distinct_moment_bruteforce(law, N, fn, orders):
     return total
 
 
+def _partitions_into(n, maxpart):
+    """Partitions of n with parts <= maxpart (list of parts, descending)."""
+    if n == 0:
+        yield []
+        return
+    for first in range(min(n, maxpart), 0, -1):
+        for rest in _partitions_into(n - first, first):
+            yield [first] + rest
+
+
+def offspring_law(m):
+    """(sorted count multiset, exact probability) pairs of an offspring law
+    over all its multisets, each multiset's ordered probability times its
+    number of orderings: Wright-Fisher and Dirichlet-multinomial by the
+    multinomial and Polya weights (feasible for N up to about 8), moran
+    and explicit tables as the library gives them."""
+    from fractions import Fraction
+
+    from dirstein.offspring import enumerate_law
+
+    N = m.N
+    if m.kind not in ("wright-fisher", "dirichlet-multinomial"):
+        yield from enumerate_law(m)
+        return
+    for part in _partitions_into(N, N):
+        counts = tuple(sorted(part + [0] * (N - len(part))))
+        per = Fraction(math.factorial(N), math.prod(math.factorial(c) for c in counts))
+        if m.kind == "wright-fisher":
+            per /= N**N
+        else:
+            for c in counts:
+                per *= math.prod(m.phi + t for t in range(c))
+            per /= math.prod(N * m.phi + t for t in range(N))
+        orderings = math.factorial(N) // math.prod(
+            math.factorial(len(list(g))) for _, g in itertools.groupby(counts)
+        )
+        yield counts, per * orderings
+
+
 def level_mean_trig(kind, w, a1, s, n_arr, x):
     """E[cos(w Z)] or E[sin(w Z)] at level n for two types, from the
     Taylor series over level_mean_monomial, summed until the coefficient

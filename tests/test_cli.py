@@ -611,6 +611,43 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert out.count("[exact]") == 10 and "passed = true" in out
 
+    @pytest.mark.parametrize(
+        "offspring",
+        ['"wright-fisher"', '"dirichlet-multinomial"\nmodel.phi = 0.6666666666666666'],
+        ids=["wf", "dm"],
+    )
+    def test_moments_exact_at_large_n(self, tmp_path, capsys, offspring):
+        cfg = write_cfg(
+            tmp_path,
+            "c.cfg",
+            f'kind = "moments-verify"\nmodel.N = 1000\nmodel.offspring = {offspring}\nseed = 1\n',
+        )
+        assert main(["moments", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11 and lines[-1] == "passed = true"
+        assert all(line.endswith(": residual = 0 [exact] ok") for line in lines[:10])
+
+    @pytest.mark.parametrize(
+        "N, offspring",
+        [(4, "dirichlet-multinomial"), (8, "dirichlet-multinomial"), (6, "moran")],
+        ids=["dm4", "dm8", "moran6"],
+    )
+    def test_moments_output_unchanged(self, tmp_path, capsys, N, offspring):
+        # the printed lines of the benchmark's moments jobs, frozen
+        cfg = write_cfg(
+            tmp_path,
+            "c.cfg",
+            f'kind = "moments-verify"\nmodel.N = {N}\nmodel.offspring = "{offspring}"\n'
+            "model.phi = 1.2345\nseed = 4\n",
+        )
+        assert main(["moments", "--config", cfg]) == 0
+        names = (
+            "E V1^2", "E V1V2", "E V1^3", "E V1V2V3", "E V1^2V2", "E V1^2V2^2",
+            "E V1^4", "E V1V2V3V4", "E V1^2V2V3", "E V1^3V2",
+        )
+        want = [f"{name}: residual = 0 [exact] ok" for name in names] + ["passed = true"]
+        assert capsys.readouterr().out.splitlines() == want
+
     def test_moments_rejects_other_kinds(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.cfg", WF_CFG)
         assert main(["moments", "--config", cfg]) == 1

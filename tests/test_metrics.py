@@ -25,7 +25,6 @@ from dirstein.metrics import (
     _validate_battery,
     attach_exact_means,
     convex_probe_k3,
-    dirichlet_reference,
     exact_stationary,
     kolmogorov_k2,
     make_battery,
@@ -33,7 +32,7 @@ from dirstein.metrics import (
     smooth_gap,
 )
 from dirstein.mutation import MutationMatrix, summarize
-from dirstein.offspring import OffspringModel
+from dirstein.offspring import OffspringModel, moments
 from dirstein.simplex import DirichletParams, RngStream, as_generator, dirichlet_sample
 from dirstein.stein import SteinError, attach_mean
 
@@ -376,10 +375,20 @@ class TestConvexProbe:
     def test_monotone_in_probe_count(self):
         a = DirichletParams((1, 1, 1))
         z = dirichlet_sample(a, as_generator(RngStream(12)), size=5000)
-        dirichlet_reference(a, RngStream(13), size=10**5)
         few = convex_probe_k3(z, a, 5, RngStream(20), reference_size=10**5)
         many = convex_probe_k3(z, a, 50, RngStream(20), reference_size=10**5)
         assert many.value >= few.value
+
+    def test_does_not_depend_on_earlier_calls(self):
+        # the reference cloud comes from the call's own stream, so an
+        # earlier call with another stream cannot change the result
+        a = DirichletParams((1, 1, 1))
+        z = dirichlet_sample(a, as_generator(RngStream(12)), size=5000)
+        size = 10**5 + 17  # a reference size no other test uses
+        first = convex_probe_k3(z, a, 20, RngStream(20), reference_size=size)
+        convex_probe_k3(z, a, 20, RngStream(21), reference_size=size)
+        again = convex_probe_k3(z, a, 20, RngStream(20), reference_size=size)
+        assert again == first
 
     def test_mean_plane_detects_shift(self):
         # Dir(2,1,1) mass left of x1 = 1/3 is 7/27 against 5/9 for the
@@ -400,6 +409,12 @@ class TestConvexProbe:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _as_table(m):
+    """An explicit table holding the oracle's enumeration of m, so that
+    its rows go through the enumerated group totals."""
+    return OffspringModel.explicit(m.N, dict(oracles.offspring_law(m)))
 
 
 def _moran_and_table():
@@ -446,15 +461,12 @@ class TestExactStationary:
         assert ge.passed
 
     def test_wf_direct_equals_enumerated(self):
-        # exact_stationary sends WF offspring to the multinomial rows, so
-        # solve the enumerated rows of _cannings_matrix by hand
-        from dirstein.metrics import _cannings_matrix, _solve_stationary, _state_grid
-
+        # an explicit table holding the Wright-Fisher law goes through the
+        # enumerated rows
         pim = pim_for((1, 1), 6)
         direct = exact_stationary(ChainModel(6, pim))
-        model = ChainModel(6, pim, OffspringModel.wright_fisher(6))
-        enum, _ = _solve_stationary(_cannings_matrix(model, _state_grid(6, 2)))
-        assert np.max(np.abs(direct.probs - enum)) < 1e-12
+        enum = exact_stationary(ChainModel(6, pim, _as_table(OffspringModel.wright_fisher(6))))
+        assert np.max(np.abs(direct.probs - enum.probs)) < 1e-12
 
     def test_moran_fast_equals_enumerated(self):
         # the Moran closed form against an explicit table holding the Moran
@@ -470,7 +482,8 @@ class TestExactStationary:
 
         pim = MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15)][:K])
         states = _state_grid(N, K)
-        enum = _cannings_matrix(ChainModel(N, pim, OffspringModel.wright_fisher(N)), states)
+        table = _as_table(OffspringModel.wright_fisher(N))
+        enum = _cannings_matrix(ChainModel(N, pim, table), states)
         direct = _wf_matrix(ChainModel(N, pim), states)
         assert np.max(np.abs(enum - direct)) < 1e-12
 
@@ -522,7 +535,43 @@ class TestExactStationary:
     def test_general_kind_needs_small_n(self):
         dm = OffspringModel.dirichlet_multinomial(10, 1)
         with pytest.raises(MetricsError, match="N <= 8"):
-            exact_stationary(ChainModel(10, pim_for((1, 1), 10), dm))
+            exact_stationary(ChainModel(10, pim_for((1, 1, 1), 10), dm))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("phi", [F(1, 3), F(2)], ids=["phi1/3", "phi2"])
+    def test_dm_rows_match_enumeration(self, K, N, phi):
+        # the closed-form group law M | x ~ DM(N; phi x) against an
+        # explicit table of the oracle's enumerated Dirichlet-multinomial law
+        from dirstein.metrics import _cannings_matrix, _state_grid
+
+        pim = MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15)][:K])
+        dm = OffspringModel.dirichlet_multinomial(N, phi)
+        states = _state_grid(N, K)
+        closed = _cannings_matrix(ChainModel(N, pim, dm), states)
+        enum = _cannings_matrix(ChainModel(N, pim, _as_table(dm)), states)
+        assert np.max(np.abs(closed - enum)) < 1e-14
+
+    @pytest.mark.parametrize("N", [100, 200])
+    @pytest.mark.parametrize("phi", [F(1, 3), F(2)], ids=["phi1/3", "phi2"])
+    def test_dm_two_types_at_large_n(self, N, phi):
+        # parent-independent rates pi with u = |pi|: the stationary mean of
+        # X_1/N is p1 = pi_1/u, and a sampled pair shares an ancestor before
+        # either lineage mutates with probability
+        # q = (1-u)^2 c / (1 - (1-u)^2 (1-c)), c = alpha/(N-1), so
+        # E[(X_1)_2]/(N)_2 = q p1 + (1-q) p1^2
+        pi = [F(1, 40), F(3, 80)]
+        dm = OffspringModel.dirichlet_multinomial(N, phi)
+        tab = exact_stationary(ChainModel(N, MutationMatrix.pim(pi), dm))
+        u = sum(pi)
+        p1 = pi[0] / u
+        c = moments(dm).alpha / (N - 1)
+        q = (1 - u) ** 2 * c / (1 - (1 - u) ** 2 * (1 - c))
+        x = tab.counts[:, 0].astype(float)
+        mean = float(tab.probs @ x) / N
+        pair = float(tab.probs @ (x * (x - 1))) / (N * (N - 1))
+        assert mean == pytest.approx(float(p1), rel=1e-12, abs=0)
+        assert pair == pytest.approx(float(q * p1 + (1 - q) * p1**2), rel=1e-12, abs=0)
 
     def test_dm_table_symmetric(self):
         dm = OffspringModel.dirichlet_multinomial(6, F(1, 2))

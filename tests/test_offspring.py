@@ -1,6 +1,7 @@
 """Offspring-law moments, identities, and samplers."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirstein.offspring import (
-    ENUMERATION_LIMIT,
     IdentityCheck,
     OffspringError,
     OffspringModel,
     _identity_rows,
     aggregate_moments,
     enumerate_law,
-    mc_ordered_moment,
+    falling_moment,
     mohle_diagnostics,
     moments,
     ordered_moment,
@@ -24,7 +24,7 @@ from dirstein.offspring import (
     verify_moment_identities,
 )
 from dirstein.simplex import RngStream, _falling
-from _oracles import distinct_moment_bruteforce
+from _oracles import distinct_moment_bruteforce, offspring_law
 
 # Hand-computed values, frozen.
 WF4_ALPHA = Fraction(3, 4)
@@ -101,6 +101,8 @@ class TestConstruction:
 
 
 class TestEnumeration:
+    # Wright-Fisher and Dirichlet-multinomial laws are enumerated only by
+    # the test oracle, whose laws these cases check
     @pytest.mark.parametrize(
         "m",
         [
@@ -114,22 +116,24 @@ class TestEnumeration:
         ids=["wf2", "wf5", "wf8", "moran6", "dm6", "table4"],
     )
     def test_total_probability_one(self, m):
-        law = list(enumerate_law(m))
+        law = list(offspring_law(m))
         assert sum(p for _, p in law) == 1
         assert all(sum(c) == m.N for c, _ in law)
         assert all(p > 0 for _, p in law)
 
     def test_wf2_law(self):
-        law = dict(enumerate_law(OffspringModel.wright_fisher(2)))
+        law = dict(offspring_law(OffspringModel.wright_fisher(2)))
         assert law == {(1, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)}
 
     def test_moran_law(self):
         law = dict(enumerate_law(OffspringModel.moran(5)))
         assert law == {(0, 1, 1, 1, 2): Fraction(1)}
 
-    def test_large_population_refused(self):
-        with pytest.raises(OffspringError, match="infeasible"):
-            list(enumerate_law(OffspringModel.wright_fisher(ENUMERATION_LIMIT + 1)))
+    def test_closed_form_laws_not_enumerated(self):
+        # their falling moments are closed forms at every N
+        for m in (OffspringModel.wright_fisher(4), OffspringModel.dirichlet_multinomial(4, 1)):
+            with pytest.raises(OffspringError, match="per multiset"):
+                list(enumerate_law(m))
 
     def test_moran_enumeration_any_size(self):
         law = list(enumerate_law(OffspringModel.moran(500)))
@@ -148,7 +152,7 @@ def oracle_factorial_moments(m):
 
     N = m.N
     alpha = beta = gamma = delta = Fraction(0)
-    for counts, prob in enumerate_law(m):
+    for counts, prob in offspring_law(m):
         alpha += prob * Fraction(sum(fall(c, 2) for c in counts), N)
         beta += prob * Fraction(sum(fall(c, 3) for c in counts), N)
         delta += prob * Fraction(sum(fall(c, 4) for c in counts), N)
@@ -254,7 +258,7 @@ class TestIdentities:
     )
     def test_value_classes_match_permutation_loop(self, m):
         # every identity's powers, and the falling orders behind alpha..delta
-        law = list(enumerate_law(m))
+        law = list(offspring_law(m))
         for _, powers, _ in _identity_rows(m.N, moments(m)):
             assert ordered_moment(m, powers) == distinct_moment_bruteforce(
                 law, m.N, pow, powers
@@ -275,19 +279,45 @@ class TestIdentities:
         skipped3 = {c.name for c in checks3 if c.skipped}
         assert skipped3 == {"E V1V2V3V4"}
 
-    def test_mc_mode_within_noise(self):
-        m = OffspringModel.wright_fisher(20)
-        checks = verify_moment_identities(
-            m, rng=RngStream(20220822), mc_samples=40_000
-        )
+    @pytest.mark.parametrize(
+        "m",
+        [
+            OffspringModel.wright_fisher(20),
+            OffspringModel.wright_fisher(10**6),
+            OffspringModel.dirichlet_multinomial(1000, Fraction(2, 3)),
+            OffspringModel.dirichlet_multinomial(10**6, Fraction(5, 2)),
+            OffspringModel.moran(10**6),
+        ],
+        ids=["wf20", "wf1e6", "dm1000", "dm1e6", "moran1e6"],
+    )
+    def test_large_population_is_exact(self, m):
+        t0 = time.perf_counter()
+        checks = verify_moment_identities(m)
+        assert time.perf_counter() - t0 < 0.1
         for c in checks:
-            assert not c.skipped
-            assert c.mode == "mc"
-            assert c.residual < 5 * c.stderr + 1e-12, c.name
+            assert c.mode == "exact" and c.lhs == c.rhs and c.residual == 0.0, c.name
 
-    def test_mc_mode_needs_rng(self):
-        with pytest.raises(OffspringError, match="rng"):
-            verify_moment_identities(OffspringModel.wright_fisher(20))
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_closed_forms_match_oracle_enumeration(self, N):
+        # every identity's powers, their falling orders and alpha..delta
+        # against plain loops over the oracle's enumerated multisets
+        for m in (
+            OffspringModel.wright_fisher(N),
+            OffspringModel.dirichlet_multinomial(N, Fraction(1, 3)),
+            OffspringModel.dirichlet_multinomial(N, Fraction(5, 2)),
+        ):
+            law = list(offspring_law(m))
+            for _, powers, _ in _identity_rows(N, moments(m)):
+                if len(powers) > N:
+                    continue
+                assert ordered_moment(m, powers) == distinct_moment_bruteforce(
+                    law, N, pow, powers
+                ), (m, powers)
+                assert falling_moment(m, powers) == distinct_moment_bruteforce(
+                    law, N, _falling, powers
+                ), (m, powers)
+            mom = moments(m)
+            assert (mom.alpha, mom.beta, mom.gamma, mom.delta) == oracle_factorial_moments(m)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -342,7 +372,7 @@ class TestAggregate:
         # brute force: M over the enumerated law with a fixed parent set
         m = OffspringModel.wright_fisher(4)
         want = [Fraction(0)] * 4
-        for counts, prob in enumerate_law(m):
+        for counts, prob in offspring_law(m):
             perms = set(itertools.permutations(counts))
             share = prob / len(perms)
             for v in perms:
