@@ -9,7 +9,8 @@ its samples in one stationary run from the config seed; `--workers` and
 DIRSTEIN_WORKERS are validated but change nothing.  Under parent-independent
 mutation the run draws exact samples from the genealogy, which takes no
 mc.burn_in, mc.thin or mc.replicates: such keys are accepted and listed as
-`unused` in the validate output and in summary.txt.  A genealogy that would
+`unused` in the validate output and in summary.txt, as every mc.* key is
+for moments-verify, which samples nothing.  A genealogy that would
 run away (tiny mutation rates) is refused when the config is read.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
@@ -328,7 +329,8 @@ class _Experiment:
         if self.kind not in KINDS:
             raise ConfigError("kind", f"must be one of {', '.join(KINDS)}")
         self.seed = _seed(data)
-        self.mc = _mc_budget(data)
+        # moments-verify reads no mc.* key and lists the ones set as unused
+        self.mc = {} if self.kind == "moments-verify" else _mc_budget(data)
         self.sha = config_hash(data)
         self.notes = []  # derived quantities for validate output
         self.run_args = {}  # forward keys passed on to run_to_stationarity
@@ -427,7 +429,10 @@ class _Experiment:
         except RunawayError as e:
             raise ConfigError(key if e.part == "mutation" else f"mc.{e.part}", str(e))
         self.notes.append("sampler = genealogy")
-        unused = [f"mc.{k}" for k in FORWARD_KEYS if f"mc.{k}" in data]
+        self._note_unused(data, FORWARD_KEYS)
+
+    def _note_unused(self, data, keys):
+        unused = [f"mc.{k}" for k in keys if f"mc.{k}" in data]
         if unused:
             self.notes.append(f"unused = {', '.join(unused)}")
 
@@ -457,6 +462,7 @@ class _Experiment:
         self.offspring = _offspring_from_config(data, self.N)
         kingman = mohle_diagnostics(self.offspring)
         self.notes.append("mohle = (%s, %s, %s)" % tuple(_fmt(v) for v in kingman))
+        self._note_unused(data, ("samples",) + FORWARD_KEYS)
 
 
 def _exact_div(v, d):
@@ -665,7 +671,8 @@ def cmd_validate(data: dict) -> int:
     exp = _Experiment(data)
     print(f"kind = {exp.kind}")
     print(f"seed = {exp.seed}")
-    print(f"mc.samples = {exp.mc['samples']}")
+    if exp.mc:
+        print(f"mc.samples = {exp.mc['samples']}")
     if "replicates" in exp.run_args:
         print(f"mc.replicates = {exp.mc['replicates']}")
     for note in exp.notes:

@@ -611,13 +611,17 @@ class StationaryTable:
     """Exact stationary law of an allele-count chain on its state grid.
 
     resolution is the float linear-algebra noise floor of the solve;
-    expectation gaps at or below it are indistinguishable from zero."""
+    expectation gaps at or below it are indistinguishable from zero.
+    solver names the path that solved it ("krylov" or "dense") and
+    iterations counts its GMRES steps (0 for dense)."""
 
     counts: np.ndarray
     probs: np.ndarray
     N: int
     kind: str
     resolution: float = 1e-12
+    solver: str = "dense"
+    iterations: int = 0
 
     @property
     def w(self) -> np.ndarray:
@@ -805,6 +809,94 @@ def _cannings_matrix(model: ChainModel, states):
     return P
 
 
+def _clip_residual(x, P):
+    """x clipped at zero and normalised, with the true residual
+    |pi P - pi|_inf of the result (inf when nothing positive is left)."""
+    pi = np.maximum(x, 0.0)
+    total = pi.sum()
+    if not total > 0.0:
+        return pi, math.inf
+    pi /= total
+    return pi, float(np.max(np.abs(pi @ P - pi)))
+
+
+def _resolution(S, resid):
+    if not math.isfinite(resid):
+        # an infinite resolution would pass every gap as roundoff
+        raise MetricsError("the solve left no stationary row")
+    return max(1e-12, 100.0 * S * resid)
+
+
+def _krylov_stationary(P):
+    """Stationary row vector of P by GMRES on pi (I - P) = 0, reading P
+    only through the left product v @ P.  Returns (pi, resolution,
+    iterations).
+
+    The iteration starts from the uniform row x0, so the residual
+    x0 P - x0 sums to zero and the Krylov space stays in the range of
+    I - P, the sum-zero rows, on which I - P is invertible: every iterate
+    keeps the total of one.  The Arnoldi basis is orthogonalised by
+    classical Gram-Schmidt applied twice, and Givens rotations track the
+    least-squares residual.  Once that estimate falls to 1e-13 of the
+    start, each iterate is clipped and normalised and its true residual
+    |pi P - pi|_inf is taken.  The iteration ends when that residual puts
+    the resolution at its floor, when it fails to halve (rounding has
+    stalled it; further steps only ill-condition the least-squares
+    problem), or on a near-zero subdiagonal (the basis spans an invariant
+    space, so the solve is exact).  The best checked row is kept.
+    """
+    S = len(P)
+    x0 = np.full(S, 1.0 / S)
+    r0 = x0 @ P - x0
+    beta = float(np.linalg.norm(r0))
+    if beta == 0.0:
+        return x0, 1e-12, 0
+    target = 1e-14 / S  # the residual that puts the resolution at 1e-12
+    m = min(S, 32)  # basis capacity, doubled as needed
+    V = np.empty((m + 1, S))
+    R = np.zeros((m, m))
+    V[0] = r0 / beta
+    cs, sn, g = [], [], [beta]
+    best_pi, best_r = x0, math.inf
+    for j in range(S):
+        w = V[j] - V[j] @ P
+        scale = float(np.linalg.norm(w))
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            c = V[: j + 1] @ w
+            w -= c @ V[: j + 1]
+            h += c
+        # rounding leaks a nonzero total into w; a basis row off the
+        # sum-zero rows carries a piece along pi, which I - P annihilates,
+        # and the least-squares system turns singular
+        w -= w.mean()
+        sub = float(np.linalg.norm(w))
+        breakdown = sub <= 1e-14 * scale
+        for i in range(j):
+            h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+        rho = math.hypot(h[j], sub)
+        cs.append(h[j] / rho)
+        sn.append(sub / rho)
+        h[j] = rho
+        g.append(-sn[j] * g[j])
+        g[j] *= cs[j]
+        if j == m:
+            m = min(2 * m, S)
+            V = np.concatenate([V, np.empty((m + 1 - len(V), S))])
+            R = np.pad(R, (0, m - len(R)))
+        R[: j + 1, j] = h
+        k = j + 1
+        if breakdown or abs(g[k]) <= 1e-13 * beta or k == S:
+            x = x0 + np.linalg.solve(R[:k, :k], np.array(g[:k])) @ V[:k]
+            pi, resid = _clip_residual(x, P)
+            stalled = resid > 0.5 * best_r
+            if resid < best_r:
+                best_pi, best_r = pi, resid
+            if breakdown or stalled or resid <= target or k == S:
+                return best_pi, _resolution(S, best_r), k
+        V[k] = w / sub
+
+
 def _solve_stationary(P):
     """Stationary row vector of P by one dense solve of pi (P - I) = 0
     with the last equation replaced by sum(pi) = 1.
@@ -826,38 +918,45 @@ def _solve_stationary(P):
     finally:
         P[:, -1] = last
         P[np.diag_indices(S)] = diag
-    pi = np.maximum(pi, 0.0)
-    pi /= pi.sum()
-    resid = float(np.max(np.abs(pi @ P - pi)))
-    return pi, max(1e-12, 100.0 * S * resid)
+    pi, resid = _clip_residual(pi, P)
+    return pi, _resolution(S, resid)
 
 
 def exact_stationary(model: ChainModel) -> StationaryTable:
-    """Exact stationary law by dense linear algebra on the state grid.
+    """Exact stationary law of the chain on its full state grid.
 
-    Wright-Fisher rows are multinomial at any size that fits in memory.
-    Every other kernel's rows mix the mutation of the type-group offspring
-    totals over their law.  That law is closed form for Moran (one
-    reproducer and one dier) and Dirichlet-multinomial (M | x is
-    DM(N; phi x)), and comes from enumerating the multisets of an explicit
-    table.  Moran and Dirichlet-multinomial with two types are served at
-    any N; three types and explicit tables are gated at N <= 8, where the
-    three-type mutation convolution stays cheap.  State counts beyond the
-    dense-matrix cap of 6e3 are refused rather than approximated.
+    Wright-Fisher rows are multinomial at any K and any size that fits in
+    memory.  Their stationary row comes from GMRES on the left product
+    v @ P (`_krylov_stationary`): P maps polynomials of degree <= d to
+    degree <= d with eigenvalues (N)_k/N^k times products of mutation
+    eigenvalues, which fall off like exp(-k^2/2N), so a few tens of
+    products suffice.  Every other kernel's rows mix the mutation of the
+    type-group offspring totals over their law.  That law is closed form
+    for Moran (one reproducer and one dier) and Dirichlet-multinomial
+    (M | x is DM(N; phi x)), and comes from enumerating the multisets of
+    an explicit table.  These rows take one dense solve
+    (`_solve_stationary`): Moran relaxes at O(1/N^2) per generation, too
+    slowly for a Krylov iteration.  Moran and Dirichlet-multinomial with
+    two types are served at any N; three types and explicit tables are
+    gated at N <= 8, where the three-type mutation convolution stays
+    cheap, and more than three types are refused, since the convolution
+    has no general-K form.  State counts beyond the dense-matrix cap of
+    6e3 are refused rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
+    if model.kind != KIND_WRIGHT_FISHER and K > 3:
+        raise MetricsError(f"exact law for kind {model.kind!r} needs K <= 3, got K={K}")
     S = math.comb(N + K - 1, K - 1)
     if S > _DENSE_CAP:
         raise MetricsError(f"{S} states exceeds the dense-matrix cap")
     states = _state_grid(N, K)
     if model.kind == KIND_WRIGHT_FISHER:
-        P = _wf_matrix(model, states)
-    elif N <= _SMALL_N or (K == 2 and model.kind in (KIND_MORAN, KIND_DIRICHLET_MULTINOMIAL)):
-        P = _cannings_matrix(model, states)
-    else:
+        pi, resolution, iterations = _krylov_stationary(_wf_matrix(model, states))
+        return StationaryTable(states, pi, N, model.kind, resolution, "krylov", iterations)
+    if not (N <= _SMALL_N or (K == 2 and model.kind in (KIND_MORAN, KIND_DIRICHLET_MULTINOMIAL))):
         raise MetricsError(
             f"exact law for kind {model.kind!r} with K={K} needs N <= {_SMALL_N}"
         )
-    pi, resolution = _solve_stationary(P)
+    pi, resolution = _solve_stationary(_cannings_matrix(model, states))
     return StationaryTable(states, pi, N, model.kind, resolution)

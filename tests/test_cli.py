@@ -212,10 +212,18 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", cli.KINDS)
     def test_one_sample_refused(self, tmp_path, capsys, kind):
-        # one sample has no stderr, so every kind refuses it up front
+        # one sample has no stderr, so every sampling kind refuses it up
+        # front; moments-verify samples nothing and lists the key as unused
         body = {**_BASES[kind], "kind": kind, "seed": 1, "mc.samples": 1}
         text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in body.items())
         cfg = write_cfg(tmp_path, "c.cfg", text)
+        if kind == "moments-verify":
+            assert main(["validate", "--config", cfg]) == 0
+            out = capsys.readouterr().out
+            assert "unused = mc.samples" in out and "mc.samples = " not in out
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+            assert "unused = mc.samples\n" in (tmp_path / "o" / "summary.txt").read_text()
+            return
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: mc.samples: must be >= 2")
         assert not (tmp_path / "o").exists()

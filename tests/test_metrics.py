@@ -441,8 +441,10 @@ def _moran_and_table():
 
 class TestExactStationary:
     def test_single_individual_symmetric(self):
+        # the uniform start is already stationary: GMRES returns it as is
         tab = exact_stationary(ChainModel(1, MutationMatrix.pim([F(1, 2), F(1, 2)])))
-        assert np.allclose(tab.probs, [0.5, 0.5], atol=1e-14)
+        assert tab.probs.tolist() == [0.5, 0.5]
+        assert (tab.solver, tab.iterations, tab.resolution) == ("krylov", 0, 1e-12)
 
     def test_reflection_symmetry_n2(self):
         tab = exact_stationary(ChainModel(2, pim_for((1, 1), 2)))
@@ -513,7 +515,8 @@ class TestExactStationary:
             assert np.max(np.abs(pi @ P - pi)) <= resolution
 
     def test_dense_solve_covers_large_tables(self):
-        # S = 2628: the one dense solve also serves tables near the cap
+        # S = 2628, near the benchmark's largest Wright-Fisher tables; they
+        # take the Krylov path, and the mean still matches pi / |pi|
         pi = [F(1, 50), F(1, 70), F(1, 90)]
         tab = exact_stationary(ChainModel(71, MutationMatrix.pim(pi)))
         assert len(tab.probs) == 2628
@@ -531,6 +534,33 @@ class TestExactStationary:
             exact_stationary(ChainModel(400, pim_for((1, 1, 1), 400)))
         with pytest.raises(MetricsError, match="cap"):
             exact_stationary(ChainModel(120, pim_for((1, 1, 1), 120)))
+
+    @pytest.mark.parametrize("offspring", ["moran", "explicit", "dm"])
+    def test_cannings_refuses_four_types(self, offspring):
+        # the mutation convolution of Cannings rows has no K=4 form
+        pi = MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15), F(1, 12)])
+        law = {
+            "moran": OffspringModel.moran(4),
+            "explicit": _as_table(OffspringModel.moran(4)),
+            "dm": OffspringModel.dirichlet_multinomial(4, 1),
+        }[offspring]
+        with pytest.raises(MetricsError, match="K=4"):
+            exact_stationary(ChainModel(4, pi, law))
+
+    def test_wf_four_types_mean(self):
+        pi = [F(1, 10), F(1, 20), F(1, 15), F(1, 12)]
+        tab = exact_stationary(ChainModel(10, MutationMatrix.pim(pi)))
+        assert tab.solver == "krylov"
+        want = np.array([float(p / sum(pi)) for p in pi[:3]])
+        assert np.max(np.abs(tab.probs @ tab.w - want)) < 1e-12
+
+    def test_solver_is_recorded(self):
+        wf = exact_stationary(ChainModel(20, pim_for((1, 1), 20)))
+        assert wf.solver == "krylov" and 0 < wf.iterations < 21
+        again = exact_stationary(ChainModel(20, pim_for((1, 1), 20)))
+        assert again.iterations == wf.iterations and np.array_equal(again.probs, wf.probs)
+        moran = exact_stationary(ChainModel(20, pim_for((1, 1), 20), OffspringModel.moran(20)))
+        assert moran.solver == "dense" and moran.iterations == 0
 
     def test_general_kind_needs_small_n(self):
         dm = OffspringModel.dirichlet_multinomial(10, 1)
@@ -578,6 +608,55 @@ class TestExactStationary:
         tab = exact_stationary(ChainModel(6, pim_for((1, 1), 6), dm))
         assert np.allclose(tab.probs, tab.probs[::-1], atol=1e-12)
         assert tab.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def cyclic_for(N):
+    """Three types, each mutating to the next at (1 + 1/2)/(2N) and to the
+    previous at (1 - 1/2)/(2N): parent-dependent mutation."""
+    up, down = F(3, 4 * N), F(1, 4 * N)
+    rows = [[F(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        rows[i][(i + 1) % 3] = up
+        rows[i][(i - 1) % 3] = down
+        rows[i][i] = 1 - up - down
+    return MutationMatrix(rows)
+
+
+class TestKrylovSolver:
+    """The Wright-Fisher GMRES path against the dense solve on the same P."""
+
+    @pytest.mark.parametrize(
+        "K, N, mutation",
+        [(2, N, "pim") for N in (1, 2, 20, 200)]
+        + [(3, N, mut) for mut in ("pim", "cyclic") for N in (5, 25, 71)]
+        + [(4, 6, "pim")],
+    )
+    def test_matches_dense(self, K, N, mutation):
+        from dirstein.metrics import (
+            _krylov_stationary,
+            _solve_stationary,
+            _state_grid,
+            _wf_matrix,
+        )
+
+        mut = pim_for((1,) * K, N) if mutation == "pim" else cyclic_for(N)
+        P = _wf_matrix(ChainModel(N, mut), _state_grid(N, K))
+        before = P.copy()
+        pi, resolution, iterations = _krylov_stationary(P)
+        assert np.array_equal(P, before)
+        dense, dense_resolution = _solve_stationary(P)
+        assert np.max(np.abs(pi - dense)) <= 1e-14
+        assert resolution <= dense_resolution
+        assert np.max(np.abs(pi @ P - pi)) <= resolution
+        assert pi.sum() == pytest.approx(1.0, abs=1e-14)
+        assert 0 <= iterations < len(P)
+
+    def test_lost_row_is_refused(self):
+        # a resolution of inf would pass every gap as roundoff
+        from dirstein.metrics import _krylov_stationary
+
+        with pytest.raises(MetricsError, match="no stationary row"):
+            _krylov_stationary(np.full((3, 3), np.nan))
 
 
 # ---------------------------------------------------------------------------
