@@ -631,7 +631,7 @@ class StationaryTable:
         return float(self.probs @ np.asarray(fn(self.w), dtype=np.float64))
 
 
-_DENSE_CAP = 6_000
+_STATE_CAP = 6_000
 # Cannings rows beyond Moran and Dirichlet-multinomial with two types stop
 # here: the three-type mutation convolution loops in Python over every
 # group total, and explicit tables enumerate every slot arrangement
@@ -675,19 +675,90 @@ def _binom_pmf(m, p, length, lgfact):
     return out
 
 
-def _wf_matrix(model: ChainModel, states):
+def _wf_operator(model: ChainModel, states):
+    """The left product v -> v @ P of the Wright-Fisher rows on `states`,
+    without forming P.
+
+    A multinomial row factorises over types: with q = x Pm / N and, per
+    row, the pivot p = argmax q (so q_p >= 1/K), the last other type l
+    and the rest R,
+        P[x, y] = L[x, y_l] * prod_{i in R} A_i[x, y_i] * M(y),
+        L[x, j] = C(N, j) q_l^j q_p^(N-j),   A_i[x, j] = (q_i / q_p)^j,
+    where M(y) is the multinomial coefficient of N - y_l over (y_R, y_p).
+    L and every A_i are at most one and are taken in log space with
+    0 log 0 = 0, so zero mutation rates are exact; M is at most
+    (K-1)^N and is a product of exactly rounded binomials.  For each
+    pivot group, v @ P is then W = KR^T (v * L), KR the row-wise
+    Khatri-Rao product of the A_i (one column at K=2), read at each
+    state's (y_R, y_l) and scaled by M.  The tables hold about
+    8 S ((N+1)^(K-2) + N+1) bytes against 8 S^2 for P.  Rows are
+    renormalised as a dense build would be: the row sums P 1 come from
+    the transposed contraction once, and their inverses scale v.
+    """
     N, K = model.N, model.K
-    Pm = model.mutation.array()
-    full = np.column_stack([states, N - states.sum(axis=1)]).astype(np.float64)
-    q = (full / N) @ Pm
-    logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -1e30)
+    full = np.column_stack([states, N - states.sum(axis=1)])
+    q = (full / N) @ model.mutation.array()
+    with np.errstate(divide="ignore"):
+        logq = np.log(q)
+    j = np.arange(N + 1)
     lgfact = _log_factorials(N)
-    coef = lgfact[N] - lgfact[full.astype(np.int64)].sum(axis=1)
-    L = logq @ full.T
-    L += coef[None, :]
-    P = np.exp(L, out=L)
-    P /= P.sum(axis=1, keepdims=True)
-    return P
+    lbinom = lgfact[N] - (lgfact[j] + lgfact[N - j])
+    if K > 2:
+        # exactly rounded binomials C(n, k), n, k <= N
+        comb = np.array(
+            [[math.comb(n, k) for k in range(N + 1)] for n in range(N + 1)], dtype=np.float64
+        )
+
+    def xlog(logr):
+        """j log r for j = 0..N per row, with 0 log 0 = 0."""
+        with np.errstate(invalid="ignore"):
+            e = np.multiply.outer(logr, j.astype(np.float64))
+        e[:, 0] = 0.0
+        return e
+
+    pivot = q.argmax(axis=1)
+    groups = []
+    rowsum = np.empty(len(states))
+    for p in range(K):
+        rows = np.flatnonzero(pivot == p)
+        if not len(rows):
+            continue
+        *R, ell = [i for i in range(K) if i != p]
+        lp = logq[rows, p]
+        # log L = j (log q_l - log q_p) + log C(N, j) + N log q_p
+        L = xlog(logq[rows, ell] - lp)
+        L += lbinom
+        L += (N * lp)[:, None]
+        np.exp(L, out=L)
+        KR = np.ones((len(rows), 1))
+        for i in R:
+            A = np.exp(xlog(logq[rows, i] - lp))
+            KR = (KR[:, :, None] * A[:, None, :]).reshape(len(rows), -1)
+        # each state's cell (y_R, y_l) in W, and its coefficient M(y)
+        idx = np.ravel_multi_index(tuple(full[:, R + [ell]].T), (N + 1,) * (K - 1))
+        coef = np.ones(len(states))
+        rest = N - full[:, ell]
+        for i in R:
+            coef *= comb[rest, full[:, i]]
+            rest = rest - full[:, i]
+        mtab = np.zeros((KR.shape[1], N + 1))
+        mtab.ravel()[idx] = coef
+        rowsum[rows] = np.einsum("xr,xr->x", KR, L @ mtab.T)
+        groups.append((rows, L, KR, idx, coef))
+
+    def apply(v):
+        w = v / rowsum
+        out = np.zeros(len(w))
+        for rows, L, KR, idx, coef in groups:
+            # the row weights go on the thinner factor: KR at K=2, else L
+            if KR.shape[1] < L.shape[1]:
+                W = (KR * w[rows, None]).T @ L
+            else:
+                W = KR.T @ (w[rows, None] * L)
+            out += W.ravel()[idx] * coef
+        return out
+
+    return apply
 
 
 def _distinct_rows(v):
@@ -809,15 +880,16 @@ def _cannings_matrix(model: ChainModel, states):
     return P
 
 
-def _clip_residual(x, P):
+def _clip_residual(x, product):
     """x clipped at zero and normalised, with the true residual
-    |pi P - pi|_inf of the result (inf when nothing positive is left)."""
+    |pi P - pi|_inf of the result (inf when nothing positive is left);
+    product(v) is v @ P."""
     pi = np.maximum(x, 0.0)
     total = pi.sum()
     if not total > 0.0:
         return pi, math.inf
     pi /= total
-    return pi, float(np.max(np.abs(pi @ P - pi)))
+    return pi, float(np.max(np.abs(product(pi) - pi)))
 
 
 def _resolution(S, resid):
@@ -827,9 +899,10 @@ def _resolution(S, resid):
     return max(1e-12, 100.0 * S * resid)
 
 
-def _krylov_stationary(P):
-    """Stationary row vector of P by GMRES on pi (I - P) = 0, reading P
-    only through the left product v @ P.  Returns (pi, resolution,
+def _krylov_stationary(product, S):
+    """Stationary row vector of an S-state chain by GMRES on
+    pi (I - P) = 0, reading P only through product(v) = v @ P, so P need
+    never be formed (`_wf_operator`).  Returns (pi, resolution,
     iterations).
 
     The iteration starts from the uniform row x0, so the residual
@@ -845,9 +918,8 @@ def _krylov_stationary(P):
     problem), or on a near-zero subdiagonal (the basis spans an invariant
     space, so the solve is exact).  The best checked row is kept.
     """
-    S = len(P)
     x0 = np.full(S, 1.0 / S)
-    r0 = x0 @ P - x0
+    r0 = product(x0) - x0
     beta = float(np.linalg.norm(r0))
     if beta == 0.0:
         return x0, 1e-12, 0
@@ -859,7 +931,7 @@ def _krylov_stationary(P):
     cs, sn, g = [], [], [beta]
     best_pi, best_r = x0, math.inf
     for j in range(S):
-        w = V[j] - V[j] @ P
+        w = V[j] - product(V[j])
         scale = float(np.linalg.norm(w))
         h = np.zeros(j + 1)
         for _ in range(2):
@@ -888,7 +960,7 @@ def _krylov_stationary(P):
         k = j + 1
         if breakdown or abs(g[k]) <= 1e-13 * beta or k == S:
             x = x0 + np.linalg.solve(R[:k, :k], np.array(g[:k])) @ V[:k]
-            pi, resid = _clip_residual(x, P)
+            pi, resid = _clip_residual(x, product)
             stalled = resid > 0.5 * best_r
             if resid < best_r:
                 best_pi, best_r = pi, resid
@@ -918,19 +990,21 @@ def _solve_stationary(P):
     finally:
         P[:, -1] = last
         P[np.diag_indices(S)] = diag
-    pi, resid = _clip_residual(pi, P)
+    pi, resid = _clip_residual(pi, lambda v: v @ P)
     return pi, _resolution(S, resid)
 
 
 def exact_stationary(model: ChainModel) -> StationaryTable:
     """Exact stationary law of the chain on its full state grid.
 
-    Wright-Fisher rows are multinomial at any K and any size that fits in
-    memory.  Their stationary row comes from GMRES on the left product
-    v @ P (`_krylov_stationary`): P maps polynomials of degree <= d to
-    degree <= d with eigenvalues (N)_k/N^k times products of mutation
-    eigenvalues, which fall off like exp(-k^2/2N), so a few tens of
-    products suffice.  Every other kernel's rows mix the mutation of the
+    Wright-Fisher rows are multinomial at any K.  Their stationary row
+    comes from GMRES on the left product v @ P (`_krylov_stationary`):
+    P maps polynomials of degree <= d to degree <= d with eigenvalues
+    (N)_k/N^k times products of mutation eigenvalues, which fall off like
+    exp(-k^2/2N), so a few tens of products suffice.  The product is
+    factorised over types (`_wf_operator`) and never forms P: its tables
+    take about 8 S ((N+1)^(K-2) + N+1) bytes, so from K=3 on they are far
+    smaller than P.  Every other kernel's rows mix the mutation of the
     type-group offspring totals over their law.  That law is closed form
     for Moran (one reproducer and one dier) and Dirichlet-multinomial
     (M | x is DM(N; phi x)), and comes from enumerating the multisets of
@@ -940,19 +1014,19 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     two types are served at any N; three types and explicit tables are
     gated at N <= 8, where the three-type mutation convolution stays
     cheap, and more than three types are refused, since the convolution
-    has no general-K form.  State counts beyond the dense-matrix cap of
-    6e3 are refused rather than approximated.
+    has no general-K form.  State counts beyond the state cap of 6e3 are
+    refused, for every kind, rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
     if model.kind != KIND_WRIGHT_FISHER and K > 3:
         raise MetricsError(f"exact law for kind {model.kind!r} needs K <= 3, got K={K}")
     S = math.comb(N + K - 1, K - 1)
-    if S > _DENSE_CAP:
-        raise MetricsError(f"{S} states exceeds the dense-matrix cap")
+    if S > _STATE_CAP:
+        raise MetricsError(f"{S} states exceeds the state cap of {_STATE_CAP}")
     states = _state_grid(N, K)
     if model.kind == KIND_WRIGHT_FISHER:
-        pi, resolution, iterations = _krylov_stationary(_wf_matrix(model, states))
+        pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), S)
         return StationaryTable(states, pi, N, model.kind, resolution, "krylov", iterations)
     if not (N <= _SMALL_N or (K == 2 and model.kind in (KIND_MORAN, KIND_DIRICHLET_MULTINOMIAL))):
         raise MetricsError(

@@ -11,7 +11,8 @@ and, for two types, from a power expansion over truncated Beta moments;
 none of these shares the library's Gauss nodes.  The reference copies
 (the two-array genealogy block, the level rule) do the library's
 arithmetic in its earlier, plainer form; the fast paths must match them
-bit for bit."""
+bit for bit.  The dense Wright-Fisher rows are the one reference the
+library's factorised product matches only to rounding."""
 
 import itertools
 import math
@@ -508,3 +509,22 @@ def level_for_tolerance(a, h, tol):
         else:
             lo = mid + 1
     return hi, charge(hi)
+
+
+def wf_matrix(model, states):
+    """The dense Wright-Fisher transition matrix on `states`: every
+    multinomial row from one exp over all S^2 log-probabilities, then
+    normalised.  The library applies these rows as a factorised product
+    without forming them."""
+    N = model.N
+    Pm = model.mutation.array()
+    full = np.column_stack([states, N - states.sum(axis=1)]).astype(np.float64)
+    q = (full / N) @ Pm
+    logq = np.where(q > 0.0, np.log(np.where(q > 0.0, q, 1.0)), -1e30)
+    lgfact = np.array([math.lgamma(k + 1.0) for k in range(N + 1)])
+    coef = lgfact[N] - lgfact[full.astype(np.int64)].sum(axis=1)
+    L = logq @ full.T
+    L += coef[None, :]
+    P = np.exp(L, out=L)
+    P /= P.sum(axis=1, keepdims=True)
+    return P

@@ -1,6 +1,7 @@
 """Battery certification, distance estimators, and exact stationary tables."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -480,13 +481,13 @@ class TestExactStationary:
 
     @pytest.mark.parametrize("K, N", [(2, 6), (3, 5)])
     def test_enumerated_rows_match_multinomial_rows(self, K, N):
-        from dirstein.metrics import _cannings_matrix, _state_grid, _wf_matrix
+        from dirstein.metrics import _cannings_matrix, _state_grid
 
         pim = MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15)][:K])
         states = _state_grid(N, K)
         table = _as_table(OffspringModel.wright_fisher(N))
         enum = _cannings_matrix(ChainModel(N, pim, table), states)
-        direct = _wf_matrix(ChainModel(N, pim), states)
+        direct = oracles.wf_matrix(ChainModel(N, pim), states)
         assert np.max(np.abs(enum - direct)) < 1e-12
 
     def test_enumerated_rows_match_moran_rows(self):
@@ -505,10 +506,10 @@ class TestExactStationary:
         assert tab.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_solve_leaves_matrix_bit_identical(self):
-        from dirstein.metrics import _solve_stationary, _state_grid, _wf_matrix
+        from dirstein.metrics import _solve_stationary, _state_grid
 
         for N, K in ((30, 2), (12, 3)):
-            P = _wf_matrix(ChainModel(N, pim_for((1,) * K, N)), _state_grid(N, K))
+            P = oracles.wf_matrix(ChainModel(N, pim_for((1,) * K, N)), _state_grid(N, K))
             before = P.copy()
             pi, resolution = _solve_stationary(P)
             assert np.array_equal(P, before)
@@ -523,6 +524,28 @@ class TestExactStationary:
         assert tab.resolution < 1e-8
         want = np.array([float(p / sum(pi)) for p in pi[:2]])
         assert np.max(np.abs(tab.probs @ tab.w - want)) < 1e-8
+
+    def test_wf_table_memory(self):
+        # S = 2628: the tables hold O(S N) floats where P would hold S^2
+        # (53 MB); the traced peak stays below a quarter of P
+        model = ChainModel(71, MutationMatrix.pim([F(1, 50), F(1, 70), F(1, 90)]))
+        tracemalloc.start()
+        try:
+            tab = exact_stationary(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        S = len(tab.probs)
+        assert S == 2628
+        assert peak < 8 * S * S / 4
+
+    def test_wf_two_types_at_n3000(self):
+        # C(3000, 1500) > 1e308: a binomial coefficient applied apart from
+        # its powers would overflow and lose the stationary row
+        pi = [F(1, 6000), F(3, 6000)]
+        tab = exact_stationary(ChainModel(3000, MutationMatrix.pim(pi)))
+        assert np.isfinite(tab.probs).all()
+        assert float(tab.probs @ tab.w[:, 0]) == pytest.approx(0.25, abs=1e-12)
 
     def test_reducible_mutation_rejected(self):
         ident = MutationMatrix(((1, 0), (0, 1)))
@@ -622,8 +645,67 @@ def cyclic_for(N):
     return MutationMatrix(rows)
 
 
+def one_way_for(N):
+    """Three types, each mutating only to the next, at 1/(2N): every
+    composition with a missing type has some q_i(x) = 0."""
+    u = F(1, 2 * N)
+    rows = [[F(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        rows[i][(i + 1) % 3] = u
+        rows[i][i] = 1 - u
+    return MutationMatrix(rows)
+
+
+_MUTATIONS = {
+    "pim": lambda K, N: pim_for((1,) * K, N),
+    "cyclic": lambda K, N: cyclic_for(N),
+    "one-way": lambda K, N: one_way_for(N),
+}
+
+
+class TestWFOperator:
+    """The factorised Wright-Fisher product against the dense rows."""
+
+    @pytest.mark.parametrize(
+        "K, N, mutation",
+        [(2, N, "pim") for N in (1, 2, 20, 200, 3000)]
+        + [(3, N, mut) for mut in ("pim", "cyclic", "one-way") for N in (5, 25, 71)]
+        + [(4, N, "pim") for N in (6, 30)],
+    )
+    def test_matches_oracle(self, K, N, mutation):
+        from dirstein.metrics import _state_grid, _wf_operator
+
+        model = ChainModel(N, _MUTATIONS[mutation](K, N))
+        states = _state_grid(N, K)
+        product = _wf_operator(model, states)
+        P = oracles.wf_matrix(model, states)
+        # the oracle rounds log-probabilities as large as log N! before
+        # its exp, so each entry carries a relative error near
+        # eps log N! (3e-14 at N = 71 against a long-double build)
+        tol = max(1e-14, 4 * np.finfo(float).eps * math.lgamma(N + 1))
+        g = np.random.default_rng(N)
+        for _ in range(3):
+            v = g.standard_normal(len(states))
+            want = v @ P
+            assert np.max(np.abs(product(v) - want)) <= tol * np.max(np.abs(want))
+
+    def test_matches_enumerated_rows(self):
+        # an explicit table holding the Wright-Fisher law: rows built by
+        # enumerating offspring vectors, sharing no code with either
+        from dirstein.metrics import _cannings_matrix, _state_grid, _wf_operator
+
+        N = 6
+        states = _state_grid(N, 3)
+        table = _as_table(OffspringModel.wright_fisher(N))
+        for mut in (one_way_for(N), MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15)])):
+            enum = _cannings_matrix(ChainModel(N, mut, table), states)
+            product = _wf_operator(ChainModel(N, mut), states)
+            for v in np.eye(len(states))[::5]:
+                assert np.max(np.abs(product(v) - v @ enum)) < 1e-14
+
+
 class TestKrylovSolver:
-    """The Wright-Fisher GMRES path against the dense solve on the same P."""
+    """The Wright-Fisher GMRES path against the dense solve on the oracle P."""
 
     @pytest.mark.parametrize(
         "K, N, mutation",
@@ -636,14 +718,13 @@ class TestKrylovSolver:
             _krylov_stationary,
             _solve_stationary,
             _state_grid,
-            _wf_matrix,
+            _wf_operator,
         )
 
-        mut = pim_for((1,) * K, N) if mutation == "pim" else cyclic_for(N)
-        P = _wf_matrix(ChainModel(N, mut), _state_grid(N, K))
-        before = P.copy()
-        pi, resolution, iterations = _krylov_stationary(P)
-        assert np.array_equal(P, before)
+        model = ChainModel(N, _MUTATIONS[mutation](K, N))
+        states = _state_grid(N, K)
+        P = oracles.wf_matrix(model, states)
+        pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), len(P))
         dense, dense_resolution = _solve_stationary(P)
         assert np.max(np.abs(pi - dense)) <= 1e-14
         assert resolution <= dense_resolution
@@ -656,7 +737,7 @@ class TestKrylovSolver:
         from dirstein.metrics import _krylov_stationary
 
         with pytest.raises(MetricsError, match="no stationary row"):
-            _krylov_stationary(np.full((3, 3), np.nan))
+            _krylov_stationary(lambda v: np.full(3, np.nan), 3)
 
 
 # ---------------------------------------------------------------------------
