@@ -639,14 +639,18 @@ _SMALL_N = 8
 
 
 def _state_grid(N, K):
-    if K == 2:
-        return np.arange(N + 1, dtype=np.int64)[:, None]
-    out = [
-        t
-        for t in itertools.product(range(N + 1), repeat=K - 1)
-        if sum(t) <= N
-    ]
-    return np.array(out, dtype=np.int64)
+    """The compositions (x_1, ..., x_{K-1}) with sum <= N in lexicographic
+    order, built one leading coordinate at a time rather than by
+    filtering all (N+1)^(K-1) tuples."""
+    grid = np.arange(N + 1, dtype=np.int64)[:, None]
+    for _ in range(K - 2):
+        total = grid.sum(axis=1)
+        parts = []
+        for a in range(N + 1):
+            rest = grid[total <= N - a]
+            parts.append(np.column_stack([np.full(len(rest), a, dtype=np.int64), rest]))
+        grid = np.concatenate(parts)
+    return grid
 
 
 def _log_factorials(n):
@@ -688,10 +692,11 @@ def _wf_operator(model: ChainModel, states):
     L and every A_i are at most one and are taken in log space with
     0 log 0 = 0, so zero mutation rates are exact; M is at most
     (K-1)^N and is a product of exactly rounded binomials.  For each
-    pivot group, v @ P is then W = KR^T (v * L), KR the row-wise
-    Khatri-Rao product of the A_i (one column at K=2), read at each
-    state's (y_R, y_l) and scaled by M.  The tables hold about
-    8 S ((N+1)^(K-2) + N+1) bytes against 8 S^2 for P.  Rows are
+    pivot group, v @ P is then W = (v * L)^T KR, KR the row-wise
+    Khatri-Rao product of the A_i restricted to the C = C(N+K-2, K-2)
+    compositions y_R with sum <= N (one column at K=2), read at each
+    state's (y_l, y_R) and scaled by M.  The tables hold about
+    8 S (C + N+1) bytes against 8 S^2 for P; C < S at every K.  Rows are
     renormalised as a dense build would be: the row sums P 1 come from
     the transposed contraction once, and their inverses scale v.
     """
@@ -703,6 +708,11 @@ def _wf_operator(model: ChainModel, states):
     j = np.arange(N + 1)
     lgfact = _log_factorials(N)
     lbinom = lgfact[N] - (lgfact[j] + lgfact[N - j])
+    # the columns of KR: compositions y_R with sum <= N, in lexicographic
+    # order, so their mixed-radix codes are sorted
+    comps = _state_grid(N, K - 1) if K > 2 else np.zeros((1, 0), dtype=np.int64)
+    radix = (N + 1) ** np.arange(K - 3, -1, -1, dtype=np.int64)
+    codes = comps @ radix
     if K > 2:
         # exactly rounded binomials C(n, k), n, k <= N
         comb = np.array(
@@ -730,20 +740,22 @@ def _wf_operator(model: ChainModel, states):
         L += lbinom
         L += (N * lp)[:, None]
         np.exp(L, out=L)
-        KR = np.ones((len(rows), 1))
-        for i in R:
-            A = np.exp(xlog(logq[rows, i] - lp))
-            KR = (KR[:, :, None] * A[:, None, :]).reshape(len(rows), -1)
-        # each state's cell (y_R, y_l) in W, and its coefficient M(y)
-        idx = np.ravel_multi_index(tuple(full[:, R + [ell]].T), (N + 1,) * (K - 1))
+        # log KR = y_R . log(q_R / q_p); a zero rate's -inf becomes -1e300,
+        # so 0 log 0 = 0 survives the product and every power of it
+        # underflows to zero
+        logr = np.maximum(logq[np.ix_(rows, R)] - lp[:, None], -1e300)
+        KR = np.exp(logr @ comps.T)
+        # each state's cell (y_l, y_R) in W, and its coefficient M(y)
+        cell = np.searchsorted(codes, full[:, R] @ radix)
+        idx = full[:, ell] * len(comps) + cell
         coef = np.ones(len(states))
         rest = N - full[:, ell]
         for i in R:
             coef *= comb[rest, full[:, i]]
             rest = rest - full[:, i]
-        mtab = np.zeros((KR.shape[1], N + 1))
+        mtab = np.zeros((N + 1, len(comps)))
         mtab.ravel()[idx] = coef
-        rowsum[rows] = np.einsum("xr,xr->x", KR, L @ mtab.T)
+        rowsum[rows] = np.einsum("xr,xr->x", KR, L @ mtab)
         groups.append((rows, L, KR, idx, coef))
 
     def apply(v):
@@ -752,9 +764,9 @@ def _wf_operator(model: ChainModel, states):
         for rows, L, KR, idx, coef in groups:
             # the row weights go on the thinner factor: KR at K=2, else L
             if KR.shape[1] < L.shape[1]:
-                W = (KR * w[rows, None]).T @ L
+                W = L.T @ (KR * w[rows, None])
             else:
-                W = KR.T @ (w[rows, None] * L)
+                W = (w[rows, None] * L).T @ KR
             out += W.ravel()[idx] * coef
         return out
 
@@ -1003,12 +1015,13 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     (N)_k/N^k times products of mutation eigenvalues, which fall off like
     exp(-k^2/2N), so a few tens of products suffice.  The product is
     factorised over types (`_wf_operator`) and never forms P: its tables
-    take about 8 S ((N+1)^(K-2) + N+1) bytes, so from K=3 on they are far
-    smaller than P.  Every other kernel's rows mix the mutation of the
-    type-group offspring totals over their law.  That law is closed form
-    for Moran (one reproducer and one dier) and Dirichlet-multinomial
-    (M | x is DM(N; phi x)), and comes from enumerating the multisets of
-    an explicit table.  These rows take one dense solve
+    take about 8 S (C(N+K-2, K-2) + N+1) bytes, below P's 8 S^2 at every
+    K but K=2; the margin shrinks as K grows at fixed S (31% of P at
+    K=6 N=11, 64% at K=10 N=5).  Every other kernel's rows mix the
+    mutation of the type-group offspring totals over their law.  That
+    law is closed form for Moran (one reproducer and one dier) and
+    Dirichlet-multinomial (M | x is DM(N; phi x)), and comes from
+    enumerating the multisets of an explicit table.  These rows take one dense solve
     (`_solve_stationary`): Moran relaxes at O(1/N^2) per generation, too
     slowly for a Krylov iteration.  Moran and Dirichlet-multinomial with
     two types are served at any N; three types and explicit tables are

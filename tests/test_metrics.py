@@ -525,10 +525,21 @@ class TestExactStationary:
         want = np.array([float(p / sum(pi)) for p in pi[:2]])
         assert np.max(np.abs(tab.probs @ tab.w - want)) < 1e-8
 
-    def test_wf_table_memory(self):
-        # S = 2628: the tables hold O(S N) floats where P would hold S^2
-        # (53 MB); the traced peak stays below a quarter of P
-        model = ChainModel(71, MutationMatrix.pim([F(1, 50), F(1, 70), F(1, 90)]))
+    @pytest.mark.parametrize(
+        "N, pi, share",
+        [
+            # S = 2628: the tables hold O(S N) floats where P would hold
+            # S^2 (53 MB)
+            (71, [F(1, 50), F(1, 70), F(1, 90)], 4),
+            # S = 4368: KR spans only the C(15, 4) = 1365 compositions y_R
+            # with sum <= N, not all 12^4 = 20736 cells
+            (11, [F(1, 50), F(1, 70), F(1, 90), F(1, 60), F(1, 80), F(1, 100)], 2),
+        ],
+        ids=["K3", "K6"],
+    )
+    def test_wf_table_memory(self, N, pi, share):
+        # the traced peak stays below a share of P, and the mean is pi / |pi|
+        model = ChainModel(N, MutationMatrix.pim(pi))
         tracemalloc.start()
         try:
             tab = exact_stationary(model)
@@ -536,8 +547,10 @@ class TestExactStationary:
         finally:
             tracemalloc.stop()
         S = len(tab.probs)
-        assert S == 2628
-        assert peak < 8 * S * S / 4
+        assert S == math.comb(N + len(pi) - 1, N)
+        assert peak < 8 * S * S / share
+        want = np.array([float(p / sum(pi)) for p in pi[:-1]])
+        assert np.max(np.abs(tab.probs @ tab.w - want)) < 1e-12
 
     def test_wf_two_types_at_n3000(self):
         # C(3000, 1500) > 1e308: a binomial coefficient applied apart from
@@ -645,13 +658,13 @@ def cyclic_for(N):
     return MutationMatrix(rows)
 
 
-def one_way_for(N):
-    """Three types, each mutating only to the next, at 1/(2N): every
+def one_way_for(N, K=3):
+    """K types, each mutating only to the next, at 1/(2N): every
     composition with a missing type has some q_i(x) = 0."""
     u = F(1, 2 * N)
-    rows = [[F(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        rows[i][(i + 1) % 3] = u
+    rows = [[F(0)] * K for _ in range(K)]
+    for i in range(K):
+        rows[i][(i + 1) % K] = u
         rows[i][i] = 1 - u
     return MutationMatrix(rows)
 
@@ -659,7 +672,7 @@ def one_way_for(N):
 _MUTATIONS = {
     "pim": lambda K, N: pim_for((1,) * K, N),
     "cyclic": lambda K, N: cyclic_for(N),
-    "one-way": lambda K, N: one_way_for(N),
+    "one-way": lambda K, N: one_way_for(N, K),
 }
 
 
@@ -670,7 +683,9 @@ class TestWFOperator:
         "K, N, mutation",
         [(2, N, "pim") for N in (1, 2, 20, 200, 3000)]
         + [(3, N, mut) for mut in ("pim", "cyclic", "one-way") for N in (5, 25, 71)]
-        + [(4, N, "pim") for N in (6, 30)],
+        + [(4, N, "pim") for N in (6, 30)]
+        + [(6, 5, mut) for mut in ("pim", "one-way")]
+        + [(7, 6, "pim")],
     )
     def test_matches_oracle(self, K, N, mutation):
         from dirstein.metrics import _state_grid, _wf_operator
@@ -681,8 +696,9 @@ class TestWFOperator:
         P = oracles.wf_matrix(model, states)
         # the oracle rounds log-probabilities as large as log N! before
         # its exp, so each entry carries a relative error near
-        # eps log N! (3e-14 at N = 71 against a long-double build)
-        tol = max(1e-14, 4 * np.finfo(float).eps * math.lgamma(N + 1))
+        # eps log N! (3e-14 at N = 71 against a long-double build); the
+        # product itself stays near 1e-13 up to N = 3000
+        tol = min(max(1e-14, 4 * np.finfo(float).eps * math.lgamma(N + 1)), 1e-12)
         g = np.random.default_rng(N)
         for _ in range(3):
             v = g.standard_normal(len(states))
