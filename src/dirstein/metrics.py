@@ -23,6 +23,7 @@ import numpy as np
 from .chains import ChainModel, StationaryRun, check_irreducible
 from .offspring import (
     KIND_DIRICHLET_MULTINOMIAL,
+    KIND_EXPLICIT,
     KIND_MORAN,
     KIND_WRIGHT_FISHER,
     enumerate_law,
@@ -632,10 +633,10 @@ class StationaryTable:
 
 
 _STATE_CAP = 6_000
-# Cannings rows beyond Moran and Dirichlet-multinomial with two types stop
-# here: the three-type mutation convolution loops in Python over every
-# group total, and explicit tables enumerate every slot arrangement
+# explicit tables stop here: their group law enumerates every slot
+# arrangement of every offspring multiset
 _SMALL_N = 8
+_BLOCK = 64  # rows per block of the Cannings factors B and P = G B
 
 
 def _state_grid(N, K):
@@ -654,29 +655,16 @@ def _state_grid(N, K):
 
 
 def _log_factorials(n):
-    """log(k!) for k = 0..n, one table per transition matrix."""
+    """log(k!) for k = 0..n."""
     return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
-def _binom_pmf(m, p, length, lgfact):
-    """pmf of Bin(m, p) padded to the given length; lgfact covers m."""
-    y = np.arange(m + 1, dtype=np.float64)
-    if p <= 0.0:
-        row = np.where(y == 0, 1.0, 0.0)
-    elif p >= 1.0:
-        row = np.where(y == m, 1.0, 0.0)
-    else:
-        lg = (
-            lgfact[m]
-            - lgfact[: m + 1]
-            - lgfact[m::-1]
-            + y * math.log(p)
-            + (m - y) * math.log1p(-p)
-        )
-        row = np.exp(lg)
-    out = np.zeros(length)
-    out[: m + 1] = row
-    return out
+def _grid_index(states, m, N):
+    """Position in the lexicographic grid `states` of each composition in
+    m, found by its first states.shape[1] coordinates: grid rows read as
+    mixed-radix integers in base N + 1 are sorted."""
+    radix = (N + 1) ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(states @ radix, m[..., : states.shape[1]] @ radix)
 
 
 def _wf_operator(model: ChainModel, states):
@@ -709,10 +697,8 @@ def _wf_operator(model: ChainModel, states):
     lgfact = _log_factorials(N)
     lbinom = lgfact[N] - (lgfact[j] + lgfact[N - j])
     # the columns of KR: compositions y_R with sum <= N, in lexicographic
-    # order, so their mixed-radix codes are sorted
+    # order
     comps = _state_grid(N, K - 1) if K > 2 else np.zeros((1, 0), dtype=np.int64)
-    radix = (N + 1) ** np.arange(K - 3, -1, -1, dtype=np.int64)
-    codes = comps @ radix
     if K > 2:
         # exactly rounded binomials C(n, k), n, k <= N
         comb = np.array(
@@ -746,7 +732,7 @@ def _wf_operator(model: ChainModel, states):
         logr = np.maximum(logq[np.ix_(rows, R)] - lp[:, None], -1e300)
         KR = np.exp(logr @ comps.T)
         # each state's cell (y_l, y_R) in W, and its coefficient M(y)
-        cell = np.searchsorted(codes, full[:, R] @ radix)
+        cell = _grid_index(comps, full[:, R], N)
         idx = full[:, ell] * len(comps) + cell
         coef = np.ones(len(states))
         rest = N - full[:, ell]
@@ -773,121 +759,133 @@ def _wf_operator(model: ChainModel, states):
     return apply
 
 
-def _distinct_rows(v):
-    """Distinct arrangements of the multiset v, all equally likely under
-    a uniform permutation."""
-    return np.array(sorted(set(itertools.permutations(v))), dtype=np.int64)
+def _group_law(model: ChainModel, states):
+    """G(x) = the rows G[x, m] = P(M = m | x) for a block of type counts x:
+    the law of the type-group offspring totals M over the composition
+    grid, closed form for Moran and Dirichlet-multinomial and enumerated
+    for an explicit table."""
+    N, K, S = model.N, model.K, len(states)
+    full = np.column_stack([states, N - states.sum(axis=1)])
+    if model.kind == KIND_DIRICHLET_MULTINOMIAL:
+        # the group totals of a DM(N; phi, ..., phi) offspring vector are
+        # DM(N; phi x_1, ..., phi x_K), and a type with no parents has no
+        # children; lr[x, m] is the log of the rising factorial (phi x)^(m)
+        phi = float(model.offspring.phi)
+        lgfact = _log_factorials(N)
+        n = np.arange(N + 1)
+        # phi x + m repeats often (3N values in N^2 cells at phi = 2), so
+        # lgamma runs once per distinct value
+        arg, inv = np.unique(phi * n[1:, None] + n, return_inverse=True)
+        lg = np.array([math.lgamma(v) for v in arg])[inv].reshape(N, N + 1)
+        lr = np.vstack([np.where(n == 0, 0.0, -np.inf), lg - lg[:, :1]])
+        base = lgfact[N] - lgfact[full].sum(axis=1) - lr[N, N]
+
+        def dm(x):
+            logw = base
+            for xt, mt in zip(x.T, full.T):
+                logw = logw + lr[xt[:, None], mt[None, :]]
+            return np.exp(logw)
+
+        return dm
+    if model.kind == KIND_MORAN:
+        # a uniform ordered pair of distinct parents (reproducer of type a,
+        # dier of type b) gives M = x + e_a - e_b with probability
+        # x_a (x_b - [a = b]) / (N (N - 1)), so M = x whenever a = b
+        step = np.eye(K, dtype=np.int64)
+        shifts = (step[:, None, :] - step[None, :, :]).reshape(K * K, K)
+
+        def groups(x):
+            w = x[:, :, None] * (x[:, None, :] - step)
+            return x[:, None, :] + shifts, w.reshape(len(x), K * K) / (N * (N - 1))
+
+    else:
+        # every distinct slot arrangement of every offspring multiset, all
+        # equally likely within it, read off at the group edges of x
+        cums, weights = [], []
+        for v, p in enumerate_law(model.offspring):
+            arr = np.array(sorted(set(itertools.permutations(v))), dtype=np.int64)
+            cums.append(np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)]))
+            weights.append(np.full(len(arr), float(p) / len(arr)))
+        cum = np.concatenate(cums)
+        weight = np.concatenate(weights)
+
+        def groups(x):
+            edges = np.column_stack([np.zeros(len(x), dtype=np.int64), x.cumsum(axis=1)])
+            return np.diff(cum[:, edges], axis=2).transpose(1, 0, 2), weight
+
+    def scatter(x):
+        m, w = groups(x)
+        w = np.broadcast_to(w, m.shape[:2])
+        live = w > 0.0
+        cell = np.nonzero(live)[0] * S + _grid_index(states, m[live], N)
+        return np.bincount(cell, weights=w[live], minlength=len(x) * S).reshape(len(x), S)
+
+    return scatter
 
 
-def _mutation_conv(mvec, Pm, N, K, lgfact):
-    """pmf over child free counts after every child of every type group
-    mutates independently: the convolution of one multinomial per group."""
-    shape = (N + 1,) * (K - 1)
-    grid = np.zeros(shape)
-    grid[(0,) * (K - 1)] = 1.0
-    for t, mt in enumerate(mvec):
-        if mt == 0:
-            continue
-        if K == 2:
-            part = _binom_pmf(int(mt), Pm[t, 0], N + 1, lgfact)
-            grid = np.convolve(grid, part)[: N + 1]
-            continue
-        part = np.zeros(shape)
-        p1, p2 = Pm[t, 0], Pm[t, 1]
-        p3 = max(1.0 - p1 - p2, 0.0)
-        for y1 in range(int(mt) + 1):
-            for y2 in range(int(mt) - y1 + 1):
-                y3 = int(mt) - y1 - y2
-                lw = lgfact[mt] - lgfact[y1] - lgfact[y2] - lgfact[y3]
-                val = math.exp(lw) * p1**y1 * p2**y2 * p3**y3
-                part[y1, y2] = val
-        out = np.zeros(shape)
-        nz = np.argwhere(part > 0.0)
-        for idx in nz:
-            j1, j2 = int(idx[0]), int(idx[1])
-            out[j1:, j2:] += part[j1, j2] * grid[: shape[0] - j1, : shape[1] - j2]
-        grid = out
-    return grid
+def _mutation_kernel(mutation, states, N):
+    """B(m) = the rows B[m, y]: the law of the children's free counts y on
+    `states` given group totals m (a block of compositions of N), when
+    each child of a type-t parent takes type j with probability
+    mutation[t][j], independently.
 
+    Group t's children have counts Mult(m_t, mutation[t]), tabulated on
+    the cube {0..N}^(K-1) of free counts in log space with 0 log 0 = 0.
+    The K tables are convolved by multiplying their rfftn spectra, zero
+    padded to a length L > N, so nothing wraps around.  The rows are not
+    clipped at zero: the roundoff, about eps times a row's largest entry,
+    is unbiased, while clipping would raise every near-zero entry, and a
+    slowly mixing chain sums that bias into its stationary row."""
+    K = mutation.K
+    cube = (N + 1,) * (K - 1)
+    # the least 5-smooth length > N: pocketfft transforms a prime length
+    # such as 61 by a slow generic pass
+    smooth = (2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6))
+    L = min(v for v in smooth if v > N)
+    fft = {"s": (L,) * (K - 1), "axes": tuple(range(1, K))}
+    y = np.indices(cube).reshape(K - 1, -1)
+    ysum = y.sum(axis=0)
+    lgfact = _log_factorials(N)
+    lgy = lgfact[y].sum(axis=0)
+    # logs of the exact rates, by log1p(v - 1) near one; a zero rate's -inf
+    # is clipped to -1e300, so 0 log 0 = 0 and any positive count gives 0
+    logp = np.array(
+        [
+            [math.log1p(float(v - 1)) if v > 0.5 else math.log(v) if v else -1e300 for v in row]
+            for row in mutation.p
+        ]
+    )
+    rate = logp[:, :-1] @ y
+    cells = np.ravel_multi_index(tuple(states.T), fft["s"])
 
-def _moran_groups(x):
-    """Group totals of one Moran generation from the type counts x: a
-    uniform ordered pair of distinct parents (reproducer of type a, dier
-    of type b) gives M = x + e_a - e_b with probability
-    x_a (x_b - [a = b]) / (N (N - 1)), so M = x whenever a = b."""
-    N, K = int(x.sum()), len(x)
-    step = np.eye(K, dtype=np.int64)
-    m = x + (step[:, None, :] - step[None, :, :]).reshape(K * K, K)
-    w = (np.outer(x, x) - np.diag(x)).ravel() / (N * (N - 1))
-    live = w > 0.0
-    return m[live], w[live]
+    def rows(m):
+        spec = 1.0
+        for t in range(K):
+            rest = m[:, t, None] - ysum
+            # the log multinomial coefficient first, then the rates
+            lw = lgfact[m[:, t, None]] - lgfact[np.maximum(rest, 0)] - lgy
+            lw += rate[t] + rest * logp[t, -1]
+            lw[rest < 0] = -np.inf
+            spec = spec * np.fft.rfftn(np.exp(lw).reshape(-1, *cube), **fft)
+        return np.fft.irfftn(spec, **fft).reshape(len(m), -1)[:, cells]
 
-
-def _dm_group_weights(full, phi, lgfact):
-    """W[i, j] = P(M = full[j] | x = full[i]) over the composition grid
-    full: the group totals of a DM(N; phi, ..., phi) offspring vector are
-    DM(N; phi x_1, ..., phi x_K), and a type with no parents has no
-    children."""
-    N = int(full[0].sum())
-    n = np.arange(N + 1)
-    # lr[x, m] = log of the rising factorial (phi x)^(m)
-    lg = np.array([[math.lgamma(phi * x + m) for m in range(N + 1)] for x in range(1, N + 1)])
-    lr = np.vstack([np.where(n == 0, 0.0, -np.inf), lg - lg[:, :1]])
-    logw = lgfact[N] - lgfact[full].sum(axis=1) - lr[N, N]
-    for col in full.T:
-        logw = logw + lr[col[:, None], col[None, :]]
-    return np.exp(logw)
-
-
-def _enumerated_groups(offspring):
-    """Group totals of an explicit table by enumeration: every distinct
-    slot arrangement of every offspring multiset, with its weight, read
-    off at the group edges of x."""
-    cums, weights = [], []
-    for v, p in enumerate_law(offspring):
-        arr = _distinct_rows(v)
-        cums.append(np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)]))
-        weights.append(np.full(len(arr), float(p) / len(arr)))
-    cum = np.concatenate(cums)
-    weight = np.concatenate(weights)
-
-    def groups(x):
-        edges = np.concatenate([[0], np.cumsum(x)])
-        return cum[:, edges[1:]] - cum[:, edges[:-1]], weight
-
-    return groups
+    return rows
 
 
 def _cannings_matrix(model: ChainModel, states):
-    """Rows of a Cannings chain: the law of the type-group offspring totals
-    M given x, then per-child mutation of each group (P = A B)."""
-    N, K = model.N, model.K
-    Pm = model.mutation.array()
-    S = len(states)
+    """Rows of a Cannings chain, P = G B normalised by rows: G is the law
+    of the type-group offspring totals M given x (`_group_law`), B the
+    per-child mutation of those totals (`_mutation_kernel`).  Both are
+    built in row blocks, so the build holds two S x S arrays and one
+    block, not a third array for G."""
+    N, S = model.N, len(states)
     full = np.column_stack([states, N - states.sum(axis=1)])
-    lgfact = _log_factorials(N)
-    if model.kind == KIND_DIRICHLET_MULTINOMIAL:
-        # every composition of N is a group total of some row
-        B = [_mutation_conv(m, Pm, N, K, lgfact)[tuple(states.T)] for m in full.tolist()]
-        P = _dm_group_weights(full, float(model.offspring.phi), lgfact) @ np.array(B)
-    else:
-        groups = _moran_groups if model.kind == KIND_MORAN else _enumerated_groups(model.offspring)
-        # group-count rows are keyed as mixed-radix integers in base N + 1
-        radix = (N + 1) ** np.arange(K, dtype=np.int64)
-        P = np.zeros((S, S))
-        conv_cache: dict = {}
-        for xi in range(S):
-            m, weight = groups(full[xi])
-            codes, inverse = np.unique(m @ radix, return_inverse=True)
-            mweights = np.bincount(inverse.ravel(), weights=weight)
-            row = np.zeros(S)
-            for code, w in zip(codes.tolist(), mweights):
-                if code not in conv_cache:
-                    mvec = [code // (N + 1) ** t % (N + 1) for t in range(K)]
-                    grid = _mutation_conv(mvec, Pm, N, K, lgfact)
-                    conv_cache[code] = grid[tuple(states.T)]
-                row += w * conv_cache[code]
-            P[xi] = row
+    kernel = _mutation_kernel(model.mutation, states, N)
+    B = np.concatenate([kernel(full[lo : lo + _BLOCK]) for lo in range(0, S, _BLOCK)])
+    group = _group_law(model, states)
+    P = np.empty((S, S))
+    for lo in range(0, S, _BLOCK):
+        np.matmul(group(full[lo : lo + _BLOCK]), B, out=P[lo : lo + _BLOCK])
     P /= P.sum(axis=1, keepdims=True)
     return P
 
@@ -1017,18 +1015,16 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     factorised over types (`_wf_operator`) and never forms P: its tables
     take about 8 S (C(N+K-2, K-2) + N+1) bytes, below P's 8 S^2 at every
     K but K=2; the margin shrinks as K grows at fixed S (31% of P at
-    K=6 N=11, 64% at K=10 N=5).  Every other kernel's rows mix the
-    mutation of the type-group offspring totals over their law.  That
-    law is closed form for Moran (one reproducer and one dier) and
-    Dirichlet-multinomial (M | x is DM(N; phi x)), and comes from
-    enumerating the multisets of an explicit table.  These rows take one dense solve
-    (`_solve_stationary`): Moran relaxes at O(1/N^2) per generation, too
-    slowly for a Krylov iteration.  Moran and Dirichlet-multinomial with
-    two types are served at any N; three types and explicit tables are
-    gated at N <= 8, where the three-type mutation convolution stays
-    cheap, and more than three types are refused, since the convolution
-    has no general-K form.  State counts beyond the state cap of 6e3 are
-    refused, for every kind, rather than approximated.
+    K=6 N=11, 64% at K=10 N=5).  Every other kernel's rows are P = G B
+    (`_cannings_matrix`) and take one dense solve (`_solve_stationary`).
+    GMRES on them needs 68-101 steps at Moran N = 350-2000 with rates
+    near 1/60, where it is no faster than the solve, but about 1100 at
+    N = 2000 with rates 1/4000 (27 times the solve's time) and S - 1 at
+    rates 1/(N(N-1)).  Explicit tables are gated at N <= 8, since their
+    G enumerates every slot arrangement, and Cannings rows with more than
+    three types are refused: the kernel's cube holds (N+1)^(K-1) cells
+    per row.  State counts beyond the state cap of 6e3 are refused, for
+    every kind, rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
@@ -1041,9 +1037,7 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     if model.kind == KIND_WRIGHT_FISHER:
         pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), S)
         return StationaryTable(states, pi, N, model.kind, resolution, "krylov", iterations)
-    if not (N <= _SMALL_N or (K == 2 and model.kind in (KIND_MORAN, KIND_DIRICHLET_MULTINOMIAL))):
-        raise MetricsError(
-            f"exact law for kind {model.kind!r} with K={K} needs N <= {_SMALL_N}"
-        )
+    if model.kind == KIND_EXPLICIT and N > _SMALL_N:
+        raise MetricsError(f"exact law for kind {model.kind!r} needs N <= {_SMALL_N}")
     pi, resolution = _solve_stationary(_cannings_matrix(model, states))
     return StationaryTable(states, pi, N, model.kind, resolution)

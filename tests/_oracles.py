@@ -12,10 +12,13 @@ none of these shares the library's Gauss nodes.  The reference copies
 (the two-array genealogy block, the level rule) do the library's
 arithmetic in its earlier, plainer form; the fast paths must match them
 bit for bit.  The dense Wright-Fisher rows are the one reference the
-library's factorised product matches only to rounding."""
+library's factorised product matches only to rounding, and the exact
+Fraction convolution of per-group multinomials checks the Fourier
+mutation kernel of Cannings rows."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -528,3 +531,27 @@ def wf_matrix(model, states):
     P = np.exp(L, out=L)
     P /= P.sum(axis=1, keepdims=True)
     return P
+
+
+def mutation_rows(groups, mutation, states):
+    """The exact law of the children's free counts on `states` for each
+    row of group totals in `groups`, in Fractions: the children of type-t
+    parents take types by Mult(m_t, mutation[t]), and these K laws are
+    convolved by a plain loop over every outcome of every group."""
+    K = mutation.K
+    rows = []
+    for m in groups:
+        law = {(0,) * (K - 1): Fraction(1)}
+        for t, mt in enumerate(m):
+            p = mutation.p[t]
+            step = {}
+            for c in _compositions(int(mt), K):
+                w = Fraction(math.factorial(int(mt)))
+                for cj, pj in zip(c, p):
+                    w *= Fraction(pj) ** cj / math.factorial(cj)
+                for y, v in law.items():
+                    key = tuple(a + b for a, b in zip(y, c))
+                    step[key] = step.get(key, 0) + v * w
+            law = step
+        rows.append([law.get(tuple(int(v) for v in s), Fraction(0)) for s in states])
+    return rows

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -599,9 +600,16 @@ class TestExactStationary:
         assert moran.solver == "dense" and moran.iterations == 0
 
     def test_general_kind_needs_small_n(self):
-        dm = OffspringModel.dirichlet_multinomial(10, 1)
+        # only explicit tables stay gated: their group law enumerates every
+        # slot arrangement; Dirichlet-multinomial rows have a closed form
+        table = OffspringModel.explicit(9, {(2, 0) + (1,) * 7: F(1)})
         with pytest.raises(MetricsError, match="N <= 8"):
-            exact_stationary(ChainModel(10, pim_for((1, 1, 1), 10), dm))
+            exact_stationary(ChainModel(9, pim_for((1, 1, 1), 9), table))
+        pi = [F(1, 20), F(1, 30), F(1, 40)]
+        dm = OffspringModel.dirichlet_multinomial(10, 1)
+        tab = exact_stationary(ChainModel(10, MutationMatrix.pim(pi), dm))
+        want = np.array([float(p / sum(pi)) for p in pi[:2]])
+        assert np.max(np.abs(tab.probs @ tab.w - want)) <= 1e-12 * np.max(want)
 
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("N", [4, 8])
@@ -621,29 +629,70 @@ class TestExactStationary:
     @pytest.mark.parametrize("N", [100, 200])
     @pytest.mark.parametrize("phi", [F(1, 3), F(2)], ids=["phi1/3", "phi2"])
     def test_dm_two_types_at_large_n(self, N, phi):
-        # parent-independent rates pi with u = |pi|: the stationary mean of
-        # X_1/N is p1 = pi_1/u, and a sampled pair shares an ancestor before
-        # either lineage mutates with probability
-        # q = (1-u)^2 c / (1 - (1-u)^2 (1-c)), c = alpha/(N-1), so
-        # E[(X_1)_2]/(N)_2 = q p1 + (1-q) p1^2
-        pi = [F(1, 40), F(3, 80)]
-        dm = OffspringModel.dirichlet_multinomial(N, phi)
-        tab = exact_stationary(ChainModel(N, MutationMatrix.pim(pi), dm))
-        u = sum(pi)
-        p1 = pi[0] / u
-        c = moments(dm).alpha / (N - 1)
-        q = (1 - u) ** 2 * c / (1 - (1 - u) ** 2 * (1 - c))
-        x = tab.counts[:, 0].astype(float)
-        mean = float(tab.probs @ x) / N
-        pair = float(tab.probs @ (x * (x - 1))) / (N * (N - 1))
-        assert mean == pytest.approx(float(p1), rel=1e-12, abs=0)
-        assert pair == pytest.approx(float(q * p1 + (1 - q) * p1**2), rel=1e-12, abs=0)
+        _check_pair_identity(OffspringModel.dirichlet_multinomial(N, phi), [F(1, 40), F(3, 80)])
+
+    @pytest.mark.parametrize(
+        "law, pi",
+        [
+            (OffspringModel.moran(200), [F(1, 40), F(3, 80)]),
+            (OffspringModel.moran(30), [F(1, 40), F(3, 80), F(1, 50)]),
+            (OffspringModel.dirichlet_multinomial(30, F(1, 3)), [F(1, 40), F(3, 80), F(1, 50)]),
+            (OffspringModel.dirichlet_multinomial(30, F(2)), [F(1, 40), F(3, 80), F(1, 50)]),
+        ],
+        ids=["moran-K2-200", "moran-K3-30", "dm-K3-30-phi1/3", "dm-K3-30-phi2"],
+    )
+    def test_cannings_at_large_n(self, law, pi):
+        # Moran at two types, and both closed-form laws at three types
+        # beyond N = 8
+        _check_pair_identity(law, pi)
+
+    @pytest.mark.parametrize(
+        "law, pi",
+        [
+            (OffspringModel.moran(550), [F(2, 81), F(1, 118)]),
+            (OffspringModel.dirichlet_multinomial(40, F(2)), [F(1, 40), F(3, 80), F(1, 50)]),
+        ],
+        ids=["moran-K2-550", "dm-K3-40"],
+    )
+    def test_cannings_table_memory(self, law, pi):
+        # the build holds B, P and one row block, and the solve P plus
+        # LAPACK's copy: the traced peak stays below 2.75 copies of P (an
+        # unblocked G B holds three)
+        model = ChainModel(law.N, MutationMatrix.pim(pi), law)
+        tracemalloc.start()
+        try:
+            tab = exact_stationary(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        S = len(tab.probs)
+        assert S == math.comb(law.N + len(pi) - 1, law.N)
+        assert peak < 2.75 * 8 * S * S
 
     def test_dm_table_symmetric(self):
         dm = OffspringModel.dirichlet_multinomial(6, F(1, 2))
         tab = exact_stationary(ChainModel(6, pim_for((1, 1), 6), dm))
         assert np.allclose(tab.probs, tab.probs[::-1], atol=1e-12)
         assert tab.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _check_pair_identity(law, pi):
+    """Parent-independent rates pi with u = |pi|: the stationary mean of
+    X_1/N is p1 = pi_1/u, and a sampled pair shares an ancestor before
+    either lineage mutates with probability
+    q = (1-u)^2 c / (1 - (1-u)^2 (1-c)), c = alpha/(N-1), so
+    E[(X_1)_2]/(N)_2 = q p1 + (1-q) p1^2."""
+    N = law.N
+    tab = exact_stationary(ChainModel(N, MutationMatrix.pim(pi), law))
+    u = sum(pi)
+    p1 = pi[0] / u
+    c = moments(law).alpha / (N - 1)
+    q = (1 - u) ** 2 * c / (1 - (1 - u) ** 2 * (1 - c))
+    x = tab.counts[:, 0].astype(float)
+    mean = float(tab.probs @ x) / N
+    pair = float(tab.probs @ (x * (x - 1))) / (N * (N - 1))
+    assert mean == pytest.approx(float(p1), rel=1e-12, abs=0)
+    assert pair == pytest.approx(float(q * p1 + (1 - q) * p1**2), rel=1e-12, abs=0)
 
 
 def cyclic_for(N):
@@ -674,6 +723,32 @@ _MUTATIONS = {
     "cyclic": lambda K, N: cyclic_for(N),
     "one-way": lambda K, N: one_way_for(N, K),
 }
+
+
+class TestMutationKernel:
+    """The Fourier mutation kernel of Cannings rows against the exact
+    Fraction convolution of per-group multinomials."""
+
+    @pytest.mark.parametrize("K, N", [(2, 1), (2, 12), (3, 2), (3, 6)])
+    @pytest.mark.parametrize("mutation", ["pim", "one-way"])
+    def test_matches_exact_convolution(self, K, N, mutation):
+        from dirstein.metrics import _mutation_kernel, _state_grid
+
+        if mutation == "pim":
+            mut = MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 15)][:K])
+        elif K == 2:
+            # type 1 never mutates, type 2 only to type 1
+            mut = MutationMatrix([[F(1), F(0)], [F(1, 3), F(2, 3)]])
+        else:
+            mut = one_way_for(N)
+        states = _state_grid(N, K)
+        full = np.column_stack([states, N - states.sum(axis=1)])
+        with warnings.catch_warnings():
+            # a 0 log 0 evaluated as 0 * -inf warns, and fails the test
+            warnings.simplefilter("error")
+            rows = _mutation_kernel(mut, states, N)(full)
+        want = np.array(oracles.mutation_rows(full, mut, states), dtype=np.float64)
+        assert np.max(np.abs(rows - want)) <= 1e-15
 
 
 class TestWFOperator:
