@@ -12,6 +12,10 @@ mc.burn_in, mc.thin or mc.replicates: such keys are accepted and listed as
 `unused` in the validate output and in summary.txt, as every mc.* key is
 for moments-verify, which samples nothing.  A genealogy that would
 run away (tiny mutation rates) is refused when the config is read.
+polya-theorem4 takes its gaps from the urn's exact law when the law has
+no more states than mc.samples, and from mc.samples sampled end states
+otherwise; summary.txt names the source (`law`), its `states` and the
+exact table's `resolution`.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -540,7 +544,7 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         samples = sample_final(
             exp.a, exp.n, rng.child(1), min(exp.mc["samples"], 10_000)
         )
-        diagnostics = []
+        diagnostics = cert.diagnostics()
     else:
         run = run_to_stationarity(
             exp.model, exp.mc["samples"], RngStream(exp.seed), **exp.run_args

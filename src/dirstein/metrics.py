@@ -642,15 +642,13 @@ _BLOCK = 64  # rows per block of the Cannings factors B and P = G B
 def _state_grid(N, K):
     """The compositions (x_1, ..., x_{K-1}) with sum <= N in lexicographic
     order, built one leading coordinate at a time rather than by
-    filtering all (N+1)^(K-1) tuples."""
+    filtering all (N+1)^(K-1) tuples: the row-major nonzeros of the mask
+    [total of row r <= N - a] pair each lead a with the rows it extends,
+    and the mask holds at most K-1 cells per state it yields."""
     grid = np.arange(N + 1, dtype=np.int64)[:, None]
     for _ in range(K - 2):
-        total = grid.sum(axis=1)
-        parts = []
-        for a in range(N + 1):
-            rest = grid[total <= N - a]
-            parts.append(np.column_stack([np.full(len(rest), a, dtype=np.int64), rest]))
-        grid = np.concatenate(parts)
+        lead, row = np.nonzero(grid.sum(axis=1) <= N - np.arange(N + 1)[:, None])
+        grid = np.column_stack([lead, grid[row]])
     return grid
 
 

@@ -5,9 +5,13 @@ proportional to a_i plus the count of i so far, then adds a ball of that
 color.  After n draws the color frequencies W(n) approximate the Dirichlet
 law with the same parameters, and redrawing just the final ball gives an
 exchangeable pair (W, W') whose first two conditional moments match the
-approximating generator exactly.  Small cases are checked with rational
-arithmetic over the full draw tree; the certification step holds measured
-gaps against the closed-form bound for every battery function.
+approximating generator exactly.  The counts after n draws follow the
+Dirichlet-multinomial law DM(n; a) exactly: its rational closed form
+checks the pair identities at every reachable state of small urns, and
+its float table (urn_law) gives the certification deterministic gaps
+whenever its grid is no larger than the sample it replaces.  Larger grids
+fall back to sampled end states.  The certification step holds the gaps
+against the closed-form bound for every battery function.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -23,6 +29,8 @@ from .bounds import BoundReport, theorem4_bound
 from .chains import _batch_multinomial
 from .metrics import (
     GapEstimate,
+    StationaryTable,
+    _state_grid,
     attach_exact_means,
     gap_table_csv,
     make_battery,
@@ -190,7 +198,7 @@ def resample_pair(state: UrnState, rng):
 
 
 # ---------------------------------------------------------------------------
-# exact moments of the urn law
+# exact law and moments of the urn
 
 
 def urn_mixed_moment(a, n: int, exponents):
@@ -221,30 +229,63 @@ def urn_mixed_moment(a, n: int, exponents):
     return _power_moment(c, falling) / num(n) ** sum(c)
 
 
+def urn_law(a, n: int) -> StationaryTable:
+    """The law of the free counts after n draws, DM(n; a), as a float
+    table on metrics._state_grid(n, K), normalised to mass one.
+
+    Up to a constant, log P(x) = sum_t g_t(x_t) over all K colors, with
+    g_t(k) = sum_{i<k} log((a_t + i) / (i + 1)) taken as a cumulative sum:
+    unlike lgamma(a + k) - lgamma(a) it keeps its accuracy for weights from
+    the smallest subnormal to about 1e308 / K.  resolution bounds the L1
+    distance to the exact law: rounding of each term (its input included)
+    and of each partial sum is at most u (|term| + 4) and u |partial sum|,
+    u the unit roundoff, which bounds the log-probability error d; the
+    normalised table is then off by at most 2 (e^(d+u) - 1) + (S + 2) u in
+    L1, doubled here for margin.
+    """
+    p = _params(a)
+    if n < 1:
+        raise PolyaError("n must be >= 1")
+    u = np.finfo(np.float64).eps / 2
+    states = _state_grid(n, p.dim)
+    last = n - states.sum(axis=1)
+    i = np.arange(n, dtype=np.float64)
+    logp = np.zeros(len(states))
+    err = peak = 0.0
+    for t, at in enumerate(p.floats()):
+        terms = np.log((at + i) / (i + 1.0))
+        g = np.concatenate([[0.0], np.cumsum(terms)])
+        logp += g[states[:, t] if t < p.dim - 1 else last]
+        err += u * (np.abs(terms).sum() + 4.0 * n + np.abs(g).sum())
+        peak += float(np.abs(g).max())
+    # the K - 1 sums over colors and the shift by the maximum
+    err += u * (p.dim + 1) * peak
+    probs = np.exp(logp - logp.max())
+    probs /= probs.sum()
+    S = len(probs)
+    resolution = 2.0 * (2.0 * math.expm1(err + u) + (S + 2) * u)
+    return StationaryTable(states, probs, n, "polya-urn", resolution, "closed-form")
+
+
 # ---------------------------------------------------------------------------
 # conditional-moment identities of the redraw pair
 
 
-def _count_law(a, n: int):
-    """Exact law of the full count vector after n draws, {tuple: Fraction}.
-
-    Forward recursion over count states; the per-step color law only
-    depends on the current counts, so this collapses the K^n draw tree
-    without losing exactness.
-    """
-    law = {(0,) * len(a): Fraction(1)}
-    s = sum(a)
-    for j in range(n):
-        nxt = defaultdict(Fraction)
-        denom = j + s
-        for x, pr in law.items():
-            for i, ai in enumerate(a):
-                wt = pr * (x[i] + ai) / denom
-                if wt:
-                    y = list(x)
-                    y[i] += 1
-                    nxt[tuple(y)] += wt
-        law = dict(nxt)
+def _dm_law(a, n: int):
+    """Exact law of the full count vector after n draws, {tuple: Fraction}:
+    the Dirichlet-multinomial DM(n; a), with probability
+    n! / prod x_i! * prod a_i^(x_i) / s^(n) in rising factorials."""
+    a = tuple(Fraction(v) for v in a)
+    # rising[t][k] = a_t^(k), one product per step
+    rising = [list(accumulate((v + k for k in range(n)), mul, initial=Fraction(1))) for v in a]
+    total = _rising(sum(a), n)
+    law = {}
+    for free in _state_grid(n, len(a)).tolist():
+        x = free + [n - sum(free)]
+        pr = Fraction(math.factorial(n))
+        for xi, r in zip(x, rising):
+            pr *= r[xi] / math.factorial(xi)
+        law[tuple(x)] = pr / total
     return law
 
 
@@ -295,7 +336,7 @@ def _exact_pair_report(p: DirichletParams, n: int) -> PairIdentityReport:
     a = tuple(Fraction(v) for v in p.a)
     K = len(a)
     s = sum(a)
-    prev_law = _count_law(a, n - 1)
+    prev_law = _dm_law(a, n - 1)
     denom = n - 1 + s
     zero = Fraction(0)
     finals = {}
@@ -457,16 +498,32 @@ def verify_pair_identities(a, n: int, rng=None, replicates: int = 100_000):
 
 @dataclass(frozen=True)
 class UrnCertification:
-    """Per-function gaps |E h(W(n)) - E h(Z)| held against the bound."""
+    """Per-function gaps |E h(W(n)) - E h(Z)| held against the bound.
+
+    law says where the non-monomial gaps came from: "exact" (the urn_law
+    table, or no such gap at all) or "sampled" (sample_final draws).
+    states is the size C(n+K-1, K-1) of the law's grid, and resolution the
+    exact table's L1 noise floor (0 when no table was built)."""
 
     a: tuple
     n: int
     report: BoundReport
     gaps: tuple
+    law: str
+    states: int
+    resolution: float
 
     @property
     def passed(self) -> bool:
         return all(g.passed for g in self.gaps)
+
+    def diagnostics(self) -> list:
+        """The law's provenance as `key = value` lines."""
+        return [
+            f"law = {self.law}",
+            f"states = {self.states}",
+            "resolution = %.17g" % self.resolution,
+        ]
 
     def record(self) -> str:
         """Flat text summary; the per-function table lives in csv()."""
@@ -476,7 +533,7 @@ class UrnCertification:
             f"passed = {str(self.passed).lower()}",
             f"functions = {len(self.gaps)}",
             "worst_gap_over_bound = %.17g" % worst,
-        ]
+        ] + self.diagnostics()
         return "\n".join(head) + "\n" + self.report.record()
 
     def csv(self) -> str:
@@ -491,20 +548,29 @@ def certify_theorem4(
     Monomial expectations under the urn law have closed forms, so those
     gaps are exact with zero stderr, in rational arithmetic even for
     float weights (a linear h is a martingale, its gap is identically
-    zero).  The rest are estimated from `replicates`
-    end-state samples and pass when gap - 4 stderr clears the bound.
+    zero).  The rest are taken from the law DM(n; a) itself when its grid
+    of S = C(n+K-1, K-1) states is no larger than `replicates` (urn_law:
+    deterministic, zero stderr, no rng), and otherwise estimated from
+    `replicates` end-state samples drawn with `rng`, passing when
+    gap - 4 stderr clears the bound.
     """
     p = _params(a)
     if battery is None:
         battery = make_battery(p.dim)
     battery = attach_exact_means(battery, p)
     rep = theorem4_bound(p, n)
-    needs_mc = [h for h in battery if h.tag[0] != "monomial"]
-    sample = None
-    if needs_mc:
-        if rng is None:
-            raise PolyaError("non-polynomial battery functions need an rng")
-        sample = sample_final(p, n, rng, replicates)
+    states = math.comb(n + p.dim - 1, p.dim - 1)
+    law, source, resolution = "exact", None, 0.0
+    if any(h.tag[0] != "monomial" for h in battery):
+        if states <= replicates:
+            source = urn_law(p, n)
+            resolution = source.resolution
+        elif rng is None:
+            raise PolyaError(
+                f"{states} states exceed {replicates} replicates: sampled gaps need an rng"
+            )
+        else:
+            law, source = "sampled", sample_final(p, n, rng, replicates)
     # monomial gaps in Fractions of the weights as given (binary values
     # for floats), so a gap the bound holds at exactly zero is exactly zero
     exact = DirichletParams(tuple(Fraction(v) for v in p.a))
@@ -517,5 +583,5 @@ def certify_theorem4(
             gap = abs(float(diff))
             gaps.append(GapEstimate(h.tag, gap, 0.0, float(bound), gap <= bound))
         else:
-            gaps.append(smooth_gap(sample, p, h, bound))
-    return UrnCertification(a=p.a, n=n, report=rep, gaps=tuple(gaps))
+            gaps.append(smooth_gap(source, p, h, bound))
+    return UrnCertification(p.a, n, rep, tuple(gaps), law, states, resolution)

@@ -278,6 +278,11 @@ _GAUSS_NODES = 32
 # ratio of a graded piece's far end to its near end, measured from the 0 or
 # 1 that a window end lies close to
 _GRADING = 4.0
+# a Beta factor whose variance is below this is taken as a point mass at its
+# mean: for Lipschitz g the error is below L * 1e-17, under the rounding of
+# the mean, where the Gauss rule would overflow or cancel (p + q near 1e154
+# and beyond, or weights near the smallest subnormal)
+_POINT_VARIANCE = 1e-34
 
 
 @lru_cache(maxsize=64)
@@ -366,7 +371,8 @@ def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
     independent Y_j ~ Beta(a_j, a_(j+1) + ... + a_K), so the mean is a
     tensor product of one-dimensional Beta rules.  For K = 3 the rule of
     Z_1 is split where an end e of Z_2's window meets the mass 1 - Z_1
-    left to it, since the inner integral has an algebraic kink there."""
+    left to it, since the inner integral has an algebraic kink there.
+    A factor narrower than _POINT_VARIANCE is a point mass at its mean."""
     af = a.floats()
     K = len(af)
     rest = np.cumsum(af[::-1])[::-1]
@@ -374,8 +380,19 @@ def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
     left = np.ones(1)
     wt = np.ones(1)
     for j in range(K - 1):
+        if not len(wt):  # a point mass fell outside the window
+            return 0.0
         p, q = af[j], rest[j + 1]
-        if window is None:
+        m = p + q
+        if (p / m) * (q / m) / (m + 1.0) <= _POINT_VARIANCE:
+            row = np.arange(len(wt))
+            y, wy = np.full(len(wt), p / m), np.ones(len(wt))
+            if window is not None:
+                lo, hi = window[j]
+                zj = left * y
+                keep = (lo <= zj) & (zj <= hi)
+                row, y, wy = row[keep], y[keep], wy[keep]
+        elif window is None:
             y, wy = _beta_rule(p, q)
             row = np.repeat(np.arange(len(wt)), len(y))
             y, wy = np.tile(y, len(wt)), np.tile(wy, len(wt))

@@ -12,9 +12,10 @@ none of these shares the library's Gauss nodes.  The reference copies
 (the two-array genealogy block, the level rule) do the library's
 arithmetic in its earlier, plainer form; the fast paths must match them
 bit for bit.  The dense Wright-Fisher rows are the one reference the
-library's factorised product matches only to rounding, and the exact
+library's factorised product matches only to rounding, the exact
 Fraction convolution of per-group multinomials checks the Fourier
-mutation kernel of Cannings rows."""
+mutation kernel of Cannings rows, and the urn's forward recursion over
+count states checks its closed Dirichlet-multinomial law."""
 
 import itertools
 import math
@@ -555,3 +556,23 @@ def mutation_rows(groups, mutation, states):
             law = step
         rows.append([law.get(tuple(int(v) for v in s), Fraction(0)) for s in states])
     return rows
+
+
+def urn_count_law(a, n):
+    """Exact law of the full count vector after n urn draws, {tuple:
+    Fraction}, by the forward recursion over count states: each draw picks
+    color i with probability (x_i + a_i) / (j + s).  The library takes the
+    closed Dirichlet-multinomial form instead."""
+    law = {(0,) * len(a): Fraction(1)}
+    s = sum(a)
+    for j in range(n):
+        nxt = {}
+        for x, pr in law.items():
+            for i, ai in enumerate(a):
+                wt = pr * (x[i] + ai) / (j + s)
+                if wt:
+                    y = list(x)
+                    y[i] += 1
+                    nxt[tuple(y)] = nxt.get(tuple(y), 0) + wt
+        law = nxt
+    return law

@@ -215,6 +215,8 @@ def test_criterion_4(capsys):
     for n in (1, 100, 1000, 10000):
         cert = certify_theorem4(a, n, rng=RngStream(401 + n))
         assert cert.passed, (n, cert.gaps)
+        # n + 1 states fit the default replicates: the exact law, no noise
+        assert cert.law == "exact" and all(g.stderr == 0.0 for g in cert.gaps)
     ns = (100, 1000, 10000)
     gaps = [float(urn_mixed_moment(a, n, (2, 0)) - Fraction(1, 3)) for n in ns]
     slope = float(np.polyfit(np.log(ns), np.log(gaps), 1)[0])
@@ -223,8 +225,8 @@ def test_criterion_4(capsys):
         capsys,
         4,
         True,
-        "pair identities exactly 0 for n<=8, K=2,3; certification passes "
-        "for n=1..1e4; square-gap slope %.4f" % slope,
+        "pair identities exactly 0 for n<=8, K=2,3; exact certification "
+        "(stderr 0) passes for n=1..1e4; square-gap slope %.4f" % slope,
         t0,
         budget=120,
     )
@@ -415,6 +417,8 @@ def test_criterion_9(tmp_path, capsys):
         for nm in names:
             assert (outs[0] / nm).read_bytes() == (outs[1] / nm).read_bytes(), nm
             n_files += 1
+        if name == "urn.cfg":
+            assert "law = exact" in (outs[0] / "summary.txt").read_text()
     _emit(
         capsys,
         9,

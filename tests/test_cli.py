@@ -317,6 +317,20 @@ class TestRunArtifacts:
         # 17 significant digits survive the round trip
         assert any(len(v) > 12 for v in lines[2:])
 
+    @pytest.mark.parametrize(
+        "samples, law, stderr", [(8000, "exact", {"0"}), (200, "sampled", None)]
+    )
+    def test_polya_summary_names_the_law(self, tmp_path, samples, law, stderr):
+        # model.n = 200 at K=2 is a grid of 201 states
+        text = POLYA_CFG.replace("8000", str(samples)) + f'out = "{tmp_path}/out"\n'
+        assert main(["run", "--config", write_cfg(tmp_path, "c.cfg", text)]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert f"law = {law}" in summary and "states = 201" in summary
+        assert any(line.startswith("resolution = ") for line in summary)
+        rows = list(csv.reader((tmp_path / "out" / "gaps.csv").read_text().splitlines()[1:]))
+        if stderr is not None:
+            assert {r[2] for r in rows[1:]} == stderr
+
     def test_moments_verify_run(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -740,14 +754,18 @@ _configs = st.builds(
 
 # wrong types and out-of-range numbers for the run fuzzer's keys
 _odd = st.sampled_from([0.5, 1e308, -1e308, 5e-324, "20", None, True, [20], -1])
+# an urn of n <= 30 draws has at most 31 states at K=2 and 496 at K=3, so
+# mc.samples <= 64 takes both the exact law and the sampled one
 _RUN_BASES = {
     "wf-theorem1": {"model.N": 20, "model.a": [1, 2], "mc.samples": 48},
     "cannings-theorem2": {
         "model.N": 20, "model.pi": [0.01, 0.02], "model.phi": 1, "mc.samples": 48,
     },
+    "polya-theorem4": {"model.n": 20, "model.a": [1, 2], "mc.samples": 48},
 }
 _RUN_VALUES = {
     "model.N": st.one_of(st.integers(-1, 30), _odd),
+    "model.n": st.one_of(st.integers(-1, 30), _odd),
     "mc.samples": st.one_of(st.integers(-1, 64), _odd),
     "model.a": st.one_of(st.lists(_numbers, max_size=4), _odd),
     "model.pi": st.one_of(st.lists(_numbers, max_size=4), _odd),
@@ -770,7 +788,9 @@ _run_configs = st.builds(
     st.sets(st.sampled_from(sorted(_RUN_VALUES)), max_size=3).flatmap(
         lambda keys: st.fixed_dictionaries({k: _RUN_VALUES[k] for k in keys})
     ),
-    st.sets(st.sampled_from(("model.N", "model.a", "model.pi", "model.phi")), max_size=2),
+    st.sets(
+        st.sampled_from(("model.N", "model.n", "model.a", "model.pi", "model.phi")), max_size=2
+    ),
 )
 
 
@@ -844,12 +864,23 @@ class TestConfigFuzz:
             key = err.getvalue().removeprefix("error: ").split(": ")[0]
             assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())
 
-    # run on tiny parent-independent configs: every base and override keeps
-    # N <= 30 and mc.samples <= 64 and leaves model.mutation out, so each run
-    # that starts is a genealogy run and ends in well under a second; the
-    # forward example is refused before it steps
+    # run on tiny parent-independent configs and urns: every base and
+    # override keeps N, n <= 30 and mc.samples <= 64 and leaves
+    # model.mutation out, so each chain run that starts is a genealogy run
+    # and ends in well under a second; the forward example is refused
+    # before it steps
     @settings(max_examples=150, deadline=None)
     @given(data=_run_configs)
+    @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [1e300, 1]})
+    @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [5e-324, 1]})
+    @example(
+        data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [1e300, 1],
+              "mc.samples": 2}
+    )
+    @example(
+        data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [5e-324, 1, 1e300],
+              "mc.samples": 64}
+    )
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1e-300, 1]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.pi": [1e-9, 1e-9]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1, 2], "mc.samples": 1})

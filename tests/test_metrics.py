@@ -225,6 +225,20 @@ class TestExactMeans:
             ref = oracles.bump_mean_quad(a, centers, 0.25)
             assert abs(h.mean - ref) < 1e-13, centers
 
+    # Beta factors narrower than 1e-17 are point masses: the Gauss rule
+    # there overflowed (1e308) or cancelled to nan (1e300)
+    @pytest.mark.parametrize(
+        "law, point",
+        [((1e300, 1), (1.0,)), ((1e308, 1), (1.0,)), ((5e-324, 1), (0.0,)),
+         ((1e300, 1, 1), (1.0, 0.0)), ((1, 1e300, 1e300), (0.0, 0.5))],
+        ids=str,
+    )
+    def test_extreme_weights_are_point_masses(self, law, point):
+        x = np.array([point])
+        for h in attach_exact_means(make_battery(len(law)), DirichletParams(law)):
+            if h.tag[0] != "monomial":
+                assert h.mean == pytest.approx(float(h.fn(x)[0]), abs=1e-15), h.tag
+
     def test_unknown_tag_rejected(self):
         h = replace(make_battery(2)[0], tag=("mystery",))
         with pytest.raises(MetricsError):
@@ -442,6 +456,16 @@ def _moran_and_table():
 
 
 class TestExactStationary:
+    @pytest.mark.parametrize("N, K", [(0, 3), (1, 2), (7, 2), (9, 3), (5, 4), (3, 6)])
+    def test_state_grid_is_the_sorted_compositions(self, N, K):
+        from itertools import product
+
+        from dirstein.metrics import _state_grid
+
+        plain = [x for x in product(range(N + 1), repeat=K - 1) if sum(x) <= N]
+        grid = _state_grid(N, K)
+        assert grid.dtype == np.int64 and grid.tolist() == [list(x) for x in plain]
+
     def test_single_individual_symmetric(self):
         # the uniform start is already stationary: GMRES returns it as is
         tab = exact_stationary(ChainModel(1, MutationMatrix.pim([F(1, 2), F(1, 2)])))

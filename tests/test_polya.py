@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import urn_count_law
 from dirstein.polya import (
     PolyaError,
     UrnState,
@@ -17,12 +18,16 @@ from dirstein.polya import (
     resample_pair,
     sample_final,
     simulate_urn,
+    urn_law,
     urn_mixed_moment,
     verify_pair_identities,
 )
-from dirstein.polya import _count_law
+from dirstein.polya import _dm_law
 from dirstein.metrics import make_battery
 from dirstein.simplex import DirichletParams, RngStream
+
+# the four reference laws of the exactness suites
+LAWS = [(1, 1), (F(1, 2), 2), (1, 1, 1), (F(1, 2), F(1, 2), 2)]
 
 
 def rng(i=0):
@@ -134,7 +139,7 @@ class TestMixedMoment:
 
     def test_matches_enumeration(self):
         a = (F(1), F(2))
-        law = _count_law(a, 5)
+        law = urn_count_law(a, 5)
         for c in [(1, 0), (2, 0), (3, 0), (2, 1)]:
             direct = sum(
                 p * F(x[0], 5) ** c[0] * F(x[1], 5) ** c[1] for x, p in law.items()
@@ -143,7 +148,7 @@ class TestMixedMoment:
 
     def test_matches_enumeration_k3(self):
         a = (F(1), F(1), F(2))
-        law = _count_law(a, 4)
+        law = urn_count_law(a, 4)
         direct = sum(p * F(x[0] * x[1], 16) for x, p in law.items())
         assert urn_mixed_moment(a, 4, (1, 1, 0)) == direct
 
@@ -159,6 +164,39 @@ class TestMixedMoment:
             urn_mixed_moment((1, 1), 3, (-1, 0))
         with pytest.raises(PolyaError):
             urn_mixed_moment((1, 1), 0, (1, 0))
+
+
+class TestUrnLaw:
+    @pytest.mark.parametrize("a", LAWS, ids=str)
+    def test_closed_form_matches_recursion(self, a):
+        for n in range(9):
+            assert _dm_law(a, n) == urn_count_law(a, n), n
+
+    @pytest.mark.parametrize(
+        "a, n",
+        [
+            ((F(1, 2), 3), 800),
+            ((2, F(1, 3), 1), 40),
+            ((1e300, 1), 30),
+            ((5e-324, 1), 30),
+        ],
+        ids=["k2-n800", "k3-n40", "a1e300", "a5e-324"],
+    )
+    def test_float_table_within_resolution(self, a, n):
+        table = urn_law(a, n)
+        law = _dm_law(a, n)
+        assert len(table.probs) == len(law) == math.comb(n + len(a) - 1, len(a) - 1)
+        l1 = sum(
+            abs(F(float(pr)) - law[tuple(x) + (n - sum(x),)])
+            for pr, x in zip(table.probs, table.counts.tolist())
+        )
+        assert l1 <= table.resolution, (float(l1), table.resolution)
+        # the stated floor is not vacuous
+        assert table.resolution < 1e-9
+
+    def test_rejects_zero_draws(self):
+        with pytest.raises(PolyaError):
+            urn_law((1, 1), 0)
 
 
 class TestResamplePair:
@@ -317,13 +355,49 @@ class TestCertify:
                 assert g.gap == 0.0 and g.bound == 0.0
 
     def test_full_battery_needs_rng(self):
+        # 501501 states exceed the 1000 replicates, so the gaps are sampled
         with pytest.raises(PolyaError):
-            certify_theorem4((1, 1), 50)
+            certify_theorem4((2, 3, 1), 1000, replicates=1000)
+
+    def test_replicates_decide_the_law(self):
+        a, n = (1, 2, 1), 10
+        S = math.comb(n + 2, 2)
+        cert = certify_theorem4(a, n, replicates=S)
+        assert (cert.law, cert.states) == ("exact", S)
+        assert cert.passed and all(g.stderr == 0.0 for g in cert.gaps)
+        assert 0.0 < cert.resolution < 1e-9
+        with pytest.raises(PolyaError):
+            certify_theorem4(a, n, replicates=S - 1)
+        sampled = certify_theorem4(a, n, replicates=S - 1, rng=rng(15))
+        assert (sampled.law, sampled.states, sampled.resolution) == ("sampled", S, 0.0)
+        assert any(g.stderr > 0.0 for g in sampled.gaps)
+
+    def test_k2_exact_to_1e4_draws(self):
+        # criterion 4's certifications: deterministic, whatever the rng
+        for n in (1, 100, 1000, 10_000):
+            cert = certify_theorem4((1, 1), n, rng=rng(16))
+            assert cert.law == "exact" and cert.passed, n
+            assert all(g.stderr == 0.0 for g in cert.gaps), n
+            assert cert.gaps == certify_theorem4((1, 1), n).gaps, n
+
+    def test_exact_gaps_match_sampled(self):
+        # 125751 states: exact at 2e5 replicates, sampled at 1e5
+        a, n = (F(5, 2), F(3), F(7, 2)), 500
+        exact = certify_theorem4(a, n, replicates=200_000)
+        sampled = certify_theorem4(a, n, replicates=100_000, rng=rng(17))
+        assert (exact.law, sampled.law) == ("exact", "sampled")
+        for e, s_ in zip(exact.gaps, sampled.gaps):
+            assert e.h_tag == s_.h_tag
+            if e.h_tag[0] == "monomial":
+                assert e == s_
+            else:
+                assert abs(e.gap - s_.gap) <= 4.0 * s_.stderr, e.h_tag
 
     def test_record_and_csv(self):
         cert = certify_theorem4((1, 1), 100, rng=rng(14), replicates=10_000)
         text = cert.record()
         assert "passed = true" in text and "A2 = 0.04" in text
+        assert "law = exact" in text and "states = 101" in text
         rows = list(csv.reader(io.StringIO(cert.csv())))
         assert rows[0] == ["h_tag", "gap", "stderr", "bound", "pass"]
         assert len(rows) == len(cert.gaps) + 1
