@@ -86,6 +86,19 @@ class BoundReport:
         expo = self.theta / (3.0 + self.theta)
         return total**expo
 
+    def check_finite(self):
+        """Raise BoundError unless A1, A2, A3, the largest coefficient
+        denominator 18(s+2) and the convex rate are finite floats.  Past
+        s = 1e307 that denominator overflows and coeff_h21 reads 0."""
+        try:
+            big = 18.0 * (float(self.s) + 2.0)
+            nums = (float(self.a1), float(self.a2), float(self.a3), big, self.convex_rate)
+            finite = all(math.isfinite(v) for v in nums)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise BoundError(f"{self.theorem} bound overflows a float at s = {_g17(self.s)}")
+
     def record(self) -> str:
         """Flat key = value text block, numbers at 17 significant digits."""
         avec = "[" + ", ".join(_g17(v) for v in self.a) + "]"

@@ -448,6 +448,10 @@ class _Experiment:
         self.K = self.a.dim
         _check_battery_k("model.a", self.K)
         self.report = theorem4_bound(self.a, self.n)
+        try:
+            self.report.check_finite()
+        except BoundError as e:
+            raise ConfigError("model.a", str(e))
         self.notes += [
             f"theta = {_fmt(self.a.theta)}",
             f"s = {_fmt(self.a.s)}",
@@ -506,8 +510,10 @@ def _write(path: Path, text: str):
 
 
 def _samples_csv(exp: _Experiment, samples: np.ndarray) -> str:
-    head = ",".join(f"w{i + 1}" for i in range(samples.shape[1]))
-    rows = "\n".join(",".join(_fmt(v) for v in row) for row in samples)
+    R, K = samples.shape
+    head = ",".join(f"w{i + 1}" for i in range(K))
+    # one %-format over the whole table, with _fmt's "%.17g" per value
+    rows = "\n".join([",".join(["%.17g"] * K)] * R) % tuple(samples.ravel().tolist())
     return _csv_stamp(exp) + head + "\n" + rows + "\n"
 
 

@@ -283,6 +283,9 @@ _GRADING = 4.0
 # the mean, where the Gauss rule would overflow or cancel (p + q near 1e154
 # and beyond, or weights near the smallest subnormal)
 _POINT_VARIANCE = 1e-34
+# a window piece longer than this many spreads of its Beta factor is cut
+# around the factor's mean, so that no Gauss rule straddles a narrow peak
+_NARROW = 16.0
 
 
 @lru_cache(maxsize=64)
@@ -308,19 +311,43 @@ def _beta_rule(p: float, q: float):
     return nodes, weights
 
 
+def _narrow_cuts(p, q, longest):
+    """mu and mu +- sd 2^j (j >= 0) inside (0, 1) if the longest window
+    piece is over _NARROW sd, else none.  Each piece between them is as
+    long as its distance to mu, so 32 nodes resolve the peak at any width.
+    mu and sd are those of Beta(max(p, 1), max(q, 1)): an exponent below 1
+    leaves its singular end to the Jacobi weight and the grading."""
+    P, Q = max(p, 1.0), max(q, 1.0)
+    m = P + Q
+    sd = math.sqrt(P * Q / (m * m * (m + 1.0)))
+    if not longest > _NARROW * sd:
+        return []
+    steps = sd * 2.0 ** np.arange(math.ceil(math.log2(1.0 / sd)) + 1)
+    cuts = P / m + np.concatenate([-steps, [0.0], steps])
+    return list(cuts[(cuts > 0.0) & (cuts < 1.0)])
+
+
 def _window_rule(p, q, lo, hi, cuts):
     """Row index, node and weight of every Gauss point for the integral of
     g(y) against the Beta(p, q) density over the window [lo[i], hi[i]] of
     each row i.
 
-    Each window is split at the cuts inside it, and every piece with an
-    end near 0 or 1 is graded geometrically towards it.  A piece that ends
-    at 0 or 1 takes the density's factor there into its Gauss weight, so
-    the rule stays exact at that end for any p, q > 0."""
+    Each window is split at the cuts inside it, and at _narrow_cuts when
+    the factor is narrow; every piece with an end near 0 or 1 is graded
+    geometrically towards it.  A piece that ends at 0 or 1 takes the
+    density's factor there into its Gauss weight, so the rule stays exact
+    at that end for any p, q > 0."""
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, lo, 1.0)
-    cuts = np.clip(np.asarray(cuts, dtype=np.float64)[None, :], lo[:, None], hi[:, None])
-    base = np.sort(np.column_stack([lo, hi, cuts]), axis=1)
+
+    def split(cuts):
+        cuts = np.clip(np.asarray(cuts, dtype=np.float64)[None, :], lo[:, None], hi[:, None])
+        return np.sort(np.column_stack([lo, hi, cuts]), axis=1)
+
+    base = split(cuts)
+    narrow = _narrow_cuts(p, q, np.max(np.diff(base, axis=1), initial=0.0))
+    if narrow:
+        base = split(list(cuts) + narrow)
     u, v = base[:, :-1].ravel(), base[:, 1:].ravel()
     mid = 0.5 * (u + v)
     # enough levels that every graded piece is at most (_GRADING - 1) times
@@ -352,14 +379,47 @@ def _window_rule(p, q, lo, hi, cuts):
         y, wy = _beta_rule(P, Q)
         du = (v - u)[sel, None]
         x[sel] = u[sel, None] + du * y
-        w[sel] = wy * np.exp(
-            (P + Q - 1.0) * np.log(du)
-            + (p - P) * np.log(x[sel])
-            + (q - Q) * np.log1p(-x[sel])
-            + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
-            - lbeta
-        )
+        if narrow:
+            log_w = (
+                (P + Q - 1.0) * np.log(du)
+                + _log_density_rest(p, q, P, Q, x[sel])
+                + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
+            )
+        else:
+            log_w = (
+                (P + Q - 1.0) * np.log(du)
+                + (p - P) * np.log(x[sel])
+                + (q - Q) * np.log1p(-x[sel])
+                + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
+                - lbeta
+            )
+        w[sel] = wy * np.exp(log_w)
     return np.repeat(row, _GAUSS_NODES), x.ravel(), w.ravel()
+
+
+# B_2k / (2k (2k - 1)) for k = 1..7, the coefficients of Stirling's series
+_STIRLING_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_rest(z: float) -> float:
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi)/2; from z = 10 on by its
+    series (next term below 1e-16), which does not cancel at large z."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    return sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING_SERIES))
+
+
+def _log_density_rest(p, q, P, Q, x):
+    """(p - P) log x + (q - Q) log(1 - x) - log B(p, q) without the
+    cancellation of lgamma at large p + q: the log density at the mean
+    mu = p/m is (3 log m - log(2 pi p q))/2 plus Stirling remainders, and
+    each node adds logs of x/mu and (1 - x)/(1 - mu), numbers near 1."""
+    m = p + q
+    at_mean = 0.5 * (3.0 * math.log(m) - math.log(2.0 * math.pi * p) - math.log(q))
+    at_mean += _stirling_rest(m) - _stirling_rest(p) - _stirling_rest(q)
+    at_mean -= (P - 1.0) * math.log(p / m) + (Q - 1.0) * math.log(q / m)
+    d = x - p / m
+    return at_mean + (p - P) * np.log1p(d * (m / p)) + (q - Q) * np.log1p(-d * (m / q))
 
 
 def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:

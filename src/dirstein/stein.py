@@ -35,9 +35,7 @@ error terms A1, A2, A3.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -364,8 +362,11 @@ def _tail_exact(M: int, s: float) -> float:
     u, v = 1.0 / (x + c), 1.0 / x
     rest = math.log1p(c * v) / c if c else v
     rest += 0.5 * u * v
+    up = [u**i for i in range(2 * len(_PSI_SERIES) + 1)]
+    vp = [v**i for i in range(2 * len(_PSI_SERIES) + 1)]
     for k, coef in enumerate(_PSI_SERIES, 1):
-        rest += coef * sum(u ** (2 * k - j) * v ** (j + 1) for j in range(2 * k))
+        # u^(2k) v + u^(2k-1) v^2 + ... + u v^(2k)
+        rest += coef * sum(map(operator.mul, up[2 * k : 0 : -1], vp[1 : 2 * k + 1]))
     return 2.0 * (head + rest)
 
 
@@ -407,7 +408,12 @@ class DeathProcessSchedule:
         cls, a: DirichletParams, h: TestFunction, tol: float = DEFAULT_TRUNCATION_TOL
     ) -> "DeathProcessSchedule":
         """The smallest M >= 8 whose certified remainder for h under Dir(a)
-        is at most tol.  The remainder falls with M, so M is bisected."""
+        is at most tol.
+
+        The remainder falls with M.  Since tail(M) ~ 2/(M + s/2), it is
+        about min(C/((M+s+1)(M+s/2)), 2 sup|h~|/(M+s/2)) for large M, so
+        the search starts where that reaches tol and gallops away from
+        there until it brackets the answer, which it then bisects."""
         if not tol > 0:
             raise SteinError("tolerance must be positive")
         s = float(a.s)
@@ -415,11 +421,26 @@ class DeathProcessSchedule:
         def charge(M):
             return _tail_remainder(a, h, M, _tail_exact(M, s))
 
-        if not math.isfinite(charge(8)):
+        # tail(8) is finite and positive, so charge(8) is finite iff this is
+        if not math.isfinite(_tail_remainder(a, h, 8, 1.0)):
             raise SteinError(f"{h.tag}: no finite truncation bound")
+        crude = 2.0 * h.sup_tilde / tol - 0.5 * s
         lo = hi = 8
+        for _ in range(2):
+            # (M+s+1)(M+s/2) = C/tol, with C = remainder_rate at the last guess
+            C = remainder_rate(a, h, hi)
+            root = 0.5 * (math.sqrt((0.5 * s + 1.0) ** 2 + 4.0 * C / tol) - 1.5 * s - 1.0)
+            hi = max(8, math.ceil(min(root, crude, 2.0**62)))
+        step = 1
         while charge(hi) > tol:
-            lo, hi = hi + 1, 2 * hi
+            lo, hi, step = hi + 1, hi + step, 2 * step
+        step = 1
+        while lo < hi:
+            probe = max(lo, hi - step)
+            if charge(probe) > tol:
+                lo = probe + 1
+                break
+            hi, step = probe, 2 * step
         while lo < hi:
             mid = (lo + hi) // 2
             if charge(mid) <= tol:
@@ -639,13 +660,6 @@ def _point_block_sums(E, masks, carries, gam32, inv_denom, specs, ey_by_a, c0, H
     return out
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def stein_level_sums(
     params_list: Sequence[DirichletParams],
     battery_list: Sequence[Sequence[TestFunction]],
@@ -731,79 +745,52 @@ def stein_level_sums(
     heads = [a.floats() for a in params_list]
     S = np.zeros((R, P, A, H), dtype=np.float64)
     g = as_generator(rng)
-    # the stream is drawn and the carried masses are advanced in order
-    # here; each (block, point) is then independent and goes to a thread
-    # pool, one block ahead.  Results are added to S in submission order,
-    # so S does not depend on the number of threads.
-    threads = min(P, _cpu_count())
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    pending = deque()
-
-    def settle(keep):
-        while len(pending) > keep:
-            view, fut = pending.popleft()
-            view += fut.result()
-
-    try:
-        done = 0
-        while done < R:
-            r = min(row_chunk, R - done)
-            # gamma heads, one per (replicate, params); fixed draw order
-            gam = [g.standard_gamma(heads[ai], size=(r, K)) for ai in range(A)]
-            gam32 = [gm.astype(np.float32) for gm in gam]
-            gamt = [gm.sum(axis=1, keepdims=True) for gm in gam]
-            carry_t = np.zeros(r)
-            carry_b = np.zeros((P, K - 1, r))
-            c0 = 0
-            while c0 < M_max:
-                cb = min(col_block, M_max - c0)
-                u = g.random((r, cb), dtype=np.float32)
-                E = g.standard_exponential((r, cb), dtype=np.float32).astype(
-                    np.float64
+    done = 0
+    while done < R:
+        r = min(row_chunk, R - done)
+        # gamma heads, one per (replicate, params); fixed draw order
+        gam = [g.standard_gamma(heads[ai], size=(r, K)) for ai in range(A)]
+        gam32 = [gm.astype(np.float32) for gm in gam]
+        gamt = [gm.sum(axis=1, keepdims=True) for gm in gam]
+        carry_t = np.zeros(r)
+        carry_b = np.zeros((P, K - 1, r))
+        c0 = 0
+        while c0 < M_max:
+            cb = min(col_block, M_max - c0)
+            u = g.random((r, cb), dtype=np.float32)
+            E = g.standard_exponential((r, cb), dtype=np.float32).astype(np.float64)
+            cum_t = np.cumsum(E, axis=1)
+            cum_t += carry_t[:, None]
+            carry_t = cum_t[:, -1].copy()
+            # per params: live tags with their widths in this block and
+            # the reciprocal total mass, shared across points
+            specs, inv_denom = [], []
+            for ai in range(A):
+                spec = [
+                    (hi, tags[hi], int(min(levels[ai, hi] - c0, cb)))
+                    for hi in range(H)
+                    if levels[ai, hi] > c0
+                ]
+                specs.append(spec)
+                inv = None
+                if spec:
+                    w = max(s[2] for s in spec)
+                    inv = np.add(cum_t[:, :w], gamt[ai], dtype=np.float32)
+                    np.reciprocal(inv, out=inv)
+                inv_denom.append(inv)
+            del cum_t
+            for p in range(P):
+                masks = []
+                for k in range(K - 1):
+                    lo, up = bounds[p][k], bounds[p][k + 1]
+                    masks.append(u < up if lo == 0 else (u >= lo) & (u < up))
+                S[done : done + r, p] += _point_block_sums(
+                    E, masks, carry_b[p], gam32, inv_denom, specs, ey_by_a, c0, H
                 )
-                cum_t = np.cumsum(E, axis=1)
-                cum_t += carry_t[:, None]
-                carry_t = cum_t[:, -1].copy()
-                # per params: live tags with their widths in this block and
-                # the reciprocal total mass, shared across points
-                specs, inv_denom = [], []
-                for ai in range(A):
-                    spec = [
-                        (hi, tags[hi], int(min(levels[ai, hi] - c0, cb)))
-                        for hi in range(H)
-                        if levels[ai, hi] > c0
-                    ]
-                    specs.append(spec)
-                    inv = None
-                    if spec:
-                        w = max(s[2] for s in spec)
-                        inv = np.add(cum_t[:, :w], gamt[ai], dtype=np.float32)
-                        np.reciprocal(inv, out=inv)
-                    inv_denom.append(inv)
-                del cum_t
-                for p in range(P):
-                    masks = []
-                    for k in range(K - 1):
-                        lo, up = bounds[p][k], bounds[p][k + 1]
-                        masks.append(u < up if lo == 0 else (u >= lo) & (u < up))
-                    args = (
-                        E, masks, carry_b[p].copy(), gam32, inv_denom, specs,
-                        ey_by_a, c0, H,
-                    )
-                    for k, ind in enumerate(masks):
-                        carry_b[p, k] += np.einsum("ij,ij->i", E, ind)
-                    view = S[done : done + r, p]
-                    if pool is None:
-                        view += _point_block_sums(*args)
-                    else:
-                        pending.append((view, pool.submit(_point_block_sums, *args)))
-                settle(P)
-                c0 += cb
-            done += r
-        settle(0)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+                for k, ind in enumerate(masks):
+                    carry_b[p, k] += np.einsum("ij,ij->i", E, ind)
+            c0 += cb
+        done += r
 
     battery = tuple(tuple(bat) for bat in battery_list)
     return LevelSums(

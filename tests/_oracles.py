@@ -477,6 +477,41 @@ def bump_mean_k2(a, c, rho):
     return total
 
 
+def bump_mean_concentrated(law, centers, rho):
+    """E prod_k (1 - ((Z_k - c_k)/rho)^2)^3 under Dir(law), in exact
+    rationals, for a law with all but a negligible part of its mass inside
+    the bump's window (integer weights of 1e5 and more, hundreds of sds
+    from the window's edges).  There the product is a polynomial, and its
+    mean is a sum of mixed moments prod (a_k)^(i_k) / (s)^(|i|), rising
+    factorials throughout."""
+    law = [Fraction(v) for v in law]
+    rho = Fraction(rho)
+    polys = []
+    for c in centers:
+        c = Fraction(c)
+        factor = [1 - c * c / rho**2, 2 * c / rho**2, -1 / rho**2]
+        poly = [Fraction(1)]
+        for _ in range(3):
+            poly = [
+                sum(poly[i] * factor[k - i] for i in range(len(poly)) if 0 <= k - i < 3)
+                for k in range(len(poly) + 2)
+            ]
+        polys.append(poly)
+
+    def up(v, k):
+        out = Fraction(1)
+        for t in range(k):
+            out *= v + t
+        return out
+
+    total = Fraction(0)
+    for idx in itertools.product(*(range(len(poly)) for poly in polys)):
+        coef = math.prod(poly[i] for poly, i in zip(polys, idx))
+        moment = math.prod(up(a, i) for a, i in zip(law, idx)) / up(sum(law), sum(idx))
+        total += coef * moment
+    return float(total)
+
+
 # ---------------------------------------------------------------------------
 # reference level rule: the remainder rate's vertex terms rebuilt at every
 # bisection step

@@ -153,6 +153,14 @@ class TestTheorem4:
         with pytest.raises(B.BoundError):
             B.theorem4_bound(DirichletParams((1, 1)), 0)
 
+    def test_check_finite(self):
+        B.theorem4_bound(DirichletParams((1e300, 1e300)), 1).check_finite()
+        # 18(s+2) overflows, so coeff_h21 would read 0; at n = 1, A2 = 2s
+        # does not fit a float at all
+        for law, n in (((10**308, 1), 20), ((10**308, 1), 1), ((5e307, 1.5), 20)):
+            with pytest.raises(B.BoundError, match="overflows"):
+                B.theorem4_bound(DirichletParams(law), n).check_finite()
+
 
 class TestLemmaBudgets:
     def test_zero_rates(self):

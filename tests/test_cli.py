@@ -204,6 +204,17 @@ class TestValidation:
         assert main(["validate", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("error: model.a: numbers too large")
 
+    # the sum fits a float, but the bound's 2(s+1) or 18(s+2) does not:
+    # its coefficients read 0, or the run raised OverflowError
+    @pytest.mark.parametrize("weights, n", [("[1e308, 1]", 20), ("[1e308, 1]", 1), ("[5e307, 1.5]", 20)])
+    def test_overflowing_theorem4_bound_refused(self, tmp_path, capsys, weights, n):
+        text = f'kind = "polya-theorem4"\nmodel.n = {n}\nmodel.a = {weights}\nseed = 1\n'
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith("error: model.a: theorem4 bound overflows")
+        assert not (tmp_path / "o").exists()
+
     def test_one_replicate_refused(self, tmp_path, capsys):
         # the gap stderr is taken across independent replicates
         cfg = write_cfg(tmp_path, "c.cfg", WF_CFG.replace("256", "1"))
@@ -873,6 +884,8 @@ class TestConfigFuzz:
     @given(data=_run_configs)
     @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [1e300, 1]})
     @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [5e-324, 1]})
+    @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 20, "model.a": [1e308, 1]})
+    @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 20, "model.a": [1e308, 1.5]})
     @example(
         data={"kind": "polya-theorem4", "seed": 1, "model.n": 30, "model.a": [1e300, 1],
               "mc.samples": 2}

@@ -225,6 +225,25 @@ class TestExactMeans:
             ref = oracles.bump_mean_quad(a, centers, 0.25)
             assert abs(h.mean - ref) < 1e-13, centers
 
+    # a Beta factor far narrower than its window piece: one 32-node rule
+    # per piece gave 1.24 for the bump at 0.5 under Dir(1e6, 1e6) and 0
+    # at 1e8; the oracle is exact rational moments of the polynomial
+    @pytest.mark.parametrize(
+        "shape, centers, s",
+        [
+            *(((1, 1), (0.5,), s) for s in (10**5, 10**6, 10**8, 10**10)),
+            *(((1, 2), (0.4,), s) for s in (10**5, 10**6, 10**8, 10**10)),
+            ((1, 1, 1), (1 / 3, 1 / 3), 10**6),
+            ((1, 2, 1), (0.3, 0.45), 10**10),
+        ],
+        ids=str,
+    )
+    def test_narrow_bump_means(self, shape, centers, s):
+        law = tuple(s * k for k in shape)
+        h = attach_mean(_bump(centers, 0.25), DirichletParams(law))
+        ref = oracles.bump_mean_concentrated(law, [Fraction(c) for c in centers], Fraction(1, 4))
+        assert abs(h.mean - ref) < 1e-11
+
     # Beta factors narrower than 1e-17 are point masses: the Gauss rule
     # there overflowed (1e308) or cancelled to nan (1e300)
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +357,22 @@ class TestTailRemainder:
             # vertex terms at every bisection step
             assert (sch.M, sch.remainder(a, h)) == level_for_tolerance(a, h, tol)
 
+    # the search starts at the asymptotic level; far from it (small s and
+    # loose tol, where the level stays near 8, or large s) it must still
+    # land on the bisection's level
+    @settings(max_examples=40, deadline=None)
+    @given(
+        law=st_.lists(st_.floats(0.05, 200.0), min_size=2, max_size=3),
+        tol=st_.floats(1e-7, 0.5),
+    )
+    def test_level_search_matches_bisection(self, law, tol):
+        from dirstein.metrics import attach_exact_means, make_battery
+
+        a = DirichletParams(tuple(law))
+        for h in attach_exact_means(make_battery(a.dim), a):
+            sch = st.DeathProcessSchedule.for_tolerance(a, h, tol)
+            assert (sch.M, sch.remainder(a, h)) == level_for_tolerance(a, h, tol)
+
 
 class TestAttachMean:
     def test_monomial_exact(self):
@@ -577,21 +594,13 @@ class TestLevelSums:
         )
         assert np.array_equal(self.res.S, res2.S)
 
-    def test_blocks_tiles_and_threads(self, monkeypatch):
+    def test_blocks_and_tiles(self):
         # several row chunks, column blocks and cache tiles per block (a
-        # tile is at least 256 columns, so tol 1e-4 for levels past 600);
-        # the sums must not depend on how many threads share the points
-        runs = []
-        for n in (1, 3):
-            monkeypatch.setattr(st, "_cpu_count", lambda n=n: n)
-            runs.append(
-                st.stein_level_sums(
-                    self.a_list, self.bats, self.points, 1500, RngStream(78),
-                    tol=1e-4, row_chunk=512, col_block=300,
-                )
-            )
-        assert np.array_equal(runs[0].S, runs[1].S)
-        res = runs[1]
+        # tile is at least 256 columns, so tol 1e-4 for levels past 600)
+        res = st.stein_level_sums(
+            self.a_list, self.bats, self.points, 1500, RngStream(78),
+            tol=1e-4, row_chunk=512, col_block=300,
+        )
         assert res.levels.max() > 2 * 300
         for ai, a in enumerate(self.a_list):
             for hi, c in enumerate([1, 2, 3]):
@@ -601,6 +610,21 @@ class TestLevelSums:
                     est, se, _ = res.f_hat(p, ai, hi)
                     exact = solution_partial_monomial(c, a, x, M) + lead(h, a, x, M)
                     assert abs(est - exact) < 4.5 * se
+
+    def test_points_are_independent_and_threadless(self, monkeypatch):
+        # each point's sums ride on the shared stream alone, so a grid's
+        # column is the one-point call at that x, bit for bit; no call
+        # starts a thread
+        def refuse(thread):
+            raise AssertionError("stein_level_sums started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        kw = dict(tol=1e-3, row_chunk=256, col_block=128)
+        grid = st.stein_level_sums(self.a_list, self.bats, self.points, 700, RngStream(5), **kw)
+        assert grid.levels.max() > 128
+        for p, x in enumerate(self.points):
+            one = st.stein_level_sums(self.a_list, self.bats, [x], 700, RngStream(5), **kw)
+            assert np.array_equal(grid.S[:, p], one.S[:, 0])
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_battery_sums_match_functions(self, K):
