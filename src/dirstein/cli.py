@@ -15,7 +15,11 @@ run away (tiny mutation rates) is refused when the config is read.
 polya-theorem4 takes its gaps from the urn's exact law when the law has
 no more states than mc.samples, and from mc.samples sampled end states
 otherwise; summary.txt names the source (`law`), its `states` and the
-exact table's `resolution`.
+exact table's `resolution`.  wf-theorem1 takes the chain's exact
+stationary moments of degree <= MOMENT_DEGREE: its monomial gaps are
+exact and every other gap is sampled against monomial controls
+(`smooth_gap`); summary.txt records `moments`, `controls` and
+`moment_z_max`, the sample's largest moment z-score.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -47,11 +51,14 @@ from .chains import (
     uses_genealogy,
 )
 from .metrics import (
+    MOMENT_DEGREE,
     MetricsError,
     _monomial,
     attach_exact_means,
+    exact_moments,
     gap_table_csv,
     make_battery,
+    moment_z_max,
     smooth_gap,
 )
 from .mutation import MutationError, MutationMatrix, fit_dirichlet_params, summarize
@@ -338,6 +345,7 @@ class _Experiment:
         self.sha = config_hash(data)
         self.notes = []  # derived quantities for validate output
         self.run_args = {}  # forward keys passed on to run_to_stationarity
+        self.moments = None  # exact stationary moments, for Wright-Fisher runs
         build = getattr(self, "_build_" + self.kind.replace("-", "_"))
         build(data)
 
@@ -368,6 +376,10 @@ class _Experiment:
         _check_chain(self.mutation, key)
         self.model = ChainModel(N=self.N, mutation=self.mutation)
         self._plan_sampling(data, key)
+        try:
+            self.moments = exact_moments(self.model, MOMENT_DEGREE)
+        except MetricsError as e:
+            raise ConfigError(key, str(e))
         self.summary = summarize(self.mutation, self.a, self.N)
         self.report = theorem1_bound(self.summary, self.a, self.N, self.K)
         self.notes += [
@@ -558,7 +570,7 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         samples = run.samples
         battery = attach_exact_means(make_battery(exp.K), exp.a)
         gaps = tuple(
-            smooth_gap(run, exp.a, h, exp.report.smooth_bound_for(h))
+            smooth_gap(run, exp.a, h, exp.report.smooth_bound_for(h), moments=exp.moments)
             for h in battery
         )
         # deterministic provenance; drift_z compares early and late rounds
@@ -569,6 +581,12 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
             f"generations = {run.meta['generations']}",
             "drift_z = (%s)" % ", ".join(_fmt(z) for z in run.drift_z),
         ]
+        if exp.moments is not None:
+            diagnostics += [
+                f"moments = exact (degree {exp.moments.degree})",
+                f"controls = {len(exp.moments.exponents)}",
+                "moment_z_max = " + _fmt(moment_z_max(run, exp.moments)),
+            ]
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
     _write(out / "samples.csv", _samples_csv(exp, samples))

@@ -253,7 +253,9 @@ def dirichlet_mixed_moment(p: DirichletParams, exponents: Sequence[int]):
     """Exact mixed moment E[prod Z_i^(c_i)] = prod (a_i)^(c_i) / (s)^(|c|).
 
     (v)^(k) denotes the rising factorial v(v+1)...(v+k-1).  Exact when the
-    parameters are rational; plain float arithmetic otherwise.
+    parameters are rational; plain float arithmetic otherwise, taken as a
+    product of ratios (a_i + t) / (s + step) when the factorials leave the
+    float range.
     """
     c = tuple(int(e) for e in exponents)
     if len(c) != p.dim:
@@ -263,13 +265,25 @@ def dirichlet_mixed_moment(p: DirichletParams, exponents: Sequence[int]):
     total = sum(c)
     if total == 0:
         return 1
-    num = 1
+    try:
+        num = 1
+        for ai, ci in zip(p.a, c):
+            num = num * _rising(ai, ci)
+        den = _rising(p.s, total)
+        if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
+            return Fraction(num) / Fraction(den)
+        out = num / den
+        if math.isfinite(den) and math.isfinite(out):
+            return out
+    except OverflowError:  # an exact int factor past the float range
+        pass
+    # huge weights: a product of per-step ratios, each within the float range
+    out, step = 1.0, 0
     for ai, ci in zip(p.a, c):
-        num = num * _rising(ai, ci)
-    den = _rising(p.s, total)
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num) / Fraction(den)
-    return num / den
+        for t in range(ci):
+            out *= (ai + t) / (p.s + step)
+            step += 1
+    return out
 
 
 # Gauss nodes per piece of every exact Dirichlet mean: the rule is exact for
@@ -423,9 +437,16 @@ def _log_density_rest(p, q, P, Q, x):
 
 
 def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
-    """E fn(Z) under Dir(a) by nested Gauss rules, or for K <= 3 the
-    windowed E[fn(Z); lo_i <= Z_i <= hi_i] with window a (lo_i, hi_i) pair
-    per free coordinate.  fn takes an (n, K-1) array of free coordinates.
+    """E fn(Z) under Dir(a) by nested Gauss rules (`_dirichlet_rule`), or
+    for K <= 3 the windowed E[fn(Z); lo_i <= Z_i <= hi_i] with window a
+    (lo_i, hi_i) pair per free coordinate.  fn takes an (n, K-1) array of
+    free coordinates."""
+    z, wt = _dirichlet_rule(a, window)
+    return float(wt @ np.asarray(fn(z), dtype=np.float64))
+
+
+def _dirichlet_rule(a: DirichletParams, window=None):
+    """The nodes z (n, K-1) and weights of `_dirichlet_expect`'s rule.
 
     In stick-breaking coordinates Z_j = (1 - Z_1 - ... - Z_(j-1)) Y_j with
     independent Y_j ~ Beta(a_j, a_(j+1) + ... + a_K), so the mean is a
@@ -441,7 +462,8 @@ def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
     wt = np.ones(1)
     for j in range(K - 1):
         if not len(wt):  # a point mass fell outside the window
-            return 0.0
+            z = np.zeros((0, K - 1))
+            break
         p, q = af[j], rest[j + 1]
         m = p + q
         if (p / m) * (q / m) / (m + 1.0) <= _POINT_VARIANCE:
@@ -464,7 +486,7 @@ def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
         z = np.column_stack([z[row], zj])
         left = left[row] - zj
         wt = wt[row] * wy
-    return float(wt @ np.asarray(fn(z), dtype=np.float64))
+    return z, wt
 
 
 def theta_exponent(p: DirichletParams):

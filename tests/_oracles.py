@@ -611,3 +611,81 @@ def urn_count_law(a, n):
                     nxt[tuple(y)] = nxt.get(tuple(y), 0) + wt
         law = nxt
     return law
+
+
+def _set_partitions(items):
+    """Every set partition of the list `items`, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def _poly_mul(p, q):
+    out = {}
+    for e, u in p.items():
+        for f, v in q.items():
+            key = tuple(x + y for x, y in zip(e, f))
+            out[key] = out.get(key, 0) + u * v
+    return out
+
+
+def wf_stationary_moments(mutation, N, degree):
+    """Exact stationary E[W^c], 1 <= |c| <= degree, of a Wright-Fisher
+    chain, {c: Fraction}.  The next counts are sums over N children of
+    one-hot type indicators with probabilities q(w) = w P, so E[X'^c | w]
+    sums, over the set partitions of the |c| labelled factors into blocks
+    of one type each (the factors one child carries), (N)_blocks times
+    the product of the blocks' q.  Polynomials are dicts of Fractions, and
+    the stationary system is solved by Gauss-Jordan elimination."""
+    K = mutation.K
+    d = K - 1
+    one = (0,) * d
+    # q_j as a polynomial in the free coordinates, w_K = 1 - sum w
+    q = []
+    for j in range(K):
+        poly = {one: Fraction(mutation.p[K - 1][j])}
+        for k in range(d):
+            e = tuple(int(i == k) for i in range(d))
+            poly[e] = Fraction(mutation.p[k][j]) - Fraction(mutation.p[K - 1][j])
+        q.append(poly)
+    cs = [c for c in itertools.product(range(degree + 1), repeat=d) if 1 <= sum(c) <= degree]
+    step = {}
+    for c in cs:
+        factors = [j for j in range(d) for _ in range(c[j])]
+        total = {}
+        for part in _set_partitions(list(range(len(factors)))):
+            types = [{factors[i] for i in block} for block in part]
+            if any(len(t) > 1 for t in types):
+                continue
+            term = {one: Fraction(math.perm(N, len(part)), N ** len(factors))}
+            for t in types:
+                term = _poly_mul(term, q[t.pop()])
+            for e, v in term.items():
+                total[e] = total.get(e, 0) + v
+        step[c] = total
+    # mu_c - sum_e step[c][e] mu_e = step[c][0]
+    n = len(cs)
+    col = {c: i for i, c in enumerate(cs)}
+    rows = []
+    for c in cs:
+        row = [Fraction(0)] * n + [step[c].get(one, Fraction(0))]
+        row[col[c]] += 1
+        for e, v in step[c].items():
+            if e != one:
+                row[col[e]] -= v
+        rows.append(row)
+    for i in range(n):
+        piv = next(r for r in range(i, n) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        inv = 1 / rows[i][i]
+        rows[i] = [v * inv for v in rows[i]]
+        for r in range(n):
+            if r != i and rows[r][i] != 0:
+                f = rows[r][i]
+                rows[r] = [u - f * v for u, v in zip(rows[r], rows[i])]
+    return {c: rows[col[c]][n] for c in cs}

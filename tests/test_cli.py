@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from dirstein import cli
 from dirstein.chains import run_to_stationarity
 from dirstein.cli import ConfigError, config_hash, main, parse_config_text
-from dirstein.metrics import exact_stationary
+from dirstein.metrics import MOMENT_DEGREE, exact_moments, exact_stationary, moment_z_max
 from dirstein.simplex import RngStream
 
 
@@ -462,6 +462,23 @@ class TestOneStationaryRun:
         drift = [line for line in summary if line.startswith("drift_z = (")]
         assert drift == ["drift_z = (%.17g, %.17g)" % run.drift_z]
 
+    def test_summary_reports_the_moments(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.cfg", WF_CFG)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        exp = cli._Experiment(parse_config_text(WF_CFG))
+        run = run_to_stationarity(exp.model, 2500, RngStream(7))
+        mom = exact_moments(exp.model, MOMENT_DEGREE)
+        summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert f"moments = exact (degree {MOMENT_DEGREE})" in summary
+        assert f"controls = {MOMENT_DEGREE}" in summary
+        assert "moment_z_max = %.17g" % moment_z_max(run, mom) in summary
+        # matched rates: the linear monomial's gap and stderr are exactly 0
+        with open(tmp_path / "o" / "gaps.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        linear = next(r for r in rows if r["h_tag"] == "('monomial', (1,))")
+        assert (linear["gap"], linear["stderr"], linear["bound"]) == ("0", "0", "0")
+        assert all(r["stderr"] == "0" for r in rows if r["h_tag"].startswith("('monomial'"))
+
     def test_summary_reports_a_forward_run(self, tmp_path):
         text = (
             'kind = "wf-theorem1"\nmodel.N = 12\nmodel.mutation = [[0.9, 0.06, 0.04], '
@@ -515,6 +532,24 @@ class TestCertifyJob:
         assert names == sorted(p.name for p in dirs[1].iterdir())
         for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+    def test_sampled_linear_rows_are_exact(self, tmp_path):
+        # a benchmark job whose 1024 draws put both linear monomials about
+        # 4 plain stderr from a/s (z = 4.09 and -3.96, bound exactly 0);
+        # the exact moments give both rows gap 0 and stderr 0
+        text = (
+            'kind = "wf-theorem1"\nmodel.N = 85\nmodel.a = [2.634, 3.045, 2.443]\n'
+            "mc.samples = 1024\nseed = 2125659498217179577\n"
+        )
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "gaps.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        for tag in ("('monomial', (0, 1))", "('monomial', (1, 0))"):
+            row = next(r for r in rows if r["h_tag"] == tag)
+            assert (row["gap"], row["stderr"], row["bound"], row["pass"]) == ("0", "0", "0", "true")
+        summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert "controls = 27" in summary
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.
@@ -897,12 +932,15 @@ class TestConfigFuzz:
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1e-300, 1]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.pi": [1e-9, 1e-9]})
     @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1, 2], "mc.samples": 1})
+    @example(data={"kind": "wf-theorem1", "seed": 1, "model.N": 20, "model.a": [1, 2], "mc.samples": 2})
     @example(
         data={
             "kind": "wf-theorem1", "seed": 1, "model.N": 20, "mc.samples": 48, "mc.thin": 10**9,
             "model.mutation": [[0.9, 0.06, 0.04], [0.02, 0.9, 0.08], [0.05, 0.03, 0.92]],
         }
     )
+    @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 20, "model.a": [1e300, 1.5]})
+    @example(data={"kind": "polya-theorem4", "seed": 1, "model.n": 20, "model.a": [5e306, 1.5]})
     def test_run_exit_code_and_keyed_message(self, data):
         text = "".join(f"{k} = {json.dumps(v)}\n" for k, v in data.items())
         with tempfile.TemporaryDirectory() as d:
@@ -910,10 +948,17 @@ class TestConfigFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main(["run", "--config", cfg, "--out", str(Path(d) / "o")])
-        assert rc in (0, 1, 2)
-        if rc == 1:
-            key = err.getvalue().removeprefix("error: ").split(": ")[0]
-            assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())
+            assert rc in (0, 1, 2)
+            if rc == 1:
+                key = err.getvalue().removeprefix("error: ").split(": ")[0]
+                assert err.getvalue().startswith("error: ") and key in _FUZZ_KEYS, (text, err.getvalue())
+                return
+            # only Wright-Fisher runs take exact moments and report them
+            summary = (Path(d) / "o" / "summary.txt").read_text().splitlines()
+            keys = [line.split(" = ")[0] for line in summary]
+            moment_keys = [k for k in keys if k in ("moments", "controls", "moment_z_max")]
+            wf = data["kind"] == "wf-theorem1"
+            assert moment_keys == (["moments", "controls", "moment_z_max"] if wf else []), text
 
     # runs that step the forward kernel; at the largest sizes one run takes
     # about 0.2 s, set-up included

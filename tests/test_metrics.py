@@ -16,6 +16,7 @@ import _oracles as oracles
 from dirstein.bounds import theorem1_bound
 from dirstein.chains import ChainError, ChainModel, StationaryRun, run_to_stationarity
 from dirstein.metrics import (
+    MOMENT_DEGREE,
     GapEstimate,
     K2Distance,
     MetricsError,
@@ -27,9 +28,11 @@ from dirstein.metrics import (
     _validate_battery,
     attach_exact_means,
     convex_probe_k3,
+    exact_moments,
     exact_stationary,
     kolmogorov_k2,
     make_battery,
+    moment_z_max,
     reg_inc_beta,
     smooth_gap,
 )
@@ -901,3 +904,180 @@ class TestTableCertification:
         h = attach_exact_means(make_battery(2), a)[0]
         ge = smooth_gap(tab, a, h, bound=rep.smooth_bound_for(h))
         assert ge.bound == 0.0 and ge.gap == 0.0 and ge.passed
+
+
+# ---------------------------------------------------------------------------
+# exact stationary moments of Wright-Fisher chains, and the gaps that use them
+
+
+_DENSE3 = MutationMatrix(
+    [[F(7, 10), F(2, 10), F(1, 10)], [F(1, 20), F(17, 20), F(1, 10)], [F(3, 10), F(1, 10), F(6, 10)]]
+)
+_MOMENT_MODELS = {
+    "pim-k2": lambda N: pim_for((1.5, 2.5), N),
+    "pim-k3": lambda N: pim_for((2, 3, 1.5), N),
+    "cyclic-k3": cyclic_for,
+    "dense-k3": lambda N: _DENSE3,
+}
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("name", sorted(_MOMENT_MODELS))
+    @pytest.mark.parametrize("N", [12, 60])
+    def test_matches_exact_tables(self, name, N):
+        model = ChainModel(N, _MOMENT_MODELS[name](N))
+        mom = exact_moments(model, MOMENT_DEGREE)
+        tab = exact_stationary(model)
+        assert mom.degree == MOMENT_DEGREE
+        assert mom.exponents.sum(axis=1).min() == 1
+        assert mom.exponents.sum(axis=1).max() == MOMENT_DEGREE
+        for c, v in zip(mom.exponents.tolist(), mom.values):
+            assert abs(v - tab.expect(_monomial(c).fn)) <= tab.resolution + 1e-13, (c, v)
+
+    @pytest.mark.parametrize("name", sorted(_MOMENT_MODELS))
+    @pytest.mark.parametrize("N", [3, 30])
+    def test_matches_fraction_oracle(self, name, N):
+        mut = _MOMENT_MODELS[name](N)
+        mom = exact_moments(ChainModel(N, mut), 4)
+        want = oracles.wf_stationary_moments(mut, N, 4)
+        assert sorted(want) == sorted(map(tuple, mom.exponents.tolist()))
+        for c, v in zip(mom.exponents.tolist(), mom.values):
+            assert abs(v - float(want[tuple(c)])) <= 1e-13, (c, v)
+            assert mom.moment(c) == v
+        assert mom.resolution >= 1e-13
+
+    def test_pim_means_are_the_rate_shares(self):
+        # parent-independent rates pi force the stationary mean pi / |pi|
+        mom = exact_moments(ChainModel(200, pim_for((3, 2, 4), 200)), MOMENT_DEGREE)
+        assert abs(mom.moment((1, 0)) - 3 / 9) <= mom.resolution
+        assert abs(mom.moment((0, 1)) - 2 / 9) <= mom.resolution
+
+    def test_one_call_is_quick(self):
+        import time
+
+        model = ChainModel(200, pim_for((3, 2, 4), 200))
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            exact_moments(model, MOMENT_DEGREE)
+            times.append(time.perf_counter() - start)
+        assert sorted(times)[3] <= 2e-3, times
+
+    def test_refusals(self):
+        with pytest.raises(MetricsError, match="Wright-Fisher"):
+            exact_moments(ChainModel(8, pim_for((1, 1), 8), OffspringModel.moran(8)), 3)
+        with pytest.raises(MetricsError, match="degree"):
+            exact_moments(ChainModel(8, pim_for((1, 1), 8)), 0)
+        with pytest.raises(MetricsError, match="exponents"):
+            exact_moments(ChainModel(8, pim_for((1, 1), 8)), 3).moment((4,))
+
+
+class TestSamplersAgainstMoments:
+    """Every moment of degree <= 3 of a run within 4 sigma of the exact
+    moments, at N beyond the exact tables' reach.  Each case takes the
+    largest |z| over 3 (K=2) or 9 (K=3) moments, a false-alarm rate below
+    6e-4 per case."""
+
+    @pytest.mark.parametrize(
+        "N, a, n",
+        [(1600, (3, 4), 1024), (200, (3, 2, 4), 4096)],
+        ids=["genealogy-k2-n1600", "genealogy-k3-n200"],
+    )
+    def test_genealogy(self, N, a, n):
+        model = ChainModel(N, pim_for(a, N))
+        run = run_to_stationarity(model, n, RngStream(11))
+        assert run.meta["sampler"] == "genealogy"
+        assert moment_z_max(run, exact_moments(model, MOMENT_DEGREE)) < 4.0
+
+    def test_forward_cyclic(self):
+        # rows are rounds of 512 chains: the stderr is over batch means
+        model = ChainModel(60, cyclic_for(60))
+        run = run_to_stationarity(model, 4096, RngStream(12))
+        assert run.meta["sampler"] == "forward" and int(run.meta["replicates"]) == 512
+        mom = exact_moments(model, 3)
+        z = moment_z_max(run, mom)
+        assert z < 4.0
+        assert moment_z_max(run.samples, mom, replicates=512) == z
+        # the same rows read as iid understate the stderr
+        assert moment_z_max(run.samples, mom, replicates=len(run.samples)) > z
+
+    def test_detects_a_shifted_sample(self):
+        model = ChainModel(200, pim_for((3, 2, 4), 200))
+        run = run_to_stationarity(model, 4096, RngStream(13))
+        mom = exact_moments(model, 3)
+        assert moment_z_max(run.samples * 0.97, mom) > 4.0
+
+
+class TestControlledGaps:
+    def _setup(self, K, N, a, n, seed):
+        ap = DirichletParams(a)
+        model = ChainModel(N, pim_for(a, N))
+        run = run_to_stationarity(model, n, RngStream(seed))
+        return ap, model, run, attach_exact_means(make_battery(K), ap)
+
+    def test_monomials_take_exact_gaps(self):
+        ap, model, run, battery = self._setup(3, 40, (2, 3, 1.5), 256, 4)
+        mom = exact_moments(model, MOMENT_DEGREE)
+        tab = exact_stationary(model)
+        for h in battery:
+            if h.tag[0] != "monomial":
+                continue
+            ge = smooth_gap(run, ap, h, bound=1.0, moments=mom)
+            assert ge.stderr == 0.0
+            want = abs(tab.expect(h.fn) - h.mean)
+            assert ge.gap == 0.0 if sum(h.tag[1]) == 1 else abs(ge.gap - want) <= 1e-12
+
+    def test_controls_are_fixed_and_unbiased_by_construction(self):
+        ap, model, run, battery = self._setup(2, 50, (2.5, 3.5), 512, 5)
+        mom = exact_moments(model, MOMENT_DEGREE)
+        other = run_to_stationarity(model, 300, RngStream(6)).samples
+        for h in battery[3:]:
+            beta = mom.weights(ap, h)
+            assert beta.shape == (MOMENT_DEGREE,)
+            # the weights read neither the sample nor an rng
+            ge = smooth_gap(other, ap, h, bound=1.0, moments=mom)
+            assert np.array_equal(exact_moments(model, MOMENT_DEGREE).weights(ap, h), beta)
+            controls = other ** np.arange(1, MOMENT_DEGREE + 1) - mom.values
+            adjusted = h.fn(other) - controls @ beta
+            assert ge.gap == pytest.approx(abs(adjusted.mean() - h.mean), abs=1e-12)
+            plain = smooth_gap(other, ap, h, bound=1.0)
+            assert ge.stderr < plain.stderr
+
+    def test_projection_reproduces_a_polynomial(self):
+        # a cubic lies in the span of the controls: its weights are its
+        # coefficients
+        from dirstein.stein import TestFunction
+
+        ap = DirichletParams((2, 3))
+        cubic = TestFunction(
+            tag=("cubic",), fn=lambda z: 1 + 2 * z[..., 0] - 3 * z[..., 0] ** 3,
+            sup_norm=3.0, h1=7.0, h2=18.0, h21=18.0,
+        )
+        mom = exact_moments(ChainModel(30, pim_for((2, 3), 30)), MOMENT_DEGREE)
+        beta = mom.weights(ap, cubic)
+        assert beta == pytest.approx([2, 0, -3, 0, 0, 0], abs=1e-7)
+
+    @pytest.mark.parametrize("K, N, a", [(3, 25, (2.5, 3.0, 2.0)), (2, 60, (2.5, 3.5))])
+    def test_calibrated_against_exact_tables(self, K, N, a):
+        # 400 sets of 1024 iid genealogy draws, cut from one run: the
+        # z-scores of every non-monomial gap against the table's exact
+        # E h(W) are standard normal, and the controls cut the stderr
+        ap, model, run, battery = self._setup(K, N, a, 400 * 1024, 7)
+        mom = exact_moments(model, MOMENT_DEGREE)
+        tab = exact_stationary(model)
+        rows = run.samples.reshape(400, 1024, K - 1)
+        worst, worst_plain = np.zeros(400), np.zeros(400)
+        for h in battery:
+            if h.tag[0] == "monomial":
+                continue
+            # a mean below every value of h keeps the sign: gap = est - mean
+            low = replace(h, mean=h.value_range[0] - 1.0)
+            z = []
+            for i, w in enumerate(rows):
+                ge = smooth_gap(w, ap, low, bound=1.0, moments=mom)
+                z.append((ge.gap + low.mean - tab.expect(h.fn)) / ge.stderr)
+                worst[i] = max(worst[i], ge.stderr)
+                worst_plain[i] = max(worst_plain[i], smooth_gap(w, ap, h, bound=1.0).stderr)
+            assert 0.85 <= np.std(z, ddof=1) <= 1.15, (h.tag, np.std(z, ddof=1))
+            assert abs(np.mean(z)) <= 0.25, (h.tag, np.mean(z))
+        assert np.median(worst) <= np.median(worst_plain) / 3

@@ -186,6 +186,25 @@ class TestMixedMoment:
         m_lo = dirichlet_mixed_moment(p, lower)
         assert m_hi * (p.s + sum(c) - 1) == m_lo * (a[i] + c[i] - 1)
 
+    @pytest.mark.parametrize("big", [10**300, int(5e306)], ids=["1e300", "5e306"])
+    @pytest.mark.parametrize("c", [(1, 0), (2, 0), (3, 0), (2, 1), (0, 2)])
+    def test_huge_int_beside_float(self, big, c):
+        # the int rising factorials pass the float range before the float
+        # ones join them; the moment itself is a product of ratios near 1
+        p = DirichletParams([big, 1.5])
+        m = dirichlet_mixed_moment(p, c)
+        want = math.prod((big + t) / (big + 1.5 + t) for t in range(c[0]))
+        want *= math.prod((1.5 + t) / (big + 1.5 + c[0] + t) for t in range(c[1]))
+        assert isinstance(m, float) and m == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("a, c", [([2, 1.5], (1, 0)), ([2, 1.5], (2, 1)), ([0.3, 7], (3, 0))])
+    def test_float_weights_divide_once(self, a, c):
+        # within the float range the moment stays num / den, bit for bit
+        p = DirichletParams(a)
+        num = math.prod(ai + t for ai, ci in zip(p.a, c) for t in range(ci))
+        den = math.prod(p.s + t for t in range(sum(c)))
+        assert dirichlet_mixed_moment(p, c) == num / den
+
 
 class TestTheta:
     def test_all_ones(self):
@@ -221,3 +240,4 @@ class TestParams:
     def test_sum_exact_for_fractions(self):
         p = DirichletParams([Fraction(1, 3), Fraction(2, 3)])
         assert p.s == 1
+
