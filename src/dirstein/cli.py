@@ -569,8 +569,16 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         )
         samples = run.samples
         battery = attach_exact_means(make_battery(exp.K), exp.a)
+        moments = controls = None
+        if exp.moments is not None:
+            # one projection and one c(W) serve every gap of the run
+            moments = exp.moments.projected(exp.a)
+            controls = moments.monomials(run.samples)
         gaps = tuple(
-            smooth_gap(run, exp.a, h, exp.report.smooth_bound_for(h), moments=exp.moments)
+            smooth_gap(
+                run, exp.a, h, exp.report.smooth_bound_for(h),
+                moments=moments, controls=controls,
+            )
             for h in battery
         )
         # deterministic provenance; drift_z compares early and late rounds

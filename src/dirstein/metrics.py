@@ -16,7 +16,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .offspring import (
 )
 from .simplex import (
     DirichletParams,
+    _dirichlet_moments,
     _dirichlet_rule,
     _falling,
     _stirling2_row,
@@ -272,25 +273,16 @@ def make_battery(K: int) -> tuple:
     and moderate frequencies, and one compactly supported bump.  Means
     are not attached; callers do that per target law.
     """
+    if K not in (2, 3):
+        raise MetricsError("battery is shipped for K in {2, 3}")
+    fns = [_monomial(tuple(c)) for c in _exponents(K - 1, 3)[1:].tolist()]
     if K == 2:
-        fns = [_monomial((c,)) for c in (1, 2, 3)]
         fns += [_trig(kind, (w,)) for kind in ("cos", "sin") for w in (1.0, 3.0)]
         fns.append(_bump((0.5,), 0.25))
-    elif K == 3:
-        cs = sorted(
-            (
-                c
-                for c in itertools.product(range(4), repeat=2)
-                if 1 <= sum(c) <= 3
-            ),
-            key=lambda c: (sum(c), c),
-        )
-        fns = [_monomial(c) for c in cs]
+    else:
         ws = [(1, 0), (0, 1), (2, 1), (1, 2), (3, 0), (0, 3)]
         fns += [_trig(kind, w) for kind in ("cos", "sin") for w in ws]
         fns.append(_bump((1.0 / 3.0, 1.0 / 3.0), 0.25))
-    else:
-        raise MetricsError("battery is shipped for K in {2, 3}")
     return tuple(fns)
 
 
@@ -341,7 +333,13 @@ def _mean_se(vals, replicates):
 
 
 def smooth_gap(
-    sample, a: DirichletParams, h: TestFunction, bound, replicates=None, moments=None
+    sample,
+    a: DirichletParams,
+    h: TestFunction,
+    bound,
+    replicates=None,
+    moments=None,
+    controls=None,
 ) -> GapEstimate:
     """Estimate |E h(W) - E h(Z)| from a stationary sample or exact table.
 
@@ -358,9 +356,12 @@ def smooth_gap(
     table's, and every other h is sampled as h(W) - beta_h . (c(W) - mu):
     c are the monomials of degree 1..moments.degree, mu = E c(W) exact
     and beta_h the L2(Dir(a)) projection of h on them
-    (`ExactMoments.weights`), which uses neither the sample nor an rng.  The
-    mean is unchanged and the variance is what the projection leaves; the
-    stderr adds |beta_h|_1 times the moments' resolution.
+    (`ExactMoments.weights`), which uses neither the sample nor an rng;
+    the moments must be `projected` on a.  The mean is unchanged and the
+    variance is what the projection leaves; the stderr adds |beta_h|_1
+    times the moments' resolution.  `controls`, the sample's c(W) as
+    `moments.monomials` gives them, spares a caller that takes many gaps
+    of one sample their recomputation for every h.
     """
     if h.mean is None:
         raise SteinError(f"{h.tag}: attach_mean before taking gaps")
@@ -383,8 +384,12 @@ def smooth_gap(
         vals = np.asarray(h.fn(rows), dtype=np.float64)
         extra = h.mean_se
         if moments is not None:
-            beta = moments.weights(a, h)
-            vals = vals - (moments.monomials(rows) - moments.values) @ beta
+            if moments.law != a:
+                raise MetricsError("the moments are not projected on this law")
+            beta = moments.weights(h)
+            if controls is None:
+                controls = moments.monomials(rows)
+            vals = vals - (controls - moments.values) @ beta
             extra = math.hypot(extra, float(np.abs(beta).sum()) * moments.resolution)
         est, se = _mean_se(vals, replicates)
         se = math.hypot(se, extra)
@@ -1124,18 +1129,12 @@ def _projection(a: DirichletParams, degree: int):
     attach_mean's: its weights moved the controlled stderr by under 3e-5
     relative.
 
-    The Gram matrix takes exact Dirichlet moments, as products of ratios
-    (a_j + t)/s over (1 + t/s) that stay in the float range.  It is
-    scaled to unit diagonal and inverted with relative eigenvalues below
-    1e-12 cut, since the monomials of a narrow law are nearly dependent
-    and any fixed beta keeps the control-variate mean unbiased."""
+    The Gram matrix takes exact Dirichlet moments (`_dirichlet_moments`).
+    It is scaled to unit diagonal and inverted with relative eigenvalues
+    below 1e-12 cut, since the monomials of a narrow law are nearly
+    dependent and any fixed beta keeps the control-variate mean unbiased."""
     exps = _exponents(a.dim - 1, degree)
-    af, s = a.floats()[:-1], float(a.s)
-    t = np.arange(2 * degree)
-    rise = np.column_stack([np.ones(len(af)), np.cumprod((af[:, None] + t) / s, axis=1)])
-    total = np.concatenate([[1.0], np.cumprod(1.0 + t / s)])
-    E = exps[:, None, :] + exps[None, :, :]
-    gram = np.prod(rise[np.arange(len(af)), E], axis=-1) / total[E.sum(axis=-1)]
+    gram = _dirichlet_moments(a, exps[:, None, :] + exps[None, :, :])
     scale = np.outer(*[np.sqrt(np.diagonal(gram))] * 2)
     lam, vec = np.linalg.eigh(gram / scale)
     keep = lam > 1e-12 * lam[-1]
@@ -1152,16 +1151,15 @@ class ExactMoments:
 
     exponents lists the c by degree and then lexicographically, and
     values the moments in the same order.  resolution bounds the float
-    error of every value, as a StationaryTable's does."""
+    error of every value, as a StationaryTable's does.  `projected` adds
+    the law whose L2 projection the controls of smooth_gap take."""
 
     exponents: np.ndarray
     values: np.ndarray
     degree: int
     resolution: float
-    # every gap of one run reads the same sample rows (which must not
-    # change in place) and the same law: the last of each is kept with
-    # what was derived from it
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    law: DirichletParams | None = None
+    projection: tuple | None = field(default=None, repr=False, compare=False)
 
     def moment(self, c) -> float:
         """E[W^c] for one exponent vector c."""
@@ -1173,17 +1171,20 @@ class ExactMoments:
 
     def monomials(self, w) -> np.ndarray:
         """c(w) for rows w: one column per exponent vector."""
-        if self._memo.get("rows") is not w:
-            self._memo.update(rows=w, monomials=_monomials(w, self.exponents))
-        return self._memo["monomials"]
+        return _monomials(w, self.exponents)
 
-    def weights(self, a: DirichletParams, h: TestFunction) -> np.ndarray:
-        """beta_h: the weights on the monomials c of the L2(Dir(a))
-        projection of h onto span{1, c}, from h at the nodes of the
-        Gauss rule of `_dirichlet_expect` (`_projection`)."""
-        if self._memo.get("law") != a:
-            self._memo.update(law=a, projection=_projection(a, self.degree))
-        inv, z, basis = self._memo["projection"]
+    def projected(self, a: DirichletParams) -> ExactMoments:
+        """These moments with the L2(Dir(a)) projection onto span{1, c}
+        built once (`_projection`), for the weights of any h."""
+        return replace(self, law=a, projection=_projection(a, self.degree))
+
+    def weights(self, h: TestFunction) -> np.ndarray:
+        """beta_h: the weights on the monomials c of the projection of h
+        under the projected law, from h at the nodes of the Gauss rule of
+        `_dirichlet_expect`."""
+        if self.projection is None:
+            raise MetricsError("project the moments on a law before weighting h")
+        inv, z, basis = self.projection
         return (inv @ (basis @ np.asarray(h.fn(z), dtype=np.float64)))[1:]
 
 
@@ -1254,16 +1255,16 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
     return ExactMoments(exps[1:], values, degree, resolution)
 
 
-def moment_z_max(sample, moments: ExactMoments, replicates=None) -> float:
+def moment_z_max(sample, moments: ExactMoments) -> float:
     """Largest |z| of the sample means of W^c, 1 <= |c| <= 3 (the
     battery's monomials), against the exact stationary moments, in
     smooth_gap's stderr (iid rows or batch means over chains) combined
     with the moments' resolution.  A check of the sampler: exact draws
     keep it near the largest of that many standard normals."""
-    rows, replicates = _rows(sample, moments.exponents.shape[1], replicates)
+    rows, replicates = _rows(sample, moments.exponents.shape[1], None)
     keep = moments.exponents.sum(axis=1) <= 3
     z = 0.0
-    for col, mu in zip(moments.monomials(rows)[:, keep].T, moments.values[keep]):
+    for col, mu in zip(_monomials(rows, moments.exponents[keep]).T, moments.values[keep]):
         est, se = _mean_se(col, replicates)
         z = max(z, abs(est - mu) / math.hypot(se, moments.resolution))
     return z

@@ -253,8 +253,8 @@ def dirichlet_mixed_moment(p: DirichletParams, exponents: Sequence[int]):
     """Exact mixed moment E[prod Z_i^(c_i)] = prod (a_i)^(c_i) / (s)^(|c|).
 
     (v)^(k) denotes the rising factorial v(v+1)...(v+k-1).  Exact when the
-    parameters are rational; plain float arithmetic otherwise, taken as a
-    product of ratios (a_i + t) / (s + step) when the factorials leave the
+    parameters are rational; plain float arithmetic otherwise, taken as
+    `_dirichlet_moments`' product of ratios when the factorials leave the
     float range.
     """
     c = tuple(int(e) for e in exponents)
@@ -277,12 +277,21 @@ def dirichlet_mixed_moment(p: DirichletParams, exponents: Sequence[int]):
             return out
     except OverflowError:  # an exact int factor past the float range
         pass
-    # huge weights: a product of per-step ratios, each within the float range
-    out, step = 1.0, 0
-    for ai, ci in zip(p.a, c):
-        for t in range(ci):
-            out *= (ai + t) / (p.s + step)
-            step += 1
+    return float(_dirichlet_moments(p, [c])[0])
+
+
+def _dirichlet_moments(p: DirichletParams, exps) -> np.ndarray:
+    """E[prod Z_i^(c_i)] under Dir(p) in float64 for every row c of exps,
+    the exponents of the leading k <= p.dim coordinates, as products of
+    per-step ratios (a_i + t) / (s + c_1 + ... + c_(i-1) + t): each stays
+    within the float range where the rising factorials of
+    `dirichlet_mixed_moment` leave it."""
+    exps = np.asarray(exps, dtype=np.int64)
+    af, s = p.floats()[: exps.shape[-1]], float(p.s)
+    off = s + np.cumsum(exps, axis=-1) - exps
+    out = np.ones(exps.shape[:-1])
+    for t in range(int(exps.max(initial=0))):
+        out *= np.prod(np.where(t < exps, (af + t) / (off + t), 1.0), axis=-1)
     return out
 
 

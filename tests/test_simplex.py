@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from dirstein.simplex import (
     RngStream,
     SimplexError,
     SimplexPoint,
+    _dirichlet_moments,
     dirichlet_density,
     dirichlet_mixed_moment,
     dirichlet_sample,
@@ -196,6 +198,18 @@ class TestMixedMoment:
         want = math.prod((big + t) / (big + 1.5 + t) for t in range(c[0]))
         want *= math.prod((1.5 + t) / (big + 1.5 + c[0] + t) for t in range(c[1]))
         assert isinstance(m, float) and m == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("a", [(2, 3), (Fraction(1, 3), 5, Fraction(7, 2)), (Fraction(1, 10**300), Fraction(1, 10**300), 1)])
+    def test_ratio_products_match_the_exact_moments(self, a):
+        # the float ratio products that huge weights fall back on, against
+        # the exact rising factorials of the same rational law
+        p = DirichletParams(a)
+        exps = list(itertools.product(range(4), repeat=len(a)))
+        got = _dirichlet_moments(p, exps)
+        for c, m in zip(exps, got):
+            assert m == pytest.approx(float(dirichlet_mixed_moment(p, c)), rel=1e-14, abs=0)
+        # the leading coordinates alone, any leading shape
+        assert _dirichlet_moments(p, np.array(exps)[None, :, :2]).shape == (1, len(exps))
 
     @pytest.mark.parametrize("a, c", [([2, 1.5], (1, 0)), ([2, 1.5], (2, 1)), ([0.3, 7], (3, 0))])
     def test_float_weights_divide_once(self, a, c):
