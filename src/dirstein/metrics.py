@@ -710,6 +710,34 @@ def _grid_index(states, m, N):
     return np.searchsorted(states @ radix, m[..., : states.shape[1]] @ radix)
 
 
+def _kr_blocks(N, K):
+    """The columns of KR and the blocks of the triangle-only product.
+
+    The columns are the compositions y_R with sum <= N, ordered by their
+    sum (lexicographically within one): `lex` is the lexicographic grid
+    and `order` its rows in column order (one empty column at K=2).  A
+    state (y_l, y_R) has y_l <= N - |y_R|, so the columns of sum t are
+    read only on the rows y_l < h(t) = N + 1 - t.  A block (h, c0, c1)
+    is a run of sums from t0, forming rows y_l < h(t0) of its columns
+    c0:c1.  A block closes at the first sum t with h(t) <= 3/4 h(t0)
+    once it holds 16 columns and 16 columns are left, so each GEMM stays
+    wide enough that its per-call cost does not outweigh the cells it
+    skips (tiny grids keep one block)."""
+    if K == 2:
+        return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), [(N + 1, 0, 1)]
+    lex = _state_grid(N, K - 1)
+    total = lex.sum(axis=1)
+    order = np.argsort(total, kind="stable")
+    first = np.searchsorted(total[order], np.arange(N + 2)).tolist()
+    starts = [0]
+    for t in range(1, N + 1):
+        t0 = starts[-1]
+        if 4 * (N + 1 - t) <= 3 * (N + 1 - t0) and min(first[t] - first[t0], first[-1] - first[t]) >= 16:
+            starts.append(t)
+    ends = starts[1:] + [N + 1]
+    return lex, order, [(N + 1 - t0, first[t0], first[t1]) for t0, t1 in zip(starts, ends)]
+
+
 def _wf_operator(model: ChainModel, states):
     """The left product v -> v @ P of the Wright-Fisher rows on `states`,
     without forming P.
@@ -726,12 +754,16 @@ def _wf_operator(model: ChainModel, states):
     pivot group, v @ P is then W = (v * L)^T KR, KR the row-wise
     Khatri-Rao product of the A_i restricted to the C = C(N+K-2, K-2)
     compositions y_R with sum <= N (one column at K=2), read at each
-    state's (y_l, y_R) and scaled by M.  The tables hold about
+    state's (y_l, y_R) and scaled by M.  W is formed only in the blocks
+    of `_kr_blocks`, which skip most cells y_l + |y_R| > N, into one
+    packed buffer; the row weights go on the thinner factor (KR up to
+    K=3, L beyond), and the weighted factor and W live in buffers kept
+    across calls, so the product is not reentrant.  The tables hold about
     8 S (C + N+1) bytes against 8 S^2 for P; C < S at every K.  Rows are
     renormalised as a dense build would be: the row sums P 1 come from
     the transposed contraction once, and their inverses scale v.
     """
-    N, K = model.N, model.K
+    N, K, S = model.N, model.K, len(states)
     full = np.column_stack([states, N - states.sum(axis=1)])
     q = (full / N) @ model.mutation.array()
     with np.errstate(divide="ignore"):
@@ -739,65 +771,91 @@ def _wf_operator(model: ChainModel, states):
     j = np.arange(N + 1)
     lgfact = _log_factorials(N)
     lbinom = lgfact[N] - (lgfact[j] + lgfact[N - j])
-    # the columns of KR: compositions y_R with sum <= N, in lexicographic
-    # order
-    comps = _state_grid(N, K - 1) if K > 2 else np.zeros((1, 0), dtype=np.int64)
+    lex, order, blocks = _kr_blocks(N, K)
+    comps = lex[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    # where row y_l of each column's block starts in the packed buffer
+    start, stride = np.empty(len(comps), dtype=np.int64), np.empty(len(comps), dtype=np.int64)
+    size = 0
+    for h, c0, c1 in blocks:
+        start[c0:c1] = size + np.arange(c1 - c0)
+        stride[c0:c1] = c1 - c0
+        size += h * (c1 - c0)
+    # the rows of each pivot group, contiguous in `perm`; the other types
+    # of each pivot p, R first and l last
+    pivot = q.argmax(axis=1)
+    perm = np.argsort(pivot, kind="stable")
+    edges = np.searchsorted(pivot[perm], np.arange(K + 1))
+    live = [p for p in range(K) if edges[p] < edges[p + 1]]
+    others = np.array([[i for i in range(K) if i != p] for p in range(K)])
+    logq = logq[perm]
+    lp = logq[np.arange(S), pivot[perm]]
+    # log(q_i / q_p) of the other types; a zero rate's -inf stays -inf
+    ratio = np.take_along_axis(logq, others[pivot[perm]], axis=1) - lp[:, None]
+    # both factors are stored transposed, one column per row x, so that
+    # each GEMM reads them along x: LT[j, x] = L[x, j] and KRT = KR^T (at
+    # K=2 LT is a view of L, whose GEMV by rows was 10% faster at N=3000).
+    # log L = j (log q_l - log q_p) + log C(N, j) + N log q_p, 0 log 0 = 0
+    with np.errstate(invalid="ignore"):
+        if K == 2:
+            LT = np.multiply.outer(ratio[:, -1], j.astype(np.float64)).T
+        else:
+            LT = np.multiply.outer(j.astype(np.float64), ratio[:, -1])
+    LT[0] = 0.0
+    LT += lbinom[:, None]
+    LT += N * lp
+    np.exp(LT, out=LT)
+    # log KR = y_R . log(q_R / q_p); a zero rate's -inf becomes -1e300,
+    # so 0 log 0 = 0 survives the product and every power of it
+    # underflows to zero
+    KRT = comps @ np.maximum(ratio[:, :-1], -1e300).T
+    np.exp(KRT, out=KRT)
+    # each state's cell (y_l, y_R) in each group's packed W, and its
+    # coefficient M(y), a product of exactly rounded binomials C(n, k)
+    y = full[:, others[live]].transpose(1, 0, 2)
+    col = rank[_grid_index(lex, y[..., :-1], N)]
+    cell = (np.arange(len(live)) * size)[:, None] + start[col] + y[..., -1] * stride[col]
+    coef = np.ones(y.shape[:2])
     if K > 2:
-        # exactly rounded binomials C(n, k), n, k <= N
         comb = np.array(
             [[math.comb(n, k) for k in range(N + 1)] for n in range(N + 1)], dtype=np.float64
         )
-
-    def xlog(logr):
-        """j log r for j = 0..N per row, with 0 log 0 = 0."""
-        with np.errstate(invalid="ignore"):
-            e = np.multiply.outer(logr, j.astype(np.float64))
-        e[:, 0] = 0.0
-        return e
-
-    pivot = q.argmax(axis=1)
-    groups = []
-    rowsum = np.empty(len(states))
-    for p in range(K):
-        rows = np.flatnonzero(pivot == p)
-        if not len(rows):
-            continue
-        *R, ell = [i for i in range(K) if i != p]
-        lp = logq[rows, p]
-        # log L = j (log q_l - log q_p) + log C(N, j) + N log q_p
-        L = xlog(logq[rows, ell] - lp)
-        L += lbinom
-        L += (N * lp)[:, None]
-        np.exp(L, out=L)
-        # log KR = y_R . log(q_R / q_p); a zero rate's -inf becomes -1e300,
-        # so 0 log 0 = 0 survives the product and every power of it
-        # underflows to zero
-        logr = np.maximum(logq[np.ix_(rows, R)] - lp[:, None], -1e300)
-        KR = np.exp(logr @ comps.T)
-        # each state's cell (y_l, y_R) in W, and its coefficient M(y)
-        cell = _grid_index(comps, full[:, R], N)
-        idx = full[:, ell] * len(comps) + cell
-        coef = np.ones(len(states))
-        rest = N - full[:, ell]
-        for i in R:
-            coef *= comb[rest, full[:, i]]
-            rest = rest - full[:, i]
+        rest = N - y[..., -1]
+        for i in range(K - 2):
+            coef *= comb[rest, y[..., i]]
+            rest = rest - y[..., i]
+    # the row weights w = v / P 1 in `perm` order go on the thinner factor,
+    # KR on a tie (K <= 3; at K=2 KR is the one column 1, so the weights
+    # are the GEMV's vector), scaled into a buffer kept across calls
+    w = np.empty(S)
+    weighted = KRT if len(comps) <= N + 1 else LT
+    scaled = np.empty_like(weighted)
+    A, B = (LT, scaled) if weighted is KRT else (scaled, KRT)
+    packed = np.empty(len(live) * size)
+    rowsum = np.empty(S)
+    calls = []
+    for g, p in enumerate(live):
+        lo, hi = edges[p], edges[p + 1]
         mtab = np.zeros((N + 1, len(comps)))
-        mtab.ravel()[idx] = coef
-        rowsum[rows] = np.einsum("xr,xr->x", KR, L @ mtab)
-        groups.append((rows, L, KR, idx, coef))
+        mtab[y[g, :, -1], col[g]] = coef[g]
+        rowsum[lo:hi] = np.einsum("cx,cx->x", KRT[:, lo:hi], mtab.T @ LT[:, lo:hi])
+        o = g * size
+        for h, c0, c1 in blocks:
+            Bb = w[lo:hi, None] if K == 2 else B[c0:c1, lo:hi].T
+            calls.append((A[:h, lo:hi], Bb, packed[o : o + h * (c1 - c0)].reshape(h, c1 - c0)))
+            o += h * (c1 - c0)
+    cell, coef = cell.ravel(), coef.ravel()
 
     def apply(v):
-        w = v / rowsum
-        out = np.zeros(len(w))
-        for rows, L, KR, idx, coef in groups:
-            # the row weights go on the thinner factor: KR at K=2, else L
-            if KR.shape[1] < L.shape[1]:
-                W = L.T @ (KR * w[rows, None])
-            else:
-                W = (w[rows, None] * L).T @ KR
-            out += W.ravel()[idx] * coef
-        return out
+        np.divide(v[perm], rowsum, out=w)
+        if K > 2:
+            np.multiply(weighted, w, out=scaled)
+        for Ab, Bb, W in calls:
+            np.matmul(Ab, Bb, out=W)
+        out = packed[cell]
+        out *= coef
+        return out.reshape(len(live), S).sum(axis=0)
 
     return apply
 
@@ -952,26 +1010,26 @@ def _resolution(S, resid):
     return max(1e-12, 100.0 * S * resid)
 
 
-def _krylov_stationary(product, S):
-    """Stationary row vector of an S-state chain by GMRES on
-    pi (I - P) = 0, reading P only through product(v) = v @ P, so P need
-    never be formed (`_wf_operator`).  Returns (pi, resolution,
-    iterations).
+def _krylov_stationary(product, x0):
+    """Stationary row vector of a chain by GMRES on pi (I - P) = 0,
+    reading P only through product(v) = v @ P, so P need never be formed
+    (`_wf_operator`).  x0 is the start row, any row with total one
+    (`_dirichlet_start`).  Returns (pi, resolution, iterations).
 
-    The iteration starts from the uniform row x0, so the residual
-    x0 P - x0 sums to zero and the Krylov space stays in the range of
-    I - P, the sum-zero rows, on which I - P is invertible: every iterate
-    keeps the total of one.  The Arnoldi basis is orthogonalised by
-    classical Gram-Schmidt applied twice, and Givens rotations track the
-    least-squares residual.  Once that estimate falls to 1e-13 of the
-    start, each iterate is clipped and normalised and its true residual
-    |pi P - pi|_inf is taken.  The iteration ends when that residual puts
-    the resolution at its floor, when it fails to halve (rounding has
-    stalled it; further steps only ill-condition the least-squares
-    problem), or on a near-zero subdiagonal (the basis spans an invariant
-    space, so the solve is exact).  The best checked row is kept.
+    Since x0 has total one, the residual x0 P - x0 sums to zero and the
+    Krylov space stays in the range of I - P, the sum-zero rows, on
+    which I - P is invertible: every iterate keeps the total of one.  The
+    Arnoldi basis is orthogonalised by classical Gram-Schmidt applied
+    twice, and Givens rotations track the least-squares residual.  Once
+    that estimate falls to 1e-13 of the start, each iterate is clipped
+    and normalised and its true residual |pi P - pi|_inf is taken.  The
+    iteration ends when that residual puts the resolution at its floor,
+    when it fails to halve (rounding has stalled it; further steps only
+    ill-condition the least-squares problem), or on a near-zero
+    subdiagonal (the basis spans an invariant space, so the solve is
+    exact).  The best checked row is kept.
     """
-    x0 = np.full(S, 1.0 / S)
+    S = len(x0)
     r0 = product(x0) - x0
     beta = float(np.linalg.norm(r0))
     if beta == 0.0:
@@ -985,7 +1043,7 @@ def _krylov_stationary(product, S):
     best_pi, best_r = x0, math.inf
     for j in range(S):
         w = V[j] - product(V[j])
-        scale = float(np.linalg.norm(w))
+        scale = math.sqrt(w @ w)
         h = np.zeros(j + 1)
         for _ in range(2):
             c = V[: j + 1] @ w
@@ -994,9 +1052,10 @@ def _krylov_stationary(product, S):
         # rounding leaks a nonzero total into w; a basis row off the
         # sum-zero rows carries a piece along pi, which I - P annihilates,
         # and the least-squares system turns singular
-        w -= w.mean()
-        sub = float(np.linalg.norm(w))
+        w -= w.sum() / S
+        sub = math.sqrt(w @ w)
         breakdown = sub <= 1e-14 * scale
+        h = h.tolist()  # the rotations run on Python floats
         for i in range(j):
             h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
         rho = math.hypot(h[j], sub)
@@ -1047,6 +1106,56 @@ def _solve_stationary(P):
     return pi, _resolution(S, resid)
 
 
+def _dirichlet_start(model: ChainModel, states):
+    """The start row of a Wright-Fisher solve: the Dirichlet-multinomial
+    DM(N; s m) on `states`, the count law of the Dirichlet approximation,
+    with the exact stationary mean m and the total s that matches the
+    exact total variance.
+
+    Both come from the degree-2 case of `exact_moments`, solved over all
+    K types: m = m Pm with total one, and since W' = X'/N with
+    X' ~ Mult(N, W Pm), the second moments M = E[W W^T] solve
+    M = a Pm^T M Pm + diag(m) / N with a = 1 - 1/N.  M is the series
+    sum_k a^k (Pm^T)^k diag(m) Pm^k / N, summed by doubling (Smith's
+    method): O(K^3) per step and about log2(80 N) steps.  Under
+    DM(N; s m), Var W_i = m_i (1 - m_i) (s + N) / (N (s + 1)), so with
+    T = 1 - sum m_i^2 and H = 1 - trace M the total variance T - H gives
+    s = N H / (N (T - H) - T).  That s is finite and positive only when
+    the stationary variance exceeds the multinomial's (at K=2 whenever
+    p12 + p21 != 1, since the mutation eigenvalue enters squared).
+    Otherwise the start is the uniform row: at N = 1 (0/0) and for
+    identical mutation rows (the law is multinomial).  The rising
+    factorials of the pmf are sums of logs, exact for any weights."""
+    N, K, S = model.N, model.K, len(states)
+    Pm = model.mutation.array()
+    stay = Pm.T - np.eye(K)
+    stay[-1] = 1.0
+    mean = np.linalg.solve(stay, np.eye(K)[-1])
+    second = np.diag(mean / N)
+    A = math.sqrt(1.0 - 1.0 / N) * Pm
+    for _ in range(64):  # 2^64 terms; the loop ends after about log2(80 N)
+        step = A.T @ second @ A
+        second += step
+        if step.trace() <= 1e-17 * second.trace():
+            break
+        A = A @ A
+    T, H = 1.0 - mean @ mean, 1.0 - second.trace()
+    den = N * (T - H) - T
+    s = N * H / den if den > 0.0 else math.inf
+    if not (math.isfinite(s) and s > 0.0 and (mean > 0.0).all()):
+        return np.full(S, 1.0 / S)
+    t = np.arange(N)
+    # log (a)^(k), the log rising factorial, for k = 0..N per type
+    rise = np.zeros((K, N + 1))
+    np.cumsum(np.log(s * mean[:, None] + t), axis=1, out=rise[:, 1:])
+    lgfact = _log_factorials(N)
+    full = np.column_stack([states, N - states.sum(axis=1)])
+    logp = (rise - lgfact)[np.arange(K), full].sum(axis=1)
+    logp += lgfact[N] - np.log(s + t).sum()
+    x0 = np.exp(logp)
+    return x0 / x0.sum()
+
+
 def exact_stationary(model: ChainModel) -> StationaryTable:
     """Exact stationary law of the chain on its full state grid.
 
@@ -1054,11 +1163,15 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     comes from GMRES on the left product v @ P (`_krylov_stationary`):
     P maps polynomials of degree <= d to degree <= d with eigenvalues
     (N)_k/N^k times products of mutation eigenvalues, which fall off like
-    exp(-k^2/2N), so a few tens of products suffice.  The product is
-    factorised over types (`_wf_operator`) and never forms P: its tables
-    take about 8 S (C(N+K-2, K-2) + N+1) bytes, below P's 8 S^2 at every
-    K but K=2; the margin shrinks as K grows at fixed S (31% of P at
-    K=6 N=11, 64% at K=10 N=5).  Every other kernel's rows are P = G B
+    exp(-k^2/2N), so a few tens of products suffice.  GMRES starts from
+    the Dirichlet-multinomial with the exact stationary mean and total
+    variance (`_dirichlet_start`), the count law of the Dirichlet
+    approximation itself: on the benchmark's K=3 tables (N = 62-72) it
+    cut the mean steps from 21.5 to 16.6.  The product is factorised
+    over types (`_wf_operator`) and never forms P: its tables take about
+    8 S (C(N+K-2, K-2) + N+1) bytes, below P's 8 S^2 at every K but K=2;
+    the margin shrinks as K grows at fixed S (31% of P at K=6 N=11, 64%
+    at K=10 N=5).  Every other kernel's rows are P = G B
     (`_cannings_matrix`) and take one dense solve (`_solve_stationary`).
     GMRES on them needs 68-101 steps at Moran N = 350-2000 with rates
     near 1/60, where it is no faster than the solve, but about 1100 at
@@ -1078,7 +1191,8 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
         raise MetricsError(f"{S} states exceeds the state cap of {_STATE_CAP}")
     states = _state_grid(N, K)
     if model.kind == KIND_WRIGHT_FISHER:
-        pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), S)
+        x0 = _dirichlet_start(model, states)
+        pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), x0)
         return StationaryTable(states, pi, N, model.kind, resolution, "krylov", iterations)
     if model.kind == KIND_EXPLICIT and N > _SMALL_N:
         raise MetricsError(f"exact law for kind {model.kind!r} needs N <= {_SMALL_N}")

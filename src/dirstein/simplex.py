@@ -470,6 +470,12 @@ def _dirichlet_rule(a: DirichletParams, window=None):
     left = np.ones(1)
     wt = np.ones(1)
     for j in range(K - 1):
+        if not wt.all():
+            # rows whose weight underflowed to zero add nothing; a narrow
+            # law leaves most outer nodes so, and each would take the
+            # next factor's whole rule
+            keep = wt != 0.0
+            z, left, wt = z[keep], left[keep], wt[keep]
         if not len(wt):  # a point mass fell outside the window
             z = np.zeros((0, K - 1))
             break

@@ -12,7 +12,8 @@ none of these shares the library's Gauss nodes.  The reference copies
 (the two-array genealogy block, the level rule) do the library's
 arithmetic in its earlier, plainer form; the fast paths must match them
 bit for bit.  The dense Wright-Fisher rows are the one reference the
-library's factorised product matches only to rounding, the exact
+library's factorised product matches only to rounding (on small grids
+also an exact Fraction left product of the multinomial rows), the exact
 Fraction convolution of per-group multinomials checks the Fourier
 mutation kernel of Cannings rows, and the urn's forward recursion over
 count states checks its closed Dirichlet-multinomial law."""
@@ -567,6 +568,25 @@ def wf_matrix(model, states):
     P = np.exp(L, out=L)
     P /= P.sum(axis=1, keepdims=True)
     return P
+
+
+def wf_left_product_exact(model, states, v):
+    """v @ P for the Wright-Fisher rows on `states`, each row the exact
+    multinomial law Mult(N, x Pm / N) in Fractions and v read exactly, so
+    the float result is rounded once.  For small grids only."""
+    N, K = model.N, model.K
+    Pm = model.mutation.p
+    full = [tuple(int(c) for c in s) + (N - int(sum(s)),) for s in states]
+    out = [Fraction(0)] * len(full)
+    for vx, x in zip(v, full):
+        q = [sum(Fraction(x[i]) * Pm[i][j] for i in range(K)) / N for j in range(K)]
+        vx = Fraction(float(vx))
+        for col, y in enumerate(full):
+            term = Fraction(math.factorial(N))
+            for qj, yj in zip(q, y):
+                term *= qj**yj / math.factorial(yj)
+            out[col] += vx * term
+    return np.array([float(o) for o in out])
 
 
 def mutation_rows(groups, mutation, states):

@@ -489,7 +489,8 @@ class TestExactStationary:
         assert grid.dtype == np.int64 and grid.tolist() == [list(x) for x in plain]
 
     def test_single_individual_symmetric(self):
-        # the uniform start is already stationary: GMRES returns it as is
+        # N = 1 falls back to the uniform start (the Dirichlet total is
+        # 0/0), which is already stationary: GMRES returns it as is
         tab = exact_stationary(ChainModel(1, MutationMatrix.pim([F(1, 2), F(1, 2)])))
         assert tab.probs.tolist() == [0.5, 0.5]
         assert (tab.solver, tab.iterations, tab.resolution) == ("krylov", 0, 1e-12)
@@ -741,14 +742,15 @@ def _check_pair_identity(law, pi):
     assert pair == pytest.approx(float(q * p1 + (1 - q) * p1**2), rel=1e-12, abs=0)
 
 
-def cyclic_for(N):
-    """Three types, each mutating to the next at (1 + 1/2)/(2N) and to the
-    previous at (1 - 1/2)/(2N): parent-dependent mutation."""
+def cyclic_for(N, K=3):
+    """K types (three by default), each mutating to the next at
+    (1 + 1/2)/(2N) and to the previous at (1 - 1/2)/(2N): parent-dependent
+    mutation (at K=2 both rates go to the other type)."""
     up, down = F(3, 4 * N), F(1, 4 * N)
-    rows = [[F(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        rows[i][(i + 1) % 3] = up
-        rows[i][(i - 1) % 3] = down
+    rows = [[F(0)] * K for _ in range(K)]
+    for i in range(K):
+        rows[i][(i + 1) % K] += up
+        rows[i][(i - 1) % K] += down
         rows[i][i] = 1 - up - down
     return MutationMatrix(rows)
 
@@ -766,7 +768,8 @@ def one_way_for(N, K=3):
 
 _MUTATIONS = {
     "pim": lambda K, N: pim_for((1,) * K, N),
-    "cyclic": lambda K, N: cyclic_for(N),
+    "cyclic": lambda K, N: cyclic_for(N, K),
+    "dense": lambda K, N: _DENSE3,
     "one-way": lambda K, N: one_way_for(N, K),
 }
 
@@ -826,6 +829,41 @@ class TestWFOperator:
             want = v @ P
             assert np.max(np.abs(product(v) - want)) <= tol * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("K, N", [(2, 5), (3, 5), (4, 4), (5, 3), (6, 3)])
+    @pytest.mark.parametrize("mutation", ["pim", "cyclic"])
+    def test_matches_exact_product(self, K, N, mutation):
+        # against the left product of the exact multinomial rows, rounded
+        # once; the float oracle and the product differ by up to 3.2e-15
+        # on these grids, the exact one and the product by 1.3e-15
+        from dirstein.metrics import _state_grid, _wf_operator
+
+        model = ChainModel(N, _MUTATIONS[mutation](K, N))
+        states = _state_grid(N, K)
+        product = _wf_operator(model, states)
+        g = np.random.default_rng(K * 100 + N)
+        for _ in range(2):
+            v = g.standard_normal(len(states))
+            want = oracles.wf_left_product_exact(model, states, v)
+            assert np.max(np.abs(product(v) - want)) <= 2e-15 * np.max(np.abs(want))
+
+    def test_blocks_skip_the_unread_cells(self):
+        # the states read only cells y_l + |y_R| <= N, half of the
+        # (N+1) x C table at K=3; the blocks form at most 0.8 of it, and
+        # every read cell lies inside a block
+        from dirstein.metrics import _kr_blocks
+
+        N = 66
+        lex, order, blocks = _kr_blocks(N, 3)
+        C = len(lex)
+        total = lex[order].sum(axis=1)
+        assert sum(h * (c1 - c0) for h, c0, c1 in blocks) <= 0.8 * (N + 1) * C
+        # the blocks tile the columns, which are ordered by their sum
+        edges = [c0 for _, c0, _ in blocks] + [C]
+        assert edges[0] == 0 and all(c1 == edges[i + 1] for i, (_, _, c1) in enumerate(blocks))
+        assert (np.diff(total) >= 0).all()
+        for h, c0, c1 in blocks:
+            assert h == N + 1 - total[c0]
+
     def test_matches_enumerated_rows(self):
         # an explicit table holding the Wright-Fisher law: rows built by
         # enumerating offspring vectors, sharing no code with either
@@ -847,11 +885,12 @@ class TestKrylovSolver:
     @pytest.mark.parametrize(
         "K, N, mutation",
         [(2, N, "pim") for N in (1, 2, 20, 200)]
-        + [(3, N, mut) for mut in ("pim", "cyclic") for N in (5, 25, 71)]
+        + [(3, N, mut) for mut in ("pim", "cyclic", "dense") for N in (5, 25, 71)]
         + [(4, 6, "pim")],
     )
     def test_matches_dense(self, K, N, mutation):
         from dirstein.metrics import (
+            _dirichlet_start,
             _krylov_stationary,
             _solve_stationary,
             _state_grid,
@@ -861,7 +900,8 @@ class TestKrylovSolver:
         model = ChainModel(N, _MUTATIONS[mutation](K, N))
         states = _state_grid(N, K)
         P = oracles.wf_matrix(model, states)
-        pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), len(P))
+        x0 = _dirichlet_start(model, states)
+        pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), x0)
         dense, dense_resolution = _solve_stationary(P)
         assert np.max(np.abs(pi - dense)) <= 1e-14
         assert resolution <= dense_resolution
@@ -874,7 +914,74 @@ class TestKrylovSolver:
         from dirstein.metrics import _krylov_stationary
 
         with pytest.raises(MetricsError, match="no stationary row"):
-            _krylov_stationary(lambda v: np.full(3, np.nan), 3)
+            _krylov_stationary(lambda v: np.full(3, np.nan), np.full(3, 1.0 / 3.0))
+
+    def test_start_matches_exact_moments(self):
+        # the Dirichlet-multinomial start has the exact stationary mean and
+        # total variance, at the benchmark's rates
+        from dirstein.metrics import _dirichlet_start, _state_grid
+
+        N = 66
+        model = ChainModel(N, MutationMatrix.pim([F(1, 50), F(1, 70), F(1, 90)]))
+        states = _state_grid(N, 3)
+        x0 = _dirichlet_start(model, states)
+        mom = exact_moments(model, 2)
+        w = np.column_stack([states, N - states.sum(axis=1)]) / N
+        mean = np.append([mom.moment(c) for c in ((1, 0), (0, 1))], 0.0)
+        mean[-1] = 1.0 - mean.sum()
+        square = [mom.moment(c) for c in ((2, 0), (0, 2))]
+        # E W_3^2 = E (1 - W_1 - W_2)^2
+        square.append(1.0 - 2.0 * (mean[0] + mean[1]) + sum(square) + 2.0 * mom.moment((1, 1)))
+        assert x0.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(x0 @ w - mean)) <= 1e-12
+        total = float(np.sum(x0 @ w**2 - (x0 @ w) ** 2))
+        assert total == pytest.approx(sum(square) - mean @ mean, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # N = 1: the total is 0/0
+            (1, MutationMatrix.pim([F(1, 10), F(1, 20), F(1, 30)])),
+            # identical rows: the law is the multinomial itself
+            (9, MutationMatrix.pim([F(1, 2), F(1, 3), F(1, 6)])),
+            (8, MutationMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])),
+            # p12 + p21 > 1: the mutation eigenvalue is negative, but its
+            # square still puts the variance above the binomial's, so the
+            # start is a Dirichlet-multinomial
+            (12, MutationMatrix([[F(3, 10), F(7, 10)], [F(3, 5), F(2, 5)]])),
+        ],
+        ids=["n1", "identical-k3", "identical-k2", "anti"],
+    )
+    def test_fallback_starts_match_dense(self, case):
+        from dirstein.metrics import _dirichlet_start, _solve_stationary, _state_grid
+
+        N, mut = case
+        model = ChainModel(N, mut)
+        states = _state_grid(N, mut.K)
+        x0 = _dirichlet_start(model, states)
+        assert np.isfinite(x0).all() and x0.sum() == pytest.approx(1.0, abs=1e-15)
+        uniform = np.array_equal(x0, np.full(len(states), 1.0 / len(states)))
+        assert uniform == (N != 12)
+        dense, _ = _solve_stationary(oracles.wf_matrix(model, states))
+        assert np.max(np.abs(exact_stationary(model).probs - dense)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "K, N, pi",
+        [
+            (3, 66, [F(1, 50), F(1, 70), F(1, 90)]),
+            (2, 200, [F(1, 400), F(1, 400)]),
+        ],
+    )
+    def test_warm_start_saves_steps(self, K, N, pi):
+        from dirstein.metrics import _dirichlet_start, _krylov_stationary, _state_grid, _wf_operator
+
+        model = ChainModel(N, MutationMatrix.pim(pi))
+        states = _state_grid(N, K)
+        product = _wf_operator(model, states)
+        warm = _krylov_stationary(product, _dirichlet_start(model, states))
+        cold = _krylov_stationary(product, np.full(len(states), 1.0 / len(states)))
+        assert warm[2] < cold[2]
+        assert np.max(np.abs(warm[0] - cold[0])) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dirstein.simplex import (
     SimplexError,
     SimplexPoint,
     _dirichlet_moments,
+    _dirichlet_rule,
     dirichlet_density,
     dirichlet_mixed_moment,
     dirichlet_sample,
@@ -218,6 +219,19 @@ class TestMixedMoment:
         num = math.prod(ai + t for ai, ci in zip(p.a, c) for t in range(ci))
         den = math.prod(p.s + t for t in range(sum(c)))
         assert dirichlet_mixed_moment(p, c) == num / den
+
+
+class TestGaussRule:
+    def test_zero_weight_rows_take_no_inner_rule(self):
+        # under Dir(1e6, 2e6, 1e6) about half of the outer nodes in the
+        # bump's window have weight exactly 0; each used to take the inner
+        # factor's whole window rule, 2.15e6 nodes in all
+        a = DirichletParams((1e6, 2e6, 1e6))
+        window = [(1 / 3 - 0.25, 1 / 3 + 0.25)] * 2
+        z, wt = _dirichlet_rule(a, window)
+        assert len(wt) == len(z) < 1.2e6
+        # the window holds the whole law, and dropping nodes lost no mass
+        assert abs(float(wt.sum()) - 1.0) < 1e-9
 
 
 class TestTheta:
