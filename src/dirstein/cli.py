@@ -18,8 +18,9 @@ otherwise; summary.txt names the source (`law`), its `states` and the
 exact table's `resolution`.  wf-theorem1 takes the chain's exact
 stationary moments of degree <= MOMENT_DEGREE: its monomial gaps are
 exact and every other gap is sampled against monomial controls
-(`smooth_gap`); summary.txt records `moments`, `controls` and
-`moment_z_max`, the sample's largest moment z-score.
+(`smooth_gap`); validate prints `moments` and `controls`, and
+summary.txt records them with `moment_z_max`, the sample's largest
+moment z-score.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -552,6 +553,11 @@ def _out_dir(data) -> Path:
 # experiment bodies
 
 
+def _control_lines(moments) -> list:
+    """The exact moments and the monomial controls a run samples against."""
+    return [f"moments = exact (degree {moments.degree})", f"controls = {len(moments.exponents)}"]
+
+
 def _run_certification(exp: _Experiment, out: Path) -> int:
     if exp.kind == "polya-theorem4":
         rng = RngStream(exp.seed)
@@ -571,9 +577,10 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         battery = attach_exact_means(make_battery(exp.K), exp.a)
         moments = controls = None
         if exp.moments is not None:
-            # one projection and one c(W) serve every gap of the run
+            # one projection and one product of the centred c(W) serve
+            # every gap of the run
             moments = exp.moments.projected(exp.a)
-            controls = moments.monomials(run.samples)
+            controls = moments.controls(run.samples, battery)
         gaps = tuple(
             smooth_gap(
                 run, exp.a, h, exp.report.smooth_bound_for(h),
@@ -590,11 +597,8 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
             "drift_z = (%s)" % ", ".join(_fmt(z) for z in run.drift_z),
         ]
         if exp.moments is not None:
-            diagnostics += [
-                f"moments = exact (degree {exp.moments.degree})",
-                f"controls = {len(exp.moments.exponents)}",
-                "moment_z_max = " + _fmt(moment_z_max(run, exp.moments)),
-            ]
+            diagnostics += _control_lines(exp.moments)
+            diagnostics.append("moment_z_max = " + _fmt(moment_z_max(run, exp.moments)))
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
     _write(out / "samples.csv", _samples_csv(exp, samples))
@@ -713,6 +717,8 @@ def cmd_validate(data: dict) -> int:
         print(f"mc.replicates = {exp.mc['replicates']}")
     for note in exp.notes:
         print(note)
+    if exp.moments is not None:
+        print("\n".join(_control_lines(exp.moments)))
     for line in _stamp_keys(exp):
         print(line)
     print("valid = true")

@@ -30,10 +30,8 @@ from .offspring import (
 )
 from .simplex import (
     DirichletParams,
-    _dirichlet_moments,
     _dirichlet_rule,
     _falling,
-    _stirling2_row,
     as_generator,
     dirichlet_sample,
 )
@@ -359,9 +357,10 @@ def smooth_gap(
     (`ExactMoments.weights`), which uses neither the sample nor an rng;
     the moments must be `projected` on a.  The mean is unchanged and the
     variance is what the projection leaves; the stderr adds |beta_h|_1
-    times the moments' resolution.  `controls`, the sample's c(W) as
-    `moments.monomials` gives them, spares a caller that takes many gaps
-    of one sample their recomputation for every h.
+    times the moments' resolution.  `controls`, beta_h and the
+    corrections of the sample's rows as `moments.controls` gives them for
+    a whole battery at once, spares a caller that takes many gaps of one
+    sample a product per h.
     """
     if h.mean is None:
         raise SteinError(f"{h.tag}: attach_mean before taking gaps")
@@ -370,7 +369,7 @@ def smooth_gap(
         if sample.counts.shape[1] != a.dim - 1:
             raise MetricsError("table dimension does not match the law")
         exact = sample.expect(h.fn), sample.resolution
-    elif moments is not None and h.tag[0] == "monomial" and sum(h.tag[1]) <= moments.degree:
+    elif moments is not None and moments.exact(h):
         exact = moments.moment(h.tag[1]), moments.resolution
     if exact is not None:
         est, resolution = exact
@@ -386,10 +385,10 @@ def smooth_gap(
         if moments is not None:
             if moments.law != a:
                 raise MetricsError("the moments are not projected on this law")
-            beta = moments.weights(h)
             if controls is None:
-                controls = moments.monomials(rows)
-            vals = vals - (controls - moments.values) @ beta
+                controls = moments.controls(rows, (h,))
+            beta, correction = controls[h.tag]
+            vals = vals - correction
             extra = math.hypot(extra, float(np.abs(beta).sum()) * moments.resolution)
         est, se = _mean_se(vals, replicates)
         se = math.hypot(se, extra)
@@ -1207,18 +1206,30 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 # degree of the exact moments that Wright-Fisher certifications sample
 # against.  Over 160 runs of 1024 draws at K=2 and 3, N in [50, 200] and a
 # in [2, 4], the median worst stderr fell from 0.0143 with no controls to
-# 0.0061, 0.0045, 0.0036, 0.0025, 0.0019 and 0.0012 at degrees 3 to 8,
-# while the moments and controls added 1.3, 1.5, 1.8, 2.2, 2.6 and 3.2 ms
-# to a K=3 run (0.8 to 1.0 ms at K=2).  Degree 6 is the highest that adds
-# under 5% to a run of about 50 ms.
-MOMENT_DEGREE = 6
+# 0.0061, 0.0045, 0.0036, 0.0025, 0.0019 and 0.0012 at degrees 3 to 8.
+# Degree 6 also understated the stderr at small N: at K=3, N=25 and seed
+# 8, sin(3 z_2) had z sd 1.28 and z mean -0.37 against the exact table,
+# where degree 8 keeps every wave and the bump calibrated.  With the Gram
+# matrix from the Gauss rule and the weights and corrections of a run
+# from one product each, degree 8 costs a K=3 run no more than degree 6
+# did.  Higher degrees outrun float64: at 10 the scaled K=3 Gram has
+# condition 6.6e16 and 11 or 12 of its 66 eigenvalues fall below the cut,
+# at 12 the bump's z mean reaches 0.40 and at 16 its z sd falls to 0.52
+# (K=3, N=25).
+MOMENT_DEGREE = 8
 
 
 def _exponents(d, degree):
     """The exponent vectors c in N^d with |c| <= degree, by degree and then
-    lexicographically (the battery's monomial order); row 0 is c = 0."""
-    cs = [c for c in itertools.product(range(degree + 1), repeat=d) if sum(c) <= degree]
-    return np.array(sorted(cs, key=lambda c: (sum(c), c)), dtype=np.int64).reshape(-1, d)
+    lexicographically (the battery's monomial order); row 0 is c = 0.
+
+    Stars and bars: the d bars b among degree + d slots, taken in
+    lexicographic order, give c_j = b_j - b_(j-1) - 1 (b_0 = -1) in
+    lexicographic order, the slots after the last bar the slack; a stable
+    sort by |c| keeps that order within each degree."""
+    bars = np.array(list(itertools.combinations(range(degree + d), d)), dtype=np.int64)
+    cs = np.diff(bars.reshape(-1, d), axis=1, prepend=-1) - 1
+    return cs[np.argsort(cs.sum(axis=1), kind="stable")]
 
 
 def _monomials(w, exps):
@@ -1235,27 +1246,36 @@ def _monomials(w, exps):
     return out.T
 
 
-def _projection(a: DirichletParams, degree: int):
-    """The inverse of the Gram matrix E [1, c][1, c]^T of the monomials of
-    degree 0..degree under Dir(a), the nodes z of the whole simplex's
-    Gauss rule, and the weighted monomials at them, so that
-    basis @ h(z) = E h [1, c].  A bump's rule is not windowed here, unlike
-    attach_mean's: its weights moved the controlled stderr by under 3e-5
-    relative.
+def _projection(a: DirichletParams, exps):
+    """The nodes z of the whole simplex's Gauss rule and the matrix that
+    takes h at them to beta_h, the weights on the monomials c with the
+    exponent rows exps of the L2(Dir(a)) projection of h on span{1, c}.
+    A bump's rule is not windowed here, unlike attach_mean's: its weights
+    moved the controlled stderr by under 3e-5 relative.
 
-    The Gram matrix takes exact Dirichlet moments (`_dirichlet_moments`).
-    It is scaled to unit diagonal and inverted with relative eigenvalues
-    below 1e-12 cut, since the monomials of a narrow law are nearly
-    dependent and any fixed beta keeps the control-variate mean unbiased."""
-    exps = _exponents(a.dim - 1, degree)
-    gram = _dirichlet_moments(a, exps[:, None, :] + exps[None, :, :])
-    scale = np.outer(*[np.sqrt(np.diagonal(gram))] * 2)
-    lam, vec = np.linalg.eigh(gram / scale)
-    keep = lam > 1e-12 * lam[-1]
-    inv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T / scale
+    The Gram matrix E [1, c][1, c]^T comes from the same rule, which is
+    exact to degree 63 in each stick-breaking coordinate and so holds
+    every product of two monomials up to degree 31.  A monomial that
+    underflows at every node has a zero diagonal and takes no weight.
+    The rest is scaled to unit diagonal and inverted with relative
+    eigenvalues below 1e-12 cut, since the monomials of a narrow law are
+    nearly dependent and any fixed beta keeps the control-variate mean
+    unbiased.  The inverse is applied to the weighted monomials here,
+    once per law, so that beta_h carries the rounding of h(z) without
+    the Gram's condition number."""
     z, wt = _dirichlet_rule(a)
-    basis = _monomials(z, exps).T * wt
-    return inv, z, basis
+    vals = _monomials(z, np.vstack([np.zeros_like(exps[:1]), exps]))
+    basis = vals.T * wt
+    gram = basis @ vals
+    scale = np.sqrt(np.diagonal(gram))
+    live = np.flatnonzero(scale > 0.0)
+    scale = scale[live]
+    lam, vec = np.linalg.eigh(gram[np.ix_(live, live)] / np.outer(scale, scale))
+    keep = lam > 1e-12 * lam[-1]
+    vec = vec[:, keep] / scale[:, None]
+    inv = np.zeros_like(gram)
+    inv[np.ix_(live, live)] = (vec / lam[keep]) @ vec.T
+    return z, inv[1:] @ basis
 
 
 @dataclass(frozen=True)
@@ -1283,23 +1303,38 @@ class ExactMoments:
             raise MetricsError(f"no exact moment for exponents {c}")
         return float(self.values[rows.index(c)])
 
-    def monomials(self, w) -> np.ndarray:
-        """c(w) for rows w: one column per exponent vector."""
-        return _monomials(w, self.exponents)
-
     def projected(self, a: DirichletParams) -> ExactMoments:
         """These moments with the L2(Dir(a)) projection onto span{1, c}
         built once (`_projection`), for the weights of any h."""
-        return replace(self, law=a, projection=_projection(a, self.degree))
+        return replace(self, law=a, projection=_projection(a, self.exponents))
+
+    def exact(self, h: TestFunction) -> bool:
+        """Whether h is a monomial these moments hold, so that smooth_gap
+        takes its gap without sampling."""
+        return h.tag[0] == "monomial" and sum(h.tag[1]) <= self.degree
 
     def weights(self, h: TestFunction) -> np.ndarray:
         """beta_h: the weights on the monomials c of the projection of h
         under the projected law, from h at the nodes of the Gauss rule of
         `_dirichlet_expect`."""
+        return self._weights((h,))[:, 0]
+
+    def controls(self, w, fns) -> dict:
+        """(beta_h, beta_h . (c(w) - mu)) for rows w and every h of fns
+        that is not `exact`, keyed by h.tag, as smooth_gap's `controls`:
+        every beta_h from one product over the Gauss nodes and every
+        correction from one product of the centred monomials c(w) - mu."""
+        fns = [h for h in fns if not self.exact(h)]
+        beta = self._weights(fns)
+        corr = (_monomials(w, self.exponents) - self.values) @ beta
+        return {h.tag: (beta[:, j], corr[:, j]) for j, h in enumerate(fns)}
+
+    def _weights(self, fns) -> np.ndarray:
+        """beta_h for every h of fns, one column each."""
         if self.projection is None:
             raise MetricsError("project the moments on a law before weighting h")
-        inv, z, basis = self.projection
-        return (inv @ (basis @ np.asarray(h.fn(z), dtype=np.float64)))[1:]
+        z, proj = self.projection
+        return proj @ np.column_stack([np.asarray(h.fn(z), dtype=np.float64) for h in fns])
 
 
 def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
@@ -1350,12 +1385,15 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
     powers[0, 0] = 1.0
     for i in range(1, m):
         powers[i] = Q[first[i]] @ powers[parent[i]]
+    # S(c, i) = i S(c - 1, i) + S(c - 1, i - 1), exact in float64 here
     stirling = np.zeros((degree + 1, degree + 1))
-    for c in range(degree + 1):
-        stirling[c, : c + 1] = _stirling2_row(c)
+    stirling[0, 0] = 1.0
+    for c in range(1, degree + 1):
+        stirling[c, 1:] = np.arange(1, degree + 1) * stirling[c - 1, 1:] + stirling[c - 1, :-1]
     falling = np.concatenate([[1.0], np.cumprod(1.0 - np.arange(degree) / N)])
-    T = np.prod(stirling[exps[:, None, :], exps[None, :, :]], axis=-1)
-    T *= falling[deg] * float(N) ** np.minimum(deg[None, :] - deg[:, None], 0)
+    T = falling[deg] * float(N) ** np.minimum(deg[None, :] - deg[:, None], 0)
+    for j in range(d):
+        T *= stirling[np.ix_(exps[:, j], exps[:, j])]
     A = T @ powers
     try:
         inv = np.linalg.inv(np.eye(m - 1) - A[1:, 1:])

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -520,6 +521,9 @@ class TestCertifyJob:
         out = capsys.readouterr().out.splitlines()
         assert "sampler = genealogy" in out
         assert "unused = mc.burn_in, mc.replicates" in out
+        # the control set: every monomial of degree 1..MOMENT_DEGREE
+        assert f"moments = exact (degree {MOMENT_DEGREE})" in out
+        assert f"controls = {math.comb(MOMENT_DEGREE + K - 1, K - 1) - 1}" in out
         dirs = []
         for workers in (1, 3):
             d = tmp_path / f"w{workers}"
@@ -549,7 +553,7 @@ class TestCertifyJob:
             row = next(r for r in rows if r["h_tag"] == tag)
             assert (row["gap"], row["stderr"], row["bound"], row["pass"]) == ("0", "0", "0", "true")
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
-        assert "controls = 27" in summary
+        assert f"controls = {math.comb(MOMENT_DEGREE + 2, 2) - 1}" in summary
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.

@@ -1,5 +1,6 @@
 """Battery certification, distance estimators, and exact stationary tables."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -23,7 +24,9 @@ from dirstein.metrics import (
     ProbeEstimate,
     StationaryTable,
     _bump,
+    _exponents,
     _monomial,
+    _monomials,
     _reg_inc_beta,
     _validate_battery,
     attach_exact_means,
@@ -38,7 +41,14 @@ from dirstein.metrics import (
 )
 from dirstein.mutation import MutationMatrix, summarize
 from dirstein.offspring import OffspringModel, moments
-from dirstein.simplex import DirichletParams, RngStream, as_generator, dirichlet_sample
+from dirstein.simplex import (
+    DirichletParams,
+    RngStream,
+    _dirichlet_moments,
+    _dirichlet_rule,
+    as_generator,
+    dirichlet_sample,
+)
 from dirstein.stein import SteinError, attach_mean
 
 F = Fraction
@@ -46,6 +56,13 @@ F = Fraction
 
 def pim_for(a, N):
     return MutationMatrix.pim([F(v) / (2 * N) for v in a])
+
+
+def exponents_by_filter(d, degree):
+    """The exponent vectors c in N^d with |c| <= degree, by degree and then
+    lexicographically, filtered from the whole (degree + 1)^d grid."""
+    cs = [c for c in itertools.product(range(degree + 1), repeat=d) if sum(c) <= degree]
+    return sorted(cs, key=lambda c: (sum(c), c))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +145,11 @@ class TestBattery:
     def test_unsupported_k(self):
         with pytest.raises(MetricsError):
             make_battery(4)
+
+    def test_monomials_come_in_exponent_order(self):
+        for K in (2, 3):
+            tags = [h.tag for h in make_battery(K) if h.tag[0] == "monomial"]
+            assert tags == [("monomial", c) for c in exponents_by_filter(K - 1, 3)[1:]]
 
     def test_shipped_batteries_pass_probe(self):
         # make_battery ships closed-form constants unprobed; this is where
@@ -1059,6 +1081,13 @@ class TestExactMoments:
         assert abs(mom.moment((1, 0)) - 3 / 9) <= mom.resolution
         assert abs(mom.moment((0, 1)) - 2 / 9) <= mom.resolution
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_exponents_match_the_grid_filter(self, d):
+        for degree in range(9):
+            got = _exponents(d, degree)
+            assert got.shape == (math.comb(degree + d, d), d)
+            assert list(map(tuple, got.tolist())) == exponents_by_filter(d, degree)
+
     def test_one_call_is_quick(self):
         import time
 
@@ -1137,6 +1166,8 @@ class TestControlledGaps:
         ap, model, run, battery = self._setup(2, 50, (2.5, 3.5), 512, 5)
         mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
         other = run_to_stationarity(model, 300, RngStream(6)).samples
+        batch = mom.controls(other, battery)
+        assert list(batch) == [h.tag for h in battery[3:]]  # the monomials are exact
         for h in battery[3:]:
             beta = mom.weights(h)
             assert beta.shape == (MOMENT_DEGREE,)
@@ -1149,9 +1180,12 @@ class TestControlledGaps:
             assert ge.gap == pytest.approx(abs(adjusted.mean() - h.mean), abs=1e-12)
             plain = smooth_gap(other, ap, h, bound=1.0)
             assert ge.stderr < plain.stderr
-            # c(W) computed once by the caller gives the same estimate
-            given = smooth_gap(other, ap, h, 1.0, moments=mom, controls=mom.monomials(other))
-            assert given == ge
+            # the controls of the whole battery, taken once by the caller,
+            # give the same estimate up to the rounding of one product
+            given = smooth_gap(other, ap, h, 1.0, moments=mom, controls=batch)
+            assert given.gap == pytest.approx(ge.gap, rel=1e-12)
+            assert given.stderr == pytest.approx(ge.stderr, rel=1e-12)
+            assert given.passed == ge.passed
 
     def test_controls_need_the_projected_law(self):
         ap, model, run, battery = self._setup(2, 50, (2.5, 3.5), 64, 5)
@@ -1168,7 +1202,10 @@ class TestControlledGaps:
 
     def test_projection_reproduces_a_polynomial(self):
         # a cubic lies in the span of the controls: its weights are its
-        # coefficients
+        # coefficients.  Degree 6, not MOMENT_DEGREE: the Gram matrix of
+        # the degree-8 monomials under Dir(2, 3) has condition 6e10, so
+        # their weights carry about 1e-5 of rounding; any fixed weights
+        # keep the controlled mean unbiased
         from dirstein.stein import TestFunction
 
         ap = DirichletParams((2, 3))
@@ -1176,16 +1213,46 @@ class TestControlledGaps:
             tag=("cubic",), fn=lambda z: 1 + 2 * z[..., 0] - 3 * z[..., 0] ** 3,
             sup_norm=3.0, h1=7.0, h2=18.0, h21=18.0,
         )
-        mom = exact_moments(ChainModel(30, pim_for((2, 3), 30)), MOMENT_DEGREE)
+        degree = 6
+        mom = exact_moments(ChainModel(30, pim_for((2, 3), 30)), degree)
         beta = mom.projected(ap).weights(cubic)
-        assert beta == pytest.approx([2, 0, -3, 0, 0, 0], abs=1e-7)
+        assert beta == pytest.approx([2, 0, -3] + [0] * (degree - 3), abs=1e-7)
 
-    @pytest.mark.parametrize("K, N, a", [(3, 25, (2.5, 3.0, 2.0)), (2, 60, (2.5, 3.5))])
-    def test_calibrated_against_exact_tables(self, K, N, a):
+    @pytest.mark.parametrize(
+        "a", [(0.4, 0.7), (1e4, 2.5e4), (2.5, 3.5), (0.3, 0.8, 0.5), (9e3, 1.1e4, 1.2e4)]
+    )
+    def test_gauss_rule_gram_matches_exact_moments(self, a):
+        # the projection's Gram matrix E c c^T comes from the Gauss rule;
+        # its entries, the moments of degree <= 2 MOMENT_DEGREE, are exact
+        ap = DirichletParams(a)
+        exps = _exponents(len(a) - 1, MOMENT_DEGREE)
+        z, wt = _dirichlet_rule(ap)
+        vals = _monomials(z, exps)
+        gram = (vals.T * wt) @ vals
+        want = _dirichlet_moments(ap, exps[:, None, :] + exps[None, :, :])
+        assert np.abs(gram / want - 1.0).max() <= 1e-13
+
+    def test_underflowing_monomials_take_no_weight(self):
+        # under Dir(1e-300, 1) every power of z_1 underflows at the nodes,
+        # so its Gram diagonal is 0: the weights stay finite
+        ap = DirichletParams((1e-300, 1))
+        mom = exact_moments(ChainModel(20, pim_for((2, 3), 20)), MOMENT_DEGREE).projected(ap)
+        for h in make_battery(2)[3:]:
+            assert np.isfinite(mom.weights(h)).all(), h.tag
+
+    @pytest.mark.parametrize(
+        "K, N, a, seed",
+        [
+            pytest.param(3, 25, (2.5, 3.0, 2.0), 7, id="3-25-a0"),
+            pytest.param(3, 25, (2.5, 3.0, 2.0), 8, id="3-25-a0-seed8"),
+            pytest.param(2, 60, (2.5, 3.5), 7, id="2-60-a1"),
+        ],
+    )
+    def test_calibrated_against_exact_tables(self, K, N, a, seed):
         # 400 sets of 1024 iid genealogy draws, cut from one run: the
         # z-scores of every non-monomial gap against the table's exact
         # E h(W) are standard normal, and the controls cut the stderr
-        ap, model, run, battery = self._setup(K, N, a, 400 * 1024, 7)
+        ap, model, run, battery = self._setup(K, N, a, 400 * 1024, seed)
         mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
         tab = exact_stationary(model)
         rows = run.samples.reshape(400, 1024, K - 1)
