@@ -20,11 +20,13 @@ whatever its parent's type.  Tracing the N present individuals backwards
 then gives an exact stationary draw: each generation every lineage is killed
 with probability |pi| and hands its block of descendants a type from
 pi/|pi|, and the survivors find parents and merge, until none is left.
-Draws are independent and need no burn-in.  Every other mutation matrix
-steps replicate blocks of forward chains (vectorized across independent
-chains) through a burn-in and then records every thin-th generation.  The
-module also checks the one-step conditional moment formulas that the
-approximation bounds are built on.
+Draws are independent and need no burn-in.  The run keeps each draw's
+blocks, and since their types are iid given the blocks, `redraw_types`
+gives further exact copies of every draw at the cost of one uniform per
+block.  Every other mutation matrix steps replicate blocks of forward
+chains (vectorized across independent chains) through a burn-in and then
+records every thin-th generation.  The module also checks the one-step
+conditional moment formulas that the approximation bounds are built on.
 """
 
 from __future__ import annotations
@@ -222,8 +224,10 @@ def _back_cannings(g, draw, m: OffspringModel):
 
 
 def _genealogy_block(g, model: ChainModel, B: int, cum):
-    """Type counts (B, K) of B exact stationary draws, and the backward
-    generations stepped.  cum is the cumulative sum of the rates pi."""
+    """Type counts (B, K) of B exact stationary draws, the backward
+    generations stepped, and the (draw, type) cell and size of every
+    killed lineage's block, cell = draw * K + type.  cum is the cumulative
+    sum of the rates pi."""
     N, K = model.N, model.K
     dtype, PS, DS = _lineage_layout(N, B)
     size_mask = (1 << PS) - 1
@@ -274,10 +278,9 @@ def _genealogy_block(g, model: ChainModel, B: int, cum):
             lin = lin.take(ends)
             lin &= ~size_mask
             lin |= total
-    counts = np.bincount(
-        np.concatenate(cells), weights=np.concatenate(sizes), minlength=B * K
-    )
-    return counts.reshape(B, K), generations
+    cells, sizes = np.concatenate(cells), np.concatenate(sizes)
+    counts = np.bincount(cells, weights=sizes, minlength=B * K)
+    return counts.reshape(B, K), generations, cells, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +393,31 @@ def check_forward(
     return burn_in, thin, R, rounds
 
 
+@dataclass(frozen=True)
+class BlockPartition:
+    """The blocks of a genealogy run's draws.  Block i holds sizes[i] of
+    the N individuals of draw cells[i] // K, and the lineage killed there
+    handed all of them the type cells[i] % K.  Under parent-independent
+    mutation that type is drawn from pi/|pi| independently of the blocks;
+    cuts are the cumulative sums of pi/|pi| over the first K-1 types."""
+
+    cells: np.ndarray
+    sizes: np.ndarray
+    cuts: np.ndarray
+
+
 def _genealogy_samples(g, model: ChainModel, n_samples: int):
     cum = np.cumsum([float(r) for r in model.mutation.pim_rates])
     per_block = max(1, GENEALOGY_LINEAGES // model.N)
-    rows, generations = [], 0
+    rows, cells, sizes, generations = [], [], [], 0
     for start in range(0, n_samples, per_block):
-        counts, gens = _genealogy_block(g, model, min(per_block, n_samples - start), cum)
+        counts, gens, c, s = _genealogy_block(g, model, min(per_block, n_samples - start), cum)
         rows.append(counts[:, :-1] / model.N)
+        cells.append(c + start * model.K)
+        sizes.append(s)
         generations += gens
-    return np.concatenate(rows, axis=0), generations
+    partition = BlockPartition(np.concatenate(cells), np.concatenate(sizes), cum[:-1] / cum[-1])
+    return np.concatenate(rows, axis=0), generations, partition
 
 
 def _initial_counts(N, K):
@@ -414,7 +433,10 @@ class StationaryRun:
     samples rows are W = X/N (first K-1 coordinates); row i comes from
     chain i % meta["replicates"], and a genealogy run has one chain per
     row.  drift_z is the between-halves drift of first and second moments
-    in crude combined stderr units; large values flag under-burning."""
+    in crude combined stderr units; large values flag under-burning.  A
+    genealogy run keeps the blocks of its draws in partition
+    (`redraw_types`); save does not write them, so a loaded run has
+    none."""
 
     samples: np.ndarray
     burn_in: int
@@ -422,6 +444,7 @@ class StationaryRun:
     seed: str
     meta: dict = field(default_factory=dict)
     drift_z: tuple = (float("nan"), float("nan"))
+    partition: BlockPartition | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -480,11 +503,14 @@ def run_to_stationarity(
     When uses_genealogy(model), every sample is an exact, independent draw
     traced back through the genealogy: the run has burn_in 0, thin 1 and
     n replicates, an explicit burn_in or thin raises ChainError, and
-    `replicates` is not used.  Otherwise `replicates` independent chains are
-    stepped in one vectorized block: they burn in, then record every
-    thin-th generation, so wall time scales with burn_in + thin *
-    n/replicates generations rather than with the total sample count;
-    check_forward refuses a run of more than BURN_IN_CAP generations.
+    `replicates` is not used; the run keeps the block partition of its
+    draws, which `redraw_types` hands fresh types without touching the
+    samples or the stream they came from.  Otherwise `replicates`
+    independent chains are stepped in one vectorized block: they burn in,
+    then record every thin-th generation, so wall time scales with
+    burn_in + thin * n/replicates generations rather than with the total
+    sample count; check_forward refuses a run of more than BURN_IN_CAP
+    generations.
     meta["generations"] counts the backward generations stepped, or the
     forward chain-generations.
     """
@@ -500,9 +526,10 @@ def run_to_stationarity(
                 "samples are exact draws from its genealogy"
             )
         check_genealogy(model, n_samples)
-        samples, generations = _genealogy_samples(g, model, n_samples)
+        samples, generations, partition = _genealogy_samples(g, model, n_samples)
         sampler, burn_in, thin, R = "genealogy", 0, 1, n_samples
     else:
+        partition = None
         burn_in, thin, R, rounds = check_forward(model, n_samples, burn_in, thin, replicates)
         P = model.mutation.array()
         counts = np.tile(_initial_counts(N, K), (R, 1)).astype(np.int64)
@@ -541,7 +568,45 @@ def run_to_stationarity(
             "generations": generations,
         },
         drift_z=drift,
+        partition=partition,
     )
+
+
+def redraw_types(run: StationaryRun, copies: int, rng) -> np.ndarray:
+    """(copies, n, K-1) frequency rows of the n draws of a genealogy run.
+
+    Copy 0 is run.samples.  Every other copy keeps the run's block
+    partition and hands each block a fresh type from pi/|pi|, iid across
+    blocks and copies: the number of the K-1 cuts that one raw 64-bit
+    draw per block reaches, the cuts scaled to 2^64.  Given its blocks a
+    draw's types are iid from pi/|pi|, so every copy is an exact
+    stationary draw, and the mean of h over the copies of a draw has the
+    mean of h(W) and no more variance (conditional Monte Carlo).  The
+    copies of one draw are correlated, so only that mean, one per draw,
+    is iid."""
+    part = run.partition
+    if part is None:
+        raise ChainError("only a genealogy run keeps the blocks that types are redrawn on")
+    if copies < 1:
+        raise ChainError("need at least one copy")
+    g = as_generator(rng)
+    n, K, N = run.n, int(run.meta["K"]), int(run.meta["N"])
+    out = np.empty((copies,) + run.samples.shape)
+    out[0] = run.samples
+    base = part.cells - part.cells % K  # draw * K
+    sizes = part.sizes.astype(np.float64)
+    # raw bits cost less than g.random's doubles; a cut that rounds to
+    # 2^64 stays at the largest float below it
+    cuts = np.minimum(np.ceil(part.cuts * 2.0**64), 2.0**64 - 2**11).astype(np.uint64)
+    cells = np.empty_like(base)
+    for r in range(1, copies):
+        bits = g.bit_generator.random_raw(len(sizes))
+        np.add(base, bits >= cuts[0], out=cells)
+        for cut in cuts[1:]:
+            cells += bits >= cut
+        counts = np.bincount(cells, weights=sizes, minlength=n * K)
+        out[r] = counts.reshape(n, K)[:, :-1] / N
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,11 @@ stationary moments of degree <= MOMENT_DEGREE: its monomial gaps are
 exact and every other gap is sampled against monomial controls
 (`smooth_gap`); validate prints `moments` and `controls`, and
 summary.txt records them with `moment_z_max`, the sample's largest
-moment z-score.
+moment z-score.  A genealogy run of wf-theorem1 or cannings-theorem2
+averages every sampled gap over TYPE_REDRAWS copies of each draw, the
+recorded one and copies whose blocks take fresh types from a child of
+the config seed's stream (`chains.redraw_types`); samples.csv holds the
+recorded draws, and validate and summary.txt print `type_redraws`.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -48,6 +52,7 @@ from .chains import (
     check_forward,
     check_genealogy,
     check_irreducible,
+    redraw_types,
     run_to_stationarity,
     uses_genealogy,
 )
@@ -95,6 +100,9 @@ KINDS = (
 WORKERS_ENV = "DIRSTEIN_WORKERS"
 # the mc.* keys that only the forward chains read
 FORWARD_KEYS = ("burn_in", "thin", "replicates")
+# copies of each genealogy draw that its sampled gaps average over: the
+# recorded types and TYPE_REDRAWS - 1 fresh type draws of its blocks
+TYPE_REDRAWS = 8
 
 _PKG_ERRORS = (
     SimplexError,
@@ -347,6 +355,7 @@ class _Experiment:
         self.notes = []  # derived quantities for validate output
         self.run_args = {}  # forward keys passed on to run_to_stationarity
         self.moments = None  # exact stationary moments, for Wright-Fisher runs
+        self.redraws = 1  # copies of each draw its gaps average over
         build = getattr(self, "_build_" + self.kind.replace("-", "_"))
         build(data)
 
@@ -446,6 +455,7 @@ class _Experiment:
         except RunawayError as e:
             raise ConfigError(key if e.part == "mutation" else f"mc.{e.part}", str(e))
         self.notes.append("sampler = genealogy")
+        self.redraws = TYPE_REDRAWS
         self._note_unused(data, FORWARD_KEYS)
 
     def _note_unused(self, data, keys):
@@ -553,9 +563,18 @@ def _out_dir(data) -> Path:
 # experiment bodies
 
 
-def _control_lines(moments) -> list:
-    """The exact moments and the monomial controls a run samples against."""
-    return [f"moments = exact (degree {moments.degree})", f"controls = {len(moments.exponents)}"]
+def _control_lines(exp: _Experiment) -> list:
+    """The exact moments and the monomial controls a run samples against,
+    and the copies of each draw its gaps average over."""
+    lines = []
+    if exp.moments is not None:
+        lines += [
+            f"moments = exact (degree {exp.moments.degree})",
+            f"controls = {len(exp.moments.exponents)}",
+        ]
+    if exp.redraws > 1:
+        lines.append(f"type_redraws = {exp.redraws}")
+    return lines
 
 
 def _run_certification(exp: _Experiment, out: Path) -> int:
@@ -573,18 +592,21 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         run = run_to_stationarity(
             exp.model, exp.mc["samples"], RngStream(exp.seed), **exp.run_args
         )
-        samples = run.samples
+        samples = rows = run.samples
+        if exp.redraws > 1:
+            # child 0 of the seed's stream, which the sampler never reads
+            rows = redraw_types(run, exp.redraws, RngStream(exp.seed).child(0))
         battery = attach_exact_means(make_battery(exp.K), exp.a)
         moments = controls = None
         if exp.moments is not None:
             # one projection and one product of the centred c(W) serve
             # every gap of the run
             moments = exp.moments.projected(exp.a)
-            controls = moments.controls(run.samples, battery)
+            controls = moments.controls(rows, battery)
         gaps = tuple(
             smooth_gap(
-                run, exp.a, h, exp.report.smooth_bound_for(h),
-                moments=moments, controls=controls,
+                rows, exp.a, h, exp.report.smooth_bound_for(h),
+                replicates=run.meta["replicates"], moments=moments, controls=controls,
             )
             for h in battery
         )
@@ -596,8 +618,8 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
             f"generations = {run.meta['generations']}",
             "drift_z = (%s)" % ", ".join(_fmt(z) for z in run.drift_z),
         ]
+        diagnostics += _control_lines(exp)
         if exp.moments is not None:
-            diagnostics += _control_lines(exp.moments)
             diagnostics.append("moment_z_max = " + _fmt(moment_z_max(run, exp.moments)))
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
@@ -717,8 +739,8 @@ def cmd_validate(data: dict) -> int:
         print(f"mc.replicates = {exp.mc['replicates']}")
     for note in exp.notes:
         print(note)
-    if exp.moments is not None:
-        print("\n".join(_control_lines(exp.moments)))
+    for line in _control_lines(exp):
+        print(line)
     for line in _stamp_keys(exp):
         print(line)
     print("valid = true")

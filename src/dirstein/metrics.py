@@ -301,10 +301,11 @@ class GapEstimate:
     passed: bool
 
 
-def _rows(sample, d, replicates):
+def _rows(sample, d, replicates, copies=False):
     """The (n, d) rows of a StationaryRun or raw array, and the replicate
     count: a StationaryRun supplies its own meta["replicates"] when
-    `replicates` is None."""
+    `replicates` is None.  With copies, a raw array may also be
+    (R, n, d): R copies of each of n draws (`chains.redraw_types`)."""
     rows = sample
     if isinstance(sample, StationaryRun):
         rows = sample.samples
@@ -312,8 +313,9 @@ def _rows(sample, d, replicates):
             # loaded runs carry their meta values as strings
             replicates = int(sample.meta["replicates"])
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != d:
-        raise MetricsError("sample must be (n, K-1) for the law's K")
+    if rows.ndim not in ((2, 3) if copies else (2,)) or rows.shape[-1] != d:
+        shape = "(n, K-1) or (copies, n, K-1)" if copies else "(n, K-1)"
+        raise MetricsError(f"sample must be {shape} for the law's K")
     return rows, replicates
 
 
@@ -342,13 +344,19 @@ def smooth_gap(
 ) -> GapEstimate:
     """Estimate |E h(W) - E h(Z)| from a stationary sample or exact table.
 
-    The sample may be a StationaryRun, a raw (n, K-1) array, or a
+    The sample may be a StationaryRun, a raw (n, K-1) array, a raw
+    (R, n, K-1) array of R copies of each of n draws, or a
     StationaryTable; a table contributes no sampling noise, so the
     stderr is then just the one attached to E h(Z).  Sample rows are
     independent unless `replicates` says that row i is a round of chain
     i % replicates: rounds of one chain are correlated, so the stderr is
     then taken over the chains' batch means.  A StationaryRun supplies
-    its own meta["replicates"] when `replicates` is None.
+    its own meta["replicates"] when `replicates` is None.  Copies are
+    the type redraws of a genealogy run (`chains.redraw_types`): h, and
+    its control correction below, are averaged over the copies of each
+    draw first, and the mean and stderr are taken over those n averages,
+    since the copies of one draw are correlated.  Every copy is an exact
+    draw, so the mean is unchanged and the variance is never higher.
 
     `moments`, the chain's exact stationary moments (`exact_moments`),
     make a sample's monomial of degree <= moments.degree exact like a
@@ -380,8 +388,10 @@ def smooth_gap(
         if abs(est - h.mean) <= resolution * max(1.0, h.sup_norm):
             est = h.mean
     else:
-        rows, replicates = _rows(sample, a.dim - 1, replicates)
+        rows, replicates = _rows(sample, a.dim - 1, replicates, copies=True)
         vals = np.asarray(h.fn(rows), dtype=np.float64)
+        if vals.ndim == 2:
+            vals = vals.mean(axis=0)
         extra = h.mean_se
         if moments is not None:
             if moments.law != a:
@@ -1321,10 +1331,19 @@ class ExactMoments:
         """(beta_h, beta_h . (c(w) - mu)) for rows w and every h of fns
         that is not `exact`, keyed by h.tag, as smooth_gap's `controls`:
         every beta_h from one product over the Gauss nodes and every
-        correction from one product of the centred monomials c(w) - mu."""
+        correction from one product of the centred monomials c(w) - mu.
+        Rows w of shape (R, n, d), R copies of each of n draws, give the
+        copies' mean correction of each draw: c(w) is averaged over the
+        copies, one copy at a time, before the product."""
         fns = [h for h in fns if not self.exact(h)]
         beta = self.weights(fns)
-        corr = (_monomials(w, self.exponents) - self.values) @ beta
+        w = np.asarray(w, dtype=np.float64)
+        copies = w.reshape((-1,) + w.shape[-2:])
+        c = _monomials(copies[0], self.exponents)
+        for copy in copies[1:]:
+            c += _monomials(copy, self.exponents)
+        c /= len(copies)
+        corr = (c - self.values) @ beta
         return {h.tag: (beta[:, j], corr[:, j]) for j, h in enumerate(fns)}
 
     def weights(self, fns) -> np.ndarray:

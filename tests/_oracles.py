@@ -286,7 +286,8 @@ def second_bound_exact(alpha, beta, gamma, pi, N, K):
 # ---------------------------------------------------------------------------
 # reference genealogy block: lineages as a (draw, size) array pair, merged
 # by an argsort of draw * N + parent.  The packed sampler in dirstein.chains
-# must give the same counts and generations from the same stream.
+# must give the same counts, generations and killed blocks from the same
+# stream.
 
 
 def _runs(draw):
@@ -315,10 +316,13 @@ def _merge(draw, parent, size, N):
 
 
 def genealogy_block(g, model, B, cum):
-    """Type counts (B, K) of B stationary draws and the generations stepped."""
+    """Type counts (B, K) of B stationary draws, the generations stepped,
+    and the cell draw * K + type and size of every killed lineage's block,
+    in the order they were killed."""
     N, K = model.N, model.K
     kill = cum[-1]
     counts = np.zeros(B * K)
+    cells, sizes = [], []
     draw = np.repeat(np.arange(B), N)
     size = np.ones(B * N)
     generations = 0
@@ -333,6 +337,8 @@ def genealogy_block(g, model, B, cum):
         dead = u < kill
         types = np.searchsorted(cum, u[dead], side="right")
         counts += np.bincount(draw[dead] * K + types, weights=size[dead], minlength=B * K)
+        cells.append(draw[dead] * K + types)
+        sizes.append(size[dead])
         live = ~dead
         draw, size = draw[live], size[live]
         if draw.size:
@@ -342,19 +348,23 @@ def genealogy_block(g, model, B, cum):
             else:
                 parent = _back_cannings(g, draw, model.offspring)
             draw, size = _merge(draw, parent, size, N)
-    return counts.reshape(B, K), generations
+    return counts.reshape(B, K), generations, np.concatenate(cells), np.concatenate(sizes)
 
 
 def genealogy_samples(g, model, n_samples, lineages):
-    """Frequencies of n_samples draws in blocks of max(1, lineages // N)."""
+    """Frequencies of n_samples draws in blocks of max(1, lineages // N),
+    the generations stepped, and the cells and sizes of the killed
+    lineages' blocks, numbered by draw over the whole run."""
     cum = np.cumsum([float(r) for r in model.mutation.pim_rates])
     per_block = max(1, lineages // model.N)
-    rows, generations = [], 0
+    rows, cells, sizes, generations = [], [], [], 0
     for start in range(0, n_samples, per_block):
-        counts, gens = genealogy_block(g, model, min(per_block, n_samples - start), cum)
+        counts, gens, c, s = genealogy_block(g, model, min(per_block, n_samples - start), cum)
         rows.append(counts[:, :-1] / model.N)
+        cells.append(c + start * model.K)
+        sizes.append(s)
         generations += gens
-    return np.concatenate(rows, axis=0), generations
+    return np.concatenate(rows, axis=0), generations, np.concatenate(cells), np.concatenate(sizes)
 
 
 # ---------------------------------------------------------------------------

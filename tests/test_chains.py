@@ -1,5 +1,6 @@
 """Chain stepping, stationary sampling, and one-step moment checks."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from dirstein.chains import (
     check_genealogy,
     check_irreducible,
     default_burn_in,
+    redraw_types,
     run_to_stationarity,
     step_cannings,
     step_wright_fisher,
@@ -331,6 +333,14 @@ _GENEALOGY_CASES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _genealogy_run(name):
+    """The run of a genealogy case, shared by the tests of its draws and of
+    their type redraws."""
+    model, n = _GENEALOGY_CASES[name]
+    return run_to_stationarity(model, n, RngStream(61))
+
+
 class TestGenealogy:
     @pytest.mark.parametrize("name", sorted(_GENEALOGY_CASES))
     def test_draws_follow_the_exact_table(self, name):
@@ -338,11 +348,54 @@ class TestGenealogy:
         # distributed; p < 1e-4 fails, a false-alarm rate of 1e-4 per case
         # and 5e-4 over the five
         model, n = _GENEALOGY_CASES[name]
-        run = run_to_stationarity(model, n, RngStream(61))
+        run = _genealogy_run(name)
         assert run.meta["sampler"] == "genealogy"
         table = exact_stationary(model)
         draws = np.rint(run.samples * table.N).astype(np.int64)
         assert _chi2_pvalue(draws, table.counts, table.probs) > 1e-4
+
+    @pytest.mark.parametrize("name", sorted(_GENEALOGY_CASES))
+    def test_redrawn_types_follow_the_exact_table(self, name):
+        # the blocks of each draw with fresh iid types from pi/|pi|: every
+        # copy is an exact stationary draw, so one copy passes the same
+        # chi-square test (false-alarm rate 1e-4 per case)
+        model, n = _GENEALOGY_CASES[name]
+        run = _genealogy_run(name)
+        copies = redraw_types(run, 2, RngStream(61).child(0))
+        assert copies.shape == (2, n, model.K - 1)
+        assert (copies[0] == run.samples).all()
+        assert (copies[1] != run.samples).any()
+        table = exact_stationary(model)
+        draws = np.rint(copies[1] * table.N).astype(np.int64)
+        assert (draws == copies[1] * table.N).all()
+        assert _chi2_pvalue(draws, table.counts, table.probs) > 1e-4
+
+    def test_redraws_are_seeded_and_leave_the_run_alone(self):
+        model = ChainModel(20, MutationMatrix.pim([F(1, 40), F(1, 30), F(1, 50)]))
+        run = run_to_stationarity(model, 200, RngStream(3))
+        before = run.samples.copy()
+        a = redraw_types(run, 5, RngStream(3).child(0))
+        b = redraw_types(run, 5, RngStream(3).child(0))
+        assert a.shape == (5, 200, 2) and (a == b).all()
+        assert (run.samples == before).all()
+        # every copy counts whole individuals
+        assert (np.rint(a * 20) == a * 20).all()
+        # a longer redraw starts with the same copies
+        assert (redraw_types(run, 7, RngStream(3).child(0))[:5] == a).all()
+        assert (redraw_types(run, 1, RngStream(3).child(0))[0] == run.samples).all()
+
+    def test_redraws_need_the_blocks(self, tmp_path):
+        model = ChainModel(10, MutationMatrix.pim([F(1, 20), F(1, 20)]))
+        run = run_to_stationarity(model, 10, RngStream(0))
+        with pytest.raises(ChainError, match="at least one copy"):
+            redraw_types(run, 0, RngStream(0))
+        run.save(tmp_path / "s.csv")
+        with pytest.raises(ChainError, match="only a genealogy run"):
+            redraw_types(StationaryRun.load(tmp_path / "s.csv"), 2, RngStream(0))
+        forward = run_to_stationarity(ChainModel(6, CYCLIC3), 20, RngStream(0), burn_in=10, thin=2)
+        assert forward.partition is None
+        with pytest.raises(ChainError, match="only a genealogy run"):
+            redraw_types(forward, 2, RngStream(0))
 
     def test_provenance(self):
         model = ChainModel(20, MutationMatrix.pim([F(1, 40), F(1, 40)]))
@@ -426,6 +479,8 @@ class TestPackedGenealogy:
         got = chains._genealogy_block(np.random.default_rng(5), model, B, cum)
         ref = oracles.genealogy_block(np.random.default_rng(5), model, B, cum)
         assert (got[0] == ref[0]).all() and got[1] == ref[1]
+        # the same blocks, killed in the same order
+        assert (got[2] == ref[2]).all() and (got[3] == ref[3]).all()
         wide = model.N.bit_length() + (model.N - 1).bit_length() + (B - 1).bit_length() > 31
         assert chains._lineage_layout(model.N, B)[0] == (np.int64 if wide else np.int32)
 
@@ -435,8 +490,29 @@ class TestPackedGenealogy:
         model = _PACKED_CASES[name][0]
         monkeypatch.setattr(chains, "GENEALOGY_LINEAGES", 7 * model.N)
         run = run_to_stationarity(model, 30, RngStream(21))
-        samples, gens = oracles.genealogy_samples(as_generator(RngStream(21)), model, 30, 7 * model.N)
+        samples, gens, cells, sizes = oracles.genealogy_samples(
+            as_generator(RngStream(21)), model, 30, 7 * model.N
+        )
         assert (run.samples == samples).all() and run.meta["generations"] == gens
+        assert (run.partition.cells == cells).all() and (run.partition.sizes == sizes).all()
+
+    @pytest.mark.parametrize("name", sorted(_PACKED_CASES))
+    def test_partition_rebuilds_the_counts(self, name):
+        # each draw's blocks hold its N individuals, and with the types
+        # they were killed with they give its counts exactly
+        model, B = _PACKED_CASES[name]
+        N, K = model.N, model.K
+        cum = np.cumsum([float(r) for r in model.mutation.pim_rates])
+        counts, _, cells, sizes = chains._genealogy_block(np.random.default_rng(9), model, B, cum)
+        assert (sizes >= 1).all()
+        assert (np.bincount(cells // K, weights=sizes, minlength=B) == N).all()
+        assert (np.bincount(cells, weights=sizes, minlength=B * K).reshape(B, K) == counts).all()
+        # and the run keeps them, numbered over its draws, with the cuts of pi/|pi|
+        run = run_to_stationarity(model, 3, RngStream(9))
+        part = run.partition
+        assert np.allclose(part.cuts, cum[:-1] / cum[-1])
+        full = np.bincount(part.cells, weights=part.sizes, minlength=3 * K).reshape(3, K)
+        assert (full.sum(axis=1) == N).all() and (full[:, :-1] / N == run.samples).all()
 
     def test_layout_widths(self):
         # N = 2^k - 1 takes k bits for the parent and k for the size

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -472,6 +473,7 @@ class TestOneStationaryRun:
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
         assert f"moments = exact (degree {MOMENT_DEGREE})" in summary
         assert f"controls = {MOMENT_DEGREE}" in summary
+        assert f"type_redraws = {cli.TYPE_REDRAWS}" in summary
         assert "moment_z_max = %.17g" % moment_z_max(run, mom) in summary
         # matched rates: the linear monomial's gap and stderr are exactly 0
         with open(tmp_path / "o" / "gaps.csv", newline="") as fh:
@@ -500,6 +502,8 @@ class TestOneStationaryRun:
         assert "replicates = 20" in summary
         assert f"generations = {20 * (60 + 4 * 10)}" in summary
         assert not any(line.startswith("unused") for line in summary)
+        # forward rounds have no blocks to redraw types on
+        assert not any(line.startswith("type_redraws") for line in summary)
 
 
 # The exact shape of a perfbench mc-certify job: matched PIM through model.a,
@@ -524,6 +528,9 @@ class TestCertifyJob:
         # the control set: every monomial of degree 1..MOMENT_DEGREE
         assert f"moments = exact (degree {MOMENT_DEGREE})" in out
         assert f"controls = {math.comb(MOMENT_DEGREE + K - 1, K - 1) - 1}" in out
+        # the redraws follow the moment degree and the control count
+        i = out.index(f"moments = exact (degree {MOMENT_DEGREE})")
+        assert out[i + 2] == f"type_redraws = {cli.TYPE_REDRAWS}"
         dirs = []
         for workers in (1, 3):
             d = tmp_path / f"w{workers}"
@@ -554,6 +561,83 @@ class TestCertifyJob:
             assert (row["gap"], row["stderr"], row["bound"], row["pass"]) == ("0", "0", "0", "true")
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
         assert f"controls = {math.comb(MOMENT_DEGREE + 2, 2) - 1}" in summary
+
+
+# sha256 of the artifacts that these configs wrote before genealogy gaps were
+# averaged over type redraws.  The redraws come from a stream the sampler
+# never reads and change only sampled gap rows: the samples, the bound and
+# the exact monomial rows stay byte for byte, and so does a forward run's
+# whole gap table.
+_PINNED_ARTIFACTS = {
+    "wf-k2": (
+        'kind = "wf-theorem1"\nmodel.N = 77\nmodel.a = [2.713, 3.402]\nmc.samples = 1024\n'
+        "mc.replicates = 128\nmc.burn_in = 385\nseed = 3141592653\n",
+        {
+            "samples.csv": "c639e6828d371dc6934cfcf7573889559758b71c751ced9540d1218c32a1ac91",
+            "bound.txt": "88ae53310eb2347e8ca3045c477413b88605b5d0940c459debb7c192dfc2353b",
+            "monomial rows": "b56d730d5029a338a52f8c8ed61e2c2ca01aab22b2608deb3f76fa2385724595",
+        },
+    ),
+    "wf-k3": (
+        'kind = "wf-theorem1"\nmodel.N = 131\nmodel.a = [3.9, 2.25, 2.6]\nmc.samples = 1024\n'
+        "mc.replicates = 128\nmc.burn_in = 655\nseed = 3141592653\n",
+        {
+            "samples.csv": "68cbd5aaf173f116cdf78bc9d0254b347abcf0974804fa5efd413766aee75992",
+            "bound.txt": "589c8065a51d4ad3149a52f50cf59a5a40fd37ce647d14074b24727b24d99c00",
+            "monomial rows": "db5e0545bb0d0811030159928d3637462ae8dc49e9f52a5cb2051b38637e025c",
+        },
+    ),
+    "dm-k3": (
+        TestOneStationaryRun.CANNINGS_CFG,
+        {
+            "samples.csv": "c28f78b0c973044b78297c39f01b66b8e68597cc5e507d21d0d33b4e067f018c",
+            "bound.txt": "2bbe73a1f235e5d2ef6dffd5289712334765e920435ed5461f8b30fc859d9657",
+        },
+    ),
+    "wf-forward-k3": (
+        'kind = "wf-theorem1"\nmodel.N = 12\nmodel.mutation = [[0.9, 0.06, 0.04], '
+        "[0.02, 0.9, 0.08], [0.05, 0.03, 0.92]]\nmc.samples = 200\nmc.replicates = 20\n"
+        "mc.burn_in = 60\nmc.thin = 4\nseed = 3\n",
+        {
+            "samples.csv": "f8acdeb742c3a6142dc6885b24106a21af876efdb017c1943db4d02b19fef62e",
+            "bound.txt": "4e8bebc2394359ffa49d8ce41706d7e54b6b6a0a628808a9ad302f4305f5354b",
+            "gaps.csv": "0f67d75887bca1eba968254acabc007defcabcc32749dc8c8cd32fd92da51cdb",
+        },
+    ),
+}
+
+
+class TestArtifactContract:
+    @pytest.mark.parametrize("name", sorted(_PINNED_ARTIFACTS))
+    def test_pinned_and_independent_of_workers(self, tmp_path, name):
+        text, pinned = _PINNED_ARTIFACTS[name]
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        dirs = []
+        for workers in (1, 2):
+            d = tmp_path / f"w{workers}"
+            assert main(["run", "--config", cfg, "--out", str(d), "--workers", str(workers)]) == 0
+            dirs.append(d)
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == ["bound.txt", "gaps.csv", "samples.csv", "summary.txt"]
+        for f in names:
+            assert (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes(), f
+        gaps = (dirs[0] / "gaps.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        monomial = "".join(line for line in gaps if line.startswith('"(\'monomial\''))
+        got = {f: hashlib.sha256((dirs[0] / f).read_bytes()).hexdigest() for f in names}
+        got["monomial rows"] = hashlib.sha256(monomial.encode("utf-8")).hexdigest()
+        for key, digest in pinned.items():
+            assert got[key] == digest, key
+        summary = (dirs[0] / "summary.txt").read_text(encoding="utf-8").splitlines()
+        redraws = f"type_redraws = {cli.TYPE_REDRAWS}"
+        assert (redraws in summary) == ("sampler = genealogy" in summary)
+
+    def test_cannings_validate_prints_the_redraws(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.cfg", TestOneStationaryRun.CANNINGS_CFG)
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "sampler = genealogy" in out
+        assert f"type_redraws = {cli.TYPE_REDRAWS}" in out
+        assert not any(line.startswith(("moments", "controls")) for line in out)
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.

@@ -1,5 +1,6 @@
 """Battery certification, distance estimators, and exact stationary tables."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,14 @@ from scipy.special import betainc
 
 import _oracles as oracles
 from dirstein.bounds import theorem1_bound
-from dirstein.chains import ChainError, ChainModel, StationaryRun, run_to_stationarity
+from dirstein.chains import (
+    ChainError,
+    ChainModel,
+    StationaryRun,
+    redraw_types,
+    run_to_stationarity,
+)
+from dirstein.cli import TYPE_REDRAWS
 from dirstein.metrics import (
     MOMENT_DEGREE,
     GapEstimate,
@@ -388,6 +396,40 @@ class TestSmoothGap:
         h = attach_exact_means(make_battery(3), a3)[0]
         with pytest.raises(MetricsError):
             smooth_gap(np.zeros((10, 1)), a3, h, bound=1.0)
+
+    def test_copies_are_averaged_per_draw(self):
+        # (R, n, K-1) rows: h and its correction are averaged over the R
+        # copies of each draw, and the stderr is over the n averages
+        N, a = 30, DirichletParams((2, 3))
+        model = ChainModel(N, pim_for((2, 3), N))
+        run = run_to_stationarity(model, 300, RngStream(8))
+        rows = redraw_types(run, 4, RngStream(8).child(0))
+        mom = exact_moments(model, MOMENT_DEGREE).projected(a)
+        battery = attach_exact_means(make_battery(2), a)
+        batch = mom.controls(rows, battery)
+        for h in battery:
+            for moments in (None, mom):
+                ge = smooth_gap(rows, a, h, bound=1.0, moments=moments)
+                # one copy is the plain sample, bit for bit
+                assert smooth_gap(rows[:1], a, h, 1.0, moments=moments) == smooth_gap(
+                    run, a, h, 1.0, moments=moments
+                )
+                if moments is not None and moments.exact(h):
+                    assert ge == smooth_gap(run, a, h, 1.0, moments=mom)
+                    continue
+                vals = h.fn(rows).mean(axis=0)
+                if moments is not None:
+                    beta = mom.weights((h,))[:, 0]
+                    c = (rows ** np.arange(1, MOMENT_DEGREE + 1)).mean(axis=0) - mom.values
+                    vals = vals - c @ beta
+                    # the battery's product rounds apart from h's own
+                    given = smooth_gap(rows, a, h, 1.0, moments=mom, controls=batch)
+                    assert given.gap == pytest.approx(ge.gap, abs=1e-12)
+                assert ge.gap == pytest.approx(abs(vals.mean() - h.mean), rel=1e-10, abs=1e-15)
+                assert ge.stderr >= vals.std(ddof=1) / math.sqrt(300)
+                assert ge.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(300), rel=1e-6)
+        with pytest.raises(MetricsError, match=r"\(copies, n, K-1\)"):
+            smooth_gap(rows[..., None], a, battery[3], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,12 +1193,24 @@ class TestSamplersAgainstMoments:
         assert moment_z_max(run.samples * 0.97, mom) > 4.0
 
 
+@functools.lru_cache(maxsize=3)
+def _controlled_setup(K, N, a, n, seed):
+    """Law, chain, run and battery of a Theorem 1 case; the calibration
+    tests with and without type redraws share each case's draws."""
+    ap = DirichletParams(a)
+    model = ChainModel(N, pim_for(a, N))
+    run = run_to_stationarity(model, n, RngStream(seed))
+    return ap, model, run, attach_exact_means(make_battery(K), ap)
+
+
 class TestControlledGaps:
+    @pytest.fixture(scope="class", autouse=True)
+    def _release_draws(self):
+        yield
+        _controlled_setup.cache_clear()
+
     def _setup(self, K, N, a, n, seed):
-        ap = DirichletParams(a)
-        model = ChainModel(N, pim_for(a, N))
-        run = run_to_stationarity(model, n, RngStream(seed))
-        return ap, model, run, attach_exact_means(make_battery(K), ap)
+        return _controlled_setup(K, N, a, n, seed)
 
     def test_monomials_take_exact_gaps(self):
         ap, model, run, battery = self._setup(3, 40, (2, 3, 1.5), 256, 4)
@@ -1290,3 +1344,70 @@ class TestControlledGaps:
             assert 0.85 <= np.std(z, ddof=1) <= 1.15, (h.tag, np.std(z, ddof=1))
             assert abs(np.mean(z)) <= 0.25, (h.tag, np.mean(z))
         assert np.median(worst) <= np.median(worst_plain) / 3
+
+    @pytest.mark.parametrize(
+        "K, N, a, seed",
+        [
+            pytest.param(3, 25, (2.5, 3.0, 2.0), 7, id="3-25-a0"),
+            pytest.param(2, 60, (2.5, 3.5), 7, id="2-60-a1"),
+        ],
+    )
+    def test_type_redraws_calibrated_against_exact_tables(self, K, N, a, seed):
+        # the draws of test_calibrated_against_exact_tables, each averaged
+        # over itself and TYPE_REDRAWS - 1 copies whose blocks take fresh
+        # types: the z-scores of every non-monomial gap stay standard
+        # normal, and the bump's stderr at least halves
+        ap, model, run, battery = self._setup(K, N, a, 400 * 1024, seed)
+        mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
+        tab = exact_stationary(model)
+        R = TYPE_REDRAWS
+        copies = redraw_types(run, R, RngStream(seed).child(0)).reshape(R, 400, 1024, K - 1)
+        sampled = [h for h in battery if not mom.exact(h)]
+        bump = sampled[-1]
+        assert bump.tag[0] == "bump"
+        truth = [tab.expect(h.fn) for h in sampled]
+        low = [replace(h, mean=h.value_range[0] - 1.0) for h in sampled]
+        z = np.zeros((len(sampled), 400))
+        bump_se, single_se = np.zeros(400), np.zeros(400)
+        for i in range(400):
+            rows = copies[:, i]
+            controls = mom.controls(rows, sampled)
+            for j, h in enumerate(low):
+                ge = smooth_gap(rows, ap, h, bound=1.0, moments=mom, controls=controls)
+                z[j, i] = (ge.gap + h.mean - truth[j]) / ge.stderr
+            bump_se[i] = ge.stderr
+            single_se[i] = smooth_gap(rows[0], ap, bump, bound=1.0, moments=mom).stderr
+        for h, zh in zip(sampled, z):
+            assert 0.85 <= np.std(zh, ddof=1) <= 1.15, (h.tag, np.std(zh, ddof=1))
+            assert abs(np.mean(zh)) <= 0.25, (h.tag, np.mean(zh))
+        assert np.median(bump_se) <= np.median(single_se) / 2
+
+    def test_type_redraws_calibrate_cannings_plain_means(self):
+        # a Dirichlet-multinomial chain takes no exact moments: every gap,
+        # monomials too, is a plain mean over the copies of each draw.  400
+        # sets of 128 draws against the exact table; a = (0.9, 1.08, 1.26)
+        # keeps the bump off the corners, which 128 draws would hold too
+        # few of for a calibrated stderr, with or without redraws
+        N, K, pi = 8, 3, (F(1, 10), F(3, 25), F(7, 50))
+        offspring = OffspringModel.dirichlet_multinomial(N, 1)
+        model = ChainModel(N, MutationMatrix.pim(pi), offspring)
+        alpha = moments(offspring).alpha
+        ap = DirichletParams(tuple(float(2 * (N - 1) * p / alpha) for p in pi))
+        battery = attach_exact_means(make_battery(K), ap)
+        run = run_to_stationarity(model, 400 * 128, RngStream(5))
+        R = TYPE_REDRAWS
+        copies = redraw_types(run, R, RngStream(5).child(0)).reshape(R, 400, 128, K - 1)
+        tab = exact_stationary(model)
+        for h in battery:
+            low = replace(h, mean=h.value_range[0] - 1.0)
+            truth = tab.expect(h.fn)
+            z, se = [], []
+            for i in range(400):
+                ge = smooth_gap(copies[:, i], ap, low, bound=1.0)
+                z.append((ge.gap + low.mean - truth) / ge.stderr)
+                se.append(ge.stderr)
+            assert 0.85 <= np.std(z, ddof=1) <= 1.15, (h.tag, np.std(z, ddof=1))
+            assert abs(np.mean(z)) <= 0.25, (h.tag, np.mean(z))
+            # the recorded copy alone: its plain iid stderr per set
+            single = h.fn(copies[0]).std(axis=1, ddof=1) / math.sqrt(128)
+            assert np.median(se) <= 0.6 * np.median(single), h.tag
