@@ -5,23 +5,22 @@ proportional to a_i plus the count of i so far, then adds a ball of that
 color.  After n draws the color frequencies W(n) approximate the Dirichlet
 law with the same parameters, and redrawing just the final ball gives an
 exchangeable pair (W, W') whose first two conditional moments match the
-approximating generator exactly.  The counts after n draws follow the
-Dirichlet-multinomial law DM(n; a) exactly: its rational closed form
-checks the pair identities at every reachable state of small urns, and
-its float table (urn_law) gives the certification deterministic gaps
-whenever its grid is no larger than the sample it replaces.  Larger grids
-fall back to sampled end states.  The certification step holds the gaps
-against the closed-form bound for every battery function.
+approximating generator exactly.  verify_pair_identities checks those
+identities exactly at every state after n draws, for any n and K, from
+the exchangeability of the draw colors alone.  The counts after n draws
+follow the Dirichlet-multinomial law DM(n; a) exactly: its float table
+(urn_law) gives the certification deterministic gaps whenever its grid is
+no larger than the sample it replaces.  Larger grids fall back to sampled
+end states.  The certification step holds the gaps against the
+closed-form bound for every battery function.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -45,21 +44,9 @@ from .simplex import (
     dirichlet_mixed_moment,
 )
 
-# exact pair verification enumerates reachable count vectors; beyond this
-# the K^n draw tree stops being worth collapsing and MC takes over
-EXACT_DRAWS_LIMIT = 10
-EXACT_COLORS_LIMIT = 3
-
 
 class PolyaError(ValueError):
     pass
-
-
-def _categorical(g, probs):
-    """One draw per row of probs (R, K)."""
-    u = g.random(len(probs))
-    cum = np.cumsum(probs, axis=1)
-    return (u[:, None] >= cum[:, :-1]).sum(axis=1)
 
 
 def _params(a) -> DirichletParams:
@@ -271,225 +258,121 @@ def urn_law(a, n: int) -> StationaryTable:
 # conditional-moment identities of the redraw pair
 
 
-def _dm_law(a, n: int):
-    """Exact law of the full count vector after n draws, {tuple: Fraction}:
-    the Dirichlet-multinomial DM(n; a), with probability
-    n! / prod x_i! * prod a_i^(x_i) / s^(n) in rising factorials."""
-    a = tuple(Fraction(v) for v in a)
-    # rising[t][k] = a_t^(k), one product per step
-    rising = [list(accumulate((v + k for k in range(n)), mul, initial=Fraction(1))) for v in a]
-    total = _rising(sum(a), n)
-    law = {}
-    for free in _state_grid(n, len(a)).tolist():
-        x = free + [n - sum(free)]
-        pr = Fraction(math.factorial(n))
-        for xi, r in zip(x, rising):
-            pr *= r[xi] / math.factorial(xi)
-        law[tuple(x)] = pr / total
-    return law
-
-
 @dataclass(frozen=True)
 class PairIdentityReport:
-    """Worst-case residuals of the pair's first three conditional moments.
+    """Worst-case residuals of the pair's first three conditional moments
+    given W, over every state W = x/n after n draws, as exact Fractions.
 
-    Exact mode carries rational residuals with zero tolerance; MC mode
-    carries float residuals with four-stderr tolerances.  triple_excess is
-    the largest E|D_i D_j D_k| minus n^-3 (must stay <= tolerance) and
-    distinct_triple the largest such expectation over distinct colors
-    (zero in both modes, since at most two colors move).
+    drift_residual and second_residual are the largest |E[D | W] - target|
+    and |E[D_i D_j | W] - target| with D = W' - W; the identities hold
+    when both are exactly zero.  triple_excess is the largest conditional
+    E[|D_i D_j D_k| | W] minus n^-3 (at most zero, since |D_i| <= 1/n) and
+    distinct_triple the largest such expectation over three distinct
+    colors (zero, since at most two colors move).
     """
 
     n: int
     k: int
-    exact: bool
     states: int
-    drift_residual: object
-    drift_tol: float
-    second_residual: object
-    second_tol: float
-    triple_excess: object
-    triple_tol: float
-    distinct_triple: object
+    drift_residual: Fraction
+    second_residual: Fraction
+    triple_excess: Fraction
+    distinct_triple: Fraction
+    # every check is exact; kept for callers that ask
+    exact = True
 
     @property
     def ok(self) -> bool:
         return (
-            self.drift_residual <= self.drift_tol
-            and self.second_residual <= self.second_tol
-            and self.triple_excess <= self.triple_tol
+            self.drift_residual == 0
+            and self.second_residual == 0
+            and self.triple_excess <= 0
             and self.distinct_triple == 0
         )
 
 
-def _drift_target(a, s, n, i, w_i):
-    return (a[i] - s * w_i) / (n * (n + s - 1))
-
-
-def _second_target(a, s, n, i, j, w):
-    diag = (a[i] + (2 * n + s) * w[i]) if i == j else 0
-    num = diag - a[i] * w[j] - a[j] * w[i] - 2 * n * w[i] * w[j]
-    return num / (n**2 * (n + s - 1))
-
-
-def _exact_pair_report(p: DirichletParams, n: int) -> PairIdentityReport:
-    a = tuple(Fraction(v) for v in p.a)
-    K = len(a)
-    s = sum(a)
-    prev_law = _dm_law(a, n - 1)
-    denom = n - 1 + s
-    zero = Fraction(0)
-    finals = {}
-    triple = defaultdict(lambda: zero)
-    for xp, pr in prev_law.items():
-        q = [(xp[i] + a[i]) / denom for i in range(K)]
-        for y in range(K):
-            w_path = pr * q[y]
-            if w_path == 0:
-                continue
-            xf = list(xp)
-            xf[y] += 1
-            xf = tuple(xf)
-            rec = finals.setdefault(xf, [zero, [zero] * K, defaultdict(lambda: zero)])
-            rec[0] += w_path
-            for y2 in range(K):
-                if y2 == y or q[y2] == 0:
-                    continue
-                wt = w_path * q[y2]
-                # the W'-W increments: +1/n at the redraw, -1/n at the draw
-                d = {y2: Fraction(1, n), y: Fraction(-1, n)}
-                for i, di in d.items():
-                    rec[1][i] += wt * di
-                    for j, dj in d.items():
-                        rec[2][(i, j)] += wt * di * dj
-                        for k2, dk in d.items():
-                            triple[(i, j, k2)] += wt * abs(di * dj * dk)
-    drift_res = zero
-    second_res = zero
-    for xf, (prob, drift, second) in finals.items():
-        w = [Fraction(xf[i], n) for i in range(K)]
-        for i in range(K):
-            r = abs(drift[i] / prob - _drift_target(a, s, n, i, w[i]))
-            drift_res = max(drift_res, r)
-            for j in range(K):
-                r2 = abs(second[(i, j)] / prob - _second_target(a, s, n, i, j, w))
-                second_res = max(second_res, r2)
-    cap = Fraction(1, n**3)
-    excess = max(
-        (triple[(i, j, k2)] - cap for i in range(K) for j in range(K) for k2 in range(K)),
-        default=zero,
-    )
-    distinct = max(
-        (
-            triple[(i, j, k2)]
-            for i in range(K)
-            for j in range(K)
-            for k2 in range(K)
-            if len({i, j, k2}) == 3
-        ),
-        default=zero,
-    )
-    return PairIdentityReport(
-        n=n,
-        k=K,
-        exact=True,
-        states=len(finals),
-        drift_residual=drift_res,
-        drift_tol=0,
-        second_residual=second_res,
-        second_tol=0,
-        triple_excess=excess,
-        triple_tol=0,
-        distinct_triple=distinct,
-    )
-
-
-def _mc_pair_report(p: DirichletParams, n, rng, replicates) -> PairIdentityReport:
-    g = as_generator(rng)
-    R = int(replicates)
-    K = p.dim
-    af = np.array([float(v) for v in p.a])
-    s = float(p.s)
-    counts = np.zeros((R, K), dtype=np.float64)
-    rows = np.arange(R)
-    for j in range(n - 1):
-        idx = _categorical(g, (counts + af) / (j + s))
-        counts[rows, idx] += 1.0
-    q = (counts + af) / (n - 1 + s)
-    y = _categorical(g, q)
-    y2 = _categorical(g, q)
-    xf = counts.copy()
-    xf[rows, y] += 1.0
-    w = xf / n
-    delta = np.zeros((R, K))
-    delta[rows, y2] += 1.0 / n
-    delta[rows, y] -= 1.0 / n
-    if int((np.abs(delta) > 0).sum(axis=1).max(initial=0)) > 2:
-        raise PolyaError("redraw moved more than two colors")
-
-    def worst(err):
-        m = err.mean(axis=0)
-        se = err.std(axis=0, ddof=1) / math.sqrt(R)
-        i = int(np.argmax(np.abs(m)))
-        return abs(float(m.flat[i])), 4.0 * float(se.flat[i]) + 1e-12
-
-    drift_err = delta - (af - s * w) / (n * (n + s - 1))
-    drift_res, drift_tol = worst(drift_err.reshape(R, -1))
-    pair_err = np.empty((R, K * K))
-    for i in range(K):
-        for j in range(K):
-            diag = (af[i] + (2 * n + s) * w[:, i]) if i == j else 0.0
-            num = diag - af[i] * w[:, j] - af[j] * w[:, i] - 2 * n * w[:, i] * w[:, j]
-            pair_err[:, i * K + j] = delta[:, i] * delta[:, j] - num / (
-                n**2 * (n + s - 1)
-            )
-    second_res, second_tol = worst(pair_err)
-    ad = np.abs(delta)
-    excess = -math.inf
-    distinct = 0.0
-    for i in range(K):
-        for j in range(K):
-            for k2 in range(K):
-                prod = ad[:, i] * ad[:, j] * ad[:, k2]
-                m = float(prod.mean())
-                se = float(prod.std(ddof=1)) / math.sqrt(R)
-                excess = max(excess, m - 1.0 / n**3 - 4.0 * se)
-                if len({i, j, k2}) == 3:
-                    distinct = max(distinct, m)
-    return PairIdentityReport(
-        n=n,
-        k=K,
-        exact=False,
-        states=R,
-        drift_residual=drift_res,
-        drift_tol=drift_tol,
-        second_residual=second_res,
-        second_tol=second_tol,
-        triple_excess=excess,
-        triple_tol=0.0,
-        distinct_triple=distinct,
-    )
-
-
-def verify_pair_identities(a, n: int, rng=None, replicates: int = 100_000):
+def verify_pair_identities(a, n: int) -> PairIdentityReport:
     """Check the redraw pair's conditional drift, covariance and triple
-    bounds against their closed forms.
+    bounds against their closed forms at every state after n draws.
 
-    Up to EXACT_DRAWS_LIMIT draws and EXACT_COLORS_LIMIT colors the check
-    is exact at every reachable state (rational arithmetic, residuals must
-    be identically zero).  Beyond that it falls back to aggregated MC
-    residuals with four-stderr tolerances, which is a weaker statement.
+    The draw colors are exchangeable, so given the counts x the last draw
+    has color y with chance x_y / n, and the redraw then has color y' with
+    chance q_y'(x - e_y) = (x - e_y + a)_y' / (n - 1 + s).  Each
+    conditional moment of D = (e_y' - e_y) / n is thus a sum over the
+    K (K - 1) moves y -> y' != y.  Over L (n - 1 + s), L the lcm of the
+    denominators of Fraction(a_i) (the binary value of a float weight), a
+    move has integer weight x_y (L x_y' + A_y') with A = L a, and the
+    generator's moments have integer numerators.  Every state thus costs
+    O(K^2) operations on Python integers (object arrays, which cannot
+    overflow), and the check is exact at every n and K.
     """
     p = _params(a)
     if n < 1:
         raise PolyaError("n must be >= 1")
-    if n <= EXACT_DRAWS_LIMIT and p.dim <= EXACT_COLORS_LIMIT:
-        # float weights still get an exact check: Fraction(v) keeps their
-        # binary value, so residuals are exact for the weights as given
-        return _exact_pair_report(p, n)
-    if rng is None:
-        raise PolyaError("MC identity check needs an rng")
-    return _mc_pair_report(p, n, rng, replicates)
+    K = p.dim
+    frac = [Fraction(v) for v in p.a]
+    L = math.lcm(*(f.denominator for f in frac))
+    A = [int(f * L) for f in frac]
+    Ls = sum(A)
+    free = _state_grid(n, K).astype(object)
+    x = [free[:, t] for t in range(K - 1)] + [n - free.sum(axis=1)]
+    # the pair's moments are normalised by the redraw law's L (n - 1 + s)
+    # and the generator's by its own L (n + s - 1); the identities say the
+    # two agree, so the check keeps both rather than assume it
+    q_den = L * (n - 1) + Ls
+    g_den = L * n + Ls - L
+    # n q_den P(last draw y, redraw y2 | x), with (x - e_y)_y2 = x_y2
+    weight = {
+        (y, y2): x[y] * (L * x[y2] + A[y2])
+        for y in range(K)
+        for y2 in range(K)
+        if y2 != y
+    }
+
+    def moment(idx, absolute=False):
+        """n^(r+1) q_den E[prod_{t in idx} D_t | W], r = len(idx), per
+        state (of the product of |D_t| when absolute)."""
+        out = 0
+        for (y, y2), w in weight.items():
+            d = math.prod((t == y2) - (t == y) for t in idx)
+            if d == 0:
+                continue
+            if d > 0 or absolute:
+                out += w
+            else:
+                out -= w
+        return out
+
+    def residual(idx, target):
+        """max |E[prod D_t | W] - target / (n^(r+1) g_den)| over states."""
+        diff = moment(idx) * g_den - target * q_den
+        return Fraction(int(np.max(np.abs(diff))), n ** (len(idx) + 1) * q_den * g_den)
+
+    # n^2 L (n + s - 1) (a_i - s w_i) / (n (n + s - 1))
+    drift = max(residual((i,), n * A[i] - Ls * x[i]) for i in range(K))
+    second = Fraction(0)
+    for i, j in combinations_with_replacement(range(K), 2):
+        # n^3 L (n + s - 1) times the generator's second moment
+        target = -A[i] * x[j] - A[j] * x[i] - 2 * L * x[i] * x[j]
+        if i == j:
+            target = target + n * A[i] + (2 * n * L + Ls) * x[i]
+        second = max(second, residual((i, j), target))
+    triples = list(combinations_with_replacement(range(K), 3))
+    top = max(int(np.max(moment(t, True))) for t in triples if len(set(t)) < 3)
+    distinct = max(
+        (int(np.max(moment(t, True))) for t in triples if len(set(t)) == 3),
+        default=0,
+    )
+    cube = n**4 * q_den
+    return PairIdentityReport(
+        n=n,
+        k=K,
+        states=len(free),
+        drift_residual=drift,
+        second_residual=second,
+        triple_excess=Fraction(top - n * q_den, cube),
+        distinct_triple=Fraction(distinct, cube),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ library's factorised product matches only to rounding (on small grids
 also an exact Fraction left product of the multinomial rows), the exact
 Fraction convolution of per-group multinomials checks the Fourier
 mutation kernel of Cannings rows, and the urn's forward recursion over
-count states checks its closed Dirichlet-multinomial law."""
+count states checks the closed Dirichlet-multinomial law that in turn
+checks the urn's float table and the exchangeability of its draws."""
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -640,6 +642,26 @@ def urn_count_law(a, n):
                     y[i] += 1
                     nxt[tuple(y)] = nxt.get(tuple(y), 0) + wt
         law = nxt
+    return law
+
+
+def dm_law(a, n):
+    """Exact law of the full count vector after n draws, {tuple: Fraction}:
+    the Dirichlet-multinomial DM(n; a), with probability
+    n! / prod x_i! * prod a_i^(x_i) / s^(n) in rising factorials."""
+    a = tuple(Fraction(v) for v in a)
+    # rising[t][k] = a_t^(k), one product per step
+    rising = [
+        list(itertools.accumulate((v + k for k in range(n)), operator.mul, initial=Fraction(1)))
+        for v in a
+    ]
+    total = math.prod(sum(a) + k for k in range(n))
+    law = {}
+    for x in _compositions(n, len(a)):
+        pr = Fraction(math.factorial(n))
+        for xi, r in zip(x, rising):
+            pr *= r[xi] / math.factorial(xi)
+        law[x] = pr / total
     return law
 
 

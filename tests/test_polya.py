@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import urn_count_law
+from _oracles import dm_law, urn_count_law
 from dirstein.polya import (
     PolyaError,
     UrnState,
@@ -22,7 +22,6 @@ from dirstein.polya import (
     urn_mixed_moment,
     verify_pair_identities,
 )
-from dirstein.polya import _dm_law
 from dirstein.metrics import make_battery
 from dirstein.simplex import DirichletParams, RngStream
 
@@ -170,7 +169,7 @@ class TestUrnLaw:
     @pytest.mark.parametrize("a", LAWS, ids=str)
     def test_closed_form_matches_recursion(self, a):
         for n in range(9):
-            assert _dm_law(a, n) == urn_count_law(a, n), n
+            assert dm_law(a, n) == urn_count_law(a, n), n
 
     @pytest.mark.parametrize(
         "a, n",
@@ -184,7 +183,7 @@ class TestUrnLaw:
     )
     def test_float_table_within_resolution(self, a, n):
         table = urn_law(a, n)
-        law = _dm_law(a, n)
+        law = dm_law(a, n)
         assert len(table.probs) == len(law) == math.comb(n + len(a) - 1, len(a) - 1)
         l1 = sum(
             abs(F(float(pr)) - law[tuple(x) + (n - sum(x),)])
@@ -283,6 +282,9 @@ class TestVerifyIdentities:
         # closed form, so the formula value is the realized drift
         rep = verify_pair_identities((1, 1), 1)
         assert rep.ok and rep.states == 2
+        # at W=1 the redraw moves the ball with chance 1/2, so
+        # E[|D|^3 | W] = 1/2 against the cap n^-3 = 1
+        assert rep.triple_excess == F(-1, 2)
         assert (F(1) - 2 * F(1)) / (1 * (1 + 2 - 1)) == F(-1, 2)
         # at W = a/s the drift target vanishes
         assert (F(1) - 2 * F(1, 2)) == 0
@@ -293,17 +295,41 @@ class TestVerifyIdentities:
         # non-distinct triples do carry mass, so the zero is not vacuous
         assert rep.triple_excess < 0
 
-    def test_mc_mode(self):
-        rep = verify_pair_identities((1, 1), 12, rng=rng(10), replicates=30_000)
-        assert not rep.exact and rep.ok
+    @pytest.mark.parametrize("a", LAWS, ids=str)
+    def test_last_draw_color_is_exchangeable(self, a):
+        # the step the check rests on: given X(n) = x, the last draw has
+        # color y with chance x_y / n, whatever the weights
+        s = sum(a)
+        for n in range(1, 9):
+            prev, law = dm_law(a, n - 1), dm_law(a, n)
+            for x, pr in law.items():
+                for y in range(len(a)):
+                    back = list(x)
+                    back[y] -= 1
+                    q = F(back[y] + a[y]) / (n - 1 + s)
+                    assert prev.get(tuple(back), 0) * q / pr == F(x[y], n), (x, y)
 
-    def test_mc_mode_k4(self):
-        rep = verify_pair_identities((1, 1, 1, 1), 4, rng=rng(11), replicates=20_000)
-        assert not rep.exact and rep.ok
+    @pytest.mark.parametrize(
+        "a, n",
+        [
+            ((1, 1), 12),
+            ((1, 1, 1, 1), 4),
+            ((F(7, 3), F(5, 2)), 10_000),
+            ((F(7, 3), F(5, 2), 3), 200),
+            ((1, 1, 1, 1), 30),
+            ((1e300, 1), 50),
+            ((5e-324, 1), 50),
+        ],
+        ids=["k2-n12", "k4-n4", "k2-n1e4", "k3-n200", "k4-n30", "a1e300", "a5e-324"],
+    )
+    def test_exact_at_any_size(self, a, n):
+        rep = verify_pair_identities(a, n)
+        assert rep.exact and rep.ok
+        assert rep.states == math.comb(n + len(a) - 1, len(a) - 1)
+        assert rep.drift_residual == 0 and rep.second_residual == 0
+        assert rep.triple_excess < 0 and rep.distinct_triple == 0
 
-    def test_mc_needs_rng(self):
-        with pytest.raises(PolyaError):
-            verify_pair_identities((1, 1), 12)
+    def test_rejects_zero_draws(self):
         with pytest.raises(PolyaError):
             verify_pair_identities((1, 1), 0)
 
