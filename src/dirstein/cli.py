@@ -59,6 +59,7 @@ from .chains import (
 from .metrics import (
     MOMENT_DEGREE,
     MetricsError,
+    _exponents,
     _monomial,
     attach_exact_means,
     exact_moments,
@@ -647,7 +648,8 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
 def _stein_rows(exp: _Experiment):
     rng = RngStream(exp.seed)
     rows = []
-    for i, c in enumerate(_exponent_vectors(exp.K - 1, exp.degree)):
+    # the exponents with 1 <= |c| <= degree, lexicographically
+    for i, c in enumerate(sorted(map(tuple, _exponents(exp.K - 1, exp.degree)[1:].tolist()))):
         exact = characterization_residual(exp.a, c)
         est, se = characterization_mc(
             exp.a, c, rng.child(i), exp.mc["samples"]
@@ -655,14 +657,6 @@ def _stein_rows(exp: _Experiment):
         ok = exact < 1e-12 and abs(est) <= 4.0 * se
         rows.append((c, exact, est, se, ok))
     return rows
-
-
-def _exponent_vectors(parts: int, max_total: int):
-    grid = np.stack(
-        np.meshgrid(*([np.arange(max_total + 1)] * parts), indexing="ij"), -1
-    ).reshape(-1, parts)
-    keep = (grid.sum(axis=1) >= 1) & (grid.sum(axis=1) <= max_total)
-    return [tuple(int(v) for v in row) for row in grid[keep]]
 
 
 def _run_stein_verify(exp: _Experiment, out: Path) -> int:

@@ -23,10 +23,8 @@ import numpy as np
 from .chains import ChainModel, StationaryRun, check_irreducible
 from .offspring import (
     KIND_DIRICHLET_MULTINOMIAL,
-    KIND_EXPLICIT,
-    KIND_MORAN,
     KIND_WRIGHT_FISHER,
-    enumerate_law,
+    _value_classes,
 )
 from .simplex import (
     DirichletParams,
@@ -688,9 +686,6 @@ class StationaryTable:
 
 
 _STATE_CAP = 6_000
-# explicit tables stop here: their group law enumerates every slot
-# arrangement of every offspring multiset
-_SMALL_N = 8
 _BLOCK = 64  # rows per block of the Cannings factors B and P = G B
 
 
@@ -870,19 +865,34 @@ def _wf_operator(model: ChainModel, states):
     return apply
 
 
+def _merge_keys(key, logw):
+    """The distinct rows of key, each with the log-sum-exp of its logw."""
+    key, inv = np.unique(key, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    top = np.full(len(key), -np.inf)
+    np.maximum.at(top, inv, logw)
+    return key, top + np.log(np.bincount(inv, weights=np.exp(logw - top[inv])))
+
+
 def _group_law(model: ChainModel, states):
     """G(x) = the rows G[x, m] = P(M = m | x) for a block of type counts x:
     the law of the type-group offspring totals M over the composition
-    grid, closed form for Moran and Dirichlet-multinomial and enumerated
-    for an explicit table."""
+    grid, closed form for Dirichlet-multinomial.  A law given per multiset
+    (`_value_classes`) puts n_j of the c_j slots of value u_j on the type
+    groups, hypergeometrically, and its largest class L fills the x - s
+    slots left, s = sum_{j!=L} n_j: probability prod_{j!=L} multinom(c_j;
+    n_j) prod_t (x_t)_(s_t) / (N)_(N - c_L), M = u_L x + sum_{j!=L} (u_j -
+    u_L) n_j.  The x-free part is summed once in log space over merged
+    keys (u_L, s, offset), so a row costs one term per key (K^2 for
+    Moran), not one per slot arrangement."""
     N, K, S = model.N, model.K, len(states)
-    full = np.column_stack([states, N - states.sum(axis=1)])
+    lgfact = _log_factorials(N)
     if model.kind == KIND_DIRICHLET_MULTINOMIAL:
+        full = np.column_stack([states, N - states.sum(axis=1)])
         # the group totals of a DM(N; phi, ..., phi) offspring vector are
         # DM(N; phi x_1, ..., phi x_K), and a type with no parents has no
         # children; lr[x, m] is the log of the rising factorial (phi x)^(m)
         phi = float(model.offspring.phi)
-        lgfact = _log_factorials(N)
         n = np.arange(N + 1)
         # phi x + m repeats often (3N values in N^2 cells at phi = 2), so
         # lgamma runs once per distinct value
@@ -898,35 +908,31 @@ def _group_law(model: ChainModel, states):
             return np.exp(logw)
 
         return dm
-    if model.kind == KIND_MORAN:
-        # a uniform ordered pair of distinct parents (reproducer of type a,
-        # dier of type b) gives M = x + e_a - e_b with probability
-        # x_a (x_b - [a = b]) / (N (N - 1)), so M = x whenever a = b
-        step = np.eye(K, dtype=np.int64)
-        shifts = (step[:, None, :] - step[None, :, :]).reshape(K * K, K)
-
-        def groups(x):
-            w = x[:, :, None] * (x[:, None, :] - step)
-            return x[:, None, :] + shifts, w.reshape(len(x), K * K) / (N * (N - 1))
-
-    else:
-        # every distinct slot arrangement of every offspring multiset, all
-        # equally likely within it, read off at the group edges of x
-        cums, weights = [], []
-        for v, p in enumerate_law(model.offspring):
-            arr = np.array(sorted(set(itertools.permutations(v))), dtype=np.int64)
-            cums.append(np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)]))
-            weights.append(np.full(len(arr), float(p) / len(arr)))
-        cum = np.concatenate(cums)
-        weight = np.concatenate(weights)
-
-        def groups(x):
-            edges = np.column_stack([np.zeros(len(x), dtype=np.int64), x.cumsum(axis=1)])
-            return np.diff(cum[:, edges], axis=2).transpose(1, 0, 2), weight
+    keys, logws = [], []
+    for classes, p in _value_classes(model.offspring):
+        uL = max(classes, key=classes.get)
+        key = np.zeros((1, 2 * K), dtype=np.int64)
+        logw = np.zeros(1)
+        for u, c in classes.items():
+            if u != uL:
+                top = _state_grid(c, K)
+                n = np.column_stack([top, c - top.sum(axis=1)])
+                step = np.column_stack([n, (u - uL) * n])
+                key, logw = _merge_keys(
+                    (key[:, None] + step).reshape(-1, 2 * K),
+                    (logw[:, None] + lgfact[c] - lgfact[n].sum(axis=1)).reshape(-1),
+                )
+        keys.append(np.column_stack([np.full(len(key), uL), key]))
+        # log p from its exact numerator and denominator: a float p may underflow
+        lp = math.log(p.numerator) - math.log(p.denominator)
+        logws.append(logw + lp - lgfact[N] + lgfact[classes[uL]])
+    key, logw = _merge_keys(np.concatenate(keys), np.concatenate(logws))
+    u, s, offset = key[:, 0, None], key[:, 1 : K + 1], key[:, K + 1 :]
 
     def scatter(x):
-        m, w = groups(x)
-        w = np.broadcast_to(w, m.shape[:2])
+        x = x[:, None, :]
+        fall = np.where(x >= s, lgfact[x] - lgfact[np.maximum(x - s, 0)], -np.inf)
+        m, w = u * x + offset, np.exp(logw + fall.sum(axis=2))
         live = w > 0.0
         cell = np.nonzero(live)[0] * S + _grid_index(states, m[live], N)
         return np.bincount(cell, weights=w[live], minlength=len(x) * S).reshape(len(x), S)
@@ -1186,11 +1192,10 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     GMRES on them needs 68-101 steps at Moran N = 350-2000 with rates
     near 1/60, where it is no faster than the solve, but about 1100 at
     N = 2000 with rates 1/4000 (27 times the solve's time) and S - 1 at
-    rates 1/(N(N-1)).  Explicit tables are gated at N <= 8, since their
-    G enumerates every slot arrangement, and Cannings rows with more than
-    three types are refused: the kernel's cube holds (N+1)^(K-1) cells
-    per row.  State counts beyond the state cap of 6e3 are refused, for
-    every kind, rather than approximated.
+    rates 1/(N(N-1)).  G takes every N (`_group_law`); Cannings rows
+    with more than three types are refused: the kernel's cube holds
+    (N+1)^(K-1) cells per row.  State counts beyond the state cap of 6e3
+    are refused, for every kind, rather than approximated.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
@@ -1204,8 +1209,6 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
         x0 = _dirichlet_start(model, states)
         pi, resolution, iterations = _krylov_stationary(_wf_operator(model, states), x0)
         return StationaryTable(states, pi, N, model.kind, resolution, "krylov", iterations)
-    if model.kind == KIND_EXPLICIT and N > _SMALL_N:
-        raise MetricsError(f"exact law for kind {model.kind!r} needs N <= {_SMALL_N}")
     pi, resolution = _solve_stationary(_cannings_matrix(model, states))
     return StationaryTable(states, pi, N, model.kind, resolution)
 

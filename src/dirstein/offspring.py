@@ -21,7 +21,8 @@ timescale and beta/(alpha N) -> 0 is the classical condition for convergence
 of the genealogy to the Kingman coalescent.  Each family states its mixed
 falling moments E prod_t (V_t)_(k_t) over distinct coordinates once, in
 `falling_moment`: closed forms for wright-fisher and dirichlet-multinomial
-at every N, a sum over the multisets of moran and explicit tables.  The four
+at every N, a sum over the value classes of moran and explicit tables
+(`_value_classes`, which the exact tables of `metrics` also read).  The four
 moments above, every ordered power moment (through the Stirling expansion
 x^p = sum_k S(p, k) (x)_k) and the ten identity checks follow from it in
 exact rational arithmetic.
@@ -150,13 +151,13 @@ class OffspringMoments:
 
 def _value_classes(m: OffspringModel):
     """Yield ({count: coordinates with that count}, exact probability) per
-    offspring multiset of the laws given per multiset: moran (one multiset,
-    stated without its N coordinates) and explicit tables."""
+    offspring multiset of positive probability of moran (one multiset,
+    stated without its N coordinates) and explicit tables, for
+    `falling_moment` and for the group law of `metrics.exact_stationary`."""
     if m.kind == KIND_MORAN:
         yield {0: 1, 1: m.N - 2, 2: 1}, Fraction(1)
     elif m.kind == KIND_EXPLICIT:
-        for counts, prob in m.table:
-            yield Counter(counts), prob
+        yield from ((Counter(counts), prob) for counts, prob in m.table if prob)
     else:
         raise OffspringError(f"kind {m.kind!r} is not given per multiset")
 

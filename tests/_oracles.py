@@ -15,9 +15,11 @@ bit for bit.  The dense Wright-Fisher rows are the one reference the
 library's factorised product matches only to rounding (on small grids
 also an exact Fraction left product of the multinomial rows), the exact
 Fraction convolution of per-group multinomials checks the Fourier
-mutation kernel of Cannings rows, and the urn's forward recursion over
-count states checks the closed Dirichlet-multinomial law that in turn
-checks the urn's float table and the exchangeability of its draws."""
+mutation kernel of Cannings rows, every slot arrangement of every
+offspring multiset checks the value-class group law, and the urn's
+forward recursion over count states checks the closed
+Dirichlet-multinomial law that in turn checks the urn's float table and
+the exchangeability of its draws."""
 
 import itertools
 import math
@@ -123,6 +125,39 @@ def offspring_law(m):
             math.factorial(len(list(g))) for _, g in itertools.groupby(counts)
         )
         yield counts, per * orderings
+
+
+def arrangement_rows(law, states):
+    """G[x, m] = P(M = m | x) on `states` for an offspring law given per
+    multiset (`offspring_law`, so N up to about 8): every distinct slot
+    arrangement of every multiset, all equally likely within it, read off
+    at the group edges of each x.  The library sums value-class
+    allocations instead and never forms an arrangement."""
+    from dirstein.metrics import _grid_index
+
+    N, S = law.N, len(states)
+    full = np.column_stack([states, N - states.sum(axis=1)])
+    edges = np.column_stack([np.zeros(S, dtype=np.int64), full.cumsum(axis=1)])
+    G = np.zeros((S, S))
+    for counts, prob in offspring_law(law):
+        arr = np.array(sorted(set(itertools.permutations(counts))), dtype=np.int64)
+        cum = np.column_stack([np.zeros(len(arr), dtype=np.int64), arr.cumsum(axis=1)])
+        for row, e in enumerate(edges):
+            m = np.diff(cum[:, e], axis=1)
+            np.add.at(G[row], _grid_index(states, m, N), float(prob) / len(arr))
+    return G
+
+
+def arrangement_matrix(model, states):
+    """Cannings rows P = G B normalised by rows, G from
+    `arrangement_rows` and B the library's mutation kernel (which
+    `mutation_rows` checks)."""
+    from dirstein.metrics import _mutation_kernel
+
+    full = np.column_stack([states, model.N - states.sum(axis=1)])
+    B = _mutation_kernel(model.mutation, states, model.N)(full)
+    P = arrangement_rows(model.offspring, states) @ B
+    return P / P.sum(axis=1, keepdims=True)
 
 
 def level_mean_trig(kind, w, a1, s, n_arr, x):

@@ -592,12 +592,14 @@ class TestExactStationary:
         assert np.max(np.abs(direct.probs - enum.probs)) < 1e-12
 
     def test_moran_fast_equals_enumerated(self):
-        # the Moran closed form against an explicit table holding the Moran
-        # multiset, which goes through enumeration
+        # Moran tables against the solved rows of the arrangement oracle on
+        # an explicit table holding the Moran multiset
+        from dirstein.metrics import _solve_stationary
+
         for model, table in _moran_and_table():
             fast = exact_stationary(model)
-            enum = exact_stationary(table)
-            assert np.max(np.abs(fast.probs - enum.probs)) < 1e-12
+            enum, _ = _solve_stationary(oracles.arrangement_matrix(table, fast.counts))
+            assert np.max(np.abs(fast.probs - enum)) < 1e-12
 
     @pytest.mark.parametrize("K, N", [(2, 6), (3, 5)])
     def test_enumerated_rows_match_multinomial_rows(self, K, N):
@@ -616,8 +618,53 @@ class TestExactStationary:
         for model, table in _moran_and_table():
             states = _state_grid(model.N, model.K)
             fast = _cannings_matrix(model, states)
-            enum = _cannings_matrix(table, states)
+            enum = oracles.arrangement_matrix(table, states)
             assert np.max(np.abs(fast - enum)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "moran-K2-7",
+            "moran-K3-5",
+            "moran-K3-8",
+            "wf-K2-6",
+            "wf-K3-5",
+            "dm-K2-6",
+            "dm-K3-5",
+            "classes-K3-8",
+        ],
+    )
+    def test_group_rows_match_arrangement_oracle(self, case):
+        # the value-class group law against every slot arrangement of every
+        # multiset, for Moran (and its explicit table), explicit tables of
+        # the enumerated Wright-Fisher and Dirichlet-multinomial laws, and a
+        # table of three multisets with up to four value classes
+        from dirstein.metrics import _group_law, _state_grid
+
+        kind, K, N = case.split("-")
+        K, N = int(K[1:]), int(N)
+        if kind == "moran":
+            models = next(pair for pair in _moran_and_table() if pair[0].K == K and pair[0].N == N)
+        else:
+            law = {
+                "wf": lambda: _as_table(OffspringModel.wright_fisher(N)),
+                "dm": lambda: _as_table(OffspringModel.dirichlet_multinomial(N, F(1, 3))),
+                "classes": lambda: OffspringModel.explicit(
+                    N,
+                    {
+                        (0, 0, 0, 1, 1, 1, 2, 3): F(1, 2),
+                        (0, 0, 1, 1, 1, 1, 1, 3): F(1, 3),
+                        (0, 1, 1, 1, 1, 1, 1, 2): F(1, 6),
+                    },
+                ),
+            }[kind]()
+            models = [ChainModel(N, pim_for((1,) * K, N), law)]
+        states = _state_grid(N, K)
+        full = np.column_stack([states, N - states.sum(axis=1)])
+        # the oracle reads the multisets as written, from the explicit table
+        want = oracles.arrangement_rows(models[-1].offspring, states)
+        for model in models:
+            assert np.max(np.abs(_group_law(model, states)(full) - want)) < 1e-14
 
     def test_k3_table_is_proper(self):
         tab = exact_stationary(ChainModel(8, pim_for((1, 1, 1), 8)))
@@ -718,16 +765,33 @@ class TestExactStationary:
         moran = exact_stationary(ChainModel(20, pim_for((1, 1), 20), OffspringModel.moran(20)))
         assert moran.solver == "dense" and moran.iterations == 0
 
-    def test_general_kind_needs_small_n(self):
-        # only explicit tables stay gated: their group law enumerates every
-        # slot arrangement; Dirichlet-multinomial rows have a closed form
-        table = OffspringModel.explicit(9, {(2, 0) + (1,) * 7: F(1)})
-        with pytest.raises(MetricsError, match="N <= 8"):
-            exact_stationary(ChainModel(9, pim_for((1, 1, 1), 9), table))
+    def test_cannings_past_small_n(self):
+        # an Eldon-Wakeley-type law at N = 1000: Moran steps, and with
+        # probability 1/100 a sweep in which one parent has psi N + 1
+        # children and psi N parents have none (psi = 1/10)
+        N, k = 1000, 100
+        sweep = (k + 1,) + (0,) * k + (1,) * (N - k - 1)
+        moran = (2, 0) + (1,) * (N - 2)
+        _check_pair_identity(
+            OffspringModel.explicit(N, {moran: F(99, 100), sweep: F(1, 100)}),
+            [F(1, 40), F(3, 80)],
+        )
+        # three types and four value classes at N = 36
         pi = [F(1, 20), F(1, 30), F(1, 40)]
+        want = np.array([float(p / sum(pi)) for p in pi[:2]])
+        table = OffspringModel.explicit(
+            36,
+            {
+                (0, 0, 0, 2, 3) + (1,) * 31: F(1, 2),
+                (0, 0, 2, 2) + (1,) * 32: F(1, 3),
+                (0, 0, 0, 0, 5) + (1,) * 31: F(1, 6),
+            },
+        )
+        tab = exact_stationary(ChainModel(36, MutationMatrix.pim(pi), table))
+        assert np.max(np.abs(tab.probs @ tab.w - want)) <= 1e-12
+        # Dirichlet-multinomial rows have a closed form
         dm = OffspringModel.dirichlet_multinomial(10, 1)
         tab = exact_stationary(ChainModel(10, MutationMatrix.pim(pi), dm))
-        want = np.array([float(p / sum(pi)) for p in pi[:2]])
         assert np.max(np.abs(tab.probs @ tab.w - want)) <= 1e-12 * np.max(want)
 
     @pytest.mark.parametrize("K", [2, 3])
