@@ -88,6 +88,7 @@ from .stein import (
     attach_mean,
     characterization_mc,
     characterization_residual,
+    high_replicates,
     solve_stein_f,
 )
 
@@ -790,6 +791,9 @@ def cmd_stein_f(data: dict) -> int:
     print(f"stderr = {_fmt(se)}")
     print(f"truncation = {_fmt(trunc)}")
     print(f"levels = {schedule.M}")
+    # every replicate sums the levels up to stein.LEVEL_SPLIT, the second
+    # count also those past it
+    print(f"replicates = {per_level}, {high_replicates(per_level, schedule.M)}")
     return 0
 
 

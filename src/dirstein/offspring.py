@@ -162,13 +162,6 @@ def _value_classes(m: OffspringModel):
         raise OffspringError(f"kind {m.kind!r} is not given per multiset")
 
 
-def enumerate_law(m: OffspringModel):
-    """Yield (sorted counts multiset, exact probability) pairs of the laws
-    given per multiset: moran and explicit tables."""
-    for classes, prob in _value_classes(m):
-        yield tuple(sorted(Counter(classes).elements())), prob
-
-
 def _distinct_sum(left, terms, t=0):
     """Sum over ordered tuples of distinct coordinates, from position t on,
     of prod_t terms[t][j] for the count class j of each coordinate.  left[j]

@@ -21,7 +21,9 @@ remainder, with tail(M) = sum_{n > M} E Y_n in closed form.  That leading
 term is added exactly.  A second-order Taylor expansion at x bounds
 |E h(Z_n) - h(x)| by C/(s+n) for every n > M and every x, so the
 remainder of f is at most C tail(M)/(2(s+M+1)) = O(1/M^2), and M grows
-like tol^(-1/2); the crude bound sup|h~| tail(M) caps it.
+like tol^(-1/2); the crude bound sup|h~| tail(M) caps it.  The levels
+past LEVEL_SPLIT carry little of the variance, so they are summed on one
+replicate in HIGH_SHARE.
 
 This module evaluates the operator,
 checks the characterization on monomials, estimates f with one coupled
@@ -54,6 +56,17 @@ from .simplex import (
 OPERATOR_FD_STEP = 1e-5
 DEFAULT_TRUNCATION_TOL = 1e-4
 DEFAULT_INNER_RESAMPLES = 64
+# Levels past LEVEL_SPLIT are summed on one replicate in HIGH_SHARE (at
+# least two), the first rows of the same stream.  For the battery at
+# a = (1,1), (2,3) and (1,1,1) they hold up to 91% of a function's level
+# columns at tol 1e-3 (68-97% at 1e-4), but at most 1.2% of the variance
+# of f values and of first and second differences (the K=3 bump; 1.0%
+# for the rest); the levels past 16 hold up to 4.0%.  The 33 perfbench
+# level-sums jobs of seed 7 took 1.47-1.51 s unsplit, 0.36-0.37 s at
+# split/share 16/8, 0.39-0.42 s at 32/8, 0.37-0.45 s at 32/16 and
+# 0.41-0.42 s at 16/16, with the median worst stderr in 0.0146-0.0149.
+LEVEL_SPLIT = 32
+HIGH_SHARE = 8
 
 
 class SteinError(ValueError):
@@ -451,9 +464,17 @@ class DeathProcessSchedule:
 
     @classmethod
     def with_levels(cls, s, M: int) -> "DeathProcessSchedule":
+        """The schedule summed to level M >= 0; at M = 0 an f value is its
+        leading term plus the certified remainder."""
+        try:
+            m = int(M)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or m != M or m < 0:
+            raise SteinError(f"level count must be a non-negative integer, got {M!r}")
         s = float(s)
-        n = np.arange(1, int(M) + 1, dtype=np.float64)
-        return cls(s=s, M=int(M), ey=2.0 / (n * (n - 1.0 + s)), tail=_tail_exact(int(M), s))
+        n = np.arange(1, m + 1, dtype=np.float64)
+        return cls(s=s, M=m, ey=2.0 / (n * (n - 1.0 + s)), tail=_tail_exact(m, s))
 
     @property
     def total(self) -> float:
@@ -486,9 +507,10 @@ def solve_stein_f(
     """Estimate f(x) with the coupled engine at the single point x.
 
     Returns (estimate, stderr, truncation bound).  Each of the mc_per_level
-    replicates sums h over one level-n state per n <= schedule.M, weighted
-    by E Y_n; the sums are centered by E h(Z).  The engine checks the mean,
-    the dimension and the replicate count.
+    replicates sums h over one level-n state per n <= min(schedule.M,
+    LEVEL_SPLIT), and high_replicates of them also over the levels past
+    that, weighted by E Y_n; the sums are centered by E h(Z).  The engine
+    checks the mean, the dimension and the replicate count.
     """
     schedule.check_params(a)
     sums = stein_level_sums(
@@ -508,20 +530,34 @@ def solve_stein_f(
 # E_m ~ Exp(1).  Category-k gamma mass at level n is then
 # gamma_k + sum_{m<=n} E_m 1{cat_m = k} with a Gamma(a_k) head, which gives
 # exactly N ~ MN_K(n; x), Z ~ Dir(a+N) per level while making f-differences
-# across points and levels low-variance.
+# across points and levels low-variance.  Every replicate sums the levels
+# up to LEVEL_SPLIT (the low band); only the first high_replicates rows go
+# on past it (the high band), and an estimate adds the two band means.
+
+
+def high_replicates(replicates: int, levels: int) -> int:
+    """Rows of `replicates` that also sum the levels past LEVEL_SPLIT when
+    the deepest level is `levels`: none when no level lies past it."""
+    if levels <= LEVEL_SPLIT:
+        return 0
+    return max(2, -(-int(replicates) // HIGH_SHARE))
 
 
 @dataclass(frozen=True)
 class LevelSums:
     """Per-replicate weighted level sums for a grid of points, parameter
-    vectors, and test functions, ready for coupled estimates.  Each f
-    estimate adds the exact leading tail term and is charged only the
-    certified remainder."""
+    vectors, and test functions, ready for coupled estimates.  S holds the
+    levels n <= split on every replicate, S_high the levels past it on the
+    first high_replicates rows of the same stream.  Each f estimate adds
+    the exact leading tail term and is charged only the certified
+    remainder."""
 
     points: tuple
     params: tuple
     battery: tuple  # tuple per params entry, same tags across entries
-    S: np.ndarray  # (R, P, A, H) float64
+    S: np.ndarray  # (R, P, A, H) float64, levels n <= split
+    S_high: np.ndarray  # (R_H, P, A, H) float64, levels n > split
+    split: int
     levels: np.ndarray  # (A, H) truncation level per (params, h)
     ey_sums: np.ndarray  # (A, H) sum of E Y_n up to the level
     tails: np.ndarray  # (A, H) exact tail mass past the level
@@ -531,6 +567,10 @@ class LevelSums:
     @property
     def replicates(self) -> int:
         return self.S.shape[0]
+
+    @property
+    def high_replicates(self) -> int:
+        return self.S_high.shape[0]
 
     def _meta(self, ai, hi):
         h = self.battery[ai][hi]
@@ -544,20 +584,31 @@ class LevelSums:
         """Linear combination sum w_p f(x_p) with coupled stderr.
 
         weights: {point index: coefficient}.  Centering uses the exact
-        coefficient sum, so it cancels for contrasts."""
+        coefficient sum, so it cancels for contrasts.  The estimate is
+        mean_R(low) + mean_RH(high), with variance var(low)/R +
+        var(high)/RH + 2 cov(low[:RH], high)/R, since the two bands share
+        only their first RH rows."""
         mean, mean_se = self._meta(ai, hi)
-        acc = np.zeros(self.replicates)
+        low = np.zeros(self.replicates)
+        high = np.zeros(self.high_replicates)
         wsum = lead = 0.0
         for p, wp in weights.items():
-            acc += wp * self.S[:, p, ai, hi]
+            low += wp * self.S[:, p, ai, hi]
+            high += wp * self.S_high[:, p, ai, hi]
             lead += wp * self.lead[p, ai, hi]
             wsum += wp
-        vals = -(acc + lead - wsum * mean * self.ey_sums[ai, hi]) / 2.0
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+        low = -(low + lead - wsum * mean * self.ey_sums[ai, hi]) / 2.0
+        est, var = low.mean(), low.var(ddof=1) / len(low)
+        RH = len(high)
+        if RH:
+            high /= -2.0
+            est += high.mean()
+            cov = (low[:RH] - low[:RH].mean()) @ (high - high.mean()) / (RH - 1)
+            var += high.var(ddof=1) / RH + 2.0 * cov / len(low)
         mass = self.ey_sums[ai, hi] + self.tails[ai, hi]
-        se = math.hypot(se, abs(wsum) * mean_se * mass / 2.0)
+        se = math.hypot(math.sqrt(max(var, 0.0)), abs(wsum) * mean_se * mass / 2.0)
         trunc = sum(abs(wp) for wp in weights.values()) * float(self.rem[ai, hi])
-        return float(vals.mean()), se, trunc
+        return float(est), se, trunc
 
     def f_diff(self, p: int, q: int, ai: int, hi: int):
         """f(x_p) - f(x_q) with the coupling-reduced stderr."""
@@ -678,7 +729,10 @@ def stein_level_sums(
     second differences, operator stencils) come out with strongly reduced
     variance.  Truncation levels are per (params, h), from
     DeathProcessSchedule.for_tolerance (or levels_override for all), and
-    each carries its leading tail term and certified remainder.
+    each carries its leading tail term and certified remainder.  The
+    levels past LEVEL_SPLIT are summed on the first high_replicates rows
+    only; row chunks end at that row and column blocks at LEVEL_SPLIT, so
+    each chunk and block adds to one band.
     """
     A = len(params_list)
     if len(battery_list) != A:
@@ -743,11 +797,14 @@ def stein_level_sums(
         [np.float32(b) for b in np.cumsum([0.0] + list(c))] for c in pts
     ]
     heads = [a.floats() for a in params_list]
+    R_H = high_replicates(R, M_max)
     S = np.zeros((R, P, A, H), dtype=np.float64)
+    S_high = np.zeros((R_H, P, A, H), dtype=np.float64)
     g = as_generator(rng)
     done = 0
     while done < R:
-        r = min(row_chunk, R - done)
+        r = min(row_chunk, (R_H if done < R_H else R) - done)
+        M_rows = M_max if done < R_H else min(M_max, LEVEL_SPLIT)
         # gamma heads, one per (replicate, params); fixed draw order
         gam = [g.standard_gamma(heads[ai], size=(r, K)) for ai in range(A)]
         gam32 = [gm.astype(np.float32) for gm in gam]
@@ -755,8 +812,11 @@ def stein_level_sums(
         carry_t = np.zeros(r)
         carry_b = np.zeros((P, K - 1, r))
         c0 = 0
-        while c0 < M_max:
-            cb = min(col_block, M_max - c0)
+        while c0 < M_rows:
+            cb = min(col_block, M_rows - c0)
+            if c0 < LEVEL_SPLIT:
+                cb = min(cb, LEVEL_SPLIT - c0)
+            band = S if c0 < LEVEL_SPLIT else S_high
             u = g.random((r, cb), dtype=np.float32)
             E = g.standard_exponential((r, cb), dtype=np.float32).astype(np.float64)
             cum_t = np.cumsum(E, axis=1)
@@ -784,7 +844,7 @@ def stein_level_sums(
                 for k in range(K - 1):
                     lo, up = bounds[p][k], bounds[p][k + 1]
                     masks.append(u < up if lo == 0 else (u >= lo) & (u < up))
-                S[done : done + r, p] += _point_block_sums(
+                band[done : done + r, p] += _point_block_sums(
                     E, masks, carry_b[p], gam32, inv_denom, specs, ey_by_a, c0, H
                 )
                 for k, ind in enumerate(masks):
@@ -798,6 +858,8 @@ def stein_level_sums(
         params=tuple(params_list),
         battery=battery,
         S=S,
+        S_high=S_high,
+        split=LEVEL_SPLIT,
         levels=levels,
         ey_sums=ey_sums,
         tails=tails,

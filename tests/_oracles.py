@@ -24,6 +24,7 @@ the exchangeability of its draws."""
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,16 @@ def _partitions_into(n, maxpart):
             yield [first] + rest
 
 
+def enumerate_law(m):
+    """(sorted count multiset, exact probability) pairs of the laws given
+    per multiset, moran and explicit tables, read off the library's value
+    classes."""
+    from dirstein.offspring import _value_classes
+
+    for classes, prob in _value_classes(m):
+        yield tuple(sorted(Counter(classes).elements())), prob
+
+
 def offspring_law(m):
     """(sorted count multiset, exact probability) pairs of an offspring law
     over all its multisets, each multiset's ordered probability times its
@@ -105,8 +116,6 @@ def offspring_law(m):
     multinomial and Polya weights (feasible for N up to about 8), moran
     and explicit tables as the library gives them."""
     from fractions import Fraction
-
-    from dirstein.offspring import enumerate_law
 
     N = m.N
     if m.kind not in ("wright-fisher", "dirichlet-multinomial"):

@@ -824,6 +824,11 @@ class TestOtherCommands:
                 for line in out.splitlines()
                 if " = " in line
             }
+        for v in vals.values():
+            # every replicate sums the levels up to 32, one in eight the rest
+            M = int(v["levels"])
+            R = max(60000 // M, 100)
+            assert v["replicates"] == f"{R}, {max(2, -(-R // 8)) if M > 32 else 0}"
         slope = (float(vals["0.7"]["f"]) - float(vals["0.3"]["f"])) / 0.4
         err = 3.0 * (
             float(vals["0.7"]["stderr"]) + float(vals["0.3"]["stderr"])

@@ -15,7 +15,6 @@ from dirstein.offspring import (
     OffspringModel,
     _identity_rows,
     aggregate_moments,
-    enumerate_law,
     falling_moment,
     mohle_diagnostics,
     moments,
@@ -24,7 +23,7 @@ from dirstein.offspring import (
     verify_moment_identities,
 )
 from dirstein.simplex import RngStream, _falling
-from _oracles import distinct_moment_bruteforce, offspring_law
+from _oracles import distinct_moment_bruteforce, enumerate_law, offspring_law
 
 # Hand-computed values, frozen.
 WF4_ALPHA = Fraction(3, 4)

@@ -277,6 +277,19 @@ class TestSchedule:
         with pytest.raises(st.SteinError, match="finite"):
             st.DeathProcessSchedule.for_tolerance(a, wild)
 
+    @pytest.mark.parametrize("M", [-1, -40, 2.5, 3.7, math.nan, math.inf, "3", None])
+    def test_bad_level_count_raises(self, M):
+        with pytest.raises(st.SteinError, match="non-negative integer"):
+            st.DeathProcessSchedule.with_levels(2.0, M)
+
+    def test_zero_levels(self):
+        # no level is summed: the whole mass is the leading term's tail
+        sch = st.DeathProcessSchedule.with_levels(2.0, 0)
+        assert sch.M == 0 and sch.ey.size == 0 and sch.total == 0.0
+        assert sch.tail == pytest.approx(2.0, rel=1e-14)
+        assert st.DeathProcessSchedule.with_levels(2.0, 3.0).M == 3
+        assert st.DeathProcessSchedule.with_levels(2.0, np.int64(3)).M == 3
+
 
 class TestTailRemainder:
     """The certified tail against exact level means, with no Monte Carlo:
@@ -574,25 +587,108 @@ class TestLevelSums:
         assert abs(en - exact) < 5 * ense
 
     def test_leading_term_is_exact(self):
-        # f = -(level sums - E h(Z) sum E Y_n)/2 plus the leading term,
-        # charged the schedule's remainder at the given level
+        # f = -(low-band mean + high-band mean - E h(Z) sum E Y_n)/2 plus
+        # the leading term, charged the schedule's remainder at the given
+        # level; the stderr combines the two bands and their shared rows
         res = st.stein_level_sums(
-            self.a_list, self.bats, self.points, 8, RngStream(79), levels_override=40
+            self.a_list, self.bats, self.points, 20, RngStream(79), levels_override=40
         )
+        assert (res.replicates, res.high_replicates, res.split) == (20, 3, 32)
         for ai, a in enumerate(self.a_list):
             sch = st.DeathProcessSchedule.with_levels(a.s, 40)
             for hi, h in enumerate(self.bats[ai]):
                 for p, x in enumerate(self.points):
-                    est, _, trunc = res.f_hat(p, ai, hi)
-                    sums = -(res.S[:, p, ai, hi].mean() - h.mean * sch.total) / 2.0
+                    est, se, trunc = res.f_hat(p, ai, hi)
+                    low = -(res.S[:, p, ai, hi] - h.mean * sch.total) / 2.0
+                    high = -res.S_high[:, p, ai, hi] / 2.0
+                    sums = low.mean() + high.mean()
                     assert est == pytest.approx(sums + lead(h, a, x, 40), abs=1e-12)
+                    cov = np.cov(low[:3], high)[0, 1]
+                    var = low.var(ddof=1) / 20 + high.var(ddof=1) / 3 + 2 * cov / 20
+                    assert se == pytest.approx(math.sqrt(var), rel=1e-9)
                     assert trunc == sch.remainder(a, h)
 
     def test_deterministic(self):
         res2 = st.stein_level_sums(
             self.a_list, self.bats, self.points, 3000, RngStream(77), tol=1e-3
         )
+        assert res2.high_replicates == 375
         assert np.array_equal(self.res.S, res2.S)
+        assert np.array_equal(self.res.S_high, res2.S_high)
+
+    def test_high_band_sums_the_levels_past_the_split(self):
+        # the first high_replicates rows are one stream: with the high
+        # band on every row (R = 2) a level-40 sum is the low band plus
+        # the high band, and a level-32 call on the same stream has no
+        # high band and the same low band
+        a, h = self.a_list[1], self.bats[1][1]
+        deep = st.stein_level_sums([a], [[h]], self.points, 2, RngStream(3), levels_override=40)
+        flat = st.stein_level_sums([a], [[h]], self.points, 2, RngStream(3), levels_override=32)
+        assert deep.high_replicates == 2 and flat.high_replicates == 0
+        assert flat.S_high.shape == (0, 3, 1, 1)
+        assert np.array_equal(deep.S, flat.S)
+        assert np.all(deep.S_high != 0.0)
+        for p in range(3):
+            est, se, _ = flat.f_hat(p, 0, 0)
+            low = -(flat.S[:, p, 0, 0] - h.mean * flat.ey_sums[0, 0]) / 2.0
+            assert est == pytest.approx(low.mean() + lead(h, a, self.points[p], 32), abs=1e-12)
+            assert se == pytest.approx(low.std(ddof=1) / math.sqrt(2), rel=1e-9)
+            assert all(math.isfinite(v) for v in deep.f_hat(p, 0, 0) + deep.f_diff(p, 0, 0, 0))
+
+    def test_few_rows_and_shallow_levels_stay_quiet(self):
+        # RuntimeWarnings are errors here: neither R = 2 nor a grid whose
+        # every level is at or below the split may divide by zero
+        a = self.a_list[0]
+        for R, tol in ((2, 1e-4), (5, 1e-1), (2, 1e-1)):
+            res = st.stein_level_sums([a], [self.bats[0]], self.points, R, RngStream(8), tol=tol)
+            assert res.high_replicates == (2 if res.levels.max() > 32 else 0)
+            for hi in range(len(self.bats[0])):
+                vals = res.f_hat(1, 0, hi) + res.f_diff(0, 2, 0, hi)
+                vals += res.f_combo({0: 1.0, 1: -2.0, 2: 1.0}, 0, hi)
+                assert all(math.isfinite(v) for v in vals)
+        assert int(res.levels.max()) <= 32
+
+    def test_linear_solution_calibrated(self):
+        # h(x) = x_1 has the exact solution f(x) = -(x_1 - a_1/s)/s; over
+        # independent streams the two-band stderrs must describe the
+        # spread of f values and of a coupled difference
+        a = self.a_list[1]
+        h = self.bats[1][0]
+        s, a1 = float(a.s), float(a.a[0])
+        pts = [0.3, 0.7]
+        exact = [-(x - a1 / s) / s for x in pts]
+        z_f, z_d = [], []
+        for seed in range(40):
+            res = st.stein_level_sums([a], [[h]], pts, 400, RngStream(seed), tol=1e-4)
+            assert res.high_replicates == 50
+            est, se, trunc = res.f_hat(0, 0, 0)
+            assert trunc <= 1e-4
+            z_f.append((est - exact[0]) / se)
+            est, se, _ = res.f_diff(0, 1, 0, 0)
+            z_d.append((est - (exact[0] - exact[1])) / se)
+        for z in (np.array(z_f), np.array(z_d)):
+            # the mean of 40 unit normals has sd 0.16, their sd about 0.11
+            assert abs(z.mean()) < 0.5
+            assert 0.65 < z.std(ddof=1) < 1.4
+
+    @pytest.mark.parametrize("M", [-1, 2.5, 3.7])
+    def test_bad_levels_override_raises(self, M):
+        a = self.a_list[0]
+        with pytest.raises(st.SteinError, match="non-negative integer"):
+            st.stein_level_sums([a], [self.bats[0]], [0.5], 8, RngStream(1), levels_override=M)
+
+    def test_zero_levels_give_the_leading_term(self):
+        a = self.a_list[1]
+        res = st.stein_level_sums(
+            [a], [self.bats[1]], self.points, 4, RngStream(2), levels_override=0
+        )
+        sch = st.DeathProcessSchedule.with_levels(a.s, 0)
+        for hi, h in enumerate(self.bats[1]):
+            for p, x in enumerate(self.points):
+                est, se, trunc = res.f_hat(p, 0, hi)
+                assert est == pytest.approx(lead(h, a, x, 0), abs=1e-12)
+                assert se == 0.0
+                assert trunc == sch.remainder(a, h)
 
     def test_blocks_and_tiles(self):
         # several row chunks, column blocks and cache tiles per block (a
@@ -621,10 +717,11 @@ class TestLevelSums:
         monkeypatch.setattr(threading.Thread, "start", refuse)
         kw = dict(tol=1e-3, row_chunk=256, col_block=128)
         grid = st.stein_level_sums(self.a_list, self.bats, self.points, 700, RngStream(5), **kw)
-        assert grid.levels.max() > 128
+        assert grid.levels.max() > 128 and grid.high_replicates == 88
         for p, x in enumerate(self.points):
             one = st.stein_level_sums(self.a_list, self.bats, [x], 700, RngStream(5), **kw)
             assert np.array_equal(grid.S[:, p], one.S[:, 0])
+            assert np.array_equal(grid.S_high[:, p], one.S_high[:, 0])
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_battery_sums_match_functions(self, K):
