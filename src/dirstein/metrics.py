@@ -27,10 +27,12 @@ from .offspring import (
     _value_classes,
 )
 from .simplex import (
+    _GRADING,
     DirichletParams,
     _dirichlet_rule,
     _falling,
     _stirling2_row,
+    _window_rule,
     as_generator,
     dirichlet_sample,
 )
@@ -344,8 +346,8 @@ def smooth_gap(
 
     The sample may be a StationaryRun, a raw (n, K-1) array, a raw
     (R, n, K-1) array of R copies of each of n draws, or a
-    StationaryTable; a table contributes no sampling noise, so the
-    stderr is then just the one attached to E h(Z).  Sample rows are
+    StationaryTable; a table contributes no sampling noise and E h(Z)
+    is exact, so the stderr is then 0.  Sample rows are
     independent unless `replicates` says that row i is a round of chain
     i % replicates: rounds of one chain are correlated, so the stderr is
     then taken over the chains' batch means.  A StationaryRun supplies
@@ -380,7 +382,7 @@ def smooth_gap(
         exact = moments.moment(h.tag[1]), moments.resolution
     if exact is not None:
         est, resolution = exact
-        se = h.mean_se
+        se = 0.0
         # sub-resolution gaps are pure solver roundoff; report them as
         # zero so that exactly-zero bounds stay checkable
         if abs(est - h.mean) <= resolution * max(1.0, h.sup_norm):
@@ -390,7 +392,7 @@ def smooth_gap(
         vals = np.asarray(h.fn(rows), dtype=np.float64)
         if vals.ndim == 2:
             vals = vals.mean(axis=0)
-        extra = h.mean_se
+        extra = 0.0
         if moments is not None:
             if moments.law != a:
                 raise MetricsError("the moments are not projected on this law")
@@ -398,7 +400,7 @@ def smooth_gap(
                 controls = moments.controls(rows, (h,))
             beta, correction = controls[h.tag]
             vals = vals - correction
-            extra = math.hypot(extra, float(np.abs(beta).sum()) * moments.resolution)
+            extra = float(np.abs(beta).sum()) * moments.resolution
         est, se = _mean_se(vals, replicates)
         se = math.hypot(se, extra)
     gap = abs(est - h.mean)
@@ -439,7 +441,7 @@ def attach_exact_means(fns, a: DirichletParams) -> tuple:
     attach_mean serves every battery family exactly: monomials by their
     mixed moments, waves and bumps by nested Gauss rules to about 1e-14,
     far below the 1e-12 resolution of a float stationary table.  A family
-    it could only estimate by Monte Carlo is refused."""
+    with no exact rule is refused."""
     out = []
     for h in fns:
         try:
@@ -575,84 +577,95 @@ class ProbeEstimate:
     lower_bound: bool = True
 
 
-def dirichlet_reference(a: DirichletParams, rng, size: int = 10**7) -> np.ndarray:
-    """A large cloud of Dir(a) free coordinates, float32, drawn from rng."""
-    g = as_generator(rng)
-    out = np.empty((size, a.dim - 1), dtype=np.float32)
-    done = 0
-    while done < size:
-        b = min(10**6, size - done)
-        out[done : done + b] = dirichlet_sample(a, g, size=b)
-        done += b
-    return out
+def _section_prob(a: DirichletParams, lo, hi, kinks, section) -> float:
+    """P(Z in C) under Dir(a), K = 3, for a set C with lo <= z_1 <= hi
+    whose every section at z_1 = z is an interval of z_2.
+
+    Z_2 = (1 - Z_1) Y with Y ~ Beta(a_2, a_3) independent of
+    Z_1 ~ Beta(a_1, a_2 + a_3), so P(Z in C) is the mean over Z_1 of
+    section(z, cdf), the probability of the section by Y's cdf.  Where an
+    end of the section crosses the edge z_2 = 0 or z_1 + z_2 = 1, at a
+    kink z = k, that probability goes like |z - k|^a_2 or |z - k|^a_3, so
+    the Gauss pieces shrink geometrically towards each kink, down to
+    2^-30.  No cut comes closer than that to 0 or 1, where a narrower
+    piece would round its Gauss nodes onto the end."""
+    a1, a2, a3 = a.floats()
+    steps = _GRADING ** -np.arange(1.0, 16.0)
+    cuts = [k + d for k in kinks for d in (*-steps, *steps) if steps[-1] <= k + d <= 1 - steps[-1]]
+    _, z, w = _window_rule(a1, a2 + a3, np.array([lo]), np.array([hi]), cuts)
+
+    def cdf(t):
+        return _reg_inc_beta(np.clip(t, 0.0, 1.0), a2, a3)
+
+    return float(w @ section(z, cdf))
 
 
-def convex_probe_k3(
-    sample,
-    a: DirichletParams,
-    n_probes: int,
-    rng,
-    reference_size: int = 10**7,
-) -> ProbeEstimate:
+def _box_prob(a: DirichletParams, lo, hi) -> float:
+    """P(lo_i <= Z_i <= hi_i, i = 1, 2) under Dir(a), K = 3."""
+
+    def section(z, cdf):
+        return cdf(hi[1] / (1.0 - z)) - cdf(lo[1] / (1.0 - z))
+
+    return _section_prob(a, lo[0], hi[0], [1.0 - lo[1], 1.0 - hi[1]], section)
+
+
+def _halfplane_prob(a: DirichletParams, u, c) -> float:
+    """P(u . Z <= c) under Dir(a), K = 3: the section at z_1 = z is
+    Y <= t, or Y >= t when u_2 < 0, with t = (c - u_1 z)/(u_2 (1 - z)),
+    and its kinks are where the line crosses z_2 = 0 and z_1 + z_2 = 1."""
+    u1, u2 = float(u[0]), float(u[1])
+    kinks = [c / u1 if u1 else math.nan, (c - u2) / (u1 - u2) if u1 != u2 else math.nan]
+
+    def section(z, cdf):
+        room = c - u1 * z
+        if u2 == 0.0:
+            return (room >= 0.0).astype(np.float64)
+        p = cdf(room / (u2 * (1.0 - z)))
+        return p if u2 > 0.0 else 1.0 - p
+
+    return _section_prob(a, 0.0, 1.0, kinks, section)
+
+
+def convex_probe_k3(sample, a: DirichletParams, n_probes: int, rng) -> ProbeEstimate:
     """Probe random half-planes and axis boxes for the largest
-    probability discrepancy against a reference cloud drawn from rng.
+    probability discrepancy against the exact Dir(a) probabilities.
 
     The first probes are the fixed mean half-planes x_i <= a_i/s; the
-    rest alternate random cuts through reference mass with random
-    boxes.  The result is a lower bound on the convex-set distance.
+    rest alternate half-planes of uniform direction, through a Dir(a)
+    point drawn from rng, with boxes of uniform corners.  The stderr is
+    the sample's alone.  The result is a lower bound on the convex-set
+    distance.
     """
     if a.dim != 3:
         raise MetricsError("convex probing is for three-type laws")
     if n_probes < 1:
         raise MetricsError("need at least one probe")
     rows = sample.samples if isinstance(sample, StationaryRun) else sample
-    rows = np.asarray(rows, dtype=np.float32)
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise MetricsError("sample must be (n, 2)")
     g = as_generator(rng)
-    ref = dirichlet_reference(a, g, size=reference_size)
-    n, m = len(rows), len(ref)
     s = float(a.s)
-    means = [float(v) / s for v in a.a[:2]]
 
     def halfplane(u, c):
-        return rows @ u <= c, ref @ u <= c
+        return rows @ u <= c, _halfplane_prob(a, u, c)
 
     best = (-1.0, 0.0)
-    probes = 0
-    while probes < n_probes:
-        if probes == 0:
-            inds = halfplane(np.array([1.0, 0.0], dtype=np.float32), means[0])
-        elif probes == 1:
-            inds = halfplane(np.array([0.0, 1.0], dtype=np.float32), means[1])
-        elif probes % 2 == 0:
+    for probe in range(n_probes):
+        if probe < 2:
+            inside, p = halfplane(np.eye(2)[probe], float(a.a[probe]) / s)
+        elif probe % 2 == 0:
             th = g.uniform(0.0, 2.0 * math.pi)
-            u = np.array([math.cos(th), math.sin(th)], dtype=np.float32)
-            c = float(ref[g.integers(m)] @ u)
-            inds = halfplane(u, c)
+            u = np.array([math.cos(th), math.sin(th)])
+            inside, p = halfplane(u, float(dirichlet_sample(a, g, size=1)[0] @ u))
         else:
-            lo1, hi1 = sorted(g.random(2))
-            lo2, hi2 = sorted(g.random(2))
-
-            def cut(z):
-                return (
-                    (z[:, 0] >= lo1)
-                    & (z[:, 0] <= hi1)
-                    & (z[:, 1] >= lo2)
-                    & (z[:, 1] <= hi2)
-                )
-
-            inds = cut(rows), cut(ref)
-        p_emp = float(np.mean(inds[0]))
-        p_ref = float(np.mean(inds[1]))
-        diff = abs(p_emp - p_ref)
+            lo, hi = np.sort(g.random((2, 2)), axis=1).T
+            inside = ((rows >= lo) & (rows <= hi)).all(axis=1)
+            p = _box_prob(a, lo, hi)
+        p_emp = float(np.mean(inside))
+        diff = abs(p_emp - p)
         if diff > best[0]:
-            se = math.hypot(
-                math.sqrt(max(p_emp * (1 - p_emp), 0.0) / n),
-                math.sqrt(max(p_ref * (1 - p_ref), 0.0) / m),
-            )
-            best = (diff, se)
-        probes += 1
+            best = (diff, math.sqrt(p_emp * (1.0 - p_emp) / len(rows)))
     return ProbeEstimate(best[0], best[1], n_probes)
 
 

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simplex import _falling, _power_moment, _rising, as_generator
+from .simplex import _dirichlet_rows, _falling, _power_moment, _rising, as_generator
 
 KIND_WRIGHT_FISHER = "wright-fisher"
 KIND_MORAN = "moran"
@@ -321,9 +321,7 @@ def sample_offspring(m: OffspringModel, rng, size: int | None = None):
         V[np.arange(S), I] = 2
         V[np.arange(S), J] = 0
     elif m.kind == KIND_DIRICHLET_MULTINOMIAL:
-        w = g.standard_gamma(float(m.phi), size=(S, N))
-        w /= w.sum(axis=1, keepdims=True)
-        V = g.multinomial(N, w)
+        V = g.multinomial(N, _dirichlet_rows(np.full(N, float(m.phi)), g, S))
     elif m.kind == KIND_EXPLICIT:
         keys = np.array([k for k, _ in m.table], dtype=np.int64)
         probs = np.array([float(p) for _, p in m.table])

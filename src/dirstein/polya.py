@@ -37,6 +37,7 @@ from .metrics import (
 )
 from .simplex import (
     DirichletParams,
+    _dirichlet_rows,
     _falling,
     _power_moment,
     _rising,
@@ -149,9 +150,7 @@ def sample_final(a, n: int, rng, replicates: int) -> np.ndarray:
     if replicates < 1:
         raise PolyaError("replicates must be >= 1")
     g = as_generator(rng)
-    af = np.array([float(v) for v in p.a])
-    gam = g.standard_gamma(af, size=(int(replicates), p.dim))
-    q = gam / gam.sum(axis=1, keepdims=True)
+    q = _dirichlet_rows(p.floats(), g, int(replicates))
     x = _batch_multinomial(g, np.full(int(replicates), n, dtype=np.int64), q)
     return x[:, : p.dim - 1].astype(np.float64) / n
 

@@ -195,15 +195,30 @@ def dirichlet_sample(p: DirichletParams, rng, size: int | None = None):
 
     Returns a SimplexPoint for size=None, else an array of shape (size, K-1).
     """
-    g = as_generator(rng)
-    a = p.floats()
+    w = _dirichlet_rows(p.floats(), as_generator(rng), 1 if size is None else size)
     if size is None:
-        y = g.standard_gamma(a)
-        w = y / y.sum()
-        return SimplexPoint(w[:-1])
-    y = g.standard_gamma(a, size=(size, p.dim))
-    w = y / y.sum(axis=1, keepdims=True)
+        return SimplexPoint(w[0, :-1])
     return w[:, :-1]
+
+
+def _dirichlet_rows(a: np.ndarray, g: np.random.Generator, size: int) -> np.ndarray:
+    """(size, K) Dir(a) rows for the float weights a: independent
+    Gamma(a_i) draws over their sum.
+
+    At small weights every gamma of a row can underflow to 0, which would
+    make the row 0/0.  Given that event the gammas are independent, each
+    below the underflow threshold t, where its density is g^(a_i - 1) up
+    to a factor e^-t; so G_i / t is U_i^(1/a_i) with U_i uniform, and the
+    row is redrawn as the normalized U_i^(1/a_i), taken in log space.
+    Every other row keeps its draws."""
+    y = g.standard_gamma(a, size=(size, len(a)))
+    total = y.sum(axis=1, keepdims=True)
+    lost = total[:, 0] == 0.0
+    if lost.any():
+        log_v = np.log1p(-g.random((int(lost.sum()), len(a)))) / a
+        v = np.exp(log_v - log_v.max(axis=1, keepdims=True))
+        y[lost], total[lost] = v, v.sum(axis=1, keepdims=True)
+    return y / total
 
 
 def _rising(v, k: int):

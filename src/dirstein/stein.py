@@ -83,8 +83,8 @@ class TestFunction:
 
     fn maps an (..., K-1) coordinate array to values; seminorms are upper
     bounds over the closed simplex with Lipschitz constants taken in the
-    L1 norm.  mean/mean_se hold E h(Z) for a specific Dirichlet law once
-    attach_mean has been called; they are None/0 before that.
+    L1 norm.  mean holds E h(Z) for a specific Dirichlet law once
+    attach_mean has been called; it is None before that.
     """
 
     tag: tuple
@@ -94,7 +94,6 @@ class TestFunction:
     h2: float
     h21: float
     mean: float | None = None
-    mean_se: float = 0.0
     # certified range of h over the simplex, when known; tightens the
     # centered sup bound, which only caps the truncation remainder
     value_range: tuple | None = None
@@ -113,46 +112,24 @@ class TestFunction:
         return self.fn(np.asarray(x))
 
 
-def attach_mean(
-    h: TestFunction, a: DirichletParams, rng=None, mc_samples: int = 10**7
-) -> TestFunction:
+def attach_mean(h: TestFunction, a: DirichletParams) -> TestFunction:
     """Return h with E h(Z) filled in for the law Dir(a).
 
     Monomials use exact mixed moments; cosines, sines and, for K <= 3,
     bumps (on the box of the bump's support) the nested Gauss rule of
-    `_dirichlet_expect`.  Anything else falls back to Monte Carlo with
-    the stderr recorded (and propagated by the solvers).
+    `_dirichlet_expect`.  Any other family has no exact rule and is
+    refused.
     """
     kind = h.tag[0]
     if kind == "monomial":
-        return replace(
-            h,
-            mean=float(dirichlet_mixed_moment(a, tuple(h.tag[1]) + (0,))),
-            mean_se=0.0,
-        )
+        return replace(h, mean=float(dirichlet_mixed_moment(a, tuple(h.tag[1]) + (0,))))
     if kind in ("cos", "sin"):
-        return replace(h, mean=_dirichlet_expect(a, h.fn), mean_se=0.0)
+        return replace(h, mean=_dirichlet_expect(a, h.fn))
     if kind == "bump" and a.dim <= 3:
         centers, rho = h.tag[1], h.tag[2]
         window = [(c - rho, c + rho) for c in centers]
-        return replace(h, mean=_dirichlet_expect(a, h.fn, window), mean_se=0.0)
-    if rng is None:
-        raise SteinError(f"{h.tag}: Monte-Carlo mean needs an rng")
-    g = as_generator(rng)
-    total = 0.0
-    totsq = 0.0
-    done = 0
-    block = 10**6
-    while done < mc_samples:
-        b = min(block, mc_samples - done)
-        Z = dirichlet_sample(a, g, size=b)
-        v = np.asarray(h.fn(Z), dtype=np.float64)
-        total += v.sum()
-        totsq += (v * v).sum()
-        done += b
-    mean = total / mc_samples
-    var = max(totsq / mc_samples - mean**2, 0.0)
-    return replace(h, mean=mean, mean_se=float(np.sqrt(var / mc_samples)))
+        return replace(h, mean=_dirichlet_expect(a, h.fn, window))
+    raise SteinError(f"{h.tag}: no exact mean rule for this family at K = {a.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +537,6 @@ class LevelSums:
     split: int
     levels: np.ndarray  # (A, H) truncation level per (params, h)
     ey_sums: np.ndarray  # (A, H) sum of E Y_n up to the level
-    tails: np.ndarray  # (A, H) exact tail mass past the level
     lead: np.ndarray  # (P, A, H) leading tail term h~(x_p) tail
     rem: np.ndarray  # (A, H) certified remainder of each f value
 
@@ -571,10 +547,6 @@ class LevelSums:
     @property
     def high_replicates(self) -> int:
         return self.S_high.shape[0]
-
-    def _meta(self, ai, hi):
-        h = self.battery[ai][hi]
-        return h.mean, h.mean_se
 
     def f_hat(self, p: int, ai: int, hi: int):
         """(estimate, stderr, truncation bound) of f at grid point p."""
@@ -587,8 +559,12 @@ class LevelSums:
         coefficient sum, so it cancels for contrasts.  The estimate is
         mean_R(low) + mean_RH(high), with variance var(low)/R +
         var(high)/RH + 2 cov(low[:RH], high)/R, since the two bands share
-        only their first RH rows."""
-        mean, mean_se = self._meta(ai, hi)
+        only their first RH rows.  A constant h (|h|_1 = 0) has h~ = 0, so
+        its f is exactly 0 and the engine leaves its columns empty."""
+        h = self.battery[ai][hi]
+        trunc = sum(abs(wp) for wp in weights.values()) * float(self.rem[ai, hi])
+        if h.h1 == 0.0:
+            return 0.0, 0.0, trunc
         low = np.zeros(self.replicates)
         high = np.zeros(self.high_replicates)
         wsum = lead = 0.0
@@ -597,7 +573,7 @@ class LevelSums:
             high += wp * self.S_high[:, p, ai, hi]
             lead += wp * self.lead[p, ai, hi]
             wsum += wp
-        low = -(low + lead - wsum * mean * self.ey_sums[ai, hi]) / 2.0
+        low = -(low + lead - wsum * h.mean * self.ey_sums[ai, hi]) / 2.0
         est, var = low.mean(), low.var(ddof=1) / len(low)
         RH = len(high)
         if RH:
@@ -605,10 +581,7 @@ class LevelSums:
             est += high.mean()
             cov = (low[:RH] - low[:RH].mean()) @ (high - high.mean()) / (RH - 1)
             var += high.var(ddof=1) / RH + 2.0 * cov / len(low)
-        mass = self.ey_sums[ai, hi] + self.tails[ai, hi]
-        se = math.hypot(math.sqrt(max(var, 0.0)), abs(wsum) * mean_se * mass / 2.0)
-        trunc = sum(abs(wp) for wp in weights.values()) * float(self.rem[ai, hi])
-        return float(est), se, trunc
+        return float(est), math.sqrt(max(var, 0.0)), trunc
 
     def f_diff(self, p: int, q: int, ai: int, hi: int):
         """f(x_p) - f(x_q) with the coupling-reduced stderr."""
@@ -620,7 +593,7 @@ def _battery_sums(Zs, specs, ey, out):
 
     Zs holds one float32 (rows, cols) block per free coordinate and ey the
     float32 weights E Y_n of its columns; specs lists (column of out, tag,
-    width) and each tag is evaluated only out to its own width.  Powers
+    width) of non-constant tags, each evaluated only out to its own width.  Powers
     and trig phases are built once at the widest width that uses them, and
     constant factors are applied to the (rows,) sums, not to the block."""
     powers, phases = {}, {}
@@ -640,7 +613,7 @@ def _battery_sums(Zs, specs, ey, out):
             if wv:
                 t = Zs[k][:, :w] * np.float32(wv) if wv != 1 else Zs[k][:, :w]
                 y = t if y is None else y + t
-        phases[w_vec] = np.zeros((Zs[0].shape[0], w), np.float32) if y is None else y
+        phases[w_vec] = y
     for col, tag, w in specs:
         kind, scale = tag[0], 1.0
         if kind == "monomial":
@@ -649,9 +622,6 @@ def _battery_sums(Zs, specs, ey, out):
                 if ci:
                     pk = powers[k, ci][:, :w]
                     v = pk if v is None else v * pk
-            if v is None:
-                out[:, col] += float(ey[:w].sum())
-                continue
         elif kind in ("cos", "sin"):
             ufunc = np.cos if kind == "cos" else np.sin
             v = ufunc(phases[tag[1]][:, :w])
@@ -773,6 +743,8 @@ def stein_level_sums(
         for a, bat in zip(params_list, battery_list)
     ]
     levels = np.array([[sc.M for sc in row] for row in scheds], dtype=np.int64)
+    # a constant h (|h|_1 = 0) has f = 0 (LevelSums.f_combo): no columns
+    span = levels * np.array([[h.h1 != 0.0 for h in bat] for bat in battery_list])
     ey_sums = np.array([[sc.total for sc in row] for row in scheds])
     tails = np.array([[sc.tail for sc in row] for row in scheds])
     rem = np.array(
@@ -827,9 +799,9 @@ def stein_level_sums(
             specs, inv_denom = [], []
             for ai in range(A):
                 spec = [
-                    (hi, tags[hi], int(min(levels[ai, hi] - c0, cb)))
+                    (hi, tags[hi], int(min(span[ai, hi] - c0, cb)))
                     for hi in range(H)
-                    if levels[ai, hi] > c0
+                    if span[ai, hi] > c0
                 ]
                 specs.append(spec)
                 inv = None
@@ -862,7 +834,6 @@ def stein_level_sums(
         split=LEVEL_SPLIT,
         levels=levels,
         ey_sums=ey_sums,
-        tails=tails,
         lead=lead,
         rem=rem,
     )

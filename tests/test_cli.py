@@ -368,6 +368,29 @@ class TestRunArtifacts:
         assert rows[1] == "exponents,exact_residual,mc_mean,mc_stderr,pass"
         assert len(rows) == 2 + 3  # degrees 1..3 in one free coordinate
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            'kind = "polya-theorem4"\nmodel.a = [0.001, 0.002]\nmodel.n = 30\n'
+            "mc.samples = 2000\n",
+            'kind = "stein-verify"\nmodel.a = [0.001, 0.002, 0.003]\n'
+            "mc.samples = 100000\n",
+            'kind = "cannings-theorem2"\nmodel.N = 8\nmodel.offspring = "dirichlet-multinomial"\n'
+            "model.phi = 0.001\nmodel.pi = [0.03, 0.05]\nmc.samples = 2048\n",
+        ],
+        ids=["polya", "stein-verify", "cannings-dm"],
+    )
+    def test_tiny_weights_run(self, tmp_path, capsys, body):
+        # some Dirichlet rows (urn weights, Stein check draws, offspring
+        # weights) have every gamma underflow to 0
+        cfg = write_cfg(tmp_path, "c.cfg", body + f'seed = 1\nout = "{tmp_path}/out"\n')
+        assert main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert "passed = true" in summary
+        for p in (tmp_path / "out").iterdir():
+            assert "nan" not in p.read_text(), p.name
+
     def test_flag_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.cfg", POLYA_CFG)
         out = tmp_path / "flagged"
@@ -693,7 +716,8 @@ class TestRuntimeImports:
     def test_cli_run_leaves_scipy_unimported(self, tmp_path):
         # scipy is a test-only dependency: neither importing the CLI, nor
         # a run of each certifying kind, nor an exact battery mean of any
-        # family (the Gauss rules are numpy's) may pull it in
+        # family (the Gauss rules are numpy's), nor a convex probe (its
+        # incomplete beta is the library's) may pull it in
         cfgs = {
             "wf": WF_CFG.replace("[1, 1]", "[1, 1, 1]").replace("2500", "200"),
             "polya": POLYA_CFG.replace("8000", "200"),
@@ -716,6 +740,11 @@ class TestRuntimeImports:
             "attach_exact_means(make_battery(3), DirichletParams((0.3, 0.4, 0.5)))\n"
             "attach_mean(_trig('cos', (1, 2, 3)), DirichletParams((1, 1, 1, 1)))\n"
             "if 'scipy' in sys.modules: sys.exit('scipy loaded by a mean')\n"
+            "from dirstein.metrics import convex_probe_k3\n"
+            "from dirstein.simplex import RngStream, dirichlet_sample\n"
+            "a = DirichletParams((0.5, 2, 1.5))\n"
+            "convex_probe_k3(dirichlet_sample(a, RngStream(1), size=100), a, 6, RngStream(2))\n"
+            "if 'scipy' in sys.modules: sys.exit('scipy loaded by a convex probe')\n"
         )
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -834,6 +863,20 @@ class TestOtherCommands:
             float(vals["0.7"]["stderr"]) + float(vals["0.3"]["stderr"])
         ) / 0.4 + 2e-3
         assert abs(slope - (-0.5)) < err
+
+    @pytest.mark.parametrize(
+        "law, c, x, seed",
+        [("[1, 2]", "[0]", "[0.3]", 1), ("[1, 2, 1.5]", "[0, 0]", "[0.3, 0.2]", 3)],
+    )
+    def test_stein_f_of_a_constant_is_zero(self, tmp_path, capsys, law, c, x, seed):
+        # h = 1 has h~ = 0, so f = 0 at every point
+        body = (
+            f'kind = "stein-verify"\nmodel.a = {law}\nstein.exponents = {c}\n'
+            f"stein.x = {x}\nseed = {seed}\n"
+        )
+        assert main(["stein-f", "--config", write_cfg(tmp_path, "c.cfg", body)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert {"f = 0", "stderr = 0", "truncation = 0"} <= set(out)
 
     def test_stein_f_validates_inputs(self, tmp_path):
         cfg = write_cfg(

@@ -113,6 +113,17 @@ class TestSampleFinal:
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - float(urn_mixed_moment((2, 1, 1), 7, c))) < 4 * se
 
+    def test_tiny_weights_leave_no_nan_rows(self):
+        # the mixing weights of most urns underflow to a vertex, and of some
+        # to 0/0 in every color
+        a = (0.001, 0.002)
+        w = sample_final(a, 30, rng(1), 2000)
+        assert np.isfinite(w).all()
+        for c in [(1, 0), (2, 0), (0, 1)]:
+            vals = w[:, 0] ** c[0] * (1.0 - w[:, 0]) ** c[1]
+            se = vals.std(ddof=1) / math.sqrt(len(vals))
+            assert abs(vals.mean() - float(urn_mixed_moment(a, 30, c))) <= 5 * se, c
+
     def test_rejects_empty(self):
         with pytest.raises(PolyaError):
             sample_final((1, 1), 5, rng(), 0)

@@ -136,6 +136,17 @@ class TestSampling:
                 exact = float(dirichlet_mixed_moment(p, c))
                 assert abs(est - exact) <= 4 * se + 1e-12, (a, c)
 
+    def test_tiny_weights_leave_no_nan_rows(self):
+        # every gamma of about one row in a hundred underflows to 0 here
+        p = DirichletParams([0.001, 0.002, 0.003])
+        w = dirichlet_sample(p, RngStream(1), size=10**5)
+        assert np.isfinite(w).all()
+        full = np.column_stack([w, 1.0 - w.sum(axis=1)])
+        for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0)]:
+            vals = np.prod(full ** np.array(c), axis=1)
+            se = vals.std(ddof=1) / math.sqrt(len(vals))
+            assert abs(vals.mean() - float(dirichlet_mixed_moment(p, c))) <= 5 * se, c
+
     def test_stream_reproducibility(self):
         a = DirichletParams([2, 1])
         w1 = dirichlet_sample(a, RngStream(7, (3,)), size=100)
