@@ -642,8 +642,8 @@ def convex_probe_k3(sample, a: DirichletParams, n_probes: int, rng) -> ProbeEsti
         raise MetricsError("need at least one probe")
     rows = sample.samples if isinstance(sample, StationaryRun) else sample
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 2:
-        raise MetricsError("sample must be (n, 2)")
+    if rows.ndim != 2 or rows.shape[1] != 2 or not len(rows):
+        raise MetricsError("sample must be (n, 2) with n >= 1")
     g = as_generator(rng)
     s = float(a.s)
 

@@ -573,6 +573,9 @@ class TestConvexProbe:
     def test_wrong_k_and_bad_probes(self):
         with pytest.raises(MetricsError):
             convex_probe_k3(np.zeros((5, 1)), DirichletParams((1, 1)), 3, RngStream(0))
+        # an empty sample used to read as a gap of -1
+        with pytest.raises(MetricsError, match="n >= 1"):
+            convex_probe_k3(np.zeros((0, 2)), DirichletParams((1, 1, 1)), 3, RngStream(0))
         with pytest.raises(MetricsError):
             convex_probe_k3(
                 np.zeros((5, 2)), DirichletParams((1, 1, 1)), 0, RngStream(0)
