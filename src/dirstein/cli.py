@@ -18,13 +18,14 @@ otherwise; summary.txt names the source (`law`), its `states` and the
 exact table's `resolution`.  wf-theorem1 takes the chain's exact
 stationary moments of degree <= MOMENT_DEGREE: its monomial gaps are
 exact and every other gap is sampled against monomial controls
-(`smooth_gap`); validate prints `moments` and `controls`, and
-summary.txt records them with `moment_z_max`, the sample's largest
-moment z-score.  A genealogy run of wf-theorem1 or cannings-theorem2
-averages every sampled gap over TYPE_REDRAWS copies of each draw, the
-recorded one and copies whose blocks take fresh types from a child of
-the config seed's stream (`chains.redraw_types`); samples.csv holds the
-recorded draws, and validate and summary.txt print `type_redraws`.
+(`smooth_gap`), the bump's of degree BUMP_DEGREE[K]; validate prints
+`moments`, `controls` and `bump_controls`, and summary.txt records them
+with `moment_z_max`, the sample's largest moment z-score.  A genealogy
+run of wf-theorem1 or cannings-theorem2 averages every sampled gap over
+TYPE_REDRAWS copies of each draw, the recorded one and copies whose
+blocks take fresh types from a child of the config seed's stream
+(`chains.redraw_types`); samples.csv holds the recorded draws, and
+validate and summary.txt print `type_redraws`.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -57,6 +58,7 @@ from .chains import (
     uses_genealogy,
 )
 from .metrics import (
+    BUMP_DEGREE,
     MOMENT_DEGREE,
     MetricsError,
     _exponents,
@@ -389,7 +391,7 @@ class _Experiment:
         self.model = ChainModel(N=self.N, mutation=self.mutation)
         self._plan_sampling(data, key)
         try:
-            self.moments = exact_moments(self.model, MOMENT_DEGREE)
+            self.moments = exact_moments(self.model, MOMENT_DEGREE, BUMP_DEGREE[self.K])
         except MetricsError as e:
             raise ConfigError(key, str(e))
         self.summary = summarize(self.mutation, self.a, self.N)
@@ -567,13 +569,16 @@ def _out_dir(data) -> Path:
 
 def _control_lines(exp: _Experiment) -> list:
     """The exact moments and the monomial controls a run samples against,
-    and the copies of each draw its gaps average over."""
+    the bump's own, and the copies of each draw its gaps average over."""
     lines = []
     if exp.moments is not None:
         lines += [
             f"moments = exact (degree {exp.moments.degree})",
             f"controls = {len(exp.moments.exponents)}",
         ]
+        bump = exp.moments.bump
+        if bump is not None:
+            lines.append(f"bump_controls = {len(bump.exponents)} (degree {bump.degree})")
     if exp.redraws > 1:
         lines.append(f"type_redraws = {exp.redraws}")
     return lines

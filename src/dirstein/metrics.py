@@ -17,6 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -361,12 +362,13 @@ def smooth_gap(
     `moments`, the chain's exact stationary moments (`exact_moments`),
     make a sample's monomial of degree <= moments.degree exact like a
     table's, and every other h is sampled as h(W) - beta_h . (c(W) - mu):
-    c are the monomials of degree 1..moments.degree, mu = E c(W) exact
-    and beta_h the L2(Dir(a)) projection of h on them
-    (`ExactMoments.controls`), which uses neither the sample nor an rng;
-    the moments must be `projected` on a.  The mean is unchanged and the
-    variance is what the projection leaves; the stderr adds |beta_h|_1
-    times the moments' resolution.  `controls`, beta_h and the
+    c are the monomials of degree 1..D, D = moments.degree or, for a bump
+    given `moments.bump`, that one's degree, mu = E c(W) exact and beta_h
+    the L2(Dir(a)) projection of h on them (`ExactMoments.controls`),
+    which uses neither the sample nor an rng; the moments must be
+    `projected` on a.  The mean is unchanged and the variance is what the
+    projection leaves; the stderr adds |beta_h|_1 times the resolution of
+    the moments h's controls take.  `controls`, beta_h and the
     corrections of the sample's rows as `moments.controls` gives them for
     a whole battery at once, spares a caller that takes many gaps of one
     sample a product per h.
@@ -400,7 +402,7 @@ def smooth_gap(
                 controls = moments.controls(rows, (h,))
             beta, correction = controls[h.tag]
             vals = vals - correction
-            extra = float(np.abs(beta).sum()) * moments.resolution
+            extra = float(np.abs(beta).sum()) * moments.route(h).resolution
         est, se = _mean_se(vals, replicates)
         se = math.hypot(se, extra)
     gap = abs(est - h.mean)
@@ -587,11 +589,10 @@ def _section_prob(a: DirichletParams, lo, hi, kinks, section) -> float:
     end of the section crosses the edge z_2 = 0 or z_1 + z_2 = 1, at a
     kink z = k, that probability goes like |z - k|^a_2 or |z - k|^a_3, so
     the Gauss pieces shrink geometrically towards each kink, down to
-    2^-30.  No cut comes closer than that to 0 or 1, where a narrower
-    piece would round its Gauss nodes onto the end."""
+    2^-30; `_window_rule` drops the cuts closer than that to 0 or 1."""
     a1, a2, a3 = a.floats()
     steps = _GRADING ** -np.arange(1.0, 16.0)
-    cuts = [k + d for k in kinks for d in (*-steps, *steps) if steps[-1] <= k + d <= 1 - steps[-1]]
+    cuts = [k + d for k in kinks for d in (*-steps, *steps)]
     _, z, w = _window_rule(a1, a2 + a3, np.array([lo]), np.array([hi]), cuts)
 
     def cdf(t):
@@ -836,9 +837,9 @@ def _wf_operator(model: ChainModel, states):
     cell = (np.arange(len(live)) * size)[:, None] + start[col] + y[..., -1] * stride[col]
     coef = np.ones(y.shape[:2])
     if K > 2:
-        comb = np.array(
-            [[math.comb(n, k) for k in range(N + 1)] for n in range(N + 1)], dtype=np.float64
-        )
+        # only k <= n is read, so only that triangle is filled
+        comb = np.zeros((N + 1, N + 1))
+        comb[np.tril_indices(N + 1)] = [math.comb(n, k) for n in range(N + 1) for k in range(n + 1)]
         rest = N - y[..., -1]
         for i in range(K - 2):
             coef *= comb[rest, y[..., i]]
@@ -1231,19 +1232,38 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 
 
 # degree of the exact moments that Wright-Fisher certifications sample
-# against.  Over 160 runs of 1024 draws at K=2 and 3, N in [50, 200] and a
-# in [2, 4], the median worst stderr fell from 0.0143 with no controls to
-# 0.0061, 0.0045, 0.0036, 0.0025, 0.0019 and 0.0012 at degrees 3 to 8.
-# Degree 6 also understated the stderr at small N: at K=3, N=25 and seed
-# 8, sin(3 z_2) had z sd 1.28 and z mean -0.37 against the exact table,
-# where degree 8 keeps every wave and the bump calibrated.  With the Gram
-# matrix from the Gauss rule and the weights and corrections of a run
-# from one product each, degree 8 costs a K=3 run no more than degree 6
-# did.  Higher degrees outrun float64: at 10 the scaled K=3 Gram has
-# condition 6.6e16 and 11 or 12 of its 66 eigenvalues fall below the cut,
-# at 12 the bump's z mean reaches 0.40 and at 16 its z sd falls to 0.52
-# (K=3, N=25).
+# against: the exact monomials and the controls of every wave.  Over 160
+# runs of 1024 draws at K=2 and 3, N in [50, 200] and a in [2, 4], the
+# median worst stderr fell from 0.0143 with no controls to 0.0061, 0.0045,
+# 0.0036, 0.0025, 0.0019 and 0.0012 at degrees 3 to 8.  Degree 6 also
+# understated the stderr at small N: at K=3, N=25 and seed 8, sin(3 z_2)
+# had z sd 1.28 and z mean -0.37 against the exact table, where degree 8
+# keeps every wave calibrated.  The waves' weights come from the Gram
+# route of `_projection`, whose rounding (condition 1.6e13 at K=3) leaves
+# each wave a smooth residual that keeps its stderr calibrated (README,
+# "Certification gaps").  That route outruns float64 past degree 8: at 10
+# the scaled K=3 Gram has condition 6.6e16 and 11 or 12 of its 66
+# eigenvalues fall below the cut.  Higher degrees go to the bump alone,
+# by least squares (BUMP_DEGREE).
 MOMENT_DEGREE = 8
+
+# degree of the bump's controls, by K: the bump's residual at degree 8 is
+# far above rounding and sets the worst stderr of every Theorem 1 run, so
+# it takes more monomials, with weights from the well-conditioned least
+# squares of `_least_squares` (condition about 1e8 at degree 10 and K=3,
+# the square root of the Gram's).  With 8 type redraws of 1024 draws its
+# median stderr fell from 4.4e-4 to 2.2e-4 (K=3, N=150) and from 3.3e-4 to
+# 6.3e-5 (K=2, N=150), and its z-scores stay standard normal against the
+# exact tables at K=3, N=25 and K=2, N=60.  K=3 stops at degree 10: at 12
+# the |beta|_1 resolution term (9.6e-4 at N=25) is nearly all of the
+# stderr (1.05e-3) and the z sd falls to 0.4, since `exact_moments` states
+# a resolution 1e3 times the true error (ROADMAP).
+BUMP_DEGREE = {2: 12, 3: 10}
+
+# Gauss nodes per stick-breaking coordinate of the bump's least squares:
+# exact for every Gram entry up to degree 31 per coordinate, past 2 x 12,
+# at a quarter of the 32-node rule's nodes at K=3 and the same stderr
+_FIT_NODES = 16
 
 
 def _exponents(d, degree):
@@ -1274,11 +1294,12 @@ def _monomials(w, exps):
 
 
 def _projection(a: DirichletParams, exps):
-    """The nodes z of the whole simplex's Gauss rule and the matrix that
-    takes h at them to beta_h, the weights on the monomials c with the
-    exponent rows exps of the L2(Dir(a)) projection of h on span{1, c}.
-    A bump's rule is not windowed here, unlike attach_mean's: its weights
-    moved the controlled stderr by under 3e-5 relative.
+    """The nodes z of the whole simplex's Gauss rule and the map that
+    takes h at them (one column per h) to beta_h, the weights on the
+    monomials c with the exponent rows exps of the L2(Dir(a)) projection
+    of h on span{1, c}.  A bump's rule is not windowed here, unlike
+    attach_mean's: its weights moved the controlled stderr by under 3e-5
+    relative.
 
     The Gram matrix E [1, c][1, c]^T comes from the same rule, which is
     exact to degree 63 in each stick-breaking coordinate and so holds
@@ -1305,7 +1326,38 @@ def _projection(a: DirichletParams, exps):
     vec = vec[:, keep] / scale[:, None]
     inv = np.zeros_like(gram)
     inv[np.ix_(live, live)] = (vec / lam[keep]) @ vec.T
-    return z, inv[1:] @ basis
+    return z, partial(np.matmul, inv[1:] @ basis)
+
+
+def _least_squares(a: DirichletParams, exps):
+    """The nodes z of the `_FIT_NODES` Gauss rule of Dir(a) and the map
+    that takes h at them (one column per h) to beta_h, the weights on the
+    monomials c with the exponent rows exps of h's least-squares fit on
+    span{1, c} under the rule's weights wt.  The rule is exact for the
+    Gram matrix E [1, c][1, c]^T, so the fit is the L2(Dir(a)) projection
+    of h up to the rule's error in E c h.
+
+    The fit never forms the Gram matrix: it solves the design
+    sqrt(wt) [1, c], its columns scaled to unit norm, by an SVD least
+    squares with singular values below 1e-13 of the largest cut.  The
+    design has the square root of the Gram's condition, about 1e8 at
+    degree 10 and K=3, so a polynomial of degree <= max|c| gets its own
+    coefficients as weights.  A column that underflows at every node
+    takes no weight."""
+    z, wt = _dirichlet_rule(a, nodes=_FIT_NODES)
+    root = np.sqrt(wt)
+    design = _monomials(z, np.vstack([np.zeros_like(exps[:1]), exps])) * root[:, None]
+    scale = np.linalg.norm(design, axis=0)
+    live = np.flatnonzero(scale > 0.0)
+    design = design[:, live] / scale[live]
+
+    def fit(values):
+        beta = np.zeros((len(scale), values.shape[1]))
+        solved = np.linalg.lstsq(design, root[:, None] * values, rcond=1e-13)[0]
+        beta[live] = solved / scale[live, None]
+        return beta[1:]
+
+    return z, fit
 
 
 @dataclass(frozen=True)
@@ -1315,8 +1367,10 @@ class ExactMoments:
 
     exponents lists the c by degree and then lexicographically, and
     values the moments in the same order.  resolution bounds the float
-    error of every value, as a StationaryTable's does.  `projected` adds
-    the law whose L2 projection the controls of smooth_gap take."""
+    error of every value, as a StationaryTable's does.  `bump`, moments
+    of a higher degree from their own solve, gives the bump its controls
+    (`route`).  `projected` adds the law whose L2 projection the controls
+    of smooth_gap take."""
 
     exponents: np.ndarray
     values: np.ndarray
@@ -1324,6 +1378,7 @@ class ExactMoments:
     resolution: float
     law: DirichletParams | None = None
     projection: tuple | None = field(default=None, repr=False, compare=False)
+    bump: ExactMoments | None = field(default=None, repr=False, compare=False)
 
     def moment(self, c) -> float:
         """E[W^c] for one exponent vector c."""
@@ -1335,46 +1390,66 @@ class ExactMoments:
 
     def projected(self, a: DirichletParams) -> ExactMoments:
         """These moments with the L2(Dir(a)) projection onto span{1, c}
-        built once (`_projection`), for the weights of any h."""
-        return replace(self, law=a, projection=_projection(a, self.exponents))
+        built once, for the weights of any h: by the Gram route of
+        `_projection` here and by the least squares of `_least_squares`
+        in `bump`."""
+        bump = self.bump
+        if bump is not None:
+            bump = replace(bump, law=a, projection=_least_squares(a, bump.exponents))
+        return replace(self, law=a, projection=_projection(a, self.exponents), bump=bump)
 
     def exact(self, h: TestFunction) -> bool:
         """Whether h is a monomial these moments hold, so that smooth_gap
         takes its gap without sampling."""
         return h.tag[0] == "monomial" and sum(h.tag[1]) <= self.degree
 
+    def route(self, h: TestFunction) -> ExactMoments:
+        """The moments whose monomials control h: `bump` for a bump when
+        it is given, these moments otherwise."""
+        return self.bump if self.bump is not None and h.tag[0] == "bump" else self
+
     def controls(self, w, fns) -> dict:
         """(beta_h, beta_h . (c(w) - mu)) for rows w and every h of fns
-        that is not `exact`, keyed by h.tag, as smooth_gap's `controls`:
-        every beta_h from one product over the Gauss nodes and every
-        correction from one product of the centred monomials c(w) - mu.
+        that is not `exact`, keyed by h.tag, as smooth_gap's `controls`,
+        each on the monomials of h's `route`: the beta_h of a route from
+        one product over its rule's nodes and their corrections from one
+        product of the centred monomials c(w) - mu.  One table of c(w)
+        serves both routes; its leading columns are this degree's.
         Rows w of shape (R, n, d), R copies of each of n draws, give the
         copies' mean correction of each draw: c(w) is averaged over the
         copies, one copy at a time, before the product."""
         fns = [h for h in fns if not self.exact(h)]
-        beta = self.weights(fns)
+        routes = [m for m in (self, self.bump) if any(self.route(h) is m for h in fns)]
+        exps = routes[-1].exponents if routes else self.exponents
         w = np.asarray(w, dtype=np.float64)
         copies = w.reshape((-1,) + w.shape[-2:])
-        c = _monomials(copies[0], self.exponents)
+        c = _monomials(copies[0], exps)
         for copy in copies[1:]:
-            c += _monomials(copy, self.exponents)
+            c += _monomials(copy, exps)
         c /= len(copies)
-        corr = (c - self.values) @ beta
-        return {h.tag: (beta[:, j], corr[:, j]) for j, h in enumerate(fns)}
+        out = {}
+        for mom in routes:
+            group = [h for h in fns if self.route(h) is mom]
+            beta = mom.weights(group)
+            corr = (c[:, : len(mom.values)] - mom.values) @ beta
+            out.update((h.tag, (beta[:, j], corr[:, j])) for j, h in enumerate(group))
+        return {h.tag: out[h.tag] for h in fns}
 
     def weights(self, fns) -> np.ndarray:
-        """beta_h for every h of fns, one column each: the weights on the
-        monomials c of the projection of h under the projected law, from h
-        at the nodes of the Gauss rule of `_dirichlet_expect`."""
+        """beta_h for every h of fns, one column each: the weights on
+        these moments' monomials c of the projection of h under the
+        projected law, from h at the nodes of the projection's rule."""
         if self.projection is None:
             raise MetricsError("project the moments on a law before weighting h")
-        z, proj = self.projection
-        return proj @ np.column_stack([np.asarray(h.fn(z), dtype=np.float64) for h in fns])
+        z, fit = self.projection
+        return fit(np.column_stack([np.asarray(h.fn(z), dtype=np.float64) for h in fns]))
 
 
-def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
+def exact_moments(model: ChainModel, degree: int, bump_degree: int | None = None) -> ExactMoments:
     """Stationary E[W^c], 1 <= |c| <= degree, of a Wright-Fisher chain
-    with any mutation matrix P, from one small linear solve.
+    with any mutation matrix P, from one small linear solve, and with
+    bump_degree (at least degree) the moments of that degree from a solve
+    of their own in `bump`.
 
     Given W = w the next counts are X' ~ Mult(N, q(w)) with q(w) = w P,
     affine in the free coordinates.  The multinomial falling moments
@@ -1437,7 +1512,12 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
     resolution = max(1e-13, 16 * m * np.finfo(float).eps * float(norm))
     if not (np.isfinite(values).all() and math.isfinite(resolution)):
         raise MetricsError("the stationary moment system is singular")
-    return ExactMoments(exps[1:], values, degree, resolution)
+    bump = None
+    if bump_degree is not None:
+        if int(bump_degree) < degree:
+            raise MetricsError("the bump's moment degree must be at least the degree")
+        bump = exact_moments(model, bump_degree)
+    return ExactMoments(exps[1:], values, degree, resolution, bump=bump)
 
 
 def moment_z_max(sample, moments: ExactMoments) -> float:

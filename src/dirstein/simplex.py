@@ -321,17 +321,18 @@ _GRADING = 4.0
 # the mean, where the Gauss rule would overflow or cancel (p + q near 1e154
 # and beyond, or weights near the smallest subnormal)
 _POINT_VARIANCE = 1e-34
+# no cut of a window comes closer than this to 0 or 1
+_EDGE = 2.0**-30
 # a window piece longer than this many spreads of its Beta factor is cut
 # around the factor's mean, so that no Gauss rule straddles a narrow peak
 _NARROW = 16.0
 
 
 @lru_cache(maxsize=64)
-def _beta_rule(p: float, q: float):
-    """Nodes and probability weights of the Gauss rule for Beta(p, q) on
-    [0, 1]: the eigenpairs of the Jacobi matrix of the monic orthogonal
-    polynomials (Golub and Welsch, Math. Comp. 23, 1969)."""
-    n = _GAUSS_NODES
+def _beta_rule(p: float, q: float, n: int):
+    """Nodes and probability weights of the n-node Gauss rule for
+    Beta(p, q) on [0, 1]: the eigenpairs of the Jacobi matrix of the monic
+    orthogonal polynomials (Golub and Welsch, Math. Comp. 23, 1969)."""
     m = p + q
     k = np.arange(1, n, dtype=np.float64)
     t = 2.0 * k + m - 2.0
@@ -374,9 +375,13 @@ def _window_rule(p, q, lo, hi, cuts):
     the factor is narrow; every piece with an end near 0 or 1 is graded
     geometrically towards it.  A piece that ends at 0 or 1 takes the
     density's factor there into its Gauss weight, so the rule stays exact
-    at that end for any p, q > 0."""
+    at that end for any p, q > 0.  Cuts closer than _EDGE to 0 or 1 are
+    dropped."""
     lo = np.clip(lo, 0.0, 1.0)
     hi = np.clip(hi, lo, 1.0)
+    # a cut within _EDGE of 0 or 1 would leave a piece so narrow that its
+    # Gauss nodes round onto that end; one at 0 or 1 (or NaN) cuts nothing
+    cuts = [c for c in cuts if _EDGE <= c <= 1.0 - _EDGE]
 
     def split(cuts):
         cuts = np.clip(np.asarray(cuts, dtype=np.float64)[None, :], lo[:, None], hi[:, None])
@@ -414,23 +419,22 @@ def _window_rule(p, q, lo, hi, cuts):
     for e0, e1 in itertools.product((False, True), repeat=2):
         sel = (at0 == e0) & (at1 == e1)
         P, Q = (p if e0 else 1.0), (q if e1 else 1.0)
-        y, wy = _beta_rule(P, Q)
+        y, wy = _beta_rule(P, Q, _GAUSS_NODES)
         du = (v - u)[sel, None]
         x[sel] = u[sel, None] + du * y
+        # an exponent difference of 0 drops its term, which would be
+        # 0 * log 0 at a node that rounds onto the piece's end
+        log_w = (P + Q - 1.0) * np.log(du)
         if narrow:
-            log_w = (
-                (P + Q - 1.0) * np.log(du)
-                + _log_density_rest(p, q, P, Q, x[sel])
-                + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
-            )
+            log_w = log_w + _log_density_rest(p, q, P, Q, x[sel])
         else:
-            log_w = (
-                (P + Q - 1.0) * np.log(du)
-                + (p - P) * np.log(x[sel])
-                + (q - Q) * np.log1p(-x[sel])
-                + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
-                - lbeta
-            )
+            if p != P:
+                log_w = log_w + (p - P) * np.log(x[sel])
+            if q != Q:
+                log_w = log_w + (q - Q) * np.log1p(-x[sel])
+        log_w = log_w + math.lgamma(P) + math.lgamma(Q) - math.lgamma(P + Q)
+        if not narrow:
+            log_w = log_w - lbeta
         w[sel] = wy * np.exp(log_w)
     return np.repeat(row, _GAUSS_NODES), x.ravel(), w.ravel()
 
@@ -451,13 +455,19 @@ def _log_density_rest(p, q, P, Q, x):
     """(p - P) log x + (q - Q) log(1 - x) - log B(p, q) without the
     cancellation of lgamma at large p + q: the log density at the mean
     mu = p/m is (3 log m - log(2 pi p q))/2 plus Stirling remainders, and
-    each node adds logs of x/mu and (1 - x)/(1 - mu), numbers near 1."""
+    each node adds logs of x/mu and (1 - x)/(1 - mu), numbers near 1; a
+    zero exponent difference drops its term."""
     m = p + q
     at_mean = 0.5 * (3.0 * math.log(m) - math.log(2.0 * math.pi * p) - math.log(q))
     at_mean += _stirling_rest(m) - _stirling_rest(p) - _stirling_rest(q)
     at_mean -= (P - 1.0) * math.log(p / m) + (Q - 1.0) * math.log(q / m)
     d = x - p / m
-    return at_mean + (p - P) * np.log1p(d * (m / p)) + (q - Q) * np.log1p(-d * (m / q))
+    out = at_mean
+    if p != P:
+        out = out + (p - P) * np.log1p(d * (m / p))
+    if q != Q:
+        out = out + (q - Q) * np.log1p(-d * (m / q))
+    return out
 
 
 def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
@@ -469,8 +479,9 @@ def _dirichlet_expect(a: DirichletParams, fn, window=None) -> float:
     return float(wt @ np.asarray(fn(z), dtype=np.float64))
 
 
-def _dirichlet_rule(a: DirichletParams, window=None):
-    """The nodes z (n, K-1) and weights of `_dirichlet_expect`'s rule.
+def _dirichlet_rule(a: DirichletParams, window=None, nodes=_GAUSS_NODES):
+    """The nodes z (n, K-1) and weights of `_dirichlet_expect`'s rule;
+    `nodes` sets the Gauss nodes of each factor of an unwindowed rule.
 
     In stick-breaking coordinates Z_j = (1 - Z_1 - ... - Z_(j-1)) Y_j with
     independent Y_j ~ Beta(a_j, a_(j+1) + ... + a_K), so the mean is a
@@ -505,7 +516,7 @@ def _dirichlet_rule(a: DirichletParams, window=None):
                 keep = (lo <= zj) & (zj <= hi)
                 row, y, wy = row[keep], y[keep], wy[keep]
         elif window is None:
-            y, wy = _beta_rule(p, q)
+            y, wy = _beta_rule(p, q, nodes)
             row = np.repeat(np.arange(len(wt)), len(y))
             y, wy = np.tile(y, len(wt)), np.tile(wy, len(wt))
         else:

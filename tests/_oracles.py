@@ -853,3 +853,38 @@ def wf_stationary_moments(mutation, N, degree):
                 f = rows[r][i]
                 rows[r] = [u - f * v for u, v in zip(rows[r], rows[i])]
     return {c: rows[col[c]][n] for c in cs}
+
+
+def wf_stationary_law(mutation, N):
+    """The exact stationary law of a Wright-Fisher chain, {free counts:
+    Fraction}, so its moments of any degree are exact: every row is the
+    multinomial law Mult(N, x P / N) in Fractions, and pi P = pi with
+    sum(pi) = 1 is solved by Gauss-Jordan elimination.  The set-partition
+    sums of wf_stationary_moments grow with the Bell numbers of the
+    degree; this grows with the states instead, so it serves high degrees
+    at small N."""
+    K = mutation.K
+    full = list(_compositions(N, K))
+    n = len(full)
+    # row i of the system: sum_x pi(x) (P[x, y_i] - [x == y_i]) = 0, the
+    # last replaced by sum_x pi(x) = 1
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for col, x in enumerate(full):
+        q = [sum(Fraction(x[i]) * Fraction(mutation.p[i][j]) for i in range(K)) / N for j in range(K)]
+        for r, y in enumerate(full):
+            term = Fraction(math.factorial(N))
+            for qj, yj in zip(q, y):
+                term *= qj**yj / math.factorial(yj)
+            rows[r][col] += term
+        rows[col][col] -= 1
+    rows[-1] = [Fraction(1)] * n + [Fraction(1)]
+    for i in range(n):
+        piv = next(r for r in range(i, n) if rows[r][i] != 0)
+        rows[i], rows[piv] = rows[piv], rows[i]
+        inv = 1 / rows[i][i]
+        rows[i] = [v * inv for v in rows[i]]
+        for r in range(n):
+            if r != i and rows[r][i] != 0:
+                f = rows[r][i]
+                rows[r] = [u - f * v for u, v in zip(rows[r], rows[i])]
+    return {x[:-1]: rows[i][n] for i, x in enumerate(full)}

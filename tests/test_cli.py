@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from dirstein import cli
 from dirstein.chains import run_to_stationarity
 from dirstein.cli import ConfigError, config_hash, main, parse_config_text
-from dirstein.metrics import MOMENT_DEGREE, exact_moments, exact_stationary, moment_z_max
+from dirstein.metrics import (
+    BUMP_DEGREE,
+    MOMENT_DEGREE,
+    exact_moments,
+    exact_stationary,
+    moment_z_max,
+)
 from dirstein.simplex import RngStream
 
 
@@ -496,6 +502,7 @@ class TestOneStationaryRun:
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
         assert f"moments = exact (degree {MOMENT_DEGREE})" in summary
         assert f"controls = {MOMENT_DEGREE}" in summary
+        assert f"bump_controls = {BUMP_DEGREE[2]} (degree {BUMP_DEGREE[2]})" in summary
         assert f"type_redraws = {cli.TYPE_REDRAWS}" in summary
         assert "moment_z_max = %.17g" % moment_z_max(run, mom) in summary
         # matched rates: the linear monomial's gap and stderr are exactly 0
@@ -551,9 +558,12 @@ class TestCertifyJob:
         # the control set: every monomial of degree 1..MOMENT_DEGREE
         assert f"moments = exact (degree {MOMENT_DEGREE})" in out
         assert f"controls = {math.comb(MOMENT_DEGREE + K - 1, K - 1) - 1}" in out
-        # the redraws follow the moment degree and the control count
+        # the bump's own controls, every monomial of degree 1..BUMP_DEGREE[K],
+        # and the redraws follow the moment degree and the control counts
+        D = BUMP_DEGREE[K]
         i = out.index(f"moments = exact (degree {MOMENT_DEGREE})")
-        assert out[i + 2] == f"type_redraws = {cli.TYPE_REDRAWS}"
+        assert out[i + 2] == f"bump_controls = {math.comb(D + K - 1, K - 1) - 1} (degree {D})"
+        assert out[i + 3] == f"type_redraws = {cli.TYPE_REDRAWS}"
         dirs = []
         for workers in (1, 3):
             d = tmp_path / f"w{workers}"
@@ -589,8 +599,10 @@ class TestCertifyJob:
 # sha256 of the artifacts that these configs wrote before genealogy gaps were
 # averaged over type redraws.  The redraws come from a stream the sampler
 # never reads and change only sampled gap rows: the samples, the bound and
-# the exact monomial rows stay byte for byte, and so does a forward run's
-# whole gap table.
+# the exact monomial rows stay byte for byte.  A forward run's whole gap
+# table is pinned as its bump took controls of degree 10, which moved its
+# bump row and the last digits of its wave rows; its monomial rows kept
+# their bytes.
 _PINNED_ARTIFACTS = {
     "wf-k2": (
         'kind = "wf-theorem1"\nmodel.N = 77\nmodel.a = [2.713, 3.402]\nmc.samples = 1024\n'
@@ -624,7 +636,8 @@ _PINNED_ARTIFACTS = {
         {
             "samples.csv": "f8acdeb742c3a6142dc6885b24106a21af876efdb017c1943db4d02b19fef62e",
             "bound.txt": "4e8bebc2394359ffa49d8ce41706d7e54b6b6a0a628808a9ad302f4305f5354b",
-            "gaps.csv": "0f67d75887bca1eba968254acabc007defcabcc32749dc8c8cd32fd92da51cdb",
+            "monomial rows": "06ee5e44556c47b1d84eb95c271596a4ae8c6e0109b37414b7e4f469d459aa01",
+            "gaps.csv": "d8a1fa689611f59e40eb9d0e76c18c613d21e2a59ae009b2e2c39175bc6bdd0f",
         },
     ),
 }
@@ -660,7 +673,7 @@ class TestArtifactContract:
         out = capsys.readouterr().out.splitlines()
         assert "sampler = genealogy" in out
         assert f"type_redraws = {cli.TYPE_REDRAWS}" in out
-        assert not any(line.startswith(("moments", "controls")) for line in out)
+        assert not any(line.startswith(("moments", "controls", "bump_controls")) for line in out)
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.
@@ -1092,9 +1105,10 @@ class TestConfigFuzz:
             # only Wright-Fisher runs take exact moments and report them
             summary = (Path(d) / "o" / "summary.txt").read_text().splitlines()
             keys = [line.split(" = ")[0] for line in summary]
-            moment_keys = [k for k in keys if k in ("moments", "controls", "moment_z_max")]
+            names = ["moments", "controls", "bump_controls", "moment_z_max"]
+            moment_keys = [k for k in keys if k in names]
             wf = data["kind"] == "wf-theorem1"
-            assert moment_keys == (["moments", "controls", "moment_z_max"] if wf else []), text
+            assert moment_keys == (names if wf else []), text
 
     # runs that step the forward kernel; at the largest sizes one run takes
     # about 0.2 s, set-up included

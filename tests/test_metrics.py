@@ -25,6 +25,7 @@ from dirstein.chains import (
 )
 from dirstein.cli import TYPE_REDRAWS
 from dirstein.metrics import (
+    BUMP_DEGREE,
     MOMENT_DEGREE,
     GapEstimate,
     K2Distance,
@@ -35,6 +36,7 @@ from dirstein.metrics import (
     _bump,
     _exponents,
     _halfplane_prob,
+    _least_squares,
     _monomial,
     _monomials,
     _reg_inc_beta,
@@ -1253,6 +1255,25 @@ class TestExactMoments:
             assert mom.moment(c) == v
         assert mom.resolution >= 1e-13
 
+    @pytest.mark.parametrize(
+        "name, N", [("pim-k2", 8), ("pim-k3", 5), ("cyclic-k3", 5), ("dense-k3", 4)]
+    )
+    def test_bump_degrees_match_the_exact_law(self, name, N):
+        # the bump's degrees, 12 at K=2 and 10 at K=3, against moments of
+        # the exact rational stationary law; at degree 4 that law also
+        # agrees with the set-partition oracle, which is too slow here
+        mut = _MOMENT_MODELS[name](N)
+        law = oracles.wf_stationary_law(mut, N)
+        degree = BUMP_DEGREE[mut.K]
+        mom = exact_moments(ChainModel(N, mut), degree)
+        assert mom.exponents.sum(axis=1).max() == degree
+        for c, v in zip(mom.exponents.tolist(), mom.values):
+            want = sum(p * math.prod(F(x, N) ** k for x, k in zip(s, c)) for s, p in law.items())
+            assert abs(v - float(want)) <= mom.resolution, (c, v)
+        low = oracles.wf_stationary_moments(mut, N, 4)
+        for c, want in low.items():
+            assert sum(p * math.prod(F(x, N) ** k for x, k in zip(s, c)) for s, p in law.items()) == want
+
     def test_pim_means_are_the_rate_shares(self):
         # parent-independent rates pi force the stationary mean pi / |pi|
         mom = exact_moments(ChainModel(200, pim_for((3, 2, 4), 200)), MOMENT_DEGREE)
@@ -1277,11 +1298,30 @@ class TestExactMoments:
             times.append(time.perf_counter() - start)
         assert sorted(times)[3] <= 2e-3, times
 
+    def test_bump_solve_and_weights_are_quick(self):
+        # the bump's second moment solve, its least squares and its weights
+        # at K=3, N=200 (about 3 ms on a 2-vCPU host)
+        import time
+
+        a = (3, 2, 4)
+        model, ap = ChainModel(200, pim_for(a, 200)), DirichletParams(a)
+        bump = make_battery(3)[-1]
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            mom = exact_moments(model, BUMP_DEGREE[3])
+            fit = replace(mom, law=ap, projection=_least_squares(ap, mom.exponents))
+            fit.weights((bump,))
+            times.append(time.perf_counter() - start)
+        assert sorted(times)[3] <= 10e-3, times
+
     def test_refusals(self):
         with pytest.raises(MetricsError, match="Wright-Fisher"):
             exact_moments(ChainModel(8, pim_for((1, 1), 8), OffspringModel.moran(8)), 3)
         with pytest.raises(MetricsError, match="degree"):
             exact_moments(ChainModel(8, pim_for((1, 1), 8)), 0)
+        with pytest.raises(MetricsError, match="bump's moment degree"):
+            exact_moments(ChainModel(8, pim_for((1, 1), 8)), 4, 3)
         with pytest.raises(MetricsError, match="exponents"):
             exact_moments(ChainModel(8, pim_for((1, 1), 8)), 3).moment((4,))
 
@@ -1405,6 +1445,28 @@ class TestControlledGaps:
         beta = mom.projected(DirichletParams((2, 3))).weights((_CUBIC,))[:, 0]
         assert beta == pytest.approx([2, 0, -3] + [0] * (degree - 3), abs=1e-7)
 
+    @pytest.mark.parametrize("a", [(2.5, 3.5), (0.4, 0.7), (2.5, 3.0, 2.0), (0.3, 0.8, 0.5)])
+    def test_bump_route_reproduces_a_polynomial(self, a):
+        # a polynomial of degree BUMP_DEGREE[K] on the bump's route: its
+        # least-squares weights reproduce it, so its controlled values
+        # h(W) - beta . (c(W) - mu) are one constant to rounding (about
+        # 1e-13 of its sd), where the Gram route of the same degree leaves
+        # 5e-6 to 2e-4 of it
+        K, ap = len(a), DirichletParams(a)
+        model = ChainModel(40, pim_for((2.5, 3.5, 3.0)[:K], 40))
+        mom = exact_moments(model, MOMENT_DEGREE, BUMP_DEGREE[K]).projected(ap)
+        exps = mom.bump.exponents
+        coef = np.random.default_rng(1).normal(size=len(exps))
+        poly = replace(make_battery(K)[-1], fn=lambda z: 1.0 + _monomials(z, exps) @ coef)
+        assert mom.route(poly) is mom.bump
+        w = dirichlet_sample(ap, RngStream(2), size=2000)[:, : K - 1]
+        vals = poly.fn(w)
+        ((_, corr),) = mom.controls(w, (poly,)).values()
+        assert np.ptp(vals - corr) <= 1e-10 * vals.std()
+        gram = exact_moments(model, BUMP_DEGREE[K]).projected(ap)
+        ((_, corr),) = gram.controls(w, (poly,)).values()
+        assert np.ptp(vals - corr) >= 1e-6 * vals.std()
+
     @pytest.mark.parametrize("a", [(2, 3), (0.4, 0.7), (2.5, 3.0, 2.0)])
     def test_projection_fits_a_polynomial_to_its_rounding(self, a):
         # at MOMENT_DEGREE the weights of a cubic are not its coefficients
@@ -1454,7 +1516,7 @@ class TestControlledGaps:
         # z-scores of every non-monomial gap against the table's exact
         # E h(W) are standard normal, and the controls cut the stderr
         ap, model, run, battery = self._setup(K, N, a, 400 * 1024, seed)
-        mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
+        mom = exact_moments(model, MOMENT_DEGREE, BUMP_DEGREE[K]).projected(ap)
         tab = exact_stationary(model)
         rows = run.samples.reshape(400, 1024, K - 1)
         worst, worst_plain = np.zeros(400), np.zeros(400)
@@ -1474,19 +1536,22 @@ class TestControlledGaps:
         assert np.median(worst) <= np.median(worst_plain) / 3
 
     @pytest.mark.parametrize(
-        "K, N, a, seed",
+        "K, N, a, seed, bump_gain",
         [
-            pytest.param(3, 25, (2.5, 3.0, 2.0), 7, id="3-25-a0"),
-            pytest.param(2, 60, (2.5, 3.5), 7, id="2-60-a1"),
+            pytest.param(3, 25, (2.5, 3.0, 2.0), 7, 0.8, id="3-25-a0"),
+            pytest.param(2, 60, (2.5, 3.5), 7, 0.5, id="2-60-a1"),
         ],
     )
-    def test_type_redraws_calibrated_against_exact_tables(self, K, N, a, seed):
+    def test_type_redraws_calibrated_against_exact_tables(self, K, N, a, seed, bump_gain):
         # the draws of test_calibrated_against_exact_tables, each averaged
         # over itself and TYPE_REDRAWS - 1 copies whose blocks take fresh
         # types: the z-scores of every non-monomial gap stay standard
-        # normal, and the bump's stderr at least halves
+        # normal, the bump's stderr at least halves, and its controls of
+        # degree BUMP_DEGREE[K] cut it below bump_gain times that of the
+        # degree-8 controls (0.68 and 0.16 measured)
         ap, model, run, battery = self._setup(K, N, a, 400 * 1024, seed)
-        mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
+        mom = exact_moments(model, MOMENT_DEGREE, BUMP_DEGREE[K]).projected(ap)
+        low_degree = exact_moments(model, MOMENT_DEGREE).projected(ap)
         tab = exact_stationary(model)
         R = TYPE_REDRAWS
         copies = redraw_types(run, R, RngStream(seed).child(0)).reshape(R, 400, 1024, K - 1)
@@ -1496,7 +1561,7 @@ class TestControlledGaps:
         truth = [tab.expect(h.fn) for h in sampled]
         low = [replace(h, mean=h.value_range[0] - 1.0) for h in sampled]
         z = np.zeros((len(sampled), 400))
-        bump_se, single_se = np.zeros(400), np.zeros(400)
+        bump_se, single_se, low_se = np.zeros(400), np.zeros(400), np.zeros(400)
         for i in range(400):
             rows = copies[:, i]
             controls = mom.controls(rows, sampled)
@@ -1505,10 +1570,12 @@ class TestControlledGaps:
                 z[j, i] = (ge.gap + h.mean - truth[j]) / ge.stderr
             bump_se[i] = ge.stderr
             single_se[i] = smooth_gap(rows[0], ap, bump, bound=1.0, moments=mom).stderr
+            low_se[i] = smooth_gap(rows, ap, bump, bound=1.0, moments=low_degree).stderr
         for h, zh in zip(sampled, z):
             assert 0.85 <= np.std(zh, ddof=1) <= 1.15, (h.tag, np.std(zh, ddof=1))
             assert abs(np.mean(zh)) <= 0.25, (h.tag, np.mean(zh))
         assert np.median(bump_se) <= np.median(single_se) / 2
+        assert np.median(bump_se) <= bump_gain * np.median(low_se)
 
     def test_type_redraws_calibrate_cannings_plain_means(self):
         # a Dirichlet-multinomial chain takes no exact moments: every gap,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from dirstein.simplex import (
     DirichletParams,
@@ -14,6 +15,7 @@ from dirstein.simplex import (
     SimplexPoint,
     _dirichlet_moments,
     _dirichlet_rule,
+    _window_rule,
     dirichlet_density,
     dirichlet_mixed_moment,
     dirichlet_sample,
@@ -243,6 +245,35 @@ class TestGaussRule:
         assert len(wt) == len(z) < 1.2e6
         # the window holds the whole law, and dropping nodes lost no mass
         assert abs(float(wt.sum()) - 1.0) < 1e-9
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize(
+        "p, q, cut",
+        [
+            (0.001, 0.005, 1 - 2.0**-40),
+            (0.001, 0.005, 1 - 2.0**-52),
+            (0.05, 40.5, 2.2e-16),
+            (0.05, 40.5, 1e-300),
+        ],
+    )
+    def test_cut_near_an_end_leaves_finite_weights(self, p, q, cut):
+        # a cut this close to 0 or 1 once gave a piece whose Gauss nodes
+        # round onto the end: NaN weights and a total of 0.86 or inf
+        _, x, w = _window_rule(p, q, np.array([0.0]), np.array([1.0]), [cut])
+        assert np.isfinite(w).all() and (w >= 0.0).all()
+        assert abs(w.sum() - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "p, q, lo, hi", [(0.001, 0.005, 1 - 2.0**-52, 1.0), (0.05, 40.5, 0.0, 1e-320)]
+    )
+    def test_narrow_end_piece_leaves_finite_weights(self, p, q, lo, hi):
+        # a window this narrow at 0 or 1 rounds its nodes onto the end,
+        # where the end's own exponent takes no log-density term
+        _, x, w = _window_rule(p, q, np.array([lo]), np.array([hi]), [])
+        assert np.isfinite(w).all() and (w >= 0.0).all()
+        want = betainc(p, q, hi) - betainc(p, q, lo)
+        assert w.sum() == pytest.approx(want, rel=1e-3)
 
 
 class TestTheta:
