@@ -16,16 +16,18 @@ polya-theorem4 takes its gaps from the urn's exact law when the law has
 no more states than mc.samples, and from mc.samples sampled end states
 otherwise; summary.txt names the source (`law`), its `states` and the
 exact table's `resolution`.  wf-theorem1 takes the chain's exact
-stationary moments of degree <= MOMENT_DEGREE: its monomial gaps are
-exact and every other gap is sampled against monomial controls
-(`smooth_gap`), the bump's of degree BUMP_DEGREE[K]; validate prints
-`moments`, `controls` and `bump_controls`, and summary.txt records them
-with `moment_z_max`, the sample's largest moment z-score.  A genealogy
-run of wf-theorem1 or cannings-theorem2 averages every sampled gap over
-TYPE_REDRAWS copies of each draw, the recorded one and copies whose
-blocks take fresh types from a child of the config seed's stream
-(`chains.redraw_types`); samples.csv holds the recorded draws, and
-validate and summary.txt print `type_redraws`.
+stationary moments of degree <= MOMENT_DEGREE[K]: its monomial gaps are
+exact, its wave gaps are deterministic upper bounds from an interval
+around E h(W) (`ExactMoments.enclose`) and its bump gap is sampled
+against monomial controls (`smooth_gap`); validate prints `moments` and
+`controls`, and summary.txt records them with `moment_z_max`, the
+sample's largest moment z-score, and `wave_half_width`, the largest
+interval half-width.  A genealogy run of wf-theorem1 or
+cannings-theorem2 averages every sampled gap over TYPE_REDRAWS copies of
+each draw, the recorded one and copies whose blocks take fresh types
+from a child of the config seed's stream (`chains.redraw_types`);
+samples.csv holds the recorded draws, and validate and summary.txt print
+`type_redraws`.
 
 Exit codes: 0 all certifications pass, 1 usage or configuration error,
 2 a certification failed (a finding, not a malfunction).
@@ -58,8 +60,8 @@ from .chains import (
     uses_genealogy,
 )
 from .metrics import (
-    BUMP_DEGREE,
     MOMENT_DEGREE,
+    _WAVES,
     MetricsError,
     _exponents,
     _monomial,
@@ -391,7 +393,7 @@ class _Experiment:
         self.model = ChainModel(N=self.N, mutation=self.mutation)
         self._plan_sampling(data, key)
         try:
-            self.moments = exact_moments(self.model, MOMENT_DEGREE, BUMP_DEGREE[self.K])
+            self.moments = exact_moments(self.model, MOMENT_DEGREE[self.K])
         except MetricsError as e:
             raise ConfigError(key, str(e))
         self.summary = summarize(self.mutation, self.a, self.N)
@@ -569,16 +571,13 @@ def _out_dir(data) -> Path:
 
 def _control_lines(exp: _Experiment) -> list:
     """The exact moments and the monomial controls a run samples against,
-    the bump's own, and the copies of each draw its gaps average over."""
+    and the copies of each draw its gaps average over."""
     lines = []
     if exp.moments is not None:
         lines += [
             f"moments = exact (degree {exp.moments.degree})",
             f"controls = {len(exp.moments.exponents)}",
         ]
-        bump = exp.moments.bump
-        if bump is not None:
-            lines.append(f"bump_controls = {len(bump.exponents)} (degree {bump.degree})")
     if exp.redraws > 1:
         lines.append(f"type_redraws = {exp.redraws}")
     return lines
@@ -604,16 +603,11 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
             # child 0 of the seed's stream, which the sampler never reads
             rows = redraw_types(run, exp.redraws, RngStream(exp.seed).child(0))
         battery = attach_exact_means(make_battery(exp.K), exp.a)
-        moments = controls = None
-        if exp.moments is not None:
-            # one projection and one product of the centred c(W) serve
-            # every gap of the run
-            moments = exp.moments.projected(exp.a)
-            controls = moments.controls(rows, battery)
+        moments = None if exp.moments is None else exp.moments.projected(exp.a)
         gaps = tuple(
             smooth_gap(
                 rows, exp.a, h, exp.report.smooth_bound_for(h),
-                replicates=run.meta["replicates"], moments=moments, controls=controls,
+                replicates=run.meta["replicates"], moments=moments,
             )
             for h in battery
         )
@@ -628,6 +622,8 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         diagnostics += _control_lines(exp)
         if exp.moments is not None:
             diagnostics.append("moment_z_max = " + _fmt(moment_z_max(run, exp.moments)))
+            half_widths = [exp.moments.enclose(h)[1] for h in battery if h.tag[0] in _WAVES]
+            diagnostics.append("wave_half_width = " + _fmt(max(half_widths)))
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
     _write(out / "samples.csv", _samples_csv(exp, samples))

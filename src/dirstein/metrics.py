@@ -17,7 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -292,8 +292,9 @@ def make_battery(K: int) -> tuple:
 
 @dataclass(frozen=True)
 class GapEstimate:
-    """|E h(W) - E h(Z)| with its Monte-Carlo error and the bound it is
-    held against; passed means the gap minus four stderr clears it."""
+    """|E h(W) - E h(Z)|, or an upper bound on it for an enclosed wave,
+    with its Monte-Carlo error and the bound it is held against; passed
+    means the gap minus four stderr clears it."""
 
     h_tag: tuple
     gap: float
@@ -341,7 +342,6 @@ def smooth_gap(
     bound,
     replicates=None,
     moments=None,
-    controls=None,
 ) -> GapEstimate:
     """Estimate |E h(W) - E h(Z)| from a stationary sample or exact table.
 
@@ -361,21 +361,20 @@ def smooth_gap(
 
     `moments`, the chain's exact stationary moments (`exact_moments`),
     make a sample's monomial of degree <= moments.degree exact like a
-    table's, and every other h is sampled as h(W) - beta_h . (c(W) - mu):
-    c are the monomials of degree 1..D, D = moments.degree or, for a bump
-    given `moments.bump`, that one's degree, mu = E c(W) exact and beta_h
-    the L2(Dir(a)) projection of h on them (`ExactMoments.controls`),
-    which uses neither the sample nor an rng; the moments must be
-    `projected` on a.  The mean is unchanged and the variance is what the
-    projection leaves; the stderr adds |beta_h|_1 times the resolution of
-    the moments h's controls take.  `controls`, beta_h and the
-    corrections of the sample's rows as `moments.controls` gives them for
-    a whole battery at once, spares a caller that takes many gaps of one
-    sample a product per h.
+    table's.  A wave takes no draw either: its gap is
+    |E p(W) - E h(Z)| + half-width from `moments.enclose`, a
+    deterministic upper bound, with stderr 0.  Every other h is sampled
+    as h(W) - beta_h . (c(W) - mu): c are the monomials of degree
+    1..moments.degree, mu = E c(W) exact and beta_h the L2(Dir(a))
+    projection of h on them (`ExactMoments.controls`), which uses
+    neither the sample nor an rng; the moments must be `projected` on a.
+    The mean is unchanged and the variance is what the projection leaves;
+    the stderr adds |beta_h|_1 times the moments' resolution.
     """
     if h.mean is None:
         raise SteinError(f"{h.tag}: attach_mean before taking gaps")
     exact = None
+    half_width = 0.0
     if isinstance(sample, StationaryTable):
         if sample.counts.shape[1] != a.dim - 1:
             raise MetricsError("table dimension does not match the law")
@@ -389,6 +388,8 @@ def smooth_gap(
         # zero so that exactly-zero bounds stay checkable
         if abs(est - h.mean) <= resolution * max(1.0, h.sup_norm):
             est = h.mean
+    elif moments is not None and h.tag[0] in _WAVES:
+        (est, half_width), se = moments.enclose(h), 0.0
     else:
         rows, replicates = _rows(sample, a.dim - 1, replicates, copies=True)
         vals = np.asarray(h.fn(rows), dtype=np.float64)
@@ -398,14 +399,12 @@ def smooth_gap(
         if moments is not None:
             if moments.law != a:
                 raise MetricsError("the moments are not projected on this law")
-            if controls is None:
-                controls = moments.controls(rows, (h,))
-            beta, correction = controls[h.tag]
+            beta, correction = moments.controls(rows, h)
             vals = vals - correction
-            extra = float(np.abs(beta).sum()) * moments.route(h).resolution
+            extra = float(np.abs(beta).sum()) * moments.resolution
         est, se = _mean_se(vals, replicates)
         se = math.hypot(se, extra)
-    gap = abs(est - h.mean)
+    gap = abs(est - h.mean) + half_width
     bound = float(bound)
     return GapEstimate(h.tag, gap, se, bound, gap - 4.0 * se <= bound)
 
@@ -1231,39 +1230,27 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 # exact stationary moments of Wright-Fisher chains
 
 
-# degree of the exact moments that Wright-Fisher certifications sample
-# against: the exact monomials and the controls of every wave.  Over 160
-# runs of 1024 draws at K=2 and 3, N in [50, 200] and a in [2, 4], the
-# median worst stderr fell from 0.0143 with no controls to 0.0061, 0.0045,
-# 0.0036, 0.0025, 0.0019 and 0.0012 at degrees 3 to 8.  Degree 6 also
-# understated the stderr at small N: at K=3, N=25 and seed 8, sin(3 z_2)
-# had z sd 1.28 and z mean -0.37 against the exact table, where degree 8
-# keeps every wave calibrated.  The waves' weights come from the Gram
-# route of `_projection`, whose rounding (condition 1.6e13 at K=3) leaves
-# each wave a smooth residual that keeps its stderr calibrated (README,
-# "Certification gaps").  That route outruns float64 past degree 8: at 10
-# the scaled K=3 Gram has condition 6.6e16 and 11 or 12 of its 66
-# eigenvalues fall below the cut.  Higher degrees go to the bump alone,
-# by least squares (BUMP_DEGREE).
-MOMENT_DEGREE = 8
-
-# degree of the bump's controls, by K: the bump's residual at degree 8 is
-# far above rounding and sets the worst stderr of every Theorem 1 run, so
-# it takes more monomials, with weights from the well-conditioned least
-# squares of `_least_squares` (condition about 1e8 at degree 10 and K=3,
-# the square root of the Gram's).  With 8 type redraws of 1024 draws its
-# median stderr fell from 4.4e-4 to 2.2e-4 (K=3, N=150) and from 3.3e-4 to
-# 6.3e-5 (K=2, N=150), and its z-scores stay standard normal against the
-# exact tables at K=3, N=25 and K=2, N=60.  K=3 stops at degree 10: at 12
-# the |beta|_1 resolution term (9.6e-4 at N=25) is nearly all of the
-# stderr (1.05e-3) and the z sd falls to 0.4, since `exact_moments` states
-# a resolution 1e3 times the true error (ROADMAP).
-BUMP_DEGREE = {2: 12, 3: 10}
+# degree of the exact moments of a Wright-Fisher certification, by K: they
+# give the monomials their exact gaps, every wave its enclosure
+# (`ExactMoments.enclose`; at the battery's largest frequency, 3, its
+# interpolation remainder is 2.1e-9 at degree 10 and 7.6e-12 at 12) and the
+# bump its controls.  At degree 8 the bump's residual set the worst stderr
+# of every Theorem 1 run; with 8 type redraws of 1024 draws its median
+# stderr fell from 4.4e-4 at degree 8 to 2.2e-4 at 10 (K=3, N=150) and from
+# 3.3e-4 to 6.3e-5 at 12 (K=2, N=150), and its z-scores stay standard
+# normal against the exact tables at K=3, N=25 and K=2, N=60.  K=3 stops at
+# degree 10: at 12 the |beta|_1 resolution term (9.6e-4 at N=25) is nearly
+# all of the bump's stderr (1.05e-3) and its z sd falls to 0.4, since
+# `exact_moments` states a resolution 1e3 times the true error (ROADMAP).
+MOMENT_DEGREE = {2: 12, 3: 10}
 
 # Gauss nodes per stick-breaking coordinate of the bump's least squares:
 # exact for every Gram entry up to degree 31 per coordinate, past 2 x 12,
 # at a quarter of the 32-node rule's nodes at K=3 and the same stderr
 _FIT_NODES = 16
+
+# the battery's waves f(w . z) by kind, each with |f^(k)| <= 1 for every k
+_WAVES = {"sin": np.sin, "cos": np.cos}
 
 
 def _exponents(d, degree):
@@ -1291,42 +1278,6 @@ def _monomials(w, exps):
     for j in range(1, len(w)):
         out *= pw[j, exps[:, j]]
     return out.T
-
-
-def _projection(a: DirichletParams, exps):
-    """The nodes z of the whole simplex's Gauss rule and the map that
-    takes h at them (one column per h) to beta_h, the weights on the
-    monomials c with the exponent rows exps of the L2(Dir(a)) projection
-    of h on span{1, c}.  A bump's rule is not windowed here, unlike
-    attach_mean's: its weights moved the controlled stderr by under 3e-5
-    relative.
-
-    The Gram matrix E [1, c][1, c]^T comes from the same rule, which is
-    exact to degree 63 in each stick-breaking coordinate and so holds
-    every product of two monomials up to degree 31.  A monomial that
-    underflows at every node has a zero diagonal and takes no weight.
-    The rest is scaled to unit diagonal and inverted with relative
-    eigenvalues below 1e-12 cut, since the monomials of a narrow law are
-    nearly dependent and any fixed beta keeps the control-variate mean
-    unbiased.  The inverse is applied to the weighted monomials here,
-    once per law.  beta_h still carries about cond(Gram) eps of rounding,
-    about 1e-5 at degree 8 under Dir(2, 3).  At small N that rounding,
-    not the rare near-corner states that an exact projection leaves in
-    the residual, sets the wave stderrs and keeps them calibrated
-    (README, "Certification gaps")."""
-    z, wt = _dirichlet_rule(a)
-    vals = _monomials(z, np.vstack([np.zeros_like(exps[:1]), exps]))
-    basis = vals.T * wt
-    gram = basis @ vals
-    scale = np.sqrt(np.diagonal(gram))
-    live = np.flatnonzero(scale > 0.0)
-    scale = scale[live]
-    lam, vec = np.linalg.eigh(gram[np.ix_(live, live)] / np.outer(scale, scale))
-    keep = lam > 1e-12 * lam[-1]
-    vec = vec[:, keep] / scale[:, None]
-    inv = np.zeros_like(gram)
-    inv[np.ix_(live, live)] = (vec / lam[keep]) @ vec.T
-    return z, partial(np.matmul, inv[1:] @ basis)
 
 
 def _least_squares(a: DirichletParams, exps):
@@ -1360,6 +1311,57 @@ def _least_squares(a: DirichletParams, exps):
     return z, fit
 
 
+@lru_cache(maxsize=8)
+def _chebyshev_rule(degree):
+    """The Chebyshev interpolation of degree D >= 1 on [0, 1], as
+    matrices: the nodes u_i = (1 + cos theta_i) / 2 of the first kind,
+    theta_i = pi (i + 1/2) / (D+1); C, taking values at them to the
+    Chebyshev coefficients c_j = (2 - [j = 0]) / (D+1) sum_i
+    cos(j theta_i) y_i, as `numpy.polynomial.chebyshev.chebinterpolate`
+    takes them; and M, whose column j holds the power coefficients in u
+    of T_j(2u - 1), by the recurrence T_(j+1) = 2 (2u - 1) T_j - T_(j-1):
+    integers, exact in float64 up to degree 20.  Cached and shared:
+    callers must not write into them."""
+    n = degree + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    C = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    C[0] /= 2.0
+    M = np.zeros((n, n))
+    M[0, 0] = 1.0
+    M[:2, 1] = (-1.0, 2.0)
+    for j in range(2, n):
+        M[1:, j] = 4.0 * M[:-1, j - 1]
+        M[:, j] -= 2.0 * M[:, j - 1] + M[:, j - 2]
+    u = (1.0 + np.cos(theta)) / 2.0
+    for arr in (u, C, M):
+        arr.flags.writeable = False
+    return u, C, M
+
+
+def _wave_polynomial(h: TestFunction, degree):
+    """For a battery wave h = f(w . z) (f = sin or cos, w >= 0): the power
+    coefficients p_k in u = w . z / T, T = max w, of the degree-D
+    Chebyshev interpolant of f on [0, T], T, and a bound on |f - p| over
+    [0, T].  On the simplex the phase w . z lies in [0, T].
+
+    Since |f^(D+1)| <= 1, the interpolant at the Chebyshev points of the
+    first kind is within 2 (T/4)^(D+1) / (D+1)! of f.  The bound adds the
+    rounding of p, each part of which moves p on [0, 1] by at most its
+    own size: of each Chebyshev coefficient, 10 (D + T + 2) eps (the
+    cosines of C to (D pi + 1) eps, f at the rounded nodes to
+    (3T + 2) eps, and the node sum), and of the power conversion,
+    (D+1) eps |M| |c|."""
+    f = _WAVES[h.tag[0]]
+    T, D = float(max(h.tag[1])), int(degree)
+    u, C, M = _chebyshev_rule(D)
+    c = C @ f(T * u)
+    eps = np.finfo(np.float64).eps
+    rounding = 10.0 * (D + 1) * (D + T + 2.0) * eps
+    rounding += (D + 1) * eps * float((np.abs(M) @ np.abs(c)).sum())
+    remainder = 2.0 * (T / 4.0) ** (D + 1) / math.factorial(D + 1)
+    return M @ c, T, remainder + rounding
+
+
 @dataclass(frozen=True)
 class ExactMoments:
     """Stationary moments E[W^c] of a chain, for every exponent vector c
@@ -1367,10 +1369,8 @@ class ExactMoments:
 
     exponents lists the c by degree and then lexicographically, and
     values the moments in the same order.  resolution bounds the float
-    error of every value, as a StationaryTable's does.  `bump`, moments
-    of a higher degree from their own solve, gives the bump its controls
-    (`route`).  `projected` adds the law whose L2 projection the controls
-    of smooth_gap take."""
+    error of every value, as a StationaryTable's does.  `projected` adds
+    the law whose L2 projection the controls of smooth_gap take."""
 
     exponents: np.ndarray
     values: np.ndarray
@@ -1378,7 +1378,6 @@ class ExactMoments:
     resolution: float
     law: DirichletParams | None = None
     projection: tuple | None = field(default=None, repr=False, compare=False)
-    bump: ExactMoments | None = field(default=None, repr=False, compare=False)
 
     def moment(self, c) -> float:
         """E[W^c] for one exponent vector c."""
@@ -1390,66 +1389,65 @@ class ExactMoments:
 
     def projected(self, a: DirichletParams) -> ExactMoments:
         """These moments with the L2(Dir(a)) projection onto span{1, c}
-        built once, for the weights of any h: by the Gram route of
-        `_projection` here and by the least squares of `_least_squares`
-        in `bump`."""
-        bump = self.bump
-        if bump is not None:
-            bump = replace(bump, law=a, projection=_least_squares(a, bump.exponents))
-        return replace(self, law=a, projection=_projection(a, self.exponents), bump=bump)
+        built once (`_least_squares`), for the weights of any h."""
+        return replace(self, law=a, projection=_least_squares(a, self.exponents))
 
     def exact(self, h: TestFunction) -> bool:
         """Whether h is a monomial these moments hold, so that smooth_gap
         takes its gap without sampling."""
         return h.tag[0] == "monomial" and sum(h.tag[1]) <= self.degree
 
-    def route(self, h: TestFunction) -> ExactMoments:
-        """The moments whose monomials control h: `bump` for a bump when
-        it is given, these moments otherwise."""
-        return self.bump if self.bump is not None and h.tag[0] == "bump" else self
+    def enclose(self, h: TestFunction) -> tuple:
+        """(E p(W), half-width) for a battery wave h = f(w . z), p its
+        interpolant of degree D = degree (`_wave_polynomial`): an interval
+        that holds E h(W), with no draw.
 
-    def controls(self, w, fns) -> dict:
-        """(beta_h, beta_h . (c(w) - mu)) for rows w and every h of fns
-        that is not `exact`, keyed by h.tag, as smooth_gap's `controls`,
-        each on the monomials of h's `route`: the beta_h of a route from
-        one product over its rule's nodes and their corrections from one
-        product of the centred monomials c(w) - mu.  One table of c(w)
-        serves both routes; its leading columns are this degree's.
-        Rows w of shape (R, n, d), R copies of each of n draws, give the
-        copies' mean correction of each draw: c(w) is averaged over the
-        copies, one copy at a time, before the product."""
-        fns = [h for h in fns if not self.exact(h)]
-        routes = [m for m in (self, self.bump) if any(self.route(h) is m for h in fns)]
-        exps = routes[-1].exponents if routes else self.exponents
+        With u = w . z / T, E p(W) = p_0 + sum_c coef_c E[W^c], where by
+        the multinomial theorem coef_c = p_|c| |c|! / prod_j c_j!
+        prod_j (w_j / T)^c_j.  The half-width adds to the bound on
+        |f - p| the moments' error, |coef|_1 resolution, and the rounding
+        of the coefficients and of their sum, 2 (m + 2D + 4) eps
+        (|p_0| + |coef| . |E[W^c]|) over the m moments."""
+        exps, deg = self.exponents, self.exponents.sum(axis=1)
+        if len(h.tag[1]) != exps.shape[1]:
+            raise MetricsError(f"{h.tag}: the wave's weights do not match the moments")
+        p, T, error = _wave_polynomial(h, self.degree)
+        fact = np.array([math.factorial(k) for k in range(self.degree + 1)], dtype=np.float64)
+        w = np.asarray(h.tag[1], dtype=np.float64) / T
+        coef = p[deg] * (fact[deg] / fact[exps].prod(axis=1)) * np.prod(w**exps, axis=1)
+        size = abs(p[0]) + float(np.abs(coef) @ np.abs(self.values))
+        rounding = 2.0 * (len(exps) + 2 * self.degree + 4) * np.finfo(np.float64).eps * size
+        half_width = error + float(np.abs(coef).sum()) * self.resolution + rounding
+        return float(p[0] + coef @ self.values), half_width
+
+    def controls(self, w, h) -> tuple:
+        """(beta_h, beta_h . (c(w) - mu)): the `weights` of h and the
+        correction of each row of w, from one product of the centred
+        monomials c(w) - mu.  Rows w of shape (R, n, d), R copies of each
+        of n draws, give the copies' mean correction of each draw: c(w) is
+        averaged over the copies, one copy at a time, before the product."""
+        beta = self.weights(h)
         w = np.asarray(w, dtype=np.float64)
         copies = w.reshape((-1,) + w.shape[-2:])
-        c = _monomials(copies[0], exps)
+        c = _monomials(copies[0], self.exponents)
         for copy in copies[1:]:
-            c += _monomials(copy, exps)
+            c += _monomials(copy, self.exponents)
         c /= len(copies)
-        out = {}
-        for mom in routes:
-            group = [h for h in fns if self.route(h) is mom]
-            beta = mom.weights(group)
-            corr = (c[:, : len(mom.values)] - mom.values) @ beta
-            out.update((h.tag, (beta[:, j], corr[:, j])) for j, h in enumerate(group))
-        return {h.tag: out[h.tag] for h in fns}
+        return beta[:, 0], ((c - self.values) @ beta)[:, 0]
 
-    def weights(self, fns) -> np.ndarray:
-        """beta_h for every h of fns, one column each: the weights on
-        these moments' monomials c of the projection of h under the
-        projected law, from h at the nodes of the projection's rule."""
+    def weights(self, h: TestFunction) -> np.ndarray:
+        """beta_h as one column: the weights on these moments' monomials c
+        of the projection of h under the projected law, from h at the
+        nodes of the projection's rule."""
         if self.projection is None:
             raise MetricsError("project the moments on a law before weighting h")
         z, fit = self.projection
-        return fit(np.column_stack([np.asarray(h.fn(z), dtype=np.float64) for h in fns]))
+        return fit(np.asarray(h.fn(z), dtype=np.float64)[:, None])
 
 
-def exact_moments(model: ChainModel, degree: int, bump_degree: int | None = None) -> ExactMoments:
+def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
     """Stationary E[W^c], 1 <= |c| <= degree, of a Wright-Fisher chain
-    with any mutation matrix P, from one small linear solve, and with
-    bump_degree (at least degree) the moments of that degree from a solve
-    of their own in `bump`.
+    with any mutation matrix P, from one small linear solve.
 
     Given W = w the next counts are X' ~ Mult(N, q(w)) with q(w) = w P,
     affine in the free coordinates.  The multinomial falling moments
@@ -1512,12 +1510,7 @@ def exact_moments(model: ChainModel, degree: int, bump_degree: int | None = None
     resolution = max(1e-13, 16 * m * np.finfo(float).eps * float(norm))
     if not (np.isfinite(values).all() and math.isfinite(resolution)):
         raise MetricsError("the stationary moment system is singular")
-    bump = None
-    if bump_degree is not None:
-        if int(bump_degree) < degree:
-            raise MetricsError("the bump's moment degree must be at least the degree")
-        bump = exact_moments(model, bump_degree)
-    return ExactMoments(exps[1:], values, degree, resolution, bump=bump)
+    return ExactMoments(exps[1:], values, degree, resolution)
 
 
 def moment_z_max(sample, moments: ExactMoments) -> float:

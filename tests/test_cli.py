@@ -22,10 +22,10 @@ from dirstein import cli
 from dirstein.chains import run_to_stationarity
 from dirstein.cli import ConfigError, config_hash, main, parse_config_text
 from dirstein.metrics import (
-    BUMP_DEGREE,
     MOMENT_DEGREE,
     exact_moments,
     exact_stationary,
+    make_battery,
     moment_z_max,
 )
 from dirstein.simplex import RngStream
@@ -498,13 +498,16 @@ class TestOneStationaryRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         exp = cli._Experiment(parse_config_text(WF_CFG))
         run = run_to_stationarity(exp.model, 2500, RngStream(7))
-        mom = exact_moments(exp.model, MOMENT_DEGREE)
+        D = MOMENT_DEGREE[2]
+        mom = exact_moments(exp.model, D)
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
-        assert f"moments = exact (degree {MOMENT_DEGREE})" in summary
-        assert f"controls = {MOMENT_DEGREE}" in summary
-        assert f"bump_controls = {BUMP_DEGREE[2]} (degree {BUMP_DEGREE[2]})" in summary
+        assert f"moments = exact (degree {D})" in summary
+        assert f"controls = {D}" in summary
+        assert not any(line.startswith("bump_controls") for line in summary)
         assert f"type_redraws = {cli.TYPE_REDRAWS}" in summary
         assert "moment_z_max = %.17g" % moment_z_max(run, mom) in summary
+        half_widths = [mom.enclose(h)[1] for h in make_battery(2) if h.tag[0] in ("sin", "cos")]
+        assert "wave_half_width = %.17g" % max(half_widths) in summary
         # matched rates: the linear monomial's gap and stderr are exactly 0
         with open(tmp_path / "o" / "gaps.csv", newline="") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -555,15 +558,12 @@ class TestCertifyJob:
         out = capsys.readouterr().out.splitlines()
         assert "sampler = genealogy" in out
         assert "unused = mc.burn_in, mc.replicates" in out
-        # the control set: every monomial of degree 1..MOMENT_DEGREE
-        assert f"moments = exact (degree {MOMENT_DEGREE})" in out
-        assert f"controls = {math.comb(MOMENT_DEGREE + K - 1, K - 1) - 1}" in out
-        # the bump's own controls, every monomial of degree 1..BUMP_DEGREE[K],
-        # and the redraws follow the moment degree and the control counts
-        D = BUMP_DEGREE[K]
-        i = out.index(f"moments = exact (degree {MOMENT_DEGREE})")
-        assert out[i + 2] == f"bump_controls = {math.comb(D + K - 1, K - 1) - 1} (degree {D})"
-        assert out[i + 3] == f"type_redraws = {cli.TYPE_REDRAWS}"
+        # the control set, every monomial of degree 1..MOMENT_DEGREE[K] (12
+        # at K=2, 65 at K=3), and the redraws follow the moment degree
+        D = MOMENT_DEGREE[K]
+        i = out.index(f"moments = exact (degree {D})")
+        assert out[i + 1] == f"controls = {math.comb(D + K - 1, K - 1) - 1}"
+        assert out[i + 2] == f"type_redraws = {cli.TYPE_REDRAWS}"
         dirs = []
         for workers in (1, 3):
             d = tmp_path / f"w{workers}"
@@ -593,16 +593,51 @@ class TestCertifyJob:
             row = next(r for r in rows if r["h_tag"] == tag)
             assert (row["gap"], row["stderr"], row["bound"], row["pass"]) == ("0", "0", "0", "true")
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
-        assert f"controls = {math.comb(MOMENT_DEGREE + 2, 2) - 1}" in summary
+        assert f"controls = {math.comb(MOMENT_DEGREE[3] + 2, 2) - 1}" in summary
+
+
+    @staticmethod
+    def _wave_rows(path):
+        lines = (path / "gaps.csv").read_text(encoding="utf-8").splitlines()
+        return [line for line in lines if line.startswith(("\"('sin'", "\"('cos'"))]
+
+    def test_wave_rows_do_not_depend_on_the_seed(self, tmp_path):
+        # the waves' gaps come from the exact moments alone: two runs that
+        # differ only in seed write the same wave rows, each with stderr 0
+        waves = []
+        for seed in (3, 4):
+            text = (
+                'kind = "wf-theorem1"\nmodel.N = 40\nmodel.a = [2.5, 3.0, 2.0]\n'
+                f"mc.samples = 256\nseed = {seed}\n"
+            )
+            cfg = write_cfg(tmp_path, f"c{seed}.cfg", text)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / f"o{seed}")]) == 0
+            waves.append(self._wave_rows(tmp_path / f"o{seed}"))
+        assert len(waves[0]) == 12 and waves[0] == waves[1]
+        assert all(row.split(",")[-3:-2] == ["0"] for row in waves[0])
+        assert (tmp_path / "o3" / "samples.csv").read_bytes() != (tmp_path / "o4" / "samples.csv").read_bytes()
+
+    def test_skewed_forward_run_passes(self, tmp_path):
+        # fitted a = (57, 6), a narrow law whose Dirichlet-projected
+        # controls were the weakest measured; the enclosed waves take none
+        text = (
+            'kind = "wf-theorem1"\nmodel.N = 30\nmodel.mutation = [[0.9, 0.1], [0.95, 0.05]]\n'
+            "mc.samples = 400\nseed = 4\n"
+        )
+        cfg = write_cfg(tmp_path, "c.cfg", text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "sampler = forward" in (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        waves = self._wave_rows(tmp_path / "o")
+        assert len(waves) == 4
+        assert all(row.endswith(",true") and row.split(",")[-3] == "0" for row in waves)
 
 
 # sha256 of the artifacts that these configs wrote before genealogy gaps were
 # averaged over type redraws.  The redraws come from a stream the sampler
 # never reads and change only sampled gap rows: the samples, the bound and
 # the exact monomial rows stay byte for byte.  A forward run's whole gap
-# table is pinned as its bump took controls of degree 10, which moved its
-# bump row and the last digits of its wave rows; its monomial rows kept
-# their bytes.
+# table is pinned as its waves took enclosures from the exact moments,
+# which moved its wave rows; its monomial rows kept their bytes.
 _PINNED_ARTIFACTS = {
     "wf-k2": (
         'kind = "wf-theorem1"\nmodel.N = 77\nmodel.a = [2.713, 3.402]\nmc.samples = 1024\n'
@@ -637,7 +672,7 @@ _PINNED_ARTIFACTS = {
             "samples.csv": "f8acdeb742c3a6142dc6885b24106a21af876efdb017c1943db4d02b19fef62e",
             "bound.txt": "4e8bebc2394359ffa49d8ce41706d7e54b6b6a0a628808a9ad302f4305f5354b",
             "monomial rows": "06ee5e44556c47b1d84eb95c271596a4ae8c6e0109b37414b7e4f469d459aa01",
-            "gaps.csv": "d8a1fa689611f59e40eb9d0e76c18c613d21e2a59ae009b2e2c39175bc6bdd0f",
+            "gaps.csv": "d29555c9da31442f4672e53f558171b5bc3ccaee5193b370e4260c1227ef3840",
         },
     ),
 }
@@ -673,7 +708,7 @@ class TestArtifactContract:
         out = capsys.readouterr().out.splitlines()
         assert "sampler = genealogy" in out
         assert f"type_redraws = {cli.TYPE_REDRAWS}" in out
-        assert not any(line.startswith(("moments", "controls", "bump_controls")) for line in out)
+        assert not any(line.startswith(("moments", "controls")) for line in out)
 
 
 # Stationary moments of one-run CLI samples against exact stationary tables.
@@ -1105,7 +1140,7 @@ class TestConfigFuzz:
             # only Wright-Fisher runs take exact moments and report them
             summary = (Path(d) / "o" / "summary.txt").read_text().splitlines()
             keys = [line.split(" = ")[0] for line in summary]
-            names = ["moments", "controls", "bump_controls", "moment_z_max"]
+            names = ["moments", "controls", "moment_z_max", "wave_half_width"]
             moment_keys = [k for k in keys if k in names]
             wf = data["kind"] == "wf-theorem1"
             assert moment_keys == (names if wf else []), text
