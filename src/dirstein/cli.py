@@ -61,7 +61,6 @@ from .chains import (
 )
 from .metrics import (
     MOMENT_DEGREE,
-    _WAVES,
     MetricsError,
     _exponents,
     _monomial,
@@ -622,8 +621,7 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         diagnostics += _control_lines(exp)
         if exp.moments is not None:
             diagnostics.append("moment_z_max = " + _fmt(moment_z_max(run, exp.moments)))
-            half_widths = [exp.moments.enclose(h)[1] for h in battery if h.tag[0] in _WAVES]
-            diagnostics.append("wave_half_width = " + _fmt(max(half_widths)))
+            diagnostics.append("wave_half_width = " + _fmt(max(g.half_width for g in gaps)))
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
     _write(out / "samples.csv", _samples_csv(exp, samples))

@@ -294,13 +294,15 @@ def make_battery(K: int) -> tuple:
 class GapEstimate:
     """|E h(W) - E h(Z)|, or an upper bound on it for an enclosed wave,
     with its Monte-Carlo error and the bound it is held against; passed
-    means the gap minus four stderr clears it."""
+    means the gap minus four stderr clears it.  half_width is the part of
+    an enclosed wave's gap that is its interval's half-width, else 0."""
 
     h_tag: tuple
     gap: float
     stderr: float
     bound: float
     passed: bool
+    half_width: float = 0.0
 
 
 def _rows(sample, d, replicates, copies=False):
@@ -388,7 +390,7 @@ def smooth_gap(
         # zero so that exactly-zero bounds stay checkable
         if abs(est - h.mean) <= resolution * max(1.0, h.sup_norm):
             est = h.mean
-    elif moments is not None and h.tag[0] in _WAVES:
+    elif moments is not None and moments.encloses(h):
         (est, half_width), se = moments.enclose(h), 0.0
     else:
         rows, replicates = _rows(sample, a.dim - 1, replicates, copies=True)
@@ -406,7 +408,7 @@ def smooth_gap(
         se = math.hypot(se, extra)
     gap = abs(est - h.mean) + half_width
     bound = float(bound)
-    return GapEstimate(h.tag, gap, se, bound, gap - 4.0 * se <= bound)
+    return GapEstimate(h.tag, gap, se, bound, gap - 4.0 * se <= bound, half_width)
 
 
 def gap_table_csv(gaps) -> str:
@@ -1396,6 +1398,11 @@ class ExactMoments:
         """Whether h is a monomial these moments hold, so that smooth_gap
         takes its gap without sampling."""
         return h.tag[0] == "monomial" and sum(h.tag[1]) <= self.degree
+
+    def encloses(self, h: TestFunction) -> bool:
+        """Whether h is a battery wave, so that smooth_gap takes its gap
+        from `enclose` without sampling."""
+        return h.tag[0] in _WAVES
 
     def enclose(self, h: TestFunction) -> tuple:
         """(E p(W), half-width) for a battery wave h = f(w . z), p its
