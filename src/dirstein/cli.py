@@ -19,10 +19,12 @@ exact table's `resolution`.  wf-theorem1 takes the chain's exact
 stationary moments of degree <= MOMENT_DEGREE[K]: its monomial gaps are
 exact, its wave gaps are deterministic upper bounds from an interval
 around E h(W) (`ExactMoments.enclose`) and its bump gap is sampled
-against monomial controls (`smooth_gap`); validate prints `moments` and
+against monomial controls (`smooth_gap`); validate prints `moments`,
+`moment_error`, the largest bound on a moment's float error, and
 `controls`, and summary.txt records them with `moment_z_max`, the
-sample's largest moment z-score, and `wave_half_width`, the largest
-interval half-width.  A genealogy run of wf-theorem1 or
+sample's largest moment z-score, `wave_half_width`, the largest
+interval half-width, and `control_error`, the bound on the bump
+controls' moment and rounding error.  A genealogy run of wf-theorem1 or
 cannings-theorem2 averages every sampled gap over TYPE_REDRAWS copies of
 each draw, the recorded one and copies whose blocks take fresh types
 from a child of the config seed's stream (`chains.redraw_types`);
@@ -575,6 +577,7 @@ def _control_lines(exp: _Experiment) -> list:
     if exp.moments is not None:
         lines += [
             f"moments = exact (degree {exp.moments.degree})",
+            "moment_error = " + _fmt(exp.moments.errors.max()),
             f"controls = {len(exp.moments.exponents)}",
         ]
     if exp.redraws > 1:
@@ -622,6 +625,7 @@ def _run_certification(exp: _Experiment, out: Path) -> int:
         if exp.moments is not None:
             diagnostics.append("moment_z_max = " + _fmt(moment_z_max(run, exp.moments)))
             diagnostics.append("wave_half_width = " + _fmt(max(g.half_width for g in gaps)))
+            diagnostics.append("control_error = " + _fmt(max(g.control_error for g in gaps)))
     passed = all(g.passed for g in gaps)
     worst = max((g.gap / g.bound for g in gaps if g.bound > 0), default=0.0)
     _write(out / "samples.csv", _samples_csv(exp, samples))

@@ -17,6 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -295,7 +296,9 @@ class GapEstimate:
     """|E h(W) - E h(Z)|, or an upper bound on it for an enclosed wave,
     with its Monte-Carlo error and the bound it is held against; passed
     means the gap minus four stderr clears it.  half_width is the part of
-    an enclosed wave's gap that is its interval's half-width, else 0."""
+    an enclosed wave's gap that is its interval's half-width, and
+    control_error the part of a controlled gap's stderr that bounds its
+    controls' moment and rounding error (`ExactMoments.controls`), else 0."""
 
     h_tag: tuple
     gap: float
@@ -303,6 +306,7 @@ class GapEstimate:
     bound: float
     passed: bool
     half_width: float = 0.0
+    control_error: float = 0.0
 
 
 def _rows(sample, d, replicates, copies=False):
@@ -371,18 +375,20 @@ def smooth_gap(
     projection of h on them (`ExactMoments.controls`), which uses
     neither the sample nor an rng; the moments must be `projected` on a.
     The mean is unchanged and the variance is what the projection leaves;
-    the stderr adds |beta_h|_1 times the moments' resolution.
+    the stderr adds the controls' error: the moments' error weighted by
+    |beta_h| and the rounding of the corrections.
     """
     if h.mean is None:
         raise SteinError(f"{h.tag}: attach_mean before taking gaps")
     exact = None
-    half_width = 0.0
+    half_width = extra = 0.0
     if isinstance(sample, StationaryTable):
         if sample.counts.shape[1] != a.dim - 1:
             raise MetricsError("table dimension does not match the law")
         exact = sample.expect(h.fn), sample.resolution
     elif moments is not None and moments.exact(h):
-        exact = moments.moment(h.tag[1]), moments.resolution
+        i = moments.index(h.tag[1])
+        exact = float(moments.values[i]), float(moments.errors[i])
     if exact is not None:
         est, resolution = exact
         se = 0.0
@@ -397,18 +403,16 @@ def smooth_gap(
         vals = np.asarray(h.fn(rows), dtype=np.float64)
         if vals.ndim == 2:
             vals = vals.mean(axis=0)
-        extra = 0.0
         if moments is not None:
             if moments.law != a:
                 raise MetricsError("the moments are not projected on this law")
-            beta, correction = moments.controls(rows, h)
+            _, correction, extra = moments.controls(rows, h)
             vals = vals - correction
-            extra = float(np.abs(beta).sum()) * moments.resolution
         est, se = _mean_se(vals, replicates)
         se = math.hypot(se, extra)
     gap = abs(est - h.mean) + half_width
     bound = float(bound)
-    return GapEstimate(h.tag, gap, se, bound, gap - 4.0 * se <= bound, half_width)
+    return GapEstimate(h.tag, gap, se, bound, gap - 4.0 * se <= bound, half_width, extra)
 
 
 def gap_table_csv(gaps) -> str:
@@ -1237,14 +1241,17 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 # (`ExactMoments.enclose`; at the battery's largest frequency, 3, its
 # interpolation remainder is 2.1e-9 at degree 10 and 7.6e-12 at 12) and the
 # bump its controls.  At degree 8 the bump's residual set the worst stderr
-# of every Theorem 1 run; with 8 type redraws of 1024 draws its median
-# stderr fell from 4.4e-4 at degree 8 to 2.2e-4 at 10 (K=3, N=150) and from
-# 3.3e-4 to 6.3e-5 at 12 (K=2, N=150), and its z-scores stay standard
-# normal against the exact tables at K=3, N=25 and K=2, N=60.  K=3 stops at
-# degree 10: at 12 the |beta|_1 resolution term (9.6e-4 at N=25) is nearly
-# all of the bump's stderr (1.05e-3) and its z sd falls to 0.4, since
-# `exact_moments` states a resolution 1e3 times the true error (ROADMAP).
-MOMENT_DEGREE = {2: 12, 3: 10}
+# of every Theorem 1 run; with 8 type redraws of 1024 draws its mean stderr
+# over three seeds fell from 2.9e-4 at degree 10 to 1.6e-4 at 12 (K=3,
+# N=150) and its median from 3.3e-4 at degree 8 to 6.3e-5 at 12 (K=2,
+# N=150), and its z-scores stay standard normal against the exact tables at
+# K=3, N=25 and K=2, N=60.  At K=3 the weights reach |beta|_1 of about 4e8
+# at degree 12, and the moments' term sum_c |beta_c| errors_c stays below
+# 3e-7 up to N=200 (`exact_moments` bounds each moment's error).
+MOMENT_DEGREE = {2: 12, 3: 12}
+
+# the unit roundoff of float64
+_UNIT = np.finfo(np.float64).eps / 2
 
 # Gauss nodes per stick-breaking coordinate of the bump's least squares:
 # exact for every Gram entry up to degree 31 per coordinate, past 2 x 12,
@@ -1293,8 +1300,8 @@ def _least_squares(a: DirichletParams, exps):
     The fit never forms the Gram matrix: it solves the design
     sqrt(wt) [1, c], its columns scaled to unit norm, by an SVD least
     squares with singular values below 1e-13 of the largest cut.  The
-    design has the square root of the Gram's condition, about 1e8 at
-    degree 10 and K=3, so a polynomial of degree <= max|c| gets its own
+    design has the square root of the Gram's condition, about 4e9 at
+    degree 12 and K=3, so a polynomial of degree <= max|c| gets its own
     coefficients as weights.  A column that underflows at every node
     takes no weight."""
     z, wt = _dirichlet_rule(a, nodes=_FIT_NODES)
@@ -1369,25 +1376,29 @@ class ExactMoments:
     """Stationary moments E[W^c] of a chain, for every exponent vector c
     over the K-1 free coordinates with 1 <= |c| <= degree.
 
-    exponents lists the c by degree and then lexicographically, and
-    values the moments in the same order.  resolution bounds the float
-    error of every value, as a StationaryTable's does.  `projected` adds
-    the law whose L2 projection the controls of smooth_gap take."""
+    exponents lists the c by degree and then lexicographically, values
+    the moments in the same order, and errors bounds the float error of
+    each value, moment by moment (`exact_moments`).  `projected` adds the
+    law whose L2 projection the controls of smooth_gap take."""
 
     exponents: np.ndarray
     values: np.ndarray
     degree: int
-    resolution: float
+    errors: np.ndarray
     law: DirichletParams | None = None
     projection: tuple | None = field(default=None, repr=False, compare=False)
 
-    def moment(self, c) -> float:
-        """E[W^c] for one exponent vector c."""
+    def index(self, c) -> int:
+        """The row of one exponent vector c in exponents."""
         rows = [tuple(e) for e in self.exponents.tolist()]
         c = tuple(int(v) for v in c)
         if c not in rows:
             raise MetricsError(f"no exact moment for exponents {c}")
-        return float(self.values[rows.index(c)])
+        return rows.index(c)
+
+    def moment(self, c) -> float:
+        """E[W^c] for one exponent vector c."""
+        return float(self.values[self.index(c)])
 
     def projected(self, a: DirichletParams) -> ExactMoments:
         """These moments with the L2(Dir(a)) projection onto span{1, c}
@@ -1412,8 +1423,8 @@ class ExactMoments:
         With u = w . z / T, E p(W) = p_0 + sum_c coef_c E[W^c], where by
         the multinomial theorem coef_c = p_|c| |c|! / prod_j c_j!
         prod_j (w_j / T)^c_j.  The half-width adds to the bound on
-        |f - p| the moments' error, |coef|_1 resolution, and the rounding
-        of the coefficients and of their sum, 2 (m + 2D + 4) eps
+        |f - p| the moments' error, sum_c |coef_c| errors_c, and the
+        rounding of the coefficients and of their sum, 2 (m + 2D + 4) eps
         (|p_0| + |coef| . |E[W^c]|) over the m moments."""
         exps, deg = self.exponents, self.exponents.sum(axis=1)
         if len(h.tag[1]) != exps.shape[1]:
@@ -1424,15 +1435,22 @@ class ExactMoments:
         coef = p[deg] * (fact[deg] / fact[exps].prod(axis=1)) * np.prod(w**exps, axis=1)
         size = abs(p[0]) + float(np.abs(coef) @ np.abs(self.values))
         rounding = 2.0 * (len(exps) + 2 * self.degree + 4) * np.finfo(np.float64).eps * size
-        half_width = error + float(np.abs(coef).sum()) * self.resolution + rounding
+        half_width = error + float(np.abs(coef) @ self.errors) + rounding
         return float(p[0] + coef @ self.values), half_width
 
     def controls(self, w, h) -> tuple:
-        """(beta_h, beta_h . (c(w) - mu)): the `weights` of h and the
+        """(beta_h, beta_h . (c(w) - mu), error): the `weights` of h, the
         correction of each row of w, from one product of the centred
-        monomials c(w) - mu.  Rows w of shape (R, n, d), R copies of each
-        of n draws, give the copies' mean correction of each draw: c(w) is
-        averaged over the copies, one copy at a time, before the product."""
+        monomials c(w) - mu, and a bound on the error of the corrections'
+        mean.  Rows w of shape (R, n, d), R copies of each of n draws,
+        give the copies' mean correction of each draw: c(w) is averaged
+        over the copies, one copy at a time, before the product.
+
+        The error is sum_c |beta_c| errors_c, what the moments' error can
+        shift the mean by, plus the rounding of the corrections: c(w) >= 0
+        to (D + d) eps/2 relative per copy, its copies' mean and the
+        centring and product over the m monomials to (R + m + 2) eps/2
+        more, so (m + D + d + R + 2) eps/2 |beta| . (mean c(w) + |mu|)."""
         beta = self.weights(h)
         w = np.asarray(w, dtype=np.float64)
         copies = w.reshape((-1,) + w.shape[-2:])
@@ -1440,7 +1458,11 @@ class ExactMoments:
         for copy in copies[1:]:
             c += _monomials(copy, self.exponents)
         c /= len(copies)
-        return beta[:, 0], ((c - self.values) @ beta)[:, 0]
+        (m, d), R = self.exponents.shape, len(copies)
+        size = np.abs(beta[:, 0]) @ (c.mean(axis=0) + np.abs(self.values))
+        rounding = (m + self.degree + d + R + 2) * _UNIT * float(size)
+        error = float(np.abs(beta[:, 0]) @ self.errors) + rounding
+        return beta[:, 0], ((c - self.values) @ beta)[:, 0], error
 
     def weights(self, h: TestFunction) -> np.ndarray:
         """beta_h as one column: the weights on these moments' monomials c
@@ -1463,12 +1485,14 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
 
         E[W'^c | w] = N^-|c| sum_i prod_j S(c_j, i_j) (N)_|i| q(w)^i,
 
-    a polynomial of degree |c| in w.  Stationarity is then mu = A mu over
-    the monomials of degree <= degree (mu_0 = 1), a system triangular by
-    degree, solved in float64 for all degrees at once.  The resolution
-    is 16 m eps |(I - A)^-1|_inf |A|_inf over the m unknowns, at least
-    1e-13: the float error that the rounding of A and of the solve can
-    leave, as the condition number carries it."""
+    a polynomial of degree |c| in w: row c of A = T powers, T holding
+    the factors N^-|c| prod_j S(c_j, i_j) (N)_|i| and row i of powers the
+    coefficients of q(w)^i.  Stationarity is then mu = A mu over the
+    monomials of degree <= degree (mu_0 = 1), a system triangular by
+    degree, solved in float64 for all degrees at once with the computed
+    inverse R of I - A.  Each value carries the a-posteriori bound of
+    `_moment_errors` on its distance to the exact moments of the exact
+    (rational) mutation matrix."""
     if model.kind != KIND_WRIGHT_FISHER:
         raise MetricsError(f"exact moments are for Wright-Fisher chains, not {model.kind!r}")
     degree = int(degree)
@@ -1486,20 +1510,33 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
         return order[np.searchsorted(keys[order], k)]
 
     # Q[j] multiplies coefficient vectors by q_j(w) = b_j + sum_k w_k G_kj,
-    # with w_K = 1 - sum_k w_k; w_k moves c to c + e_k, never past the degree
+    # with w_K = 1 - sum_k w_k; w_k moves c to c + e_k, never past the
+    # degree.  dQ[j] holds the exact distance of each entry of Q[j] to its
+    # value under the exact mutation matrix.
     P = model.mutation.array()
     b, G = P[-1, :d], P[:d, :d] - P[-1, :d]
+    exact = [[Fraction(v) for v in row[:d]] for row in model.mutation.p]
+    db = [abs(Fraction(v) - e) for v, e in zip(b.tolist(), exact[-1])]
+    dG = [
+        [abs(Fraction(v) - (e - last)) for v, e, last in zip(g, row, exact[-1])]
+        for g, row in zip(G.tolist(), exact)
+    ]
     Q = b[:, None, None] * np.eye(m)
+    dQ = np.array(db, dtype=np.float64)[:, None, None] * np.eye(m)
     low = np.flatnonzero(deg < degree)
     for k in range(d):
         Q[:, index(keys[low] + radix[k]), low] += G[k][:, None]
-    # row i of powers: the coefficients of q(w)^c_i, one factor at a time
+        dQ[:, index(keys[low] + radix[k]), low] += np.array(dG[k], dtype=np.float64)[:, None]
+    # row i of powers: the coefficients of q(w)^c_i, one factor at a time;
+    # row i of size: those of the same product of |Q| + dQ, for its error
     first = np.argmax(exps > 0, axis=1)
     parent = index(keys - radix[first])
-    powers = np.zeros((m, m))
-    powers[0, 0] = 1.0
+    carry = np.abs(Q) + dQ
+    powers, size = np.zeros((m, m)), np.zeros((m, m))
+    powers[0, 0] = size[0, 0] = 1.0
     for i in range(1, m):
         powers[i] = Q[first[i]] @ powers[parent[i]]
+        size[i] = carry[first[i]] @ size[parent[i]]
     stirling = np.zeros((degree + 1, degree + 1))
     for c in range(degree + 1):
         stirling[c, : c + 1] = _stirling2_row(c)
@@ -1513,23 +1550,103 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
     except np.linalg.LinAlgError:
         raise MetricsError("the stationary moment system is singular") from None
     values = inv @ A[1:, 0]
-    norm = np.abs(inv).sum(axis=1).max() * np.abs(A).sum(axis=1).max()
-    resolution = max(1e-13, 16 * m * np.finfo(float).eps * float(norm))
-    if not (np.isfinite(values).all() and math.isfinite(resolution)):
+    if not (np.isfinite(values).all() and np.isfinite(inv).all()):
         raise MetricsError("the stationary moment system is singular")
-    return ExactMoments(exps[1:], values, degree, resolution)
+    errors = _moment_errors(
+        _power_errors(carry, dQ, size, deg, d),
+        _falling_errors(N, degree)[deg] + (d + 3) * _UNIT,
+        T, powers, A, inv, values, degree,
+    )
+    return ExactMoments(exps[1:], values, degree, errors)
+
+
+def _power_errors(carry, dQ, size, deg, d):
+    """A bound on |powers - the exact coefficients of q(w)^c|, row by row.
+
+    carry = |Q| + dQ bounds both Q and its exact value, and kappa =
+    max dQ / carry + (d + 1) eps/2 is the relative error of one factor
+    of Q and of a product by it (each entry sums at most d + 1 products).
+    Row i, of degree k, is Q[j] times its parent row, so by induction it
+    is off by at most rho (1 + 2 rho) size_i with rho = k kappa, size_i =
+    carry[j] size_parent the coefficients of prod_j (|b_j| + db_j +
+    sum_k (|G_kj| + dG_kj) w_k)^(c_j)."""
+    live = carry > 0
+    kappa = float((dQ[live] / carry[live]).max(initial=0.0)) + (d + 1) * _UNIT
+    rho = deg * kappa
+    return (rho * (1.0 + 2.0 * rho))[:, None] * size
+
+
+def _falling_errors(N, degree):
+    """A relative bound, for k = 0..degree, on the rounding of the float
+    (N)_k / N^k that `exact_moments` forms as a product of the factors
+    1 - i/N: each factor is off by eps/2 (1 + (i/N) / |1 - i/N|) of itself
+    (exact at i = N) and each product by eps/2 more."""
+    i = np.arange(degree)
+    x = i / N
+    with np.errstate(divide="ignore"):
+        rel = np.where(i == N, 0.0, _UNIT * (2.0 + x / np.abs(1.0 - x)))
+    return np.concatenate([[0.0], np.cumsum(rel)])
+
+
+def _moment_errors(power_err, rel_T, T, powers, A, inv, values, D):
+    """The a-posteriori bound on |values - mu| moment by moment, mu the
+    exact stationary moments of the exact mutation matrix:
+
+        |mu_hat - mu| <= |R| e + alpha / (1 - alpha) max(|R| e),
+
+    R the computed inverse and alpha >= |I - R (I - A)|_inf for the exact
+    A, so that (I - A)^-1 = sum_k (I - R (I - A))^k R.  e bounds
+    |(I - A) mu_hat - b| over the unknowns and states each float error:
+
+    - the residual r = (I - A_hat) mu_hat - b_hat, summed in long double
+      (unit roundoff u_L, which is eps/2 where long double is float64),
+      and its rounding, (m + 1) u_L (|mu_hat| + |A_hat| |mu_hat| + |b_hat|);
+    - |A_hat - A| |[1, mu_hat]|, the building of A = T powers from the
+      float mutation matrix: |A_hat - A| <= |T| ((m eps/2 + rel_T)
+      |powers| + (1 + rel_T) power_err), with the product's rounding,
+      T's relative rounding rel_T by column (falling factorial, the power
+      of N to one ulp, d + 1 products) and power_err of `_power_errors`.
+
+    alpha is |I - R (I - A_hat)|_inf as computed, plus that product's
+    rounding (m + 2) eps/2 |R| (I + |A_hat|) and |R| |A_hat - A|.  Every
+    nonnegative term is itself summed in floats, within a relative
+    (1 + m eps)^(D + 4) over the recursion's D steps and the products
+    after them; the factor 1 + 2 m (D + 4) eps covers that and the
+    dropped second-order terms."""
+    m = len(T)
+    absT = np.abs(T)
+    dA = absT @ ((m * _UNIT + rel_T)[:, None] * np.abs(powers) + (1.0 + rel_T)[:, None] * power_err)
+    dA = dA[1:]
+    Auu, b = A[1:, 1:], A[1:, 0]
+    absA, absv, absR = np.abs(Auu), np.abs(values), np.abs(inv)
+    wide = np.longdouble
+    resid = values.astype(wide) - Auu.astype(wide) @ values.astype(wide) - b.astype(wide)
+    e = np.abs(resid).astype(np.float64)
+    e += (m + 1) * (np.finfo(wide).eps / 2) * (absv + absA @ absv + np.abs(b))
+    e += dA[:, 0] + dA[:, 1:] @ absv
+    H = np.eye(m - 1) - inv @ (np.eye(m - 1) - Auu)
+    alpha = float(np.abs(H).sum(axis=1).max())
+    alpha += float(((m + 2) * _UNIT * absR @ (1.0 + absA.sum(axis=1))).max())
+    alpha += float((absR @ dA[:, 1:].sum(axis=1)).max())
+    grow = 1.0 + 2 * m * (D + 4) * np.finfo(np.float64).eps
+    alpha *= grow
+    if not alpha < 1.0:
+        raise MetricsError("the stationary moment system is too ill-conditioned to bound")
+    v = absR @ e
+    return (v + alpha / (1.0 - alpha) * float(v.max())) * grow
 
 
 def moment_z_max(sample, moments: ExactMoments) -> float:
     """Largest |z| of the sample means of W^c, 1 <= |c| <= 3 (the
     battery's monomials), against the exact stationary moments, in
     smooth_gap's stderr (iid rows or batch means over chains) combined
-    with the moments' resolution.  A check of the sampler: exact draws
-    keep it near the largest of that many standard normals."""
+    with each moment's error.  A check of the sampler: exact draws keep
+    it near the largest of that many standard normals."""
     rows, replicates = _rows(sample, moments.exponents.shape[1], None)
     keep = moments.exponents.sum(axis=1) <= 3
     z = 0.0
-    for col, mu in zip(_monomials(rows, moments.exponents[keep]).T, moments.values[keep]):
+    cols = _monomials(rows, moments.exponents[keep]).T
+    for col, mu, err in zip(cols, moments.values[keep], moments.errors[keep]):
         est, se = _mean_se(col, replicates)
-        z = max(z, abs(est - mu) / math.hypot(se, moments.resolution))
+        z = max(z, abs(est - mu) / math.hypot(se, err))
     return z

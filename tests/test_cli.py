@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirstein import cli
-from dirstein.chains import run_to_stationarity
+from dirstein.chains import redraw_types, run_to_stationarity
 from dirstein.cli import ConfigError, config_hash, main, parse_config_text
 from dirstein.metrics import (
     MOMENT_DEGREE,
@@ -508,6 +508,14 @@ class TestOneStationaryRun:
         assert "moment_z_max = %.17g" % moment_z_max(run, mom) in summary
         half_widths = [mom.enclose(h)[1] for h in make_battery(2) if h.tag[0] in ("sin", "cos")]
         assert "wave_half_width = %.17g" % max(half_widths) in summary
+        # the moments' largest error bound, and the bump controls' moment
+        # and rounding term: a deterministic part of the bump's stderr
+        assert "moment_error = %.17g" % mom.errors.max() in summary
+        rows = redraw_types(run, cli.TYPE_REDRAWS, RngStream(7).child(0))
+        bump = make_battery(2)[-1]
+        error = mom.projected(exp.a).controls(rows, bump)[2]
+        assert 0.0 < error <= 1e-6
+        assert "control_error = %.17g" % error in summary
         # matched rates: the linear monomial's gap and stderr are exactly 0
         with open(tmp_path / "o" / "gaps.csv", newline="") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -558,12 +566,15 @@ class TestCertifyJob:
         out = capsys.readouterr().out.splitlines()
         assert "sampler = genealogy" in out
         assert "unused = mc.burn_in, mc.replicates" in out
-        # the control set, every monomial of degree 1..MOMENT_DEGREE[K] (12
-        # at K=2, 65 at K=3), and the redraws follow the moment degree
+        # the moments' largest error bound, the control set, every monomial
+        # of degree 1..MOMENT_DEGREE[K] (12 at K=2, 90 at K=3), and the
+        # redraws follow the moment degree
         D = MOMENT_DEGREE[K]
         i = out.index(f"moments = exact (degree {D})")
-        assert out[i + 1] == f"controls = {math.comb(D + K - 1, K - 1) - 1}"
-        assert out[i + 2] == f"type_redraws = {cli.TYPE_REDRAWS}"
+        mom = cli._Experiment(parse_config_text(text)).moments
+        assert out[i + 1] == "moment_error = %.17g" % mom.errors.max()
+        assert out[i + 2] == f"controls = {math.comb(D + K - 1, K - 1) - 1}"
+        assert out[i + 3] == f"type_redraws = {cli.TYPE_REDRAWS}"
         dirs = []
         for workers in (1, 3):
             d = tmp_path / f"w{workers}"
@@ -672,7 +683,7 @@ _PINNED_ARTIFACTS = {
             "samples.csv": "f8acdeb742c3a6142dc6885b24106a21af876efdb017c1943db4d02b19fef62e",
             "bound.txt": "4e8bebc2394359ffa49d8ce41706d7e54b6b6a0a628808a9ad302f4305f5354b",
             "monomial rows": "06ee5e44556c47b1d84eb95c271596a4ae8c6e0109b37414b7e4f469d459aa01",
-            "gaps.csv": "d29555c9da31442f4672e53f558171b5bc3ccaee5193b370e4260c1227ef3840",
+            "gaps.csv": "2bf549158cee0ba32bb6c677a482ee8e1fbcd3dac00626e4af47de74014cd247",
         },
     ),
 }
@@ -1140,7 +1151,10 @@ class TestConfigFuzz:
             # only Wright-Fisher runs take exact moments and report them
             summary = (Path(d) / "o" / "summary.txt").read_text().splitlines()
             keys = [line.split(" = ")[0] for line in summary]
-            names = ["moments", "controls", "moment_z_max", "wave_half_width"]
+            names = [
+                "moments", "moment_error", "controls", "moment_z_max", "wave_half_width",
+                "control_error",
+            ]
             moment_keys = [k for k in keys if k in names]
             wf = data["kind"] == "wf-theorem1"
             assert moment_keys == (names if wf else []), text
