@@ -1554,7 +1554,7 @@ def exact_moments(model: ChainModel, degree: int) -> ExactMoments:
         raise MetricsError("the stationary moment system is singular")
     errors = _moment_errors(
         _power_errors(carry, dQ, size, deg, d),
-        _falling_errors(N, degree)[deg] + (d + 3) * _UNIT,
+        _falling_errors(N, degree)[deg] + (d + 3 + d * (stirling.max() >= 2.0**53)) * _UNIT,
         T, powers, A, inv, values, degree,
     )
     return ExactMoments(exps[1:], values, degree, errors)
@@ -1604,8 +1604,9 @@ def _moment_errors(power_err, rel_T, T, powers, A, inv, values, D):
     - |A_hat - A| |[1, mu_hat]|, the building of A = T powers from the
       float mutation matrix: |A_hat - A| <= |T| ((m eps/2 + rel_T)
       |powers| + (1 + rel_T) power_err), with the product's rounding,
-      T's relative rounding rel_T by column (falling factorial, the power
-      of N to one ulp, d + 1 products) and power_err of `_power_errors`.
+      T's relative rounding rel_T by column (the falling factorial, the
+      power of N to one ulp, d + 1 products, and d Stirling numbers once
+      they pass 2^53, from degree 23) and power_err of `_power_errors`.
 
     alpha is |I - R (I - A_hat)|_inf as computed, plus that product's
     rounding (m + 2) eps/2 |R| (I + |A_hat|) and |R| |A_hat - A|.  Every
