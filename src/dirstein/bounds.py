@@ -6,8 +6,9 @@ derivative seminorms of a test function,
 
     |h|_1/s * A1 + |h|_2/(2(s+1)) * A2 + |h|_{2,1}/(18(s+2)) * A3,
 
-plus the convex-set rate (A1+A2+A3)^(theta/(3+theta)) whose constant is
-not computable and is flagged as such.  Inputs that arrive as rationals
+plus the convex-set rate (A1+A2+A3)^(theta/(3+theta)), whose
+multiplicative constant depends on the target parameters and is not
+computed: convex_rate is the rate alone.  Inputs that arrive as rationals
 stay rational all the way to the report; the formulas stack fourth roots
 and near-cancellations, so golden values must come out exact.
 """
@@ -21,12 +22,6 @@ from .simplex import DirichletParams
 
 class BoundError(ValueError):
     pass
-
-
-CONVEX_NOTE = (
-    "rate exponent only; the multiplicative constant depends on the target "
-    "parameters and is not computed"
-)
 
 
 def _num(v):
@@ -60,7 +55,6 @@ class BoundReport:
     a2: object
     a3: object
     inputs: dict = field(default_factory=dict)
-    convex_note: str = CONVEX_NOTE
 
     @property
     def coeff_h1(self) -> float:

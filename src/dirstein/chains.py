@@ -435,8 +435,8 @@ class StationaryRun:
     row.  drift_z is the between-halves drift of first and second moments
     in crude combined stderr units; large values flag under-burning.  A
     genealogy run keeps the blocks of its draws in partition
-    (`redraw_types`); save does not write them, so a loaded run has
-    none."""
+    (`redraw_types`); a forward run has none.  The run lives in memory:
+    the command line writes its samples to samples.csv."""
 
     samples: np.ndarray
     burn_in: int
@@ -452,35 +452,6 @@ class StationaryRun:
 
     def point(self, i: int) -> SimplexPoint:
         return SimplexPoint(self.samples[i])
-
-    def save(self, path):
-        path = str(path)
-        K1 = self.samples.shape[1]
-        header = ",".join(f"w{j + 1}" for j in range(K1))
-        np.savetxt(path, self.samples, delimiter=",", header=header, comments="", fmt="%.17g")
-        with open(path + ".meta", "w", encoding="utf-8") as fh:
-            for k in ("burn_in", "thin", "seed"):
-                fh.write(f"{k} = {getattr(self, k)}\n")
-            for k, v in sorted(self.meta.items()):
-                fh.write(f"{k} = {v}\n")
-
-    @classmethod
-    def load(cls, path):
-        path = str(path)
-        samples = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        meta = {}
-        with open(path + ".meta", "r", encoding="utf-8") as fh:
-            for line in fh:
-                if "=" in line:
-                    k, v = line.split("=", 1)
-                    meta[k.strip()] = v.strip()
-        return cls(
-            samples=samples,
-            burn_in=int(meta.pop("burn_in", 0)),
-            thin=int(meta.pop("thin", 1)),
-            seed=meta.pop("seed", ""),
-            meta=meta,
-        )
 
 
 def _seed_descriptor(rng) -> str:

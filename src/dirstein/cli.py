@@ -16,7 +16,7 @@ polya-theorem4 takes its gaps from the urn's exact law when the law has
 no more states than mc.samples, and from mc.samples sampled end states
 otherwise; summary.txt names the source (`law`), its `states` and the
 exact table's `resolution`.  wf-theorem1 takes the chain's exact
-stationary moments of degree <= MOMENT_DEGREE[K]: its monomial gaps are
+stationary moments of degree <= MOMENT_DEGREE: its monomial gaps are
 exact, its wave gaps are deterministic upper bounds from an interval
 around E h(W) (`ExactMoments.enclose`) and its bump gap is sampled
 against monomial controls (`smooth_gap`); validate prints `moments`,
@@ -64,8 +64,8 @@ from .chains import (
 from .metrics import (
     MOMENT_DEGREE,
     MetricsError,
-    _exponents,
     _monomial,
+    _state_grid,
     attach_exact_means,
     exact_moments,
     gap_table_csv,
@@ -394,7 +394,7 @@ class _Experiment:
         self.model = ChainModel(N=self.N, mutation=self.mutation)
         self._plan_sampling(data, key)
         try:
-            self.moments = exact_moments(self.model, MOMENT_DEGREE[self.K])
+            self.moments = exact_moments(self.model, MOMENT_DEGREE)
         except MetricsError as e:
             raise ConfigError(key, str(e))
         self.summary = summarize(self.mutation, self.a, self.N)
@@ -653,7 +653,7 @@ def _stein_rows(exp: _Experiment):
     rng = RngStream(exp.seed)
     rows = []
     # the exponents with 1 <= |c| <= degree, lexicographically
-    for i, c in enumerate(sorted(map(tuple, _exponents(exp.K - 1, exp.degree)[1:].tolist()))):
+    for i, c in enumerate(map(tuple, _state_grid(exp.degree, exp.K)[1:].tolist())):
         exact = characterization_residual(exp.a, c)
         est, se = characterization_mc(
             exp.a, c, rng.child(i), exp.mc["samples"]

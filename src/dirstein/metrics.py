@@ -1,13 +1,10 @@
 """Distance estimators, the certified test-function battery, and exact
 stationary tables for small chains.
 
-The battery ships closed-form derivative seminorms per function family;
-`_validate_battery` re-derives them numerically by dense finite-difference
-probing, and the test suite runs it over every shipped battery, so a
-stale constant cannot survive a refactor.  Distances come in three
-strengths: smooth-function gaps (the quantity the bounds control), a
-Kolmogorov distance for two types, and a convex-set probe for three
-types that only ever reports a lower bound.
+The battery ships closed-form derivative seminorms per function family.
+Distances come in three strengths: smooth-function gaps (the quantity the
+bounds control), a Kolmogorov distance for two types, and a convex-set
+probe for three types that only ever reports a lower bound.
 """
 
 from __future__ import annotations
@@ -169,102 +166,6 @@ def _bump(centers, rho):
         h21=max(d3, d2 * d1),
         value_range=(0.0, 1.0),
     )
-
-
-def _probe_points(K, step, margin):
-    """Lattice over the open simplex plus dense axis-parallel lines, so
-    both interior extrema and boundary-attained ones are seen."""
-    if K == 2:
-        return np.arange(margin, 1.0 - margin, step / 16)[:, None]
-    pts = [
-        (x1, x2)
-        for x1 in np.arange(margin, 1.0 - margin, step)
-        for x2 in np.arange(margin, 1.0 - margin - x1, step)
-    ]
-    dense = np.arange(margin, 1.0 - margin, step / 8)
-    for other in (margin, 1.0 / 3.0):
-        for v in dense:
-            if v + other <= 1.0 - margin:
-                pts.append((v, other))
-                pts.append((other, v))
-    return np.array(pts)
-
-
-# centered stencils per derivative order, as offset -> coefficient / h^k
-_STENCILS = {
-    1: {-1: -0.5, 1: 0.5},
-    2: {-1: 1.0, 0: -2.0, 1: 1.0},
-    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-}
-
-
-def _fd_partial_max(fn, pts, orders, h):
-    """Max abs of one mixed partial over pts by tensor-product stencils."""
-    d = pts.shape[1]
-    terms = [(np.zeros(d), 1.0)]
-    for axis, k in orders.items():
-        new = []
-        for off, coef in _STENCILS[k].items():
-            for base, c in terms:
-                v = base.copy()
-                v[axis] += off
-                new.append((v, c * coef))
-        terms = new
-    total = np.zeros(len(pts))
-    for off, coef in terms:
-        total += coef * np.asarray(fn(pts + off * h), dtype=np.float64)
-    return float(np.max(np.abs(total))) / h ** sum(orders.values())
-
-
-def _validate_battery(fns, K):
-    """Dense finite-difference probing of every certified constant.
-
-    Each seminorm must cover the probed maximum (validity) and the probe
-    must reach at least 95% of it wherever the certified value is
-    nonzero (tightness); failures raise.  The constants never change at
-    run time, so the probe runs in the test suite, not in `make_battery`.
-
-    The step is small because the bump's third derivative jumps at its
-    support edge and a wide stencil would average the jump away.
-    """
-    h = 5e-4
-    pts = _probe_points(K, 1.0 / 120.0, 0.005)
-    d = K - 1
-    for f in fns:
-        vals = np.asarray(f.fn(pts), dtype=np.float64)
-        lo, hi = f.value_range
-        if vals.min() < lo - 1e-9 or vals.max() > hi + 1e-9:
-            raise MetricsError(f"{f.tag}: probed values escape value_range")
-        if vals.max() > f.sup_norm + 1e-9:
-            raise MetricsError(f"{f.tag}: probed sup exceeds certified sup_norm")
-        for cert, combos in (
-            (f.h1, [{i: 1} for i in range(d)]),
-            (
-                f.h2,
-                [
-                    {i: c.count(i) for i in set(c)}
-                    for c in itertools.combinations_with_replacement(range(d), 2)
-                ],
-            ),
-            (
-                f.h21,
-                [
-                    {i: c.count(i) for i in set(c)}
-                    for c in itertools.combinations_with_replacement(range(d), 3)
-                ],
-            ),
-        ):
-            probed = max(_fd_partial_max(f.fn, pts, orders, h) for orders in combos)
-            if probed > cert * 1.05 + 1e-5:
-                raise MetricsError(
-                    f"{f.tag}: probed derivative {probed:.6g} exceeds "
-                    f"certified {cert:.6g}"
-                )
-            if cert > 0 and probed < cert * 0.95 - 1e-5:
-                raise MetricsError(
-                    f"{f.tag}: certified {cert:.6g} is loose, probe only "
-                    f"reached {probed:.6g}"
-                )
 
 
 def make_battery(K: int) -> tuple:
@@ -1236,11 +1137,11 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 # exact stationary moments of Wright-Fisher chains
 
 
-# degree of the exact moments of a Wright-Fisher certification, by K: they
-# give the monomials their exact gaps, every wave its enclosure
-# (`ExactMoments.enclose`; at the battery's largest frequency, 3, its
-# interpolation remainder is 2.1e-9 at degree 10 and 7.6e-12 at 12) and the
-# bump its controls.  At degree 8 the bump's residual set the worst stderr
+# degree of the exact moments of a Wright-Fisher certification, at K=2 and
+# K=3 alike: they give the monomials their exact gaps, every wave its
+# enclosure (`ExactMoments.enclose`; at the battery's largest frequency, 3,
+# its interpolation remainder is 2.1e-9 at degree 10 and 7.6e-12 at 12) and
+# the bump its controls.  At degree 8 the bump's residual set the worst stderr
 # of every Theorem 1 run; with 8 type redraws of 1024 draws its mean stderr
 # over three seeds fell from 2.9e-4 at degree 10 to 1.6e-4 at 12 (K=3,
 # N=150) and its median from 3.3e-4 at degree 8 to 6.3e-5 at 12 (K=2,
@@ -1248,7 +1149,7 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
 # K=3, N=25 and K=2, N=60.  At K=3 the weights reach |beta|_1 of about 4e8
 # at degree 12, and the moments' term sum_c |beta_c| errors_c stays below
 # 3e-7 up to N=200 (`exact_moments` bounds each moment's error).
-MOMENT_DEGREE = {2: 12, 3: 12}
+MOMENT_DEGREE = 12
 
 # the unit roundoff of float64
 _UNIT = np.finfo(np.float64).eps / 2
@@ -1264,14 +1165,10 @@ _WAVES = {"sin": np.sin, "cos": np.cos}
 
 def _exponents(d, degree):
     """The exponent vectors c in N^d with |c| <= degree, by degree and then
-    lexicographically (the battery's monomial order); row 0 is c = 0.
-
-    Stars and bars: the d bars b among degree + d slots, taken in
-    lexicographic order, give c_j = b_j - b_(j-1) - 1 (b_0 = -1) in
-    lexicographic order, the slots after the last bar the slack; a stable
-    sort by |c| keeps that order within each degree."""
-    bars = np.array(list(itertools.combinations(range(degree + d), d)), dtype=np.int64)
-    cs = np.diff(bars.reshape(-1, d), axis=1, prepend=-1) - 1
+    lexicographically (the battery's monomial order); row 0 is c = 0.  A
+    stable sort of the lexicographic grid by |c| keeps that order within
+    each degree."""
+    cs = _state_grid(degree, d + 1)
     return cs[np.argsort(cs.sum(axis=1), kind="stable")]
 
 

@@ -90,33 +90,6 @@ class MutationMatrix:
             rows.append(tuple(pi[j] if j != i else 1 - off for j in range(K)))
         return cls(rows)
 
-    @classmethod
-    def from_file(cls, path) -> "MutationMatrix":
-        """Load from text: first K on its own line, then K rows of K entries.
-
-        Entries may be decimals or rationals like 3/100; '#' starts a comment.
-        """
-        tokens = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    tokens.append(line.split())
-        if not tokens:
-            raise MutationError(f"{path}: empty file")
-        try:
-            K = int(tokens[0][0])
-        except ValueError as exc:
-            raise MutationError(f"{path}: first token must be K") from exc
-        flat = [t for row in tokens for t in row][1:]
-        if len(flat) != K * K:
-            raise MutationError(f"{path}: expected {K * K} entries, found {len(flat)}")
-        try:
-            vals = [Fraction(t) for t in flat]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MutationError(f"{path}: cannot parse matrix entry") from exc
-        return cls([vals[i * K : (i + 1) * K] for i in range(K)])
-
     @property
     def K(self) -> int:
         return len(self.p)

@@ -7,11 +7,12 @@ law with the same parameters, and redrawing just the final ball gives an
 exchangeable pair (W, W') whose first two conditional moments match the
 approximating generator exactly.  verify_pair_identities checks those
 identities exactly at every state after n draws, for any n and K, from
-the exchangeability of the draw colors alone.  The counts after n draws
-follow the Dirichlet-multinomial law DM(n; a) exactly: its float table
-(urn_law) gives the certification deterministic gaps whenever its grid is
-no larger than the sample it replaces.  Larger grids fall back to sampled
-end states.  The certification step holds the gaps against the
+the exchangeability of the draw colors alone, so the pair is never
+sampled.  The counts after n draws follow the Dirichlet-multinomial law
+DM(n; a) exactly: its float table (urn_law) gives the certification
+deterministic gaps whenever its grid is no larger than the sample it
+replaces.  Larger grids fall back to end states drawn exactly from that
+law by sample_final.  The certification step holds the gaps against the
 closed-form bound for every battery function.
 """
 
@@ -54,88 +55,6 @@ def _params(a) -> DirichletParams:
     return a if isinstance(a, DirichletParams) else DirichletParams(tuple(a))
 
 
-@dataclass(frozen=True)
-class UrnState:
-    """Urn contents after n draws.
-
-    counts holds the first K-1 color draw counts (the last color is the
-    remainder).  prev_counts and last_draw retain the step from n-1 to n,
-    which is what the redraw pair needs; simulate_urn always fills them.
-    """
-
-    a: tuple
-    n: int
-    counts: tuple
-    prev_counts: tuple | None = None
-    last_draw: int | None = None
-
-    def __post_init__(self):
-        if len(self.a) < 2 or any(v <= 0 for v in self.a):
-            raise PolyaError("a must hold at least two positive weights")
-        if self.n < 0:
-            raise PolyaError("n must be >= 0")
-        if len(self.counts) != len(self.a) - 1:
-            raise PolyaError("counts must cover the first K-1 colors")
-        if any(c < 0 for c in self.counts) or sum(self.counts) > self.n:
-            raise PolyaError("counts must be non-negative and sum to <= n")
-        if self.prev_counts is not None:
-            if self.last_draw is None or not 0 <= self.last_draw < len(self.a):
-                raise PolyaError("prev_counts requires a valid last_draw")
-            full_prev = _full(self.prev_counts, self.n - 1)
-            if min(full_prev) < 0:
-                raise PolyaError("prev_counts must be a valid state at n-1")
-            full_prev[self.last_draw] += 1
-            if tuple(full_prev[:-1]) != tuple(self.counts):
-                raise PolyaError("prev_counts + last_draw must give counts")
-
-    @property
-    def K(self) -> int:
-        return len(self.a)
-
-    @property
-    def w(self) -> np.ndarray:
-        """Free-coordinate frequencies counts / n."""
-        if self.n == 0:
-            raise PolyaError("frequencies are undefined before the first draw")
-        return np.asarray(self.counts, dtype=np.float64) / self.n
-
-
-def _full(counts, n):
-    """Extend K-1 free counts to all K colors."""
-    counts = list(counts)
-    return counts + [n - sum(counts)]
-
-
-def simulate_urn(a, n: int, rng) -> UrnState:
-    """Run n draws and return the end state, keeping the final step.
-
-    Draw j lands on color i with probability (X_i(j-1) + a_i) / (j-1+s).
-    """
-    p = _params(a)
-    if n < 1:
-        raise PolyaError("n must be >= 1")
-    g = as_generator(rng)
-    af = np.array([float(v) for v in p.a])
-    s = float(p.s)
-    counts = np.zeros(p.dim, dtype=np.int64)
-    last = -1
-    for j in range(n):
-        probs = (counts + af) / (j + s)
-        u = g.random()
-        last = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        last = min(last, p.dim - 1)  # guard the cumsum roundoff edge
-        if j == n - 1:
-            prev = tuple(int(c) for c in counts[:-1])
-        counts[last] += 1
-    return UrnState(
-        a=p.a,
-        n=n,
-        counts=tuple(int(c) for c in counts[:-1]),
-        prev_counts=prev,
-        last_draw=last,
-    )
-
-
 def sample_final(a, n: int, rng, replicates: int) -> np.ndarray:
     """End-state frequencies W(n) for many independent urns, as (R, K-1).
 
@@ -153,34 +72,6 @@ def sample_final(a, n: int, rng, replicates: int) -> np.ndarray:
     q = _dirichlet_rows(p.floats(), g, int(replicates))
     x = _batch_multinomial(g, np.full(int(replicates), n, dtype=np.int64), q)
     return x[:, : p.dim - 1].astype(np.float64) / n
-
-
-def resample_pair(state: UrnState, rng):
-    """Redraw the final ball: returns (W, W') as free-coordinate arrays.
-
-    The replacement color is drawn from the same conditional law as the
-    original final draw, given the state at n-1, so the pair is
-    exchangeable and W' differs from W in at most two colors.
-    """
-    if state.n < 1:
-        raise PolyaError("the pair needs at least one draw to redraw")
-    if state.prev_counts is None:
-        raise PolyaError("state does not retain its final draw")
-    g = as_generator(rng)
-    prev = np.array(_full(state.prev_counts, state.n - 1), dtype=np.float64)
-    af = np.array([float(v) for v in state.a])
-    probs = (prev + af) / (state.n - 1 + float(sum(af)))
-    u = g.random()
-    redraw = min(
-        int(np.searchsorted(np.cumsum(probs), u, side="right")), state.K - 1
-    )
-    w = state.w
-    w2 = w.copy()
-    if state.last_draw < state.K - 1:
-        w2[state.last_draw] -= 1.0 / state.n
-    if redraw < state.K - 1:
-        w2[redraw] += 1.0 / state.n
-    return w, w2
 
 
 # ---------------------------------------------------------------------------

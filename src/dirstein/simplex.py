@@ -131,12 +131,13 @@ class DirichletParams:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic, splittable random stream.
+    """Deterministic random stream with independent children.
 
     Identity is the pair (seed, path): the same pair always reproduces the
     same sequence, and distinct paths give statistically independent streams
-    (counter-based Philox under a spawn-key tree).  Parallel work must split
-    the stream, never share one generator.
+    (counter-based Philox under a spawn-key tree).  A job that needs draws
+    of its own, such as one monomial's check or a run's type redraws,
+    takes a `child` rather than sharing the parent's generator.
     """
 
     seed: int
@@ -149,9 +150,6 @@ class RngStream:
 
     def child(self, i: int) -> "RngStream":
         return RngStream(self.seed, self.path + (int(i),))
-
-    def split(self, n: int) -> list:
-        return [self.child(i) for i in range(n)]
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -528,9 +526,3 @@ def _dirichlet_rule(a: DirichletParams, window=None, nodes=_GAUSS_NODES):
         left = left[row] - zj
         wt = wt[row] * wy
     return z, wt
-
-
-def theta_exponent(p: DirichletParams):
-    """The convex-set exponent theta and its rate theta/(3+theta)."""
-    th = p.theta
-    return th, th / (3 + th)

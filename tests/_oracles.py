@@ -21,7 +21,8 @@ mutation kernel of Cannings rows, every slot arrangement of every
 offspring multiset checks the value-class group law, and the urn's
 forward recursion over count states checks the closed
 Dirichlet-multinomial law that in turn checks the urn's float table and
-the exchangeability of its draws."""
+the exchangeability of its draws.  Last, a finite-difference probe
+re-derives every certified seminorm of the shipped battery."""
 
 import itertools
 import math
@@ -951,3 +952,105 @@ def wf_stationary_law(mutation, N):
                 f = rows[r][i]
                 rows[r] = [u - f * v for u, v in zip(rows[r], rows[i])]
     return {x[:-1]: rows[i][n] for i, x in enumerate(full)}
+
+# ---------------------------------------------------------------------------
+# the battery's certified seminorms, re-derived by dense finite-difference
+# probing, so a stale constant in `make_battery` cannot survive a refactor
+
+
+def _probe_points(K, step, margin):
+    """Lattice over the open simplex plus dense axis-parallel lines, so
+    both interior extrema and boundary-attained ones are seen."""
+    if K == 2:
+        return np.arange(margin, 1.0 - margin, step / 16)[:, None]
+    pts = [
+        (x1, x2)
+        for x1 in np.arange(margin, 1.0 - margin, step)
+        for x2 in np.arange(margin, 1.0 - margin - x1, step)
+    ]
+    dense = np.arange(margin, 1.0 - margin, step / 8)
+    for other in (margin, 1.0 / 3.0):
+        for v in dense:
+            if v + other <= 1.0 - margin:
+                pts.append((v, other))
+                pts.append((other, v))
+    return np.array(pts)
+
+
+# centered stencils per derivative order, as offset -> coefficient / h^k
+_STENCILS = {
+    1: {-1: -0.5, 1: 0.5},
+    2: {-1: 1.0, 0: -2.0, 1: 1.0},
+    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+}
+
+
+def _fd_partial_max(fn, pts, orders, h):
+    """Max abs of one mixed partial over pts by tensor-product stencils."""
+    d = pts.shape[1]
+    terms = [(np.zeros(d), 1.0)]
+    for axis, k in orders.items():
+        new = []
+        for off, coef in _STENCILS[k].items():
+            for base, c in terms:
+                v = base.copy()
+                v[axis] += off
+                new.append((v, c * coef))
+        terms = new
+    total = np.zeros(len(pts))
+    for off, coef in terms:
+        total += coef * np.asarray(fn(pts + off * h), dtype=np.float64)
+    return float(np.max(np.abs(total))) / h ** sum(orders.values())
+
+
+def validate_battery(fns, K):
+    """Dense finite-difference probing of every certified constant.
+
+    Each seminorm must cover the probed maximum (validity) and the probe
+    must reach at least 95% of it wherever the certified value is
+    nonzero (tightness); failures raise.  The constants never change at
+    run time, so the probe runs in the test suite, not in `make_battery`.
+
+    The step is small because the bump's third derivative jumps at its
+    support edge and a wide stencil would average the jump away.
+    """
+    from dirstein.metrics import MetricsError
+
+    h = 5e-4
+    pts = _probe_points(K, 1.0 / 120.0, 0.005)
+    d = K - 1
+    for f in fns:
+        vals = np.asarray(f.fn(pts), dtype=np.float64)
+        lo, hi = f.value_range
+        if vals.min() < lo - 1e-9 or vals.max() > hi + 1e-9:
+            raise MetricsError(f"{f.tag}: probed values escape value_range")
+        if vals.max() > f.sup_norm + 1e-9:
+            raise MetricsError(f"{f.tag}: probed sup exceeds certified sup_norm")
+        for cert, combos in (
+            (f.h1, [{i: 1} for i in range(d)]),
+            (
+                f.h2,
+                [
+                    {i: c.count(i) for i in set(c)}
+                    for c in itertools.combinations_with_replacement(range(d), 2)
+                ],
+            ),
+            (
+                f.h21,
+                [
+                    {i: c.count(i) for i in set(c)}
+                    for c in itertools.combinations_with_replacement(range(d), 3)
+                ],
+            ),
+        ):
+            probed = max(_fd_partial_max(f.fn, pts, orders, h) for orders in combos)
+            if probed > cert * 1.05 + 1e-5:
+                raise MetricsError(
+                    f"{f.tag}: probed derivative {probed:.6g} exceeds "
+                    f"certified {cert:.6g}"
+                )
+            if cert > 0 and probed < cert * 0.95 - 1e-5:
+                raise MetricsError(
+                    f"{f.tag}: certified {cert:.6g} is loose, probe only "
+                    f"reached {probed:.6g}"
+                )

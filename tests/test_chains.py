@@ -16,7 +16,6 @@ from dirstein.chains import (
     ChainError,
     ChainModel,
     ChainState,
-    StationaryRun,
     _batch_step,
     check_genealogy,
     check_irreducible,
@@ -278,20 +277,6 @@ class TestRunToStationarity:
         assert np.isfinite(r1.drift_z).all()
         assert r1.seed == "9/4"
 
-    def test_save_load_roundtrip(self, tmp_path):
-        model = ChainModel(12, CYCLIC3)
-        run = run_to_stationarity(model, 64, RngStream(3), burn_in=50, thin=3)
-        path = tmp_path / "run.csv"
-        run.save(path)
-        text = path.read_text().splitlines()
-        assert text[0] == "w1,w2"
-        back = StationaryRun.load(path)
-        assert (back.samples == run.samples).all()
-        assert back.burn_in == 50
-        assert back.thin == 3
-        assert back.meta["kind"] == "wright-fisher"
-        assert back.meta["sampler"] == "forward"
-
     def test_k3_means_near_dirichlet(self):
         # symmetric three-type rates: stationary mean 1/3 per coordinate
         model = ChainModel(60, MutationMatrix.pim([F(1, 60)] * 3))
@@ -384,14 +369,11 @@ class TestGenealogy:
         assert (redraw_types(run, 7, RngStream(3).child(0))[:5] == a).all()
         assert (redraw_types(run, 1, RngStream(3).child(0))[0] == run.samples).all()
 
-    def test_redraws_need_the_blocks(self, tmp_path):
+    def test_redraws_need_the_blocks(self):
         model = ChainModel(10, MutationMatrix.pim([F(1, 20), F(1, 20)]))
         run = run_to_stationarity(model, 10, RngStream(0))
         with pytest.raises(ChainError, match="at least one copy"):
             redraw_types(run, 0, RngStream(0))
-        run.save(tmp_path / "s.csv")
-        with pytest.raises(ChainError, match="only a genealogy run"):
-            redraw_types(StationaryRun.load(tmp_path / "s.csv"), 2, RngStream(0))
         forward = run_to_stationarity(ChainModel(6, CYCLIC3), 20, RngStream(0), burn_in=10, thin=2)
         assert forward.partition is None
         with pytest.raises(ChainError, match="only a genealogy run"):

@@ -498,7 +498,7 @@ class TestOneStationaryRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         exp = cli._Experiment(parse_config_text(WF_CFG))
         run = run_to_stationarity(exp.model, 2500, RngStream(7))
-        D = MOMENT_DEGREE[2]
+        D = MOMENT_DEGREE
         mom = exact_moments(exp.model, D)
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
         assert f"moments = exact (degree {D})" in summary
@@ -567,9 +567,9 @@ class TestCertifyJob:
         assert "sampler = genealogy" in out
         assert "unused = mc.burn_in, mc.replicates" in out
         # the moments' largest error bound, the control set, every monomial
-        # of degree 1..MOMENT_DEGREE[K] (12 at K=2, 90 at K=3), and the
+        # of degree 1..MOMENT_DEGREE (12 at K=2, 90 at K=3), and the
         # redraws follow the moment degree
-        D = MOMENT_DEGREE[K]
+        D = MOMENT_DEGREE
         i = out.index(f"moments = exact (degree {D})")
         mom = cli._Experiment(parse_config_text(text)).moments
         assert out[i + 1] == "moment_error = %.17g" % mom.errors.max()
@@ -604,7 +604,7 @@ class TestCertifyJob:
             row = next(r for r in rows if r["h_tag"] == tag)
             assert (row["gap"], row["stderr"], row["bound"], row["pass"]) == ("0", "0", "0", "true")
         summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
-        assert f"controls = {math.comb(MOMENT_DEGREE[3] + 2, 2) - 1}" in summary
+        assert f"controls = {math.comb(MOMENT_DEGREE + 2, 2) - 1}" in summary
 
 
     @staticmethod

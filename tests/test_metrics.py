@@ -19,7 +19,6 @@ from dirstein.bounds import theorem1_bound
 from dirstein.chains import (
     ChainError,
     ChainModel,
-    StationaryRun,
     redraw_types,
     run_to_stationarity,
 )
@@ -40,7 +39,6 @@ from dirstein.metrics import (
     _monomial,
     _monomials,
     _reg_inc_beta,
-    _validate_battery,
     _wave_polynomial,
     attach_exact_means,
     convex_probe_k3,
@@ -168,7 +166,7 @@ class TestBattery:
         # make_battery ships closed-form constants unprobed; this is where
         # every one of them is re-derived by finite differences
         for K in (2, 3):
-            _validate_battery(make_battery(K), K)
+            oracles.validate_battery(make_battery(K), K)
 
     def test_values_stay_in_certified_range(self):
         g = as_generator(RngStream(11))
@@ -184,17 +182,17 @@ class TestBattery:
         # halving a certified curvature makes the claim false
         h = _monomial((3,))
         with pytest.raises(MetricsError, match="exceeds"):
-            _validate_battery([replace(h, h2=h.h2 / 2)], 2)
+            oracles.validate_battery([replace(h, h2=h.h2 / 2)], 2)
 
     def test_probing_rejects_loose_seminorm(self):
         h = _monomial((2,))
         with pytest.raises(MetricsError, match="loose"):
-            _validate_battery([replace(h, h1=10.0 * h.h1)], 2)
+            oracles.validate_battery([replace(h, h1=10.0 * h.h1)], 2)
 
     def test_probing_rejects_wrong_range(self):
         h = _monomial((1,))
         with pytest.raises(MetricsError, match="value_range"):
-            _validate_battery([replace(h, value_range=(0.0, 0.5))], 2)
+            oracles.validate_battery([replace(h, value_range=(0.0, 0.5))], 2)
 
 
 class TestExactMeans:
@@ -362,19 +360,16 @@ class TestSmoothGap:
         with pytest.raises(MetricsError, match="two replicates"):
             smooth_gap(rows, a, h, bound=0.0, replicates=1)
 
-    def test_run_supplies_its_replicates(self, tmp_path):
+    def test_run_supplies_its_replicates(self):
         # a forward run's rows are rounds of its chains: the stderr is over
-        # the chains' batch means, also when the run is saved and reloaded;
-        # p12 + p21 > 1 keeps this K=2 chain on the forward kernel
+        # the chains' batch means; p12 + p21 > 1 keeps this K=2 chain on the
+        # forward kernel
         mut = MutationMatrix([[F(2, 5), F(3, 5)], [F(7, 10), F(3, 10)]])
         run = run_to_stationarity(ChainModel(12, mut), 240, RngStream(6), replicates=16)
         assert run.meta["sampler"] == "forward"
-        run.save(tmp_path / "run.csv")
-        back = StationaryRun.load(tmp_path / "run.csv")
         a = DirichletParams((1, 1))
         for h in attach_exact_means(make_battery(2), a):
             ge = smooth_gap(run, a, h, bound=0.1)
-            assert smooth_gap(back, a, h, bound=0.1) == ge
             assert smooth_gap(run.samples, a, h, bound=0.1, replicates=16) == ge
         iid = smooth_gap(run.samples, a, h, bound=0.1)
         assert iid.stderr != ge.stderr
@@ -1232,7 +1227,7 @@ class TestExactMoments:
     @pytest.mark.parametrize("N", [12, 60])
     def test_matches_exact_tables(self, name, N):
         model = ChainModel(N, _MOMENT_MODELS[name](N))
-        D = MOMENT_DEGREE[model.K]
+        D = MOMENT_DEGREE
         mom = exact_moments(model, D)
         tab = exact_stationary(model)
         assert mom.degree == D
@@ -1264,7 +1259,7 @@ class TestExactMoments:
         # slow here
         mut = _MOMENT_MODELS[name](N)
         law = oracles.wf_stationary_law(mut, N)
-        degree = MOMENT_DEGREE[mut.K]
+        degree = MOMENT_DEGREE
         mom = exact_moments(ChainModel(N, mut), degree)
         assert mom.exponents.sum(axis=1).max() == degree
         for c, v, err in zip(mom.exponents.tolist(), mom.values, mom.errors):
@@ -1305,7 +1300,7 @@ class TestExactMoments:
         # its moment term sum_c |beta_c| errors_c stays far below its
         # sampling stderr (about 1e-4 on a run)
         a = (2.5, 3.0, 2.0)
-        mom = exact_moments(ChainModel(N, pim_for(a, N)), MOMENT_DEGREE[3])
+        mom = exact_moments(ChainModel(N, pim_for(a, N)), MOMENT_DEGREE)
         beta = mom.projected(DirichletParams(a)).weights(make_battery(3)[-1])[:, 0]
         assert np.abs(beta) @ mom.errors <= 1e-6
 
@@ -1317,7 +1312,7 @@ class TestExactMoments:
 
     def test_pim_means_are_the_rate_shares(self):
         # parent-independent rates pi force the stationary mean pi / |pi|
-        mom = exact_moments(ChainModel(200, pim_for((3, 2, 4), 200)), MOMENT_DEGREE[3])
+        mom = exact_moments(ChainModel(200, pim_for((3, 2, 4), 200)), MOMENT_DEGREE)
         for c, share in [((1, 0), F(3, 9)), ((0, 1), F(2, 9))]:
             assert abs(F(mom.moment(c)) - share) <= F(mom.errors[mom.index(c)])
 
@@ -1353,7 +1348,7 @@ class TestExactMoments:
         times = []
         for _ in range(7):
             start = time.perf_counter()
-            exact_moments(model, MOMENT_DEGREE[3]).projected(ap).weights(bump)
+            exact_moments(model, MOMENT_DEGREE).projected(ap).weights(bump)
             times.append(time.perf_counter() - start)
         assert sorted(times)[3] <= 10e-3, times
 
@@ -1374,7 +1369,7 @@ def _waves(K):
 
 class TestWaveEnclosures:
     """A wave's gap from the exact moments alone (`ExactMoments.enclose`):
-    E p(W), p its Chebyshev interpolant of degree MOMENT_DEGREE[K], and a
+    E p(W), p its Chebyshev interpolant of degree MOMENT_DEGREE, and a
     half-width that holds E h(W)."""
 
     @pytest.mark.parametrize(
@@ -1391,7 +1386,7 @@ class TestWaveEnclosures:
     )
     def test_contains_the_exact_table_mean(self, mutation, N):
         model = ChainModel(N, mutation(N))
-        mom = exact_moments(model, MOMENT_DEGREE[model.K])
+        mom = exact_moments(model, MOMENT_DEGREE)
         tab = exact_stationary(model)
         for h in _waves(model.K):
             value, half_width = mom.enclose(h)
@@ -1406,7 +1401,7 @@ class TestWaveEnclosures:
         # the rounding leave
         mut = _MOMENT_MODELS[name](N)
         law = oracles.wf_stationary_law(mut, N)
-        D = MOMENT_DEGREE[mut.K]
+        D = MOMENT_DEGREE
         mom = exact_moments(ChainModel(N, mut), D)
         for h in _waves(mut.K):
             p, T, _ = _wave_polynomial(h, D)
@@ -1424,7 +1419,7 @@ class TestWaveEnclosures:
     def test_remainder_bounds_the_interpolation(self, K):
         # sup |f - p| on a dense grid of [0, T] stays under the stated
         # bound, plus the rounding of evaluating p there
-        D, eps = MOMENT_DEGREE[K], np.finfo(np.float64).eps
+        D, eps = MOMENT_DEGREE, np.finfo(np.float64).eps
         u = np.linspace(0.0, 1.0, 20001)
         for h in _waves(K):
             p, T, error = _wave_polynomial(h, D)
@@ -1447,7 +1442,7 @@ class TestSamplersAgainstMoments:
         model = ChainModel(N, pim_for(a, N))
         run = run_to_stationarity(model, n, RngStream(11))
         assert run.meta["sampler"] == "genealogy"
-        assert moment_z_max(run, exact_moments(model, MOMENT_DEGREE[len(a)])) < 4.0
+        assert moment_z_max(run, exact_moments(model, MOMENT_DEGREE)) < 4.0
 
     def test_forward_cyclic(self):
         # rows are rounds of 512 chains: the stderr is over batch means
@@ -1488,7 +1483,7 @@ class TestControlledGaps:
 
     def test_monomials_take_exact_gaps(self):
         ap, model, run, battery = self._setup(3, 40, (2, 3, 1.5), 256, 4)
-        mom = exact_moments(model, MOMENT_DEGREE[3])
+        mom = exact_moments(model, MOMENT_DEGREE)
         tab = exact_stationary(model)
         for h in battery:
             if h.tag[0] != "monomial":
@@ -1500,7 +1495,7 @@ class TestControlledGaps:
 
     def test_controls_are_fixed_and_unbiased_by_construction(self):
         ap, model, run, battery = self._setup(2, 50, (2.5, 3.5), 512, 5)
-        D, bump = MOMENT_DEGREE[2], battery[-1]
+        D, bump = MOMENT_DEGREE, battery[-1]
         mom = exact_moments(model, D).projected(ap)
         other = run_to_stationarity(model, 300, RngStream(6)).samples
         beta = mom.weights(bump)[:, 0]
@@ -1536,13 +1531,13 @@ class TestControlledGaps:
 
     @pytest.mark.parametrize("a", [(2.5, 3.5), (0.4, 0.7), (2.5, 3.0, 2.0), (0.3, 0.8, 0.5)])
     def test_bump_route_reproduces_a_polynomial(self, a):
-        # a polynomial of degree MOMENT_DEGREE[K] in the bump's place: its
+        # a polynomial of degree MOMENT_DEGREE in the bump's place: its
         # least-squares weights reproduce it, so its controlled values
         # h(W) - beta . (c(W) - mu) are one constant to rounding (about
         # 1e-13 of its sd)
         K, ap = len(a), DirichletParams(a)
         model = ChainModel(40, pim_for((2.5, 3.5, 3.0)[:K], 40))
-        mom = exact_moments(model, MOMENT_DEGREE[K]).projected(ap)
+        mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
         exps = mom.exponents
         coef = np.random.default_rng(1).normal(size=len(exps))
         poly = replace(make_battery(K)[-1], fn=lambda z: 1.0 + _monomials(z, exps) @ coef)
@@ -1557,9 +1552,9 @@ class TestControlledGaps:
     def test_gauss_rule_gram_matches_exact_moments(self, a):
         # the least squares holds the projection only if its rule, of
         # _FIT_NODES nodes per coordinate, is exact for the Gram matrix
-        # E c c^T: the moments of degree <= 2 MOMENT_DEGREE[K]
+        # E c c^T: the moments of degree <= 2 MOMENT_DEGREE
         ap = DirichletParams(a)
-        exps = _exponents(len(a) - 1, MOMENT_DEGREE[len(a)])
+        exps = _exponents(len(a) - 1, MOMENT_DEGREE)
         z, wt = _dirichlet_rule(ap, nodes=_FIT_NODES)
         vals = _monomials(z, exps)
         gram = (vals.T * wt) @ vals
@@ -1570,7 +1565,7 @@ class TestControlledGaps:
         # under Dir(1e-300, 1) every power of z_1 underflows at the nodes,
         # so its design column is 0: the weights stay finite
         ap = DirichletParams((1e-300, 1))
-        mom = exact_moments(ChainModel(20, pim_for((2, 3), 20)), MOMENT_DEGREE[2]).projected(ap)
+        mom = exact_moments(ChainModel(20, pim_for((2, 3), 20)), MOMENT_DEGREE).projected(ap)
         for h in make_battery(2)[3:]:
             assert np.isfinite(mom.weights(h)).all(), h.tag
 
@@ -1588,7 +1583,7 @@ class TestControlledGaps:
         # table's exact E h(W) are standard normal, and the controls cut
         # its stderr (the waves are enclosed: TestWaveEnclosures)
         ap, model, run, battery = self._setup(K, N, a, 400 * 1024, seed)
-        mom = exact_moments(model, MOMENT_DEGREE[K]).projected(ap)
+        mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
         bump = battery[-1]
         assert bump.tag[0] == "bump" and not mom.exact(bump) and not mom.encloses(bump)
         truth = exact_stationary(model).expect(bump.fn)
@@ -1616,10 +1611,10 @@ class TestControlledGaps:
         # the draws of test_calibrated_against_exact_tables, each averaged
         # over itself and TYPE_REDRAWS - 1 copies whose blocks take fresh
         # types: the bump's z-scores stay standard normal, its stderr at
-        # least halves, and its controls of degree MOMENT_DEGREE[K] cut it
+        # least halves, and its controls of degree MOMENT_DEGREE cut it
         # below bump_gain times that of the degree-8 controls
         ap, model, run, battery = self._setup(K, N, a, 400 * 1024, seed)
-        mom = exact_moments(model, MOMENT_DEGREE[K]).projected(ap)
+        mom = exact_moments(model, MOMENT_DEGREE).projected(ap)
         low_degree = exact_moments(model, 8).projected(ap)
         R = TYPE_REDRAWS
         copies = redraw_types(run, R, RngStream(seed).child(0)).reshape(R, 400, 1024, K - 1)

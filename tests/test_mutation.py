@@ -87,27 +87,6 @@ class TestMatrix:
         assert lopsided_k2().is_pim
         assert lopsided_k2().pim_rates == (F(4, 100), F(6, 100))
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "mut.txt"
-        path.write_text(
-            "# two types\n"
-            "2\n"
-            "19/20 1/20\n"
-            "0.1 0.9\n"
-        )
-        m = MutationMatrix.from_file(path)
-        assert m.p == ((F(19, 20), F(1, 20)), (F(1, 10), F(9, 10)))
-
-    def test_from_file_errors(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2\n0.9 0.1\n0.5\n")
-        with pytest.raises(MutationError, match="expected 4 entries"):
-            MutationMatrix.from_file(bad)
-        empty = tmp_path / "empty.txt"
-        empty.write_text("# nothing\n")
-        with pytest.raises(MutationError, match="empty"):
-            MutationMatrix.from_file(empty)
-
     def test_array_roundtrip(self):
         arr = lopsided_k2().array()
         assert arr.dtype == np.float64

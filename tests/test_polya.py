@@ -1,4 +1,5 @@
-"""Urn sampling, the redraw pair, exact identity checks, certification."""
+"""Urn end-state sampling, the redraw pair's exact law and identity
+checks, certification."""
 
 import csv
 import io
@@ -13,11 +14,8 @@ from hypothesis import strategies as st
 from _oracles import dm_law, urn_count_law
 from dirstein.polya import (
     PolyaError,
-    UrnState,
     certify_theorem4,
-    resample_pair,
     sample_final,
-    simulate_urn,
     urn_law,
     urn_mixed_moment,
     verify_pair_identities,
@@ -31,73 +29,6 @@ LAWS = [(1, 1), (F(1, 2), 2), (1, 1, 1), (F(1, 2), F(1, 2), 2)]
 
 def rng(i=0):
     return RngStream(20_000 + i)
-
-
-class TestUrnState:
-    def test_w(self):
-        st_ = UrnState(a=(1, 1), n=4, counts=(3,))
-        assert np.allclose(st_.w, [0.75])
-        assert st_.K == 2
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(PolyaError):
-            UrnState(a=(1,), n=1, counts=())
-        with pytest.raises(PolyaError):
-            UrnState(a=(1, -1), n=1, counts=(0,))
-        with pytest.raises(PolyaError):
-            UrnState(a=(1, 1), n=2, counts=(3,))
-        with pytest.raises(PolyaError):
-            UrnState(a=(1, 1, 1), n=2, counts=(1,))
-
-    def test_rejects_inconsistent_final_step(self):
-        # retained step must reproduce the counts
-        with pytest.raises(PolyaError):
-            UrnState(a=(1, 1), n=2, counts=(1,), prev_counts=(1,), last_draw=0)
-        ok = UrnState(a=(1, 1), n=2, counts=(1,), prev_counts=(1,), last_draw=1)
-        assert ok.last_draw == 1
-        with pytest.raises(PolyaError):
-            UrnState(a=(1, 1), n=2, counts=(1,), prev_counts=(0,), last_draw=None)
-
-    def test_w_needs_a_draw(self):
-        with pytest.raises(PolyaError):
-            UrnState(a=(1, 1), n=0, counts=(0,)).w
-
-
-class TestSimulateUrn:
-    def test_single_draw_uniform(self):
-        g = rng(1)
-        hits = sum(simulate_urn((1, 1), 1, g).counts[0] for _ in range(4000))
-        se = math.sqrt(0.25 / 4000)
-        assert abs(hits / 4000 - 0.5) < 4 * se
-
-    def test_single_draw_weighted(self):
-        g = rng(2)
-        hits = sum(simulate_urn((2, 1), 1, g).counts[0] for _ in range(4000))
-        p = 2 / 3
-        se = math.sqrt(p * (1 - p) / 4000)
-        assert abs(hits / 4000 - p) < 4 * se
-
-    def test_retains_final_step(self):
-        g = rng(3)
-        for _ in range(50):
-            st_ = simulate_urn((1, 2, 1), 6, g)
-            assert sum(st_.counts) <= st_.n
-            prev = list(st_.prev_counts) + [5 - sum(st_.prev_counts)]
-            prev[st_.last_draw] += 1
-            assert tuple(prev[:2]) == st_.counts
-
-    def test_matches_exact_moments(self):
-        # sequential sampler against the closed-form second moment at n=6
-        g = rng(4)
-        reps = 3000
-        w = np.array([simulate_urn((1, 1), 6, g).w[0] for _ in range(reps)])
-        exact = float(urn_mixed_moment((1, 1), 6, (2, 0)))
-        se = w.std(ddof=1) / math.sqrt(reps)  # crude but enough for w^2
-        assert abs((w**2).mean() - exact) < 4 * se
-
-    def test_rejects_zero_draws(self):
-        with pytest.raises(PolyaError):
-            simulate_urn((1, 1), 0, rng())
 
 
 class TestSampleFinal:
@@ -127,6 +58,8 @@ class TestSampleFinal:
     def test_rejects_empty(self):
         with pytest.raises(PolyaError):
             sample_final((1, 1), 5, rng(), 0)
+        with pytest.raises(PolyaError):
+            sample_final((1, 1), 0, rng(), 5)
 
 
 class TestMixedMoment:
@@ -210,32 +143,7 @@ class TestUrnLaw:
 
 
 class TestResamplePair:
-    def test_needs_retained_draw(self):
-        bare = UrnState(a=(1, 1), n=3, counts=(2,))
-        with pytest.raises(PolyaError):
-            resample_pair(bare, rng())
-
-    def test_support(self):
-        # the redraw moves at most one ball: l1 distance is 0 or 2/n
-        g = rng(7)
-        for _ in range(60):
-            st_ = simulate_urn((1, 2), 5, g)
-            w, w2 = resample_pair(st_, g)
-            l1 = float(np.abs(w2 - w).sum()) + abs(
-                (1 - w.sum()) - (1 - w2.sum())
-            )
-            assert min(abs(l1), abs(l1 - 2 / 5)) < 1e-12
-
-    def test_same_color_keeps_w(self):
-        st_ = UrnState(a=(1, 1), n=2, counts=(2,), prev_counts=(1,), last_draw=0)
-        g = rng(8)
-        for _ in range(40):
-            w, w2 = resample_pair(st_, g)
-            if w2[0] == w[0]:
-                break
-        else:
-            pytest.fail("redraw never repeated the color")
-        assert np.array_equal(w, [1.0])
+    """The pair that redraws the final ball, by its exact joint law."""
 
     @staticmethod
     def _two_draw_joint():
@@ -253,25 +161,9 @@ class TestResamplePair:
                     joint[(w, w2)] = joint.get((w, w2), F(0)) + pr
         return joint
 
-    def test_two_draw_joint_law(self):
-        joint = self._two_draw_joint()
-        assert sum(joint.values()) == 1
-        g = rng(9)
-        reps = 20_000
-        freq = {}
-        for _ in range(reps):
-            st_ = simulate_urn((1, 1), 2, g)
-            w, w2 = resample_pair(st_, g)
-            key = (F(round(w[0] * 2), 2), F(round(w2[0] * 2), 2))
-            freq[key] = freq.get(key, 0) + 1
-        assert set(freq) <= set(joint)
-        for key, p in joint.items():
-            pf = float(p)
-            se = math.sqrt(pf * (1 - pf) / reps)
-            assert abs(freq.get(key, 0) / reps - pf) < 4 * se + 1e-9, key
-
     def test_exchangeable(self):
         joint = self._two_draw_joint()
+        assert sum(joint.values()) == 1
         for (w, w2), p in joint.items():
             assert joint[(w2, w)] == p
 

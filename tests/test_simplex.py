@@ -19,7 +19,6 @@ from dirstein.simplex import (
     dirichlet_density,
     dirichlet_mixed_moment,
     dirichlet_sample,
-    theta_exponent,
 )
 
 # Oracle: arcsine density 1/(pi*sqrt(x(1-x))) at x=0.25, frozen before build.
@@ -278,26 +277,21 @@ class TestWindowRule:
 
 class TestTheta:
     def test_all_ones(self):
-        th, rate = theta_exponent(DirichletParams([1, 1]))
-        assert th == 1 and rate == 0.25
+        assert DirichletParams([1, 1]).theta == 1
 
     def test_below_one(self):
         p = DirichletParams([0.5, 0.5])
         assert p.theta_wedge == 0.5
         assert p.theta_circ == 1.0
-        th, rate = theta_exponent(p)
-        assert th == pytest.approx(1 / 3)
-        assert rate == pytest.approx(0.1)
+        assert p.theta == pytest.approx(1 / 3)
 
     def test_large_params(self):
-        th, rate = theta_exponent(DirichletParams([2, 3, 4]))
-        assert th == 1 and rate == 0.25
+        assert DirichletParams([2, 3, 4]).theta == 1
 
     @given(st.lists(st.floats(1.0, 50.0), min_size=2, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_at_least_one_forces_theta_one(self, a):
-        th, _ = theta_exponent(DirichletParams(a))
-        assert th == 1
+        assert DirichletParams(a).theta == 1
 
 
 class TestParams:
