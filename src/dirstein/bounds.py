@@ -263,22 +263,3 @@ def lemma_budgets_wf(summary, N: int, K: int):
     su_b = sum(1.0 + rootN * float(v) for v in st)
     cubic = (2.0 / rootN) * su_a**2 * su_b
     return quad, cubic
-
-
-def rho_budget(mom, N: int):
-    """Aggregate offspring-fluctuation scale
-
-    rho = N^2 beta / (2(N-1)) + 3 N^4 gamma / ((N-2)(N-3))
-        + (4N^4 + 3N^2) delta / ((N-1)(N-2)(N-3)),
-
-    exact for rational moments.  Diagnostic only; requires N >= 4."""
-    if N < 4:
-        raise BoundError("N >= 4 required")
-    beta = _num(mom.beta)
-    gamma = _num(mom.gamma)
-    delta = _num(mom.delta)
-    return (
-        N**2 * beta / (2 * (N - 1))
-        + 3 * N**4 * gamma / ((N - 2) * (N - 3))
-        + (4 * N**4 + 3 * N**2) * delta / ((N - 1) * (N - 2) * (N - 3))
-    )

@@ -25,22 +25,20 @@ blocks, and since their types are iid given the blocks, `redraw_types`
 gives further exact copies of every draw at the cost of one uniform per
 block.  Every other mutation matrix steps replicate blocks of forward
 chains (vectorized across independent chains) through a burn-in and then
-records every thin-th generation.  The module also checks the one-step
-conditional moment formulas that the approximation bounds are built on.
+records every thin-th generation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .mutation import MutationMatrix, transition_probs
+from .mutation import MutationMatrix
 from .offspring import KIND_WRIGHT_FISHER, OffspringModel, sample_offspring
-from .simplex import RngStream, SimplexPoint, as_generator
+from .simplex import RngStream, as_generator
 
 BURN_IN_CAP = 10**7
 # lineages the genealogy sampler holds at once: its draws go in blocks of
@@ -76,13 +74,6 @@ class ChainState:
     @property
     def full(self) -> tuple:
         return self.counts + (self.N - sum(self.counts),)
-
-    def w(self) -> tuple:
-        """Frequencies as exact rationals."""
-        return tuple(Fraction(c, self.N) for c in self.counts)
-
-    def point(self) -> SimplexPoint:
-        return SimplexPoint([c / self.N for c in self.counts])
 
 
 @dataclass(frozen=True)
@@ -450,9 +441,6 @@ class StationaryRun:
     def n(self) -> int:
         return len(self.samples)
 
-    def point(self, i: int) -> SimplexPoint:
-        return SimplexPoint(self.samples[i])
-
 
 def _seed_descriptor(rng) -> str:
     if isinstance(rng, RngStream):
@@ -561,7 +549,7 @@ def redraw_types(run: StationaryRun, copies: int, rng) -> np.ndarray:
     if copies < 1:
         raise ChainError("need at least one copy")
     g = as_generator(rng)
-    n, K, N = run.n, int(run.meta["K"]), int(run.meta["N"])
+    n, K, N = run.n, run.meta["K"], run.meta["N"]
     out = np.empty((copies,) + run.samples.shape)
     out[0] = run.samples
     base = part.cells - part.cells % K  # draw * K
@@ -577,103 +565,4 @@ def redraw_types(run: StationaryRun, copies: int, rng) -> np.ndarray:
             cells += bits >= cut
         counts = np.bincount(cells, weights=sizes, minlength=n * K)
         out[r] = counts.reshape(n, K)[:, :-1] / N
-    return out
-
-
-# ---------------------------------------------------------------------------
-# conditional-moment verification (Wright-Fisher one-step formulas)
-
-
-@dataclass(frozen=True)
-class CondMomentCheck:
-    """One state's comparison of the closed second-moment forms against
-    exact multinomial moments and against simulation."""
-
-    state: ChainState
-    closed_same: tuple  # E[(W'_j - W_j)^2 | W], j = 1..K-1
-    closed_cross: tuple  # E[(W'_i - W_i)(W'_j - W_j) | W], i < j
-    exact_residual: float
-    mc_z: float
-
-
-def _closed_second_moments(p: MutationMatrix, x: ChainState):
-    """Same and cross closed forms through (q, sigma_j, T_j)."""
-    N, K = x.N, x.K
-    t = transition_probs(p, x.counts, N)
-    w = x.w()
-    sig = [
-        p.p[K - 1][j] + sum(p.p[j][k] for k in range(K) if k != j)
-        for j in range(K - 1)
-    ]
-    dev = [t.inflow[j] - sig[j] * w[j] for j in range(K - 1)]
-    same = tuple(
-        t.q[j] * (1 - t.q[j]) / Fraction(N) + dev[j] ** 2 for j in range(K - 1)
-    )
-    cross = tuple(
-        -t.q[i] * t.q[j] / Fraction(N) + dev[i] * dev[j]
-        for i in range(K - 1)
-        for j in range(i + 1, K - 1)
-    )
-    return t, dev, same, cross
-
-
-def verify_conditional_moments_wf(
-    p: MutationMatrix,
-    N: int,
-    states: Sequence[ChainState],
-    rng,
-    mc_steps: int = 20_000,
-) -> list:
-    """Check the one-step second-moment formulas at each supplied state.
-
-    Closed forms are compared (i) against exact multinomial factorial
-    moments of X' given X, reported as a max absolute residual, and (ii)
-    against a Monte-Carlo average over steps, reported as a max z-score.
-    """
-    g = as_generator(rng)
-    out = []
-    for x in states:
-        if x.K != p.K or x.N != N:
-            raise ChainError("state inconsistent with matrix or N")
-        t, dev, same, cross = _closed_second_moments(p, x)
-        w = x.w()
-        K = x.K
-        res = 0.0
-        # exact: E (X'_j)_2 = N(N-1) q_j^2, E X'_i X'_j = N(N-1) q_i q_j
-        for j in range(K - 1):
-            ex2 = (Fraction(N * (N - 1)) * t.q[j] ** 2 + Fraction(N) * t.q[j]) / N**2
-            exact = ex2 - 2 * w[j] * t.q[j] + w[j] ** 2
-            res = max(res, abs(float(exact - same[j])))
-        idx = 0
-        for i in range(K - 1):
-            for j in range(i + 1, K - 1):
-                exij = Fraction(N * (N - 1)) * t.q[i] * t.q[j] / N**2
-                exact = exij - w[i] * t.q[j] - w[j] * t.q[i] + w[i] * w[j]
-                res = max(res, abs(float(exact - cross[idx])))
-                idx += 1
-        # MC: average the same products over simulated steps
-        counts = np.tile(x.counts, (mc_steps, 1)).astype(np.int64)
-        nxt = _batch_step_wf(g, counts, p.array(), N)
-        d = nxt / N - np.array([float(v) for v in w])
-        zmax = 0.0
-        for j in range(K - 1):
-            vals = d[:, j] ** 2
-            se = vals.std(ddof=1) / np.sqrt(mc_steps)
-            zmax = max(zmax, abs(vals.mean() - float(same[j])) / max(se, 1e-300))
-        idx = 0
-        for i in range(K - 1):
-            for j in range(i + 1, K - 1):
-                vals = d[:, i] * d[:, j]
-                se = vals.std(ddof=1) / np.sqrt(mc_steps)
-                zmax = max(zmax, abs(vals.mean() - float(cross[idx])) / max(se, 1e-300))
-                idx += 1
-        out.append(
-            CondMomentCheck(
-                state=x,
-                closed_same=tuple(float(v) for v in same),
-                closed_cross=tuple(float(v) for v in cross),
-                exact_residual=res,
-                mc_z=zmax,
-            )
-        )
     return out

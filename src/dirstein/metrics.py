@@ -2,9 +2,8 @@
 stationary tables for small chains.
 
 The battery ships closed-form derivative seminorms per function family.
-Distances come in three strengths: smooth-function gaps (the quantity the
-bounds control), a Kolmogorov distance for two types, and a convex-set
-probe for three types that only ever reports a lower bound.
+Distances come in two strengths: smooth-function gaps (the quantity the
+bounds control) and a Kolmogorov distance for two types.
 """
 
 from __future__ import annotations
@@ -26,14 +25,10 @@ from .offspring import (
     _value_classes,
 )
 from .simplex import (
-    _GRADING,
     DirichletParams,
     _dirichlet_rule,
     _falling,
     _stirling2_row,
-    _window_rule,
-    as_generator,
-    dirichlet_sample,
 )
 from .stein import SteinError, TestFunction, attach_mean
 
@@ -219,8 +214,7 @@ def _rows(sample, d, replicates, copies=False):
     if isinstance(sample, StationaryRun):
         rows = sample.samples
         if replicates is None:
-            # loaded runs carry their meta values as strings
-            replicates = int(sample.meta["replicates"])
+            replicates = sample.meta["replicates"]
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim not in ((2, 3) if copies else (2,)) or rows.shape[-1] != d:
         shape = "(n, K-1) or (copies, n, K-1)" if copies else "(n, K-1)"
@@ -466,114 +460,6 @@ def kolmogorov_k2(sample, a: DirichletParams) -> K2Distance:
     i = np.arange(1, n + 1, dtype=np.float64)
     dist = float(max(np.max(i / n - theo), np.max(theo - (i - 1.0) / n)))
     return K2Distance(dist, 2.0 * dist)
-
-
-# ---------------------------------------------------------------------------
-# convex-set probing for three types
-
-
-@dataclass(frozen=True)
-class ProbeEstimate:
-    """Largest |P(W in C) - P(Z in C)| seen over probed convex sets.
-
-    A probe only ever certifies from below: the true convex-set
-    distance is at least value up to the recorded noise."""
-
-    value: float
-    stderr: float
-    n_probes: int
-    lower_bound: bool = True
-
-
-def _section_prob(a: DirichletParams, lo, hi, kinks, section) -> float:
-    """P(Z in C) under Dir(a), K = 3, for a set C with lo <= z_1 <= hi
-    whose every section at z_1 = z is an interval of z_2.
-
-    Z_2 = (1 - Z_1) Y with Y ~ Beta(a_2, a_3) independent of
-    Z_1 ~ Beta(a_1, a_2 + a_3), so P(Z in C) is the mean over Z_1 of
-    section(z, cdf), the probability of the section by Y's cdf.  Where an
-    end of the section crosses the edge z_2 = 0 or z_1 + z_2 = 1, at a
-    kink z = k, that probability goes like |z - k|^a_2 or |z - k|^a_3, so
-    the Gauss pieces shrink geometrically towards each kink, down to
-    2^-30; `_window_rule` drops the cuts closer than that to 0 or 1."""
-    a1, a2, a3 = a.floats()
-    steps = _GRADING ** -np.arange(1.0, 16.0)
-    cuts = [k + d for k in kinks for d in (*-steps, *steps)]
-    _, z, w = _window_rule(a1, a2 + a3, np.array([lo]), np.array([hi]), cuts)
-
-    def cdf(t):
-        return _reg_inc_beta(np.clip(t, 0.0, 1.0), a2, a3)
-
-    return float(w @ section(z, cdf))
-
-
-def _box_prob(a: DirichletParams, lo, hi) -> float:
-    """P(lo_i <= Z_i <= hi_i, i = 1, 2) under Dir(a), K = 3."""
-
-    def section(z, cdf):
-        return cdf(hi[1] / (1.0 - z)) - cdf(lo[1] / (1.0 - z))
-
-    return _section_prob(a, lo[0], hi[0], [1.0 - lo[1], 1.0 - hi[1]], section)
-
-
-def _halfplane_prob(a: DirichletParams, u, c) -> float:
-    """P(u . Z <= c) under Dir(a), K = 3: the section at z_1 = z is
-    Y <= t, or Y >= t when u_2 < 0, with t = (c - u_1 z)/(u_2 (1 - z)),
-    and its kinks are where the line crosses z_2 = 0 and z_1 + z_2 = 1."""
-    u1, u2 = float(u[0]), float(u[1])
-    kinks = [c / u1 if u1 else math.nan, (c - u2) / (u1 - u2) if u1 != u2 else math.nan]
-
-    def section(z, cdf):
-        room = c - u1 * z
-        if u2 == 0.0:
-            return (room >= 0.0).astype(np.float64)
-        p = cdf(room / (u2 * (1.0 - z)))
-        return p if u2 > 0.0 else 1.0 - p
-
-    return _section_prob(a, 0.0, 1.0, kinks, section)
-
-
-def convex_probe_k3(sample, a: DirichletParams, n_probes: int, rng) -> ProbeEstimate:
-    """Probe random half-planes and axis boxes for the largest
-    probability discrepancy against the exact Dir(a) probabilities.
-
-    The first probes are the fixed mean half-planes x_i <= a_i/s; the
-    rest alternate half-planes of uniform direction, through a Dir(a)
-    point drawn from rng, with boxes of uniform corners.  The stderr is
-    the sample's alone.  The result is a lower bound on the convex-set
-    distance.
-    """
-    if a.dim != 3:
-        raise MetricsError("convex probing is for three-type laws")
-    if n_probes < 1:
-        raise MetricsError("need at least one probe")
-    rows = sample.samples if isinstance(sample, StationaryRun) else sample
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 2 or not len(rows):
-        raise MetricsError("sample must be (n, 2) with n >= 1")
-    g = as_generator(rng)
-    s = float(a.s)
-
-    def halfplane(u, c):
-        return rows @ u <= c, _halfplane_prob(a, u, c)
-
-    best = (-1.0, 0.0)
-    for probe in range(n_probes):
-        if probe < 2:
-            inside, p = halfplane(np.eye(2)[probe], float(a.a[probe]) / s)
-        elif probe % 2 == 0:
-            th = g.uniform(0.0, 2.0 * math.pi)
-            u = np.array([math.cos(th), math.sin(th)])
-            inside, p = halfplane(u, float(dirichlet_sample(a, g, size=1)[0] @ u))
-        else:
-            lo, hi = np.sort(g.random((2, 2)), axis=1).T
-            inside = ((rows >= lo) & (rows <= hi)).all(axis=1)
-            p = _box_prob(a, lo, hi)
-        p_emp = float(np.mean(inside))
-        diff = abs(p_emp - p)
-        if diff > best[0]:
-            best = (diff, math.sqrt(p_emp * (1.0 - p_emp) / len(rows)))
-    return ProbeEstimate(best[0], best[1], n_probes)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simplex import DirichletParams, SimplexError, SimplexPoint, _as_number
+from .simplex import DirichletParams, _as_number
 
 ROW_SUM_TOL = 1e-12
 
@@ -180,78 +180,3 @@ def fit_dirichlet_params(p: MutationMatrix, N: int) -> DirichletParams:
             raise MutationError(f"column {j} off-diagonal median is 0, no positive fit")
         a.append(2 * N * med)
     return DirichletParams(a)
-
-
-@dataclass(frozen=True)
-class TransitionProbs:
-    """Success probabilities q(x) of one reproduction-plus-mutation round,
-    with the drift decomposition q_j = decay_j + inflow_j (j = 1..K-1) where
-    decay_j = W_j (1 - sigma_j) and inflow_j = T_j = p_Kj + sum (p_kj - p_Kj) W_k."""
-
-    q: tuple
-    decay: tuple
-    inflow: tuple
-
-
-def transition_probs(p: MutationMatrix, x: Sequence[int], N: int) -> TransitionProbs:
-    """q_j(x) = sum_k p_kj x_k / N for the count vector x.
-
-    x gives the first K-1 counts; the last is N - sum(x)."""
-    K = p.K
-    x = [int(v) for v in x]
-    if len(x) != K - 1:
-        raise MutationError(f"expected {K - 1} counts, got {len(x)}")
-    if any(v < 0 for v in x):
-        raise MutationError("negative count")
-    if sum(x) > N:
-        raise MutationError(f"counts sum to {sum(x)} > N={N}")
-    full = x + [N - sum(x)]
-    q = tuple(
-        _exact_div(sum(p.p[k][j] * full[k] for k in range(K)), N) for j in range(K)
-    )
-    w = [_exact_div(v, N) for v in x]
-    sig = [
-        p.p[K - 1][j] + sum(p.p[j][k] for k in range(K) if k != j)
-        for j in range(K - 1)
-    ]
-    decay = tuple(w[j] * (1 - sig[j]) for j in range(K - 1))
-    inflow = tuple(
-        p.p[K - 1][j]
-        + sum((p.p[k][j] - p.p[K - 1][j]) * w[k] for k in range(K - 1) if k != j)
-        for j in range(K - 1)
-    )
-    return TransitionProbs(q=q, decay=decay, inflow=inflow)
-
-
-def remainder_R(p: MutationMatrix, a: DirichletParams, N: int, w):
-    """Remainder of the drift linearization at the point w.
-
-    R_j(w) = (p_Kj - a_j/(2N))(1 - w_j)
-           + (sum_{k != j} (a_k/(2N) - p_jk)) w_j
-           + sum_{k != j, k < K} (p_kj - p_Kj) w_k
-
-    so that q_j - w_j = (a_j - s w_j)/(2N) + R_j(w) identically.  w may be a
-    SimplexPoint or a raw sequence of the K-1 free coordinates; rational
-    coordinates keep the result exact.
-    """
-    K = p.K
-    if isinstance(w, SimplexPoint):
-        if w.dim != K:
-            raise MutationError("dimension mismatch")
-        coords = w.coords
-    else:
-        coords = tuple(_as_number(v) for v in w)
-        if len(coords) != K - 1:
-            raise MutationError("dimension mismatch")
-    if a.dim != K:
-        raise MutationError("dimension mismatch")
-    target = [_exact_div(a.a[j], 2 * N) for j in range(K)]
-    out = []
-    for j in range(K - 1):
-        first = (p.p[K - 1][j] - target[j]) * (1 - coords[j])
-        second = sum(target[k] - p.p[j][k] for k in range(K) if k != j) * coords[j]
-        third = sum(
-            (p.p[k][j] - p.p[K - 1][j]) * coords[k] for k in range(K - 1) if k != j
-        )
-        out.append(first + second + third)
-    return tuple(out)

@@ -161,33 +161,6 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def dirichlet_density(p: DirichletParams, x: SimplexPoint) -> float:
-    """Density of Dir(a) at x, evaluated in log space.
-
-    Boundary points are allowed only when every a_i >= 1 (the density extends
-    continuously there); with some a_i < 1 the density is unbounded at the
-    boundary and the point is rejected.
-    """
-    if x.dim != p.dim:
-        raise SimplexError(f"point dimension {x.dim} != parameter dimension {p.dim}")
-    a = p.floats()
-    xs = np.array(x.coords + (x.last,))
-    xs = np.clip(xs, 0.0, None)
-    on_boundary = bool((xs == 0.0).any())
-    if on_boundary and (a < 1.0).any():
-        raise SimplexError("density unbounded at the boundary for parameters below 1")
-    lognorm = math.lgamma(float(p.s)) - sum(math.lgamma(ai) for ai in a)
-    val = 0.0
-    for ai, xi in zip(a, xs):
-        if xi == 0.0:
-            if ai > 1.0:
-                return 0.0
-            # ai == 1: factor x^0 = 1 contributes nothing
-            continue
-        val += (ai - 1.0) * np.log(xi)
-    return float(np.exp(lognorm + val))
-
-
 def dirichlet_sample(p: DirichletParams, rng, size: int | None = None):
     """Sample from Dir(a) by normalizing independent gammas.
 

@@ -25,11 +25,10 @@ like tol^(-1/2); the crude bound sup|h~| tail(M) caps it.  The levels
 past LEVEL_SPLIT carry little of the variance, so they are summed on one
 replicate in HIGH_SHARE.
 
-This module evaluates the operator,
-checks the characterization on monomials, estimates f with one coupled
-Monte Carlo engine (shared noise across levels, points and parameter
-vectors, so that differences of f between nearby points have tiny
-variance; the pointwise solver is its one-point call), verifies the
+This module checks the characterization on monomials, estimates f with
+one coupled Monte Carlo engine (shared noise across levels, points and
+parameter vectors, so that differences of f between nearby points have
+tiny variance; the pointwise solver is its one-point call), verifies the
 solution's seminorm bounds, and estimates the generic exchangeable-pair
 error terms A1, A2, A3.
 """
@@ -53,7 +52,6 @@ from .simplex import (
     dirichlet_sample,
 )
 
-OPERATOR_FD_STEP = 1e-5
 DEFAULT_TRUNCATION_TOL = 1e-4
 DEFAULT_INNER_RESAMPLES = 64
 # Levels past LEVEL_SPLIT are summed on one replicate in HIGH_SHARE (at
@@ -133,112 +131,7 @@ def attach_mean(h: TestFunction, a: DirichletParams) -> TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# operator application and the characterization check
-
-
-@dataclass(frozen=True)
-class SmoothField:
-    """A scalar field on the simplex with optional analytic partials.
-
-    Missing partials are filled by central finite differences with the
-    stencil clipped to stay inside the simplex."""
-
-    value: Callable
-    grad: Callable | None = None
-    hess: Callable | None = None
-
-
-def _fd_steps(coords, i, step):
-    # room upward is limited by the sum constraint, downward by x_i >= 0
-    up = min(step, 1.0 - sum(coords))
-    dn = min(step, coords[i])
-    if up + dn == 0.0:
-        up = min(step, 1.0)
-    return up, dn
-
-
-def _fd_gradient(fn, coords, step):
-    Km1 = len(coords)
-    g = np.zeros(Km1)
-    for i in range(Km1):
-        up, dn = _fd_steps(coords, i, step)
-        hi = list(coords)
-        lo = list(coords)
-        hi[i] += up
-        lo[i] -= dn
-        g[i] = (fn(hi) - fn(lo)) / (up + dn)
-    return g
-
-
-def _fd_hessian(fn, coords, step):
-    Km1 = len(coords)
-    H = np.zeros((Km1, Km1))
-    f0 = fn(list(coords))
-    for i in range(Km1):
-        up, dn = _fd_steps(coords, i, step)
-        if up > 0.0 and dn > 0.0:
-            hi = list(coords)
-            lo = list(coords)
-            hi[i] += up
-            lo[i] -= dn
-            H[i, i] = 2 * (
-                fn(hi) / (up * (up + dn))
-                - f0 / (up * dn)
-                + fn(lo) / (dn * (up + dn))
-            )
-        else:
-            # boundary: step twice into whichever side has room
-            d = up if up > 0.0 else -max(dn, step)
-            p1 = list(coords)
-            p2 = list(coords)
-            p1[i] += d
-            p2[i] += 2 * d
-            H[i, i] = (f0 - 2 * fn(p1) + fn(p2)) / (d * d)
-    for i in range(Km1):
-        for j in range(i + 1, Km1):
-            ui, di = _fd_steps(coords, i, step)
-            uj, dj = _fd_steps(coords, j, step)
-            pp = list(coords)
-            pm = list(coords)
-            mp = list(coords)
-            mm = list(coords)
-            pp[i] += ui
-            pp[j] += uj
-            pm[i] += ui
-            pm[j] -= dj
-            mp[i] -= di
-            mp[j] += uj
-            mm[i] -= di
-            mm[j] -= dj
-            H[i, j] = H[j, i] = (fn(pp) - fn(pm) - fn(mp) + fn(mm)) / (
-                (ui + di) * (uj + dj)
-            )
-    return H
-
-
-def stein_operator_apply(a: DirichletParams, f, x: SimplexPoint) -> float:
-    """Evaluate (A f)(x) for a SmoothField (or plain callable) f."""
-    if x.dim != a.dim:
-        raise SteinError("dimension mismatch")
-    if not isinstance(f, SmoothField):
-        f = SmoothField(value=f)
-    coords = [float(c) for c in x.coords]
-    grad = (
-        np.asarray(f.grad(coords), dtype=np.float64)
-        if f.grad is not None
-        else _fd_gradient(f.value, coords, OPERATOR_FD_STEP)
-    )
-    hess = (
-        np.asarray(f.hess(coords), dtype=np.float64)
-        if f.hess is not None
-        else _fd_hessian(f.value, coords, OPERATOR_FD_STEP)
-    )
-    s = float(a.s)
-    af = a.floats()[:-1]
-    xv = np.asarray(coords)
-    quad = xv @ hess @ xv
-    out = float(np.dot(xv, np.diag(hess)) - quad + (af - s * xv) @ grad)
-    return out
+# the characterization check
 
 
 def characterization_residual(a: DirichletParams, exponents) -> float:

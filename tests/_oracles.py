@@ -8,9 +8,7 @@ cross-check, and offspring moments come from a loop over every tuple of
 coordinates.  Dirichlet means of the battery's waves come from their
 moment series and windowed (bump) means from nested adaptive quadrature
 and, for two types, from a power expansion over truncated Beta moments;
-none of these shares the library's Gauss nodes.  Half-plane and box
-probabilities come from the same nested quadrature with scipy's
-incomplete beta and, for the uniform law, from clipped polygon areas.  The reference copies
+none of these shares the library's Gauss nodes.  The reference copies
 (the two-array genealogy block, the level rule) do the library's
 arithmetic in its earlier, plainer form; the fast paths must match them
 bit for bit.  The dense Wright-Fisher rows are the one reference the
@@ -512,72 +510,6 @@ def bump_mean_quad(a, centers, rho):
     lo1, hi1 = max(c1 - rho, 0.0), min(c1 + rho, 1.0)
     cuts = sorted({lo1, hi1} | {v for v in (1.0 - c2 - rho, 1.0 - c2 + rho) if lo1 < v < hi1})
     return sum(beta_window_mean(outer, a1, a2 + a3, u, v) for u, v in zip(cuts[:-1], cuts[1:]))
-
-
-def section_prob_quad(a, lo, hi, kinks, section):
-    """P(Z in C) under Dir(a), three types, for a set C with
-    lo <= z_1 <= hi whose section at z_1 = z is an interval of z_2: the
-    mean over Z_1 ~ Beta(a_1, a_2 + a_3) of section(1 - z, cdf), where cdf is
-    scipy's incomplete beta of Y = Z_2/(1 - Z_1) ~ Beta(a_2, a_3), by
-    beta_window_mean split at the kinks of the section's probability.
-    1 - z is kept off 0, since quad may evaluate at z = 1."""
-    from scipy.special import betainc
-
-    a1, a2, a3 = (float(v) for v in a.a)
-
-    def cdf(t):
-        return betainc(a2, a3, min(max(t, 0.0), 1.0))
-
-    cuts = sorted({lo, hi} | {k for k in kinks if lo < k < hi})
-    return sum(
-        beta_window_mean(lambda z: section(max(1.0 - z, 1e-300), cdf), a1, a2 + a3, u, v)
-        for u, v in zip(cuts[:-1], cuts[1:])
-    )
-
-
-def halfplane_prob_quad(a, u, c):
-    """P(u . Z <= c) under Dir(a), three types, by section_prob_quad; the
-    kinks are where the line meets z_2 = 0 and z_1 + z_2 = 1."""
-    u1, u2 = u
-
-    def section(r, cdf):
-        room = c - u1 * (1.0 - r)
-        if u2 == 0.0:
-            return float(room >= 0.0)
-        p = cdf(room / (u2 * r))
-        return p if u2 > 0.0 else 1.0 - p
-
-    kinks = [c / u1 if u1 else -1.0, (c - u2) / (u1 - u2) if u1 != u2 else -1.0]
-    return section_prob_quad(a, 0.0, 1.0, kinks, section)
-
-
-def box_prob_quad(a, lo, hi):
-    """P(lo_i <= Z_i <= hi_i, i = 1, 2) under Dir(a), three types, by
-    section_prob_quad; the kinks are where z_2 = lo_2 and z_2 = hi_2 meet
-    z_1 + z_2 = 1."""
-
-    def section(r, cdf):
-        return cdf(hi[1] / r) - cdf(lo[1] / r)
-
-    return section_prob_quad(a, lo[0], hi[0], [1.0 - lo[1], 1.0 - hi[1]], section)
-
-
-def clipped_area(poly, u, c):
-    """Area of the convex polygon poly (vertices in order) cut to the
-    half-plane u . z <= c: one Sutherland-Hodgman step, then the shoelace
-    formula."""
-    out = []
-    for p, q in zip(poly, poly[1:] + poly[:1]):
-        fp = u[0] * p[0] + u[1] * p[1] - c
-        fq = u[0] * q[0] + u[1] * q[1] - c
-        if fp <= 0.0:
-            out.append(p)
-        if fp * fq < 0.0:
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return 0.5 * abs(
-        sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(out, out[1:] + out[:1]))
-    )
 
 
 def bump_mean_k2(a, c, rho):

@@ -227,18 +227,6 @@ class TestLemmaBudgets:
         assert out.a3 + 4 * out.a3_se <= cubic
 
 
-class TestRho:
-    def test_moran_zero(self):
-        assert B.rho_budget(moments(OffspringModel.moran(10)), 10) == 0
-
-    def test_wf4_exact(self):
-        assert B.rho_budget(moments(OffspringModel.wright_fisher(4)), 4) == F(215, 4)
-
-    def test_small_n_raises(self):
-        with pytest.raises(B.BoundError):
-            B.rho_budget(moments(OffspringModel.moran(4)), 3)
-
-
 nonneg = st_.fractions(min_value=0, max_value=1, max_denominator=40)
 
 
@@ -267,20 +255,6 @@ class TestMonotonicity:
         assert base >= 0
         assert a3_of(beta + db, gamma) >= base
         assert a3_of(beta, gamma + dg) >= base
-
-    @given(beta=nonneg, gamma=nonneg, delta=nonneg, d=nonneg)
-    @settings(max_examples=60, deadline=None)
-    def test_rho(self, beta, gamma, delta, d):
-        def rho(b, g, de):
-            return B.rho_budget(
-                OffspringMoments(alpha=F(1, 2), beta=b, gamma=g, delta=de), 8
-            )
-
-        base = rho(beta, gamma, delta)
-        assert base >= 0
-        assert rho(beta + d, gamma, delta) >= base
-        assert rho(beta, gamma + d, delta) >= base
-        assert rho(beta, gamma, delta + d) >= base
 
 
 class TestRecord:

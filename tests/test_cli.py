@@ -775,8 +775,7 @@ class TestRuntimeImports:
     def test_cli_run_leaves_scipy_unimported(self, tmp_path):
         # scipy is a test-only dependency: neither importing the CLI, nor
         # a run of each certifying kind, nor an exact battery mean of any
-        # family (the Gauss rules are numpy's), nor a convex probe (its
-        # incomplete beta is the library's) may pull it in
+        # family (the Gauss rules are numpy's) may pull it in
         cfgs = {
             "wf": WF_CFG.replace("[1, 1]", "[1, 1, 1]").replace("2500", "200"),
             "polya": POLYA_CFG.replace("8000", "200"),
@@ -799,11 +798,6 @@ class TestRuntimeImports:
             "attach_exact_means(make_battery(3), DirichletParams((0.3, 0.4, 0.5)))\n"
             "attach_mean(_trig('cos', (1, 2, 3)), DirichletParams((1, 1, 1, 1)))\n"
             "if 'scipy' in sys.modules: sys.exit('scipy loaded by a mean')\n"
-            "from dirstein.metrics import convex_probe_k3\n"
-            "from dirstein.simplex import RngStream, dirichlet_sample\n"
-            "a = DirichletParams((0.5, 2, 1.5))\n"
-            "convex_probe_k3(dirichlet_sample(a, RngStream(1), size=100), a, 6, RngStream(2))\n"
-            "if 'scipy' in sys.modules: sys.exit('scipy loaded by a convex probe')\n"
         )
         paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

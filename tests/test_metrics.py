@@ -30,18 +30,14 @@ from dirstein.metrics import (
     GapEstimate,
     K2Distance,
     MetricsError,
-    ProbeEstimate,
     StationaryTable,
-    _box_prob,
     _bump,
     _exponents,
-    _halfplane_prob,
     _monomial,
     _monomials,
     _reg_inc_beta,
     _wave_polynomial,
     attach_exact_means,
-    convex_probe_k3,
     exact_moments,
     exact_stationary,
     kolmogorov_k2,
@@ -465,115 +461,6 @@ class TestKolmogorov:
     def test_wrong_k(self):
         with pytest.raises(MetricsError):
             kolmogorov_k2(np.zeros((10, 2)), DirichletParams((1, 1, 1)))
-
-
-# ---------------------------------------------------------------------------
-
-
-class TestConvexProbe:
-    def test_same_law_noise_scale(self):
-        a = DirichletParams((1, 1, 1))
-        z = dirichlet_sample(a, as_generator(RngStream(9)), size=20000)
-        pe = convex_probe_k3(z, a, 40, RngStream(10))
-        assert pe.lower_bound
-        assert pe.value < 0.03
-
-    def test_monotone_in_probe_count(self):
-        a = DirichletParams((1, 1, 1))
-        z = dirichlet_sample(a, as_generator(RngStream(12)), size=5000)
-        few = convex_probe_k3(z, a, 5, RngStream(20))
-        many = convex_probe_k3(z, a, 50, RngStream(20))
-        assert many.value >= few.value
-
-    def test_does_not_depend_on_earlier_calls(self):
-        # the random probes come from the call's own stream, so an earlier
-        # call with another stream cannot change the result
-        a = DirichletParams((1, 1, 1))
-        z = dirichlet_sample(a, as_generator(RngStream(12)), size=5000)
-        first = convex_probe_k3(z, a, 20, RngStream(20))
-        convex_probe_k3(z, a, 20, RngStream(21))
-        again = convex_probe_k3(z, a, 20, RngStream(20))
-        assert again == first
-
-    def test_mean_plane_detects_shift(self):
-        # Dir(2,1,1) mass left of x1 = 1/3 is 7/27 against 5/9 for the
-        # target, so the fixed first probe alone clears 0.25
-        target = DirichletParams((1, 1, 1))
-        shifted = DirichletParams((2, 1, 1))
-        z = dirichlet_sample(shifted, as_generator(RngStream(14)), size=20000)
-        pe = convex_probe_k3(z, target, 2, RngStream(15))
-        assert pe.value > 0.25
-
-    def test_uniform_probabilities_are_areas(self):
-        # Dir(1,1,1) has density 2 on the triangle z >= 0, z_1 + z_2 <= 1
-        a = DirichletParams((1, 1, 1))
-        triangle = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            u = (math.cos(th), math.sin(th))
-            c = float(rng.dirichlet((1, 1, 1))[:2] @ u)
-            want = 2.0 * oracles.clipped_area(triangle, u, c)
-            assert abs(_halfplane_prob(a, u, c) - want) < 1e-14, (u, c)
-            (lo1, hi1), (lo2, hi2) = sorted(rng.random(2)), sorted(rng.random(2))
-            box = [(lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2)]
-            want = 2.0 * oracles.clipped_area(box, (1.0, 1.0), 1.0)
-            assert abs(_box_prob(a, (lo1, lo2), (hi1, hi2)) - want) < 1e-14, box
-        assert abs(_halfplane_prob(a, (1.0, 0.0), 1.0 / 3.0) - 5.0 / 9.0) < 1e-15
-
-    @pytest.mark.parametrize(
-        "law", [(1, 1, 1), (2.5, 3, 2), (1, 2, 1.5), (0.4, 0.7, 1.3), (1e-3, 2e-3, 3e-3)],
-        ids=str,
-    )
-    def test_mean_halfplanes_are_beta_cdfs(self, law):
-        a = DirichletParams(law)
-        s = sum(law)
-        for i in range(2):
-            want = reg_inc_beta(law[i] / s, law[i], s - law[i])
-            assert abs(_halfplane_prob(a, np.eye(2)[i], law[i] / s) - want) < 1e-13, i
-
-    @pytest.mark.parametrize(
-        "law, tol",
-        [((2.5, 3, 2), 1e-12), ((8, 3, 20), 1e-12), ((1, 2, 1.5), 1e-12),
-         ((0.4, 0.7, 1.3), 1e-6), ((0.5, 0.5, 0.5), 1e-6)],
-        ids=str,
-    )
-    def test_probabilities_match_quadrature(self, law, tol):
-        a = DirichletParams(law)
-        rng = np.random.default_rng(4)
-        for _ in range(6):
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            u = (math.cos(th), math.sin(th))
-            c = float(rng.dirichlet(law)[:2] @ u)
-            want = oracles.halfplane_prob_quad(a, u, c)
-            assert abs(_halfplane_prob(a, u, c) - want) < tol, (u, c)
-            lo, hi = tuple(zip(sorted(rng.random(2)), sorted(rng.random(2))))
-            assert abs(_box_prob(a, lo, hi) - oracles.box_prob_quad(a, lo, hi)) < tol, lo
-
-    def test_row_on_a_box_edge_is_inside(self):
-        # replay the call's stream to its first box, probe 3, after the
-        # random half-plane of probe 2; a sample of the box's corners is
-        # then wholly inside it, and that probe gives the largest gap
-        a = DirichletParams((1, 1, 1))
-        g = RngStream(2).gen
-        g.uniform(0.0, 2.0 * math.pi)
-        dirichlet_sample(a, g, size=1)
-        (lo1, hi1), (lo2, hi2) = sorted(g.random(2)), sorted(g.random(2))
-        corners = np.array([[lo1, lo2], [hi1, lo2], [hi1, hi2], [lo1, hi2]])
-        pe = convex_probe_k3(corners, a, 4, RngStream(2))
-        assert pe.value == 1.0 - _box_prob(a, (lo1, lo2), (hi1, hi2))
-        assert pe.stderr == 0.0
-
-    def test_wrong_k_and_bad_probes(self):
-        with pytest.raises(MetricsError):
-            convex_probe_k3(np.zeros((5, 1)), DirichletParams((1, 1)), 3, RngStream(0))
-        # an empty sample used to read as a gap of -1
-        with pytest.raises(MetricsError, match="n >= 1"):
-            convex_probe_k3(np.zeros((0, 2)), DirichletParams((1, 1, 1)), 3, RngStream(0))
-        with pytest.raises(MetricsError):
-            convex_probe_k3(
-                np.zeros((5, 2)), DirichletParams((1, 1, 1)), 0, RngStream(0)
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mutation matrices, their summary scalars, and the drift remainder."""
+"""Mutation matrices and their summary scalars."""
 
 from fractions import Fraction
 
@@ -11,15 +11,12 @@ from dirstein.mutation import (
     MutationError,
     MutationMatrix,
     fit_dirichlet_params,
-    remainder_R,
     summarize,
-    transition_probs,
 )
-from dirstein.simplex import DirichletParams, SimplexPoint
+from dirstein.simplex import DirichletParams
 
 # Frozen worked examples.
 TAU_LOPSIDED = Fraction(1, 50)  # p12=0.06, p21=0.04 against a=(1,1), N=10
-R1_LOPSIDED_AT_HALF = Fraction(-1, 100)
 
 F = Fraction
 
@@ -173,102 +170,3 @@ class TestFit:
         N = 10
         best = summarize(m, fit_dirichlet_params(m, N), N).tau
         assert summarize(m, DirichletParams(trial), N).tau >= best
-
-
-class TestTransitionProbs:
-    def test_identity_matrix_no_mutation(self):
-        m = MutationMatrix([[1, 0], [0, 1]])
-        t = transition_probs(m, [3], 8)
-        assert t.q == (F(3, 8), F(5, 8))
-
-    def test_symmetric_half(self):
-        m = MutationMatrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
-        t = transition_probs(m, [2], 2)
-        assert t.q[0] == F(1, 2)
-
-    def test_substitution_frozen(self):
-        m = MutationMatrix([[F(9, 10), F(1, 10)], [F(1, 5), F(4, 5)]])
-        t = transition_probs(m, [2], 4)
-        assert t.q[0] == F(11, 20)  # 0.9/2 + 0.2/2
-
-    def test_validation(self):
-        m = lopsided_k2()
-        with pytest.raises(MutationError, match="expected 1 counts"):
-            transition_probs(m, [1, 2], 8)
-        with pytest.raises(MutationError, match="> N"):
-            transition_probs(m, [9], 8)
-        with pytest.raises(MutationError, match="negative"):
-            transition_probs(m, [-1], 8)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), x1=st.integers(0, 8), x2=st.integers(0, 8))
-    def test_probability_vector_and_decomposition(self, seed, x1, x2):
-        m = rational_matrix(3, seed)
-        N = 20
-        if x1 + x2 > N:
-            x1, x2 = x2 % 5, x1 % 5
-        t = transition_probs(m, [x1, x2], N)
-        assert sum(t.q) == 1
-        assert all(v >= 0 for v in t.q)
-        # q_j recombines from decay + inflow exactly
-        for j in range(2):
-            assert t.decay[j] + t.inflow[j] == t.q[j]
-
-
-class TestRemainder:
-    def test_matched_rates_vanish(self):
-        a = DirichletParams([1, 2, 1])
-        N = 10
-        m = MutationMatrix.pim([v / (2 * N) for v in a.a])
-        for w in ([F(1, 3), F(1, 3)], [0, 0], [F(7, 10), F(1, 10)]):
-            assert remainder_R(m, a, N, w) == (0, 0)
-
-    def test_lopsided_frozen(self):
-        r = remainder_R(lopsided_k2(), DirichletParams([1, 1]), 10, [F(1, 2)])
-        assert r == (R1_LOPSIDED_AT_HALF,)
-
-    def test_corner_kills_column_term(self):
-        # at w_j = 1 the (p_Kj - a_j/(2N)) bracket is multiplied by zero, so
-        # two matrices differing only in p_K1 (balanced on the diagonal)
-        # give identical R there but not elsewhere
-        a = DirichletParams([1, 1, 1])
-        N = 10
-        base = [[F(9, 10), F(1, 20), F(1, 20)] for _ in range(3)]
-        base[1] = [F(1, 20), F(9, 10), F(1, 20)]
-        base[2] = [F(1, 20), F(1, 20), F(9, 10)]
-        m1 = MutationMatrix(base)
-        bumped = [row[:] for row in base]
-        bumped[2] = [F(1, 10), F(1, 20), F(85, 100)]
-        m2 = MutationMatrix(bumped)
-        corner = [1, 0]
-        assert remainder_R(m1, a, N, corner) == remainder_R(m2, a, N, corner)
-        mid = [F(1, 2), F(1, 4)]
-        assert remainder_R(m1, a, N, mid) != remainder_R(m2, a, N, mid)
-
-    def test_accepts_simplex_point(self):
-        r = remainder_R(lopsided_k2(), DirichletParams([1, 1]), 10, SimplexPoint([0.5]))
-        assert r[0] == pytest.approx(-0.01)
-
-    def test_dimension_checks(self):
-        with pytest.raises(MutationError, match="dimension"):
-            remainder_R(lopsided_k2(), DirichletParams([1, 1, 1]), 10, [F(1, 2)])
-        with pytest.raises(MutationError, match="dimension"):
-            remainder_R(lopsided_k2(), DirichletParams([1, 1]), 10, [F(1, 4), F(1, 4)])
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 10**6),
-        x=st.lists(st.integers(0, 6), min_size=2, max_size=2),
-        aseed=st.lists(st.integers(1, 8), min_size=3, max_size=3),
-    )
-    def test_drift_linearization_identity(self, seed, x, aseed):
-        # q_j - w_j = (a_j - s w_j)/(2N) + R_j(w), exactly, for any matrix
-        m = rational_matrix(3, seed)
-        N = 12
-        a = DirichletParams([F(v, 2) for v in aseed])
-        t = transition_probs(m, x, N)
-        w = [F(v, N) for v in x]
-        r = remainder_R(m, a, N, w)
-        for j in range(2):
-            lin = (a.a[j] - a.s * w[j]) / (2 * N)
-            assert t.q[j] - w[j] == lin + r[j]

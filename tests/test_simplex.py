@@ -16,13 +16,9 @@ from dirstein.simplex import (
     _dirichlet_moments,
     _dirichlet_rule,
     _window_rule,
-    dirichlet_density,
     dirichlet_mixed_moment,
     dirichlet_sample,
 )
-
-# Oracle: arcsine density 1/(pi*sqrt(x(1-x))) at x=0.25, frozen before build.
-ARCSINE_AT_QUARTER = 0.7351051938957185  # 1/(pi*sqrt(0.1875))
 
 
 class TestSimplexPoint:
@@ -57,46 +53,6 @@ class TestSimplexPoint:
         assert all(c >= 0 for c in x.coords)
         assert sum(x.coords) <= 1 + 1e-12
         assert x.last >= -1e-12
-
-
-class TestDensity:
-    def test_uniform_on_triangle(self):
-        # Gamma(3) = 2 for the flat Dirichlet on the 2-simplex
-        p = DirichletParams([1, 1, 1])
-        assert dirichlet_density(p, SimplexPoint([0.2, 0.3])) == pytest.approx(2.0)
-
-    def test_beta_2_1(self):
-        p = DirichletParams([2, 1])
-        assert dirichlet_density(p, SimplexPoint([0.5])) == pytest.approx(1.0)
-
-    def test_arcsine(self):
-        p = DirichletParams([0.5, 0.5])
-        got = dirichlet_density(p, SimplexPoint([0.25]))
-        assert got == pytest.approx(ARCSINE_AT_QUARTER, rel=1e-12)
-
-    def test_boundary_below_one_rejected(self):
-        p = DirichletParams([0.5, 0.5])
-        with pytest.raises(SimplexError):
-            dirichlet_density(p, SimplexPoint([0.0]))
-
-    def test_boundary_limit_above_one(self):
-        p = DirichletParams([2, 2])
-        assert dirichlet_density(p, SimplexPoint([0.0])) == 0.0
-        # all parameters exactly 1: boundary value equals the constant density
-        p1 = DirichletParams([1, 1])
-        assert dirichlet_density(p1, SimplexPoint([1.0])) == pytest.approx(1.0)
-
-    def test_integrates_to_one_importance(self):
-        # mean of 1/density over its own samples estimates the simplex volume
-        p = DirichletParams([2, 3])
-        w = dirichlet_sample(p, RngStream(5), size=200_000)
-        dens = np.array(
-            [dirichlet_density(p, SimplexPoint([v])) for v in w[:5000, 0]]
-        )
-        inv = 1.0 / dens
-        est = inv.mean()
-        se = inv.std(ddof=1) / math.sqrt(len(inv))
-        assert abs(est - 1.0) <= 4 * se
 
 
 class TestSampling:

@@ -86,43 +86,6 @@ def bump():
     )
 
 
-class TestOperator:
-    def test_quadratic_at_half(self):
-        a = DirichletParams((1, 1))
-        f = st.SmoothField(
-            value=lambda c: c[0] ** 2,
-            grad=lambda c: [2 * c[0]],
-            hess=lambda c: [[2.0]],
-        )
-        assert st.stein_operator_apply(a, f, SimplexPoint((0.5,))) == 0.5
-
-    def test_fd_matches_analytic(self):
-        a = DirichletParams((0.5, 2, 1.5))
-
-        def val(c):
-            return c[0] ** 3 + 2 * c[0] * c[1] - c[1] ** 2
-
-        f = st.SmoothField(
-            value=val,
-            grad=lambda c: [3 * c[0] ** 2 + 2 * c[1], 2 * c[0] - 2 * c[1]],
-            hess=lambda c: [[6 * c[0], 2.0], [2.0, -2.0]],
-        )
-        x = SimplexPoint((0.3, 0.25))
-        exact = st.stein_operator_apply(a, f, x)
-        fd = st.stein_operator_apply(a, val, x)
-        assert abs(exact - fd) < 1e-5
-
-    def test_boundary_point_finite(self):
-        a = DirichletParams((1, 1))
-        out = st.stein_operator_apply(a, lambda c: c[0] ** 2, SimplexPoint((0.0,)))
-        assert math.isfinite(out)
-
-    def test_dimension_mismatch(self):
-        a = DirichletParams((1, 1, 1))
-        with pytest.raises(st.SteinError):
-            st.stein_operator_apply(a, lambda c: c[0], SimplexPoint((0.5,)))
-
-
 PARAM_SETS = [
     (1, 1),
     (F(1, 2), 2),
@@ -166,13 +129,17 @@ class TestCharacterization:
         )
         assert st.characterization_residual(p, c) == 0.0
 
-    def test_mc_agrees_with_pointwise_operator(self):
-        # vectorized generator values equal the scalar operator (which
-        # falls back on finite differences, hence the loose tolerance)
+    def test_mc_agrees_with_closed_form_generator(self):
+        # vectorized generator values against (A f)(x) for f = x1^2 x2,
+        # a = (1, 2, 1), s = 4, written out from the partials f_1 = 2 x1 x2,
+        # f_2 = x1^2, f_11 = 2 x2, f_12 = 2 x1 and f_22 = 0
         a = DirichletParams((1, 2, 1))
-        pt = (0.3, 0.4)
-        want = st.stein_operator_apply(
-            a, lambda c: c[0] ** 2 * c[1], SimplexPoint(pt)
+        pt = x1, x2 = (0.3, 0.4)
+        want = (
+            x1 * (1 - x1) * 2 * x2
+            - 2 * x1 * x2 * 2 * x1
+            + (1 - 4 * x1) * 2 * x1 * x2
+            + (2 - 4 * x2) * x1**2
         )
         orig = st.dirichlet_sample
         st.dirichlet_sample = lambda a_, r_, size: np.array([pt, pt])
@@ -180,7 +147,7 @@ class TestCharacterization:
             got, _ = st.characterization_mc(a, (2, 1), RngStream(0), 2)
         finally:
             st.dirichlet_sample = orig
-        assert abs(got - want) < 1e-6
+        assert abs(got - want) < 1e-12
 
     def test_mc_centers_on_zero(self):
         a = DirichletParams((1, 2, 1))

@@ -1,12 +1,17 @@
 """The public surface: every exported name and every function the traced
-benchmark wraps must exist in the package."""
+benchmark wraps must exist in the package, and no module imports a name
+it never reads."""
 
+import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import dirstein
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(dirstein.__file__).resolve().parent
 
 
 def test_every_export_resolves():
@@ -27,3 +32,25 @@ def test_every_traced_target_exists(monkeypatch):
         if not hasattr(importlib.import_module(t.module), t.attr)
     ]
     assert missing == []
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, by its syntax tree."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+)
+def test_no_unused_imports(module):
+    assert _unused_imports(SRC / module) == []
