@@ -213,15 +213,12 @@ def theorem2_bound(mom, pi, N: int, K: int) -> BoundReport:
     )
 
 
-def theorem4_bound(a: DirichletParams, n: int, K: int | None = None) -> BoundReport:
-    """Urn-after-n-draws bound: A1 = 0, A2 = 2s/n,
+def theorem4_bound(a: DirichletParams, n: int) -> BoundReport:
+    """Urn-after-n-draws bound with K = a.dim: A1 = 0, A2 = 2s/n,
     A3 = (K-1)(3K-5)(n+s-1)/n^2."""
     if n < 1:
         raise BoundError("n must be >= 1")
-    if K is None:
-        K = a.dim
-    elif K != a.dim:
-        raise BoundError(f"K={K} does not match parameter dimension {a.dim}")
+    K = a.dim
     s = a.s
     a2 = 2 * s / Fraction(n) if isinstance(s, (int, Fraction)) else 2 * s / n
     a3_num = (K - 1) * (3 * K - 5) * (n + s - 1)

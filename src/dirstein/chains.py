@@ -38,7 +38,7 @@ import numpy as np
 
 from .mutation import MutationMatrix
 from .offspring import KIND_WRIGHT_FISHER, OffspringModel, sample_offspring
-from .simplex import RngStream, as_generator
+from .simplex import as_generator
 
 BURN_IN_CAP = 10**7
 # lineages the genealogy sampler holds at once: its draws go in blocks of
@@ -308,13 +308,6 @@ def _burn_in_need(model: ChainModel) -> float:
     return 20 * model.N * max(1.0, 1.0 / (model.N * pmin))
 
 
-def default_burn_in(model: ChainModel) -> int:
-    """20 N max(1, 1/(N p_min)) generations, capped at BURN_IN_CAP; p_min is
-    the smallest positive off-diagonal mutation probability.  check_forward
-    refuses a run that the cap would cut short."""
-    return int(min(_burn_in_need(model), BURN_IN_CAP))
-
-
 def uses_genealogy(model: ChainModel) -> bool:
     """True when run_to_stationarity draws the model's samples exactly from
     its genealogy: mutation is parent independent with rates pi summing to
@@ -355,10 +348,10 @@ def check_forward(
 ):
     """The (burn_in, thin, chains, rounds) of a forward run of n_samples.
 
-    burn_in defaults to default_burn_in and thin to N.  A run is refused
-    with RunawayError when its default burn-in exceeds BURN_IN_CAP before
-    capping, or when burn_in + thin * rounds does, where rounds =
-    ceil(n / chains) and chains = min(replicates, n)."""
+    burn_in defaults to 20 N max(1, 1/(N p_min)) (`_burn_in_need`) and
+    thin to N.  A run is refused with RunawayError when its default
+    burn-in exceeds BURN_IN_CAP, or when burn_in + thin * rounds does,
+    where rounds = ceil(n / chains) and chains = min(replicates, n)."""
     if burn_in is None:
         need = _burn_in_need(model)
         if need > BURN_IN_CAP:
@@ -419,20 +412,21 @@ def _initial_counts(N, K):
 
 @dataclass(frozen=True)
 class StationaryRun:
-    """Stationary frequency samples with their provenance.
+    """Stationary frequency samples and how they were drawn.
 
     samples rows are W = X/N (first K-1 coordinates); row i comes from
     chain i % meta["replicates"], and a genealogy run has one chain per
-    row.  drift_z is the between-halves drift of first and second moments
-    in crude combined stderr units; large values flag under-burning.  A
-    genealogy run keeps the blocks of its draws in partition
-    (`redraw_types`); a forward run has none.  The run lives in memory:
-    the command line writes its samples to samples.csv."""
+    row.  meta also holds N, K, the sampler ("genealogy" or "forward")
+    and the generations stepped; the seed stays with the caller.  drift_z
+    is the between-halves drift of first and second moments in crude
+    combined stderr units; large values flag under-burning.  A genealogy
+    run keeps the blocks of its draws in partition (`redraw_types`); a
+    forward run has none.  The run lives in memory: the command line
+    writes its samples to samples.csv."""
 
     samples: np.ndarray
     burn_in: int
     thin: int
-    seed: str
     meta: dict = field(default_factory=dict)
     drift_z: tuple = (float("nan"), float("nan"))
     partition: BlockPartition | None = field(default=None, repr=False, compare=False)
@@ -440,13 +434,6 @@ class StationaryRun:
     @property
     def n(self) -> int:
         return len(self.samples)
-
-
-def _seed_descriptor(rng) -> str:
-    if isinstance(rng, RngStream):
-        path = ".".join(str(v) for v in rng.path)
-        return f"{rng.seed}/{path}" if path else str(rng.seed)
-    return type(rng).__name__
 
 
 def run_to_stationarity(
@@ -516,12 +503,9 @@ def run_to_stationarity(
         samples=samples,
         burn_in=burn_in,
         thin=thin,
-        seed=_seed_descriptor(rng),
         meta={
             "N": N,
             "K": K,
-            "kind": model.kind,
-            "n_samples": n_samples,
             "replicates": R,
             "sampler": sampler,
             "generations": generations,

@@ -5,10 +5,10 @@ Configs are flat text files with dotted keys and JSON values, one
 `key = value` per line.  Every experiment writes its artifacts under the
 output directory stamped with the config hash and package version, and a
 rerun with the same config is byte-identical.  Each chain experiment draws
-its samples in one stationary run from the config seed; `--workers` and
-DIRSTEIN_WORKERS are validated but change nothing.  Under parent-independent
-mutation the run draws exact samples from the genealogy, which takes no
-mc.burn_in, mc.thin or mc.replicates: such keys are accepted and listed as
+its samples in one stationary run from the config seed; `--workers` is
+validated but changes nothing.  Under parent-independent mutation the run
+draws exact samples from the genealogy, which takes no mc.burn_in,
+mc.thin or mc.replicates: such keys are accepted and listed as
 `unused` in the validate output and in summary.txt, as every mc.* key is
 for moments-verify, which samples nothing.  A genealogy that would
 run away (tiny mutation rates) is refused when the config is read.
@@ -41,7 +41,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -104,7 +103,6 @@ KINDS = (
     "stein-verify",
     "moments-verify",
 )
-WORKERS_ENV = "DIRSTEIN_WORKERS"
 # the mc.* keys that only the forward chains read
 FORWARD_KEYS = ("burn_in", "thin", "replicates")
 # copies of each genealogy draw that its sampled gaps average over: the
@@ -267,16 +265,7 @@ def _seed(data) -> int:
 
 def _check_workers(data):
     # validated only: every run samples in one thread, so no count matters
-    if _get_int(data, "workers", minimum=1) is not None:
-        return
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ConfigError(WORKERS_ENV, f"not an integer: {env!r}")
-        if val < 1:
-            raise ConfigError(WORKERS_ENV, "must be >= 1")
+    _get_int(data, "workers", minimum=1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +405,6 @@ class _Experiment:
         _check_chain(self.mutation)
         self.K = self.mutation.K
         mom = moments(self.offspring)
-        self.offspring_moments = mom
         pi_exact = [_as_exact(v, "model.pi") for v in pi]
         # the bound's a comes from model.pi, the chain from the matrix
         if "model.mutation" in data and self.mutation.pim_rates != tuple(pi_exact):

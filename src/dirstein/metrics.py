@@ -433,7 +433,6 @@ class K2Distance:
     interval (cdf-difference) distance is at most twice it."""
 
     kolmogorov: float
-    interval_bound: float
 
 
 def kolmogorov_k2(sample, a: DirichletParams) -> K2Distance:
@@ -452,14 +451,14 @@ def kolmogorov_k2(sample, a: DirichletParams) -> K2Distance:
         theo = _reg_inc_beta(xs, a1, a2)
         below = np.concatenate([[0.0], cdf[:-1]])
         dist = float(np.max(np.abs(np.stack([cdf - theo, below - theo]))))
-        return K2Distance(dist, 2.0 * dist)
+        return K2Distance(dist)
     rows = sample.samples if isinstance(sample, StationaryRun) else sample
     xs = np.sort(np.asarray(rows, dtype=np.float64).reshape(len(rows), -1)[:, 0])
     n = len(xs)
     theo = _reg_inc_beta(xs, a1, a2)
     i = np.arange(1, n + 1, dtype=np.float64)
     dist = float(max(np.max(i / n - theo), np.max(theo - (i - 1.0) / n)))
-    return K2Distance(dist, 2.0 * dist)
+    return K2Distance(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +491,9 @@ class StationaryTable:
 
 
 _STATE_CAP = 6_000
+# the dense Cannings path holds P and LAPACK's copy of it, about 2 8 S^2
+# bytes: 67 MB at this cap, where _STATE_CAP would take 576 MB
+_DENSE_STATE_CAP = 2_048
 _BLOCK = 64  # rows per block of the Cannings factors B and P = G B
 
 
@@ -928,54 +930,77 @@ def _solve_stationary(P):
     return pi, _resolution(S, resid)
 
 
-def _dirichlet_start(model: ChainModel, states):
-    """The start row of a Wright-Fisher solve: the Dirichlet-multinomial
-    DM(N; s m) on `states`, the count law of the Dirichlet approximation,
-    with the exact stationary mean m and the total s that matches the
-    exact total variance.
+def urn_law(a: DirichletParams, n: int) -> StationaryTable:
+    """The law of the free counts after n draws of a Polya urn, DM(n; a),
+    as a float table on _state_grid(n, K), normalised to mass one.
 
-    Both come from the degree-2 case of `exact_moments`, solved over all
-    K types: m = m Pm with total one, and since W' = X'/N with
-    X' ~ Mult(N, W Pm), the second moments M = E[W W^T] solve
-    M = a Pm^T M Pm + diag(m) / N with a = 1 - 1/N.  M is the series
-    sum_k a^k (Pm^T)^k diag(m) Pm^k / N, summed by doubling (Smith's
-    method): O(K^3) per step and about log2(80 N) steps.  Under
-    DM(N; s m), Var W_i = m_i (1 - m_i) (s + N) / (N (s + 1)), so with
-    T = 1 - sum m_i^2 and H = 1 - trace M the total variance T - H gives
-    s = N H / (N (T - H) - T).  That s is finite and positive only when
-    the stationary variance exceeds the multinomial's (at K=2 whenever
-    p12 + p21 != 1, since the mutation eigenvalue enters squared).
-    Otherwise the start is the uniform row: at N = 1 (0/0) and for
-    identical mutation rows (the law is multinomial).  The rising
-    factorials of the pmf are sums of logs, exact for any weights."""
-    N, K, S = model.N, model.K, len(states)
-    Pm = model.mutation.array()
-    stay = Pm.T - np.eye(K)
-    stay[-1] = 1.0
-    mean = np.linalg.solve(stay, np.eye(K)[-1])
-    second = np.diag(mean / N)
-    A = math.sqrt(1.0 - 1.0 / N) * Pm
-    for _ in range(64):  # 2^64 terms; the loop ends after about log2(80 N)
-        step = A.T @ second @ A
-        second += step
-        if step.trace() <= 1e-17 * second.trace():
-            break
-        A = A @ A
-    T, H = 1.0 - mean @ mean, 1.0 - second.trace()
+    Up to a constant, log P(x) = sum_t g_t(x_t) over all K colors, with
+    g_t(k) = sum_{i<k} log((a_t + i) / (i + 1)) taken as a cumulative sum:
+    unlike lgamma(a + k) - lgamma(a) it keeps its accuracy for weights from
+    the smallest subnormal to about 1e308 / K.  resolution bounds the L1
+    distance to the exact law: rounding of each term (its input included)
+    and of each partial sum is at most u (|term| + 4) and u |partial sum|,
+    u the unit roundoff, which bounds the log-probability error d; the
+    normalised table is then off by at most 2 (e^(d+u) - 1) + (S + 2) u in
+    L1, doubled here for margin.
+    """
+    if n < 1:
+        raise MetricsError("n must be >= 1")
+    u = _UNIT
+    states = _state_grid(n, a.dim)
+    last = n - states.sum(axis=1)
+    i = np.arange(n, dtype=np.float64)
+    logp = np.zeros(len(states))
+    err = peak = 0.0
+    for t, at in enumerate(a.floats()):
+        terms = np.log((at + i) / (i + 1.0))
+        g = np.concatenate([[0.0], np.cumsum(terms)])
+        logp += g[states[:, t] if t < a.dim - 1 else last]
+        err += u * (np.abs(terms).sum() + 4.0 * n + np.abs(g).sum())
+        peak += float(np.abs(g).max())
+    # the K - 1 sums over colors and the shift by the maximum
+    err += u * (a.dim + 1) * peak
+    probs = np.exp(logp - logp.max())
+    probs /= probs.sum()
+    S = len(probs)
+    resolution = 2.0 * (2.0 * math.expm1(err + u) + (S + 2) * u)
+    return StationaryTable(states, probs, n, "polya-urn", resolution, "closed-form")
+
+
+def _dirichlet_start(model: ChainModel, states):
+    """The start row of a Wright-Fisher solve on `states`, the full grid:
+    the Dirichlet-multinomial DM(N; s m) (`urn_law`), the count law of the
+    Dirichlet approximation, with the exact stationary mean m and the
+    total s that matches the exact total variance.
+
+    Both come from the degree-2 case of `exact_moments`, over the K - 1
+    free coordinates; the last type's follow from W_K = 1 - sum_i W_i.
+    Under DM(N; s m), Var W_i = m_i (1 - m_i) (s + N) / (N (s + 1)), so
+    with T = 1 - sum m_i^2 and H = 1 - sum E W_i^2 over all K types, the
+    total variance T - H gives s = N H / D, D = N (T - H) - T.  That s is
+    finite and positive only when the stationary variance exceeds the
+    multinomial's (at K=2 whenever p12 + p21 != 1, since the mutation
+    eigenvalue enters squared).  Otherwise the start is the uniform row:
+    at N = 1 (0/0) and for identical mutation rows (the law is
+    multinomial), where D is zero up to the moments' stated errors.  With
+    E1 and E2 the summed errors of the first and second moments, D is off
+    by at most N (6 E1 + 3 E2) + 4 E1 to first order; the bound taken
+    adds 4 K eps per unit of N + 1 for the rounding of T and H."""
+    N, K = model.N, model.K
+    moments = exact_moments(model, 2)
+    first = np.eye(K - 1, dtype=np.int64)
+    mean = np.array([moments.moment(c) for c in first])
+    cross = np.array([[moments.moment(c + e) for e in first] for c in first])
+    mean = np.append(mean, 1.0 - mean.sum())
+    squares = np.append(cross.diagonal(), 1.0 - 2.0 * mean[:-1].sum() + cross.sum())
+    T, H = 1.0 - mean @ mean, 1.0 - squares.sum()
+    E1, E2 = (float(moments.errors[moments.exponents.sum(axis=1) == k].sum()) for k in (1, 2))
+    slack = (N + 1) * (6.0 * E1 + 3.0 * E2 + 8 * K * _UNIT)
     den = N * (T - H) - T
-    s = N * H / den if den > 0.0 else math.inf
+    s = N * H / den if den > slack else math.inf
     if not (math.isfinite(s) and s > 0.0 and (mean > 0.0).all()):
-        return np.full(S, 1.0 / S)
-    t = np.arange(N)
-    # log (a)^(k), the log rising factorial, for k = 0..N per type
-    rise = np.zeros((K, N + 1))
-    np.cumsum(np.log(s * mean[:, None] + t), axis=1, out=rise[:, 1:])
-    lgfact = _log_factorials(N)
-    full = np.column_stack([states, N - states.sum(axis=1)])
-    logp = (rise - lgfact)[np.arange(K), full].sum(axis=1)
-    logp += lgfact[N] - np.log(s + t).sum()
-    x0 = np.exp(logp)
-    return x0 / x0.sum()
+        return np.full(len(states), 1.0 / len(states))
+    return urn_law(DirichletParams(tuple(s * mean)), N).probs
 
 
 def exact_stationary(model: ChainModel) -> StationaryTable:
@@ -1001,7 +1026,8 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     rates 1/(N(N-1)).  G takes every N (`_group_law`); Cannings rows
     with more than three types are refused: the kernel's cube holds
     (N+1)^(K-1) cells per row.  State counts beyond the state cap of 6e3
-    are refused, for every kind, rather than approximated.
+    are refused, for every kind, rather than approximated, and Cannings
+    rows beyond 2048 states (`_DENSE_STATE_CAP`) before any allocation.
     """
     N, K = model.N, model.K
     check_irreducible(model.mutation)
@@ -1010,6 +1036,11 @@ def exact_stationary(model: ChainModel) -> StationaryTable:
     S = math.comb(N + K - 1, K - 1)
     if S > _STATE_CAP:
         raise MetricsError(f"{S} states exceeds the state cap of {_STATE_CAP}")
+    if model.kind != KIND_WRIGHT_FISHER and S > _DENSE_STATE_CAP:
+        raise MetricsError(
+            f"{S} states exceeds the dense cap of {_DENSE_STATE_CAP} for kind {model.kind!r}: "
+            f"P and its solve would hold {16 * S * S / 1e6:.0f} MB"
+        )
     states = _state_grid(N, K)
     if model.kind == KIND_WRIGHT_FISHER:
         x0 = _dirichlet_start(model, states)

@@ -11,7 +11,7 @@ a handful of derived scalars:
     tau_j   = p_Kj + sum_{k != j} |p_kj - p_Kj|      (both for j = 1..K-1)
 
 and, when mutation is parent independent (p_ij = pi_j for every i != j), the
-rates pi with sigma = sum_i pi_i.  With q_j(x) = sum_k p_kj x_k / N the
+rates pi (`pim_rates`).  With q_j(x) = sum_k p_kj x_k / N the
 expected drift of the count chain linearizes exactly:
 
     q_j - W_j = (a_j - s W_j)/(2N) + R_j(W),
@@ -118,16 +118,12 @@ class MutationMatrix:
 
 @dataclass(frozen=True)
 class MutationSummary:
-    """The matrix read through the scalars the bounds use.
-
-    sigma is the total parent-independent rate sum(pi) and is None for
-    matrices that are not parent independent."""
+    """The matrix read through the scalars the bounds use."""
 
     tau: object
     mu: object
     sigma_j: tuple
     tau_j: tuple
-    sigma: object = None
 
 
 def summarize(p: MutationMatrix, a: DirichletParams, N: int) -> MutationSummary:
@@ -154,8 +150,7 @@ def summarize(p: MutationMatrix, a: DirichletParams, N: int) -> MutationSummary:
         p.p[K - 1][j] + sum(abs(p.p[k][j] - p.p[K - 1][j]) for k in range(K) if k != j)
         for j in range(K - 1)
     )
-    sigma = sum(p.pim_rates) if p.is_pim else None
-    return MutationSummary(tau=tau, mu=mu, sigma_j=sigma_j, tau_j=tau_j, sigma=sigma)
+    return MutationSummary(tau=tau, mu=mu, sigma_j=sigma_j, tau_j=tau_j)
 
 
 def fit_dirichlet_params(p: MutationMatrix, N: int) -> DirichletParams:

@@ -334,43 +334,6 @@ def sample_offspring(m: OffspringModel, rng, size: int | None = None):
     return V[0] if one else V
 
 
-def aggregate_moments(m: OffspringModel, x: int):
-    """Conditional moments of M = V_1 + ... + V_x, the offspring total of a
-    fixed set of x parents.
-
-    Closed forms through the mixed V moments; returns exact rationals
-    (E M, E M^2, E M^3, E M^4).  At x = 0 all are 0; at x = N the total is
-    deterministically N.
-    """
-    if not 0 <= x <= m.N:
-        raise OffspringError(f"x={x} out of range 0..{m.N}")
-    mom = moments(m)
-    rows = {name: (powers, rhs) for name, powers, rhs in _identity_rows(m.N, mom)}
-    x = Fraction(x)
-
-    def mm(name):
-        rhs = rows[name][1]
-        if rhs is None:
-            raise OffspringError(f"{name} undefined for N={m.N}")
-        return rhs
-
-    em1 = x
-    em2 = x * mm("E V1^2") + _falling(x, 2) * mm("E V1V2")
-    em3 = (
-        x * mm("E V1^3")
-        + 3 * _falling(x, 2) * mm("E V1^2V2")
-        + (_falling(x, 3) * mm("E V1V2V3") if x >= 3 else Fraction(0))
-    )
-    em4 = (
-        x * mm("E V1^4")
-        + 4 * _falling(x, 2) * mm("E V1^3V2")
-        + 3 * _falling(x, 2) * mm("E V1^2V2^2")
-        + (6 * _falling(x, 3) * mm("E V1^2V2V3") if x >= 3 else Fraction(0))
-        + (_falling(x, 4) * mm("E V1V2V3V4") if x >= 4 else Fraction(0))
-    )
-    return em1, em2, em3, em4
-
-
 def mohle_diagnostics(m: OffspringModel):
     """The ratios (alpha/N, beta/(alpha N), gamma/(alpha N)).
 

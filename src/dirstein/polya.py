@@ -9,9 +9,9 @@ approximating generator exactly.  verify_pair_identities checks those
 identities exactly at every state after n draws, for any n and K, from
 the exchangeability of the draw colors alone, so the pair is never
 sampled.  The counts after n draws follow the Dirichlet-multinomial law
-DM(n; a) exactly: its float table (urn_law) gives the certification
-deterministic gaps whenever its grid is no larger than the sample it
-replaces.  Larger grids fall back to end states drawn exactly from that
+DM(n; a) exactly: its float table (metrics.urn_law) gives the
+certification deterministic gaps whenever its grid is no larger than the
+sample it replaces.  Larger grids fall back to end states drawn exactly from that
 law by sample_final.  The certification step holds the gaps against the
 closed-form bound for every battery function.
 """
@@ -29,12 +29,11 @@ from .bounds import BoundReport, theorem4_bound
 from .chains import _batch_multinomial
 from .metrics import (
     GapEstimate,
-    StationaryTable,
     _state_grid,
     attach_exact_means,
-    gap_table_csv,
     make_battery,
     smooth_gap,
+    urn_law,
 )
 from .simplex import (
     DirichletParams,
@@ -106,44 +105,6 @@ def urn_mixed_moment(a, n: int, exponents):
     return _power_moment(c, falling) / num(n) ** sum(c)
 
 
-def urn_law(a, n: int) -> StationaryTable:
-    """The law of the free counts after n draws, DM(n; a), as a float
-    table on metrics._state_grid(n, K), normalised to mass one.
-
-    Up to a constant, log P(x) = sum_t g_t(x_t) over all K colors, with
-    g_t(k) = sum_{i<k} log((a_t + i) / (i + 1)) taken as a cumulative sum:
-    unlike lgamma(a + k) - lgamma(a) it keeps its accuracy for weights from
-    the smallest subnormal to about 1e308 / K.  resolution bounds the L1
-    distance to the exact law: rounding of each term (its input included)
-    and of each partial sum is at most u (|term| + 4) and u |partial sum|,
-    u the unit roundoff, which bounds the log-probability error d; the
-    normalised table is then off by at most 2 (e^(d+u) - 1) + (S + 2) u in
-    L1, doubled here for margin.
-    """
-    p = _params(a)
-    if n < 1:
-        raise PolyaError("n must be >= 1")
-    u = np.finfo(np.float64).eps / 2
-    states = _state_grid(n, p.dim)
-    last = n - states.sum(axis=1)
-    i = np.arange(n, dtype=np.float64)
-    logp = np.zeros(len(states))
-    err = peak = 0.0
-    for t, at in enumerate(p.floats()):
-        terms = np.log((at + i) / (i + 1.0))
-        g = np.concatenate([[0.0], np.cumsum(terms)])
-        logp += g[states[:, t] if t < p.dim - 1 else last]
-        err += u * (np.abs(terms).sum() + 4.0 * n + np.abs(g).sum())
-        peak += float(np.abs(g).max())
-    # the K - 1 sums over colors and the shift by the maximum
-    err += u * (p.dim + 1) * peak
-    probs = np.exp(logp - logp.max())
-    probs /= probs.sum()
-    S = len(probs)
-    resolution = 2.0 * (2.0 * math.expm1(err + u) + (S + 2) * u)
-    return StationaryTable(states, probs, n, "polya-urn", resolution, "closed-form")
-
-
 # ---------------------------------------------------------------------------
 # conditional-moment identities of the redraw pair
 
@@ -162,13 +123,13 @@ class PairIdentityReport:
     """
 
     n: int
-    k: int
     states: int
     drift_residual: Fraction
     second_residual: Fraction
     triple_excess: Fraction
     distinct_triple: Fraction
-    # every check is exact; kept for callers that ask
+    # every check is exact; perfbench's pair check reads this to refuse a
+    # Monte Carlo fallback
     exact = True
 
     @property
@@ -256,7 +217,6 @@ def verify_pair_identities(a, n: int) -> PairIdentityReport:
     cube = n**4 * q_den
     return PairIdentityReport(
         n=n,
-        k=K,
         states=len(free),
         drift_residual=drift,
         second_residual=second,
@@ -297,20 +257,6 @@ class UrnCertification:
             f"states = {self.states}",
             "resolution = %.17g" % self.resolution,
         ]
-
-    def record(self) -> str:
-        """Flat text summary; the per-function table lives in csv()."""
-        worst = max((g.gap / g.bound for g in self.gaps if g.bound > 0), default=0.0)
-        head = [
-            "certification = urn-after-n-draws",
-            f"passed = {str(self.passed).lower()}",
-            f"functions = {len(self.gaps)}",
-            "worst_gap_over_bound = %.17g" % worst,
-        ] + self.diagnostics()
-        return "\n".join(head) + "\n" + self.report.record()
-
-    def csv(self) -> str:
-        return gap_table_csv(self.gaps)
 
 
 def certify_theorem4(

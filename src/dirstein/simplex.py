@@ -54,20 +54,11 @@ class SimplexPoint:
             raise SimplexError("simplex dimension K must be >= 2")
         if any(c < 0.0 for c in coords):
             raise SimplexError(f"negative coordinate in {coords}")
-        # the quantity `last` returns, so it never falls below -BOUNDARY_TOL
+        # the implicit last coordinate never falls below -BOUNDARY_TOL
         if 1.0 - sum(coords) < -BOUNDARY_TOL:
             raise SimplexError(f"coordinates {coords} sum above 1")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dim", dim)
-
-    @property
-    def last(self) -> float:
-        """The implicit coordinate 1 - sum(coords); may be a tiny negative
-        within the construction tolerance."""
-        return 1.0 - sum(self.coords)
-
-    def interior(self) -> bool:
-        return all(c > 0.0 for c in self.coords) and self.last > 0.0
 
 
 def _as_number(v):

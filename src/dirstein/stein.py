@@ -106,9 +106,6 @@ class TestFunction:
             return max(hi - self.mean, self.mean - lo)
         return self.sup_norm + abs(self.mean)
 
-    def __call__(self, x):
-        return self.fn(np.asarray(x))
-
 
 def attach_mean(h: TestFunction, a: DirichletParams) -> TestFunction:
     """Return h with E h(Z) filled in for the law Dir(a).
@@ -417,17 +414,15 @@ def high_replicates(replicates: int, levels: int) -> int:
 class LevelSums:
     """Per-replicate weighted level sums for a grid of points, parameter
     vectors, and test functions, ready for coupled estimates.  S holds the
-    levels n <= split on every replicate, S_high the levels past it on the
-    first high_replicates rows of the same stream.  Each f estimate adds
-    the exact leading tail term and is charged only the certified
+    levels n <= LEVEL_SPLIT on every replicate, S_high the levels past it
+    on the first high_replicates rows of the same stream.  Each f estimate
+    adds the exact leading tail term and is charged only the certified
     remainder."""
 
     points: tuple
-    params: tuple
-    battery: tuple  # tuple per params entry, same tags across entries
-    S: np.ndarray  # (R, P, A, H) float64, levels n <= split
-    S_high: np.ndarray  # (R_H, P, A, H) float64, levels n > split
-    split: int
+    battery: tuple  # tuple per parameter vector, same tags across them
+    S: np.ndarray  # (R, P, A, H) float64, levels n <= LEVEL_SPLIT
+    S_high: np.ndarray  # (R_H, P, A, H) float64, levels n > LEVEL_SPLIT
     levels: np.ndarray  # (A, H) truncation level per (params, h)
     ey_sums: np.ndarray  # (A, H) sum of E Y_n up to the level
     lead: np.ndarray  # (P, A, H) leading tail term h~(x_p) tail
@@ -720,11 +715,9 @@ def stein_level_sums(
     battery = tuple(tuple(bat) for bat in battery_list)
     return LevelSums(
         points=tuple(pts),
-        params=tuple(params_list),
         battery=battery,
         S=S,
         S_high=S_high,
-        split=LEVEL_SPLIT,
         levels=levels,
         ey_sums=ey_sums,
         lead=lead,

@@ -16,10 +16,11 @@ from dirstein.chains import (
     ChainError,
     ChainModel,
     ChainState,
+    RunawayError,
     _batch_step,
+    check_forward,
     check_genealogy,
     check_irreducible,
-    default_burn_in,
     redraw_types,
     run_to_stationarity,
     step_cannings,
@@ -226,14 +227,18 @@ class TestIrreducibility:
 
 class TestBurnIn:
     def test_formula(self):
+        # the default burn-in of a forward run, 20 N max(1, 1/(N p_min))
         m = ChainModel(50, MutationMatrix.pim([F(1, 20), F(1, 20)]))
-        assert default_burn_in(m) == 1000  # rate 1/20 is fast: 20 N
+        assert check_forward(m, 1)[0] == 1000  # rate 1/20 is fast: 20 N
         slow = ChainModel(10, MutationMatrix.pim([F(1, 1000), F(1, 1000)]))
-        assert default_burn_in(slow) == 20 * 10 * 100
+        assert check_forward(slow, 1)[0] == 20 * 10 * 100
 
     def test_cap(self):
+        # a default burn-in past BURN_IN_CAP is refused, not cut short
         tiny = ChainModel(100, MutationMatrix.pim([F(1, 10**9), F(1, 10**9)]))
-        assert default_burn_in(tiny) == BURN_IN_CAP
+        with pytest.raises(RunawayError) as err:
+            check_forward(tiny, 1)
+        assert err.value.part == "mutation"
 
 
 class TestRunToStationarity:
@@ -279,7 +284,6 @@ class TestRunToStationarity:
         r2 = run_to_stationarity(model, 256, RngStream(9, (4,)))
         assert (r1.samples == r2.samples).all()
         assert np.isfinite(r1.drift_z).all()
-        assert r1.seed == "9/4"
 
     def test_k3_means_near_dirichlet(self):
         # symmetric three-type rates: stationary mean 1/3 per coordinate
@@ -535,7 +539,6 @@ class TestForwardRunaway:
     def test_default_burn_in_past_the_cap_refused(self):
         model = ChainModel(30, self.SLOW)
         assert not uses_genealogy(model)
-        assert default_burn_in(model) == BURN_IN_CAP  # the cap is unchanged
         with pytest.raises(ChainError, match="default burn-in"):
             run_to_stationarity(model, 64, RngStream(0))
 
@@ -554,4 +557,5 @@ class TestForwardRunaway:
         model = ChainModel(10, CYCLIC3)
         plan = chains.check_forward(model, 64, BURN_IN_CAP - 80, 10, replicates=8)
         assert plan == (BURN_IN_CAP - 80, 10, 8, 8)
-        assert chains.check_forward(model, 64) == (default_burn_in(model), 10, 64, 1)
+        # the default burn-in 20 N / (N p_min) with p_min = 1/50
+        assert chains.check_forward(model, 64) == (1000, 10, 64, 1)

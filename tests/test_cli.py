@@ -440,14 +440,6 @@ class TestDeterminism:
         for p in sorted(outs[0].iterdir()):
             assert p.read_bytes() == (outs[1] / p.name).read_bytes(), p.name
 
-    def test_worker_env_var(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, "c.cfg", WF_CFG)
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        out1 = tmp_path / "env"
-        assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv(cli.WORKERS_ENV, "broken")
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "e2")]) == 1
-
     def test_seed_changes_samples(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.cfg", POLYA_CFG)
         a, b = tmp_path / "s1", tmp_path / "s2"

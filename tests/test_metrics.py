@@ -28,9 +28,7 @@ from dirstein.metrics import (
     _WAVES,
     MOMENT_DEGREE,
     GapEstimate,
-    K2Distance,
     MetricsError,
-    StationaryTable,
     _bump,
     _exponents,
     _monomial,
@@ -432,7 +430,6 @@ class TestKolmogorov:
         a = DirichletParams((1, 1))
         kd = kolmogorov_k2(np.full((500, 1), 0.5), a)
         assert kd.kolmogorov == pytest.approx(0.5, abs=1e-9)
-        assert kd.interval_bound == pytest.approx(1.0, abs=1e-9)
 
     def test_same_law_dkw_scale(self):
         a = DirichletParams((1, 1))
@@ -682,6 +679,26 @@ class TestExactStationary:
             exact_stationary(ChainModel(400, pim_for((1, 1, 1), 400)))
         with pytest.raises(MetricsError, match="cap"):
             exact_stationary(ChainModel(120, pim_for((1, 1, 1), 120)))
+
+    @pytest.mark.parametrize(
+        "law, K",
+        [(OffspringModel.moran(2048), 2), (OffspringModel.dirichlet_multinomial(63, 2), 3)],
+        ids=["moran-K2-2049", "dm-K3-2080"],
+    )
+    def test_dense_cannings_cap(self, monkeypatch, law, K):
+        # P and LAPACK's copy would hold 2 8 S^2 bytes; the refusal comes
+        # before the state grid or any factor is built
+        import dirstein.metrics as metrics
+
+        def unreachable(*args):
+            raise AssertionError("built before the refusal")
+
+        monkeypatch.setattr(metrics, "_state_grid", unreachable)
+        monkeypatch.setattr(metrics, "_cannings_matrix", unreachable)
+        model = ChainModel(law.N, pim_for((1,) * K, law.N), law)
+        with pytest.raises(MetricsError, match="dense cap of 2048") as err:
+            exact_stationary(model)
+        assert f"{math.comb(law.N + K - 1, K - 1)} states" in str(err.value)
 
     @pytest.mark.parametrize("offspring", ["moran", "explicit", "dm"])
     def test_cannings_refuses_four_types(self, offspring):

@@ -98,7 +98,6 @@ class TestSummarize:
         s = summarize(m, a, 10)
         assert s.tau == 0
         assert s.mu == F(1, 10)
-        assert s.sigma == F(1, 10)
 
     def test_lopsided_frozen(self):
         s = summarize(lopsided_k2(), DirichletParams([1, 1]), 10)
@@ -115,7 +114,6 @@ class TestSummarize:
             assert s.tau_j[j] == p[2][j] + sum(
                 abs(p[k][j] - p[2][j]) for k in range(3) if k != j
             )
-        assert s.sigma is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(MutationError, match="dimension"):

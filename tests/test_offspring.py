@@ -14,7 +14,6 @@ from dirstein.offspring import (
     OffspringError,
     OffspringModel,
     _identity_rows,
-    aggregate_moments,
     falling_moment,
     mohle_diagnostics,
     moments,
@@ -33,7 +32,6 @@ WF4_EV1_CUBED = Fraction(29, 8)
 WF4_EV1SQ_V2V3 = Fraction(15, 32)
 MORAN4_EV1V2 = Fraction(5, 6)
 MORAN4_EV1SQ = Fraction(3, 2)
-MORAN4_AGG_EM2_X2 = Fraction(14, 3)
 
 
 def takeover_table(N):
@@ -337,48 +335,6 @@ class TestIdentities:
         m = OffspringModel.explicit(4, table)
         for c in verify_moment_identities(m):
             assert c.lhs == c.rhs, c.name
-
-
-class TestAggregate:
-    def test_moran_frozen(self):
-        em1, em2, em3, em4 = aggregate_moments(OffspringModel.moran(4), 2)
-        assert em1 == 2
-        assert em2 == MORAN4_AGG_EM2_X2
-
-    @pytest.mark.parametrize(
-        "m",
-        [
-            OffspringModel.wright_fisher(4),
-            OffspringModel.wright_fisher(8),
-            OffspringModel.moran(6),
-            OffspringModel.dirichlet_multinomial(4, Fraction(1, 2)),
-        ],
-        ids=["wf4", "wf8", "moran6", "dm4"],
-    )
-    def test_full_population_is_deterministic(self, m):
-        N = m.N
-        assert aggregate_moments(m, N) == (N, N**2, N**3, N**4)
-
-    def test_zero_parents(self):
-        assert aggregate_moments(OffspringModel.wright_fisher(5), 0) == (0, 0, 0, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(OffspringError):
-            aggregate_moments(OffspringModel.wright_fisher(5), 6)
-
-    @pytest.mark.parametrize("x", [1, 2, 3])
-    def test_against_direct_enumeration(self, x):
-        # brute force: M over the enumerated law with a fixed parent set
-        m = OffspringModel.wright_fisher(4)
-        want = [Fraction(0)] * 4
-        for counts, prob in offspring_law(m):
-            perms = set(itertools.permutations(counts))
-            share = prob / len(perms)
-            for v in perms:
-                M = sum(v[:x])
-                for k in range(4):
-                    want[k] += share * M ** (k + 1)
-        assert aggregate_moments(m, x) == tuple(want)
 
 
 class TestSampling:

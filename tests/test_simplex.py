@@ -25,8 +25,7 @@ class TestSimplexPoint:
     def test_basic(self):
         x = SimplexPoint([0.2, 0.3])
         assert x.dim == 3
-        assert x.last == pytest.approx(0.5)
-        assert x.interior()
+        assert x.coords == (0.2, 0.3)
 
     def test_rejects_negative(self):
         with pytest.raises(SimplexError):
@@ -52,7 +51,6 @@ class TestSimplexPoint:
             return
         assert all(c >= 0 for c in x.coords)
         assert sum(x.coords) <= 1 + 1e-12
-        assert x.last >= -1e-12
 
 
 class TestSampling:

@@ -547,7 +547,7 @@ class TestLevelSums:
         res = st.stein_level_sums(
             self.a_list, self.bats, self.points, 20, RngStream(79), levels_override=40
         )
-        assert (res.replicates, res.high_replicates, res.split) == (20, 3, 32)
+        assert (res.replicates, res.high_replicates, st.LEVEL_SPLIT) == (20, 3, 32)
         for ai, a in enumerate(self.a_list):
             sch = st.DeathProcessSchedule.with_levels(a.s, 40)
             for hi, h in enumerate(self.bats[ai]):

@@ -1,5 +1,6 @@
 """The public surface: every exported name and every function the traced
-benchmark wraps must exist in the package, and no module imports a name
+benchmark wraps must exist in the package, every benchmark job kind must
+run and pass its own check, and no module or test module imports a name
 it never reads."""
 
 import ast
@@ -12,6 +13,7 @@ import dirstein
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(dirstein.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_every_export_resolves():
@@ -34,6 +36,25 @@ def test_every_traced_target_exists(monkeypatch):
     assert missing == []
 
 
+@pytest.mark.parametrize("workload", ["mc-certify", "exact-tables"])
+def test_every_workload_op_runs(monkeypatch, tmp_path, workload):
+    # perfbench's checks read result attributes that no traced target
+    # names (PairIdentityReport.exact, LevelSums.f_hat, table.w, ...), so
+    # the first job of each op and chain goes through WorkloadProcess.run
+    # untraced, and the kept CLI job through the --workers recheck
+    monkeypatch.syspath_prepend(str(BENCH))
+    worker = importlib.import_module("worker")
+    jobs = worker.joblist.make_jobs(workload, 7, 20)
+    first = {}
+    for job in jobs:
+        first.setdefault((job["op"], job.get("chain")), job)
+    wp = worker.WorkloadProcess(tmp_path, None)
+    wp.setup(next(j for j in jobs if "cfg" in j))
+    records = [wp.run(job) for job in first.values()]
+    assert [(r["op"], r["why"]) for r in records if not r["ok"]] == []
+    assert wp.recheck() is None
+
+
 def _unused_imports(path):
     """Names a module imports and never reads, by its syntax tree."""
     tree = ast.parse(path.read_text(), str(path))
@@ -50,7 +71,9 @@ def _unused_imports(path):
 
 
 @pytest.mark.parametrize(
-    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+    "path",
+    [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))],
 )
-def test_no_unused_imports(module):
-    assert _unused_imports(SRC / module) == []
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
